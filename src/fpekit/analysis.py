@@ -27,12 +27,9 @@ from .formats import (
     FixedString,
     Range,
     Ssn,
-    Union,
     VarString,
     DIGITS,
-    contains,
     ensure_valid,
-    size,
 )
 from .intfpe import IntFpeKey, cycle_walk_decrypt, cycle_walk_encrypt, feistel_encrypt
 from .ranking import rank, unrank
@@ -107,7 +104,7 @@ def sgfpe_encrypt(key: IntFpeKey, s: str, walk_budget: int = 10**6) -> str:
     sig = sgfpe_signature(s)
     f = signature_format(sig)
     r = rank(f, s).value
-    c = cycle_walk_encrypt(key, _sig_tweak(sig), size(f), r, walk_budget)
+    c = cycle_walk_encrypt(key, _sig_tweak(sig), f.size, r, walk_budget)
     return unrank(f, c)
 
 
@@ -115,7 +112,7 @@ def sgfpe_decrypt(key: IntFpeKey, s: str, walk_budget: int = 10**6) -> str:
     sig = sgfpe_signature(s)
     f = signature_format(sig)
     r = rank(f, s).value
-    c = cycle_walk_decrypt(key, _sig_tweak(sig), size(f), r, walk_budget)
+    c = cycle_walk_decrypt(key, _sig_tweak(sig), f.size, r, walk_budget)
     return unrank(f, c)
 
 
@@ -259,11 +256,11 @@ def expansion_and_cycles(
     """
     ensure_valid(original)
     ensure_valid(simplified)
-    n_orig, n_simp = size(original), size(simplified)
+    n_orig, n_simp = original.size, simplified.size
     rng = random.Random(seed)
     for _ in range(subset_samples):
         s = unrank(original, rng.randrange(n_orig))
-        if not contains(simplified, s):
+        if not simplified.contains(s):
             raise NotSubset(f"{s!r} is outside the simplified format")
 
     key = IntFpeKey(rng.randbytes(32), rounds=rounds)
@@ -280,7 +277,7 @@ def expansion_and_cycles(
         while True:
             y = feistel_encrypt(key, tweak, n_simp, y)
             steps += 1
-            if y < n_simp and contains(original, unrank(simplified, y)):
+            if y < n_simp and original.contains(unrank(simplified, y)):
                 break
         t2 = perf_counter()
         unrank(simplified, y)

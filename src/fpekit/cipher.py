@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from .dsl import serialize_spec
 from .errors import BadParameter, EntropyUnavailable
 from .formats import ensure_valid
-from .intfpe import IntFpeKey, get_backend
+from .intfpe import Fe1Backend, IntFpeKey
 from .splitting import RankVector, rank_multi, unrank_multi
 
 __all__ = ["CipherConfig", "keygen", "format_fingerprint", "encrypt", "decrypt"]
@@ -24,11 +24,10 @@ __all__ = ["CipherConfig", "keygen", "format_fingerprint", "encrypt", "decrypt"]
 
 @dataclass(frozen=True)
 class CipherConfig:
-    """Slot bound, round count, backend choice, and walk budget."""
+    """Slot bound, round count, and walk budget."""
 
     max_size: int | None = None
     rounds: int = 12
-    backend: str = "fe1"
     walk_budget: int = 10**6
 
     def __post_init__(self):
@@ -72,7 +71,7 @@ def encrypt(cfg: CipherConfig, key: IntFpeKey, spec, message: str, tweak=b"", ba
     """Map a member to a member, deterministically under (key, tweak)."""
     ensure_valid(spec)
     if backend is None:
-        backend = get_backend(cfg.backend, walk_budget=cfg.walk_budget)
+        backend = Fe1Backend(walk_budget=cfg.walk_budget)
     k = key if key.rounds == cfg.rounds else replace(key, rounds=cfg.rounds)
     fp = format_fingerprint(spec, cfg.max_size)
     extra = _as_bytes(tweak)
@@ -87,7 +86,7 @@ def encrypt(cfg: CipherConfig, key: IntFpeKey, spec, message: str, tweak=b"", ba
 def decrypt(cfg: CipherConfig, key: IntFpeKey, spec, ciphertext: str, tweak=b"", backend=None) -> str:
     ensure_valid(spec)
     if backend is None:
-        backend = get_backend(cfg.backend, walk_budget=cfg.walk_budget)
+        backend = Fe1Backend(walk_budget=cfg.walk_budget)
     k = key if key.rounds == cfg.rounds else replace(key, rounds=cfg.rounds)
     fp = format_fingerprint(spec, cfg.max_size)
     extra = _as_bytes(tweak)

@@ -21,7 +21,7 @@ from .analysis import (
 )
 from .dsl import parse_spec
 from .errors import BadParameter, CsvFieldError, FpeError, InvalidFormat
-from .formats import size, validate
+from .formats import validate
 from .intfpe import read_key_file, write_key_file
 from .ranking import rank, unrank
 
@@ -89,7 +89,7 @@ def validate_cmd(format_path):
     problems = validate(spec)
     if problems:
         raise InvalidFormat(problems)
-    click.echo(str(size(spec)))
+    click.echo(str(spec.size))
 
 
 @cli.command(name="rank")

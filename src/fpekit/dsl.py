@@ -1,5 +1,11 @@
 """Textual format definitions: JSON in, format trees out, and back.
 
+Each node type defines its own JSON form (`to_json` and `from_json` in
+`formats`). This module holds what they share: JSON text in and out, the
+table from "type" tag to node class, and the typed parameter reader that
+reports every error with the path of the object it sits in. The character
+set notation lives in `formats` and is re-exported here.
+
 The serialized form is canonical: keys are sorted, separators are compact,
 defaults are omitted, character sets collapse runs of three or more into
 ranges, and dates are ISO 8601. Canonical text is stable across runs, so
@@ -9,86 +15,18 @@ it can safely feed key derivation.
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from datetime import date as _date
 from datetime import datetime
 
 from .errors import BadParameter, SpecSyntaxError, UnknownNodeType
-from .formats import (
-    Ccn,
-    Concat,
-    Date,
-    DelimStringSet,
-    DelimVarString,
-    FixedString,
-    IntegralDomain,
-    Range,
-    Ssn,
-    StringSet,
-    Union,
-    VarString,
-)
+from .formats import NODE_TYPES, parse_charset, serialize_charset
 
 __all__ = ["parse_spec", "serialize_spec", "parse_charset", "serialize_charset"]
 
-
-# ---------------------------------------------------------------------------
-# character set syntax: "a-z0-9", with "\\-" and "\\\\" escapes
-
-
-def parse_charset(text: str, path: str = "charset") -> str:
-    """Expand range notation; a bare dash is only legal between two chars."""
-    tokens = []
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c == "\\":
-            if i + 1 >= len(text) or text[i + 1] not in "-\\":
-                raise BadParameter(f"{path}: bad escape at offset {i}")
-            tokens.append((text[i + 1], True))
-            i += 2
-        else:
-            tokens.append((c, False))
-            i += 1
-    out = []
-    j = 0
-    while j < len(tokens):
-        if j + 2 < len(tokens) and tokens[j + 1] == ("-", False):
-            lo, hi = tokens[j][0], tokens[j + 2][0]
-            if ord(lo) > ord(hi):
-                raise BadParameter(f"{path}: descending range {lo!r}-{hi!r}")
-            out.extend(chr(k) for k in range(ord(lo), ord(hi) + 1))
-            j += 3
-        elif tokens[j] == ("-", False):
-            raise BadParameter(f"{path}: bare dash must be escaped or form a range")
-        else:
-            out.append(tokens[j][0])
-            j += 1
-    return "".join(out)
-
-
-def serialize_charset(chars: str) -> str:
-    """Inverse of parse_charset on normalized (sorted, unique) input."""
-
-    def lit(c):
-        return "\\" + c if c in "-\\" else c
-
-    pts = [ord(c) for c in chars]
-    out = []
-    i = 0
-    while i < len(pts):
-        j = i
-        while j + 1 < len(pts) and pts[j + 1] == pts[j] + 1:
-            j += 1
-        if j - i >= 2:
-            out.append(lit(chr(pts[i])) + "-" + lit(chr(pts[j])))
-        else:
-            out.extend(lit(chr(pts[k])) for k in range(i, j + 1))
-        i = j + 1
-    return "".join(out)
-
-
-# ---------------------------------------------------------------------------
-# parsing
+# the JSON parameters of a node are exactly its dataclass fields
+_NODE_CLASSES = {cls.kind: (cls, {f.name for f in fields(cls)} | {"type"}) for cls in NODE_TYPES}
+_REQUIRED = object()
 
 
 def parse_spec(text: str):
@@ -97,208 +35,96 @@ def parse_spec(text: str):
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise SpecSyntaxError(f"line {e.lineno} column {e.colno}: {e.msg}") from None
-    return _build(doc, "$")
-
-
-def _fail(path, message):
-    raise BadParameter(f"{path}: {message}")
-
-
-def _get(node, key, path, kind, required=True, default=None):
-    if key not in node:
-        if required:
-            _fail(path, f"missing parameter {key!r}")
-        return default
-    v = node[key]
-    if kind is int and isinstance(v, bool):
-        _fail(path, f"{key!r} must be an integer")
-    if not isinstance(v, kind):
-        _fail(path, f"{key!r} has the wrong type")
-    return v
-
-
-def _iso_datetime(v, path, key):
-    if not isinstance(v, str):
-        _fail(path, f"{key!r} must be an ISO 8601 string")
-    try:
-        dt = datetime.fromisoformat(v)
-    except ValueError:
-        try:
-            d = _date.fromisoformat(v)
-        except ValueError:
-            _fail(path, f"{key!r} is not an ISO 8601 date: {v!r}")
-        dt = datetime(d.year, d.month, d.day)
-    return dt
-
-
-_ALLOWED_KEYS = {
-    "ssn": set(),
-    "ccn": set(),
-    "date": {"min", "max", "granularity"},
-    "fixed": {"charsets"},
-    "var": {"min", "max", "alphabet"},
-    "delim_var": {"min", "max", "alphabet", "delim"},
-    "set": {"strings"},
-    "delim_set": {"strings", "delim", "prefix_free"},
-    "integral": {"min", "max"},
-    "union": {"parts"},
-    "concat": {"parts", "delims"},
-    "range": {"inner", "delim", "min", "max", "last_delimited"},
-}
-
-
-def _build(node, path):
-    if not isinstance(node, dict):
-        _fail(path, "expected an object")
-    t = node.get("type")
-    if t is None:
-        _fail(path, "missing 'type'")
-    if t not in _ALLOWED_KEYS:
-        raise UnknownNodeType(f"{path}: unknown node type {t!r}")
-    extra = set(node) - _ALLOWED_KEYS[t] - {"type"}
-    if extra:
-        _fail(path, f"unexpected parameter(s) {sorted(extra)}")
-
-    if t == "ssn":
-        return Ssn()
-    if t == "ccn":
-        return Ccn()
-    if t == "date":
-        gran = _get(node, "granularity", path, str, required=False, default="day")
-        if gran not in ("day", "second"):
-            _fail(path, f"granularity must be 'day' or 'second', got {gran!r}")
-        lo = _iso_datetime(node.get("min"), path, "min") if "min" in node else _fail(path, "missing parameter 'min'")
-        hi = _iso_datetime(node.get("max"), path, "max") if "max" in node else _fail(path, "missing parameter 'max'")
-        return Date(lo, hi, gran)
-    if t == "fixed":
-        raw = _get(node, "charsets", path, list)
-        css = []
-        for i, cs in enumerate(raw):
-            if not isinstance(cs, str):
-                _fail(path, f"charsets[{i}] must be a string")
-            css.append(parse_charset(cs, f"{path}.charsets[{i}]"))
-        return FixedString(tuple(css))
-    if t in ("var", "delim_var"):
-        lo = _get(node, "min", path, int)
-        hi = _get(node, "max", path, int)
-        alpha = parse_charset(_get(node, "alphabet", path, str), f"{path}.alphabet")
-        if t == "var":
-            return VarString(lo, hi, alpha)
-        return DelimVarString(lo, hi, alpha, _get(node, "delim", path, str))
-    if t in ("set", "delim_set"):
-        raw = _get(node, "strings", path, list)
-        for i, s in enumerate(raw):
-            if not isinstance(s, str):
-                _fail(path, f"strings[{i}] must be a string")
-        if t == "set":
-            return StringSet(tuple(raw))
-        return DelimStringSet(
-            tuple(raw),
-            delim=_get(node, "delim", path, str, required=False),
-            prefix_free=_get(node, "prefix_free", path, bool, required=False, default=False),
-        )
-    if t == "integral":
-        return IntegralDomain(_get(node, "min", path, int), _get(node, "max", path, int))
-    if t == "union":
-        raw = _get(node, "parts", path, list)
-        if not raw:
-            _fail(path, "parts must not be empty")
-        return Union(tuple(_build(p, f"{path}.parts[{i}]") for i, p in enumerate(raw)))
-    if t == "concat":
-        raw = _get(node, "parts", path, list)
-        if not raw:
-            _fail(path, "parts must not be empty")
-        parts = tuple(_build(p, f"{path}.parts[{i}]") for i, p in enumerate(raw))
-        delims = _get(node, "delims", path, list, required=False)
-        if delims is not None:
-            for i, d in enumerate(delims):
-                if not isinstance(d, str):
-                    _fail(path, f"delims[{i}] must be a string")
-            delims = tuple(delims)
-        return Concat(parts, delims)
-    # range
-    return Range(
-        _build(node.get("inner") if "inner" in node else _fail(path, "missing parameter 'inner'"), f"{path}.inner"),
-        _get(node, "delim", path, str),
-        _get(node, "min", path, int),
-        _get(node, "max", path, int),
-        _get(node, "last_delimited", path, bool, required=False, default=True),
-    )
-
-
-# ---------------------------------------------------------------------------
-# serializing
+    return _build(doc, "$", {})
 
 
 def serialize_spec(spec) -> str:
     """Canonical JSON text for a format tree."""
     return json.dumps(
-        _unbuild(spec), sort_keys=True, separators=(",", ":"), ensure_ascii=True
+        spec.to_json(), sort_keys=True, separators=(",", ":"), ensure_ascii=True
     )
 
 
-def _date_text(dt: datetime, granularity: str) -> str:
-    if granularity == "day":
-        return dt.date().isoformat()
-    return dt.isoformat(sep="T", timespec="seconds")
+def _build(doc, path, seen):
+    """One node from its JSON object. Equal subtrees of one document come
+    back as the same object (through `seen`), so that what is derived from
+    a repeated subtree is derived once."""
+    if not isinstance(doc, dict):
+        raise BadParameter(f"{path}: expected an object")
+    t = doc.get("type")
+    if t is None:
+        raise BadParameter(f"{path}: missing 'type'")
+    cls, keys = _NODE_CLASSES.get(t, (None, None)) if isinstance(t, str) else (None, None)
+    if cls is None:
+        raise UnknownNodeType(f"{path}: unknown node type {t!r}")
+    extra = set(doc) - keys
+    if extra:
+        raise BadParameter(f"{path}: unexpected parameter(s) {sorted(extra)}")
+    node = cls.from_json(_Reader(doc, path, seen))
+    return seen.setdefault(node, node)
 
 
-def _unbuild(spec):
-    if isinstance(spec, Ssn):
-        return {"type": "ssn"}
-    if isinstance(spec, Ccn):
-        return {"type": "ccn"}
-    if isinstance(spec, Date):
-        return {
-            "type": "date",
-            "min": _date_text(spec.min, spec.granularity),
-            "max": _date_text(spec.max, spec.granularity),
-            "granularity": spec.granularity,
-        }
-    if isinstance(spec, FixedString):
-        return {"type": "fixed", "charsets": [serialize_charset(cs) for cs in spec.charsets]}
-    if isinstance(spec, VarString):
-        return {
-            "type": "var",
-            "min": spec.min,
-            "max": spec.max,
-            "alphabet": serialize_charset(spec.alphabet),
-        }
-    if isinstance(spec, DelimVarString):
-        return {
-            "type": "delim_var",
-            "min": spec.min,
-            "max": spec.max,
-            "alphabet": serialize_charset(spec.alphabet),
-            "delim": spec.delim,
-        }
-    if isinstance(spec, StringSet):
-        return {"type": "set", "strings": list(spec.strings)}
-    if isinstance(spec, DelimStringSet):
-        out = {"type": "delim_set", "strings": list(spec.strings)}
-        if spec.delim is not None:
-            out["delim"] = spec.delim
-        if spec.prefix_free:
-            out["prefix_free"] = True
-        return out
-    if isinstance(spec, IntegralDomain):
-        return {"type": "integral", "min": spec.min, "max": spec.max}
-    if isinstance(spec, Union):
-        return {"type": "union", "parts": [_unbuild(p) for p in spec.parts]}
-    if isinstance(spec, Concat):
-        out = {"type": "concat", "parts": [_unbuild(p) for p in spec.parts]}
-        if spec.delims is not None:
-            out["delims"] = list(spec.delims)
-        return out
-    if isinstance(spec, Range):
-        out = {
-            "type": "range",
-            "inner": _unbuild(spec.inner),
-            "delim": spec.delim,
-            "min": spec.min,
-            "max": spec.max,
-        }
-        if not spec.last_delimited:
-            out["last_delimited"] = False
-        return out
-    raise TypeError(f"not a format node: {type(spec).__name__}")
+class _Reader:
+    """Typed access to the parameters of one JSON object; every error names
+    the object's path."""
+
+    def __init__(self, doc: dict, path: str, seen: dict):
+        self.doc = doc
+        self.path = path
+        self.seen = seen
+
+    def fail(self, message):
+        raise BadParameter(f"{self.path}: {message}")
+
+    def get(self, key, kind, default=_REQUIRED):
+        """The value under key, which must have type kind (bool is no int)."""
+        if key not in self.doc:
+            if default is _REQUIRED:
+                self.fail(f"missing parameter {key!r}")
+            return default
+        v = self.doc[key]
+        if kind is int and isinstance(v, bool):
+            self.fail(f"{key!r} must be an integer")
+        if not isinstance(v, kind):
+            self.fail(f"{key!r} has the wrong type")
+        return v
+
+    def texts(self, key, default=_REQUIRED):
+        """A list of strings, as a tuple."""
+        raw = self.get(key, list, default)
+        if raw is default:
+            return raw
+        for i, v in enumerate(raw):
+            if not isinstance(v, str):
+                self.fail(f"{key}[{i}] must be a string")
+        return tuple(raw)
+
+    def charset(self, text, where):
+        """Expand character set notation found at `where` in this object."""
+        return parse_charset(text, f"{self.path}.{where}")
+
+    def iso_datetime(self, key):
+        """An ISO 8601 date or datetime; a bare date means midnight."""
+        v = self.get(key, object)
+        if not isinstance(v, str):
+            self.fail(f"{key!r} must be an ISO 8601 string")
+        try:
+            return datetime.fromisoformat(v)
+        except ValueError:
+            pass
+        try:
+            d = _date.fromisoformat(v)
+        except ValueError:
+            self.fail(f"{key!r} is not an ISO 8601 date: {v!r}")
+        return datetime(d.year, d.month, d.day)
+
+    def node(self, key):
+        """A nested node definition."""
+        return _build(self.get(key, object), f"{self.path}.{key}", self.seen)
+
+    def nodes(self, key):
+        """A non-empty list of nested node definitions, as a tuple."""
+        raw = self.get(key, list)
+        if not raw:
+            self.fail(f"{key} must not be empty")
+        return tuple(_build(p, f"{self.path}.{key}[{i}]", self.seen) for i, p in enumerate(raw))

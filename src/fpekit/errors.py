@@ -80,10 +80,6 @@ class BadParameter(FpeError):
     """A parameter value is unusable."""
 
 
-class UnknownBackend(FpeError):
-    """No integer enciphering backend is registered under that name."""
-
-
 class CsvFieldError(FpeError):
     """A CSV cell failed to transform; names the offending row and column."""
 

@@ -1,197 +1,52 @@
-"""Format definitions and the operations every other layer builds on.
+"""Format trees: one class per node type, owning all that its type means.
 
 A format is an immutable tree of primitive and composite nodes describing a
-finite set of strings. This module validates a tree, counts its members
-exactly, tests membership, splits a member into the pieces the tree
-prescribes, and streams members in canonical order. Canonical order is
-mixed-radix with the first (leftmost) unit least significant, and character
-sets are ordered by ascending code point.
+finite set of strings. Each node class defines, for its own type:
+
+- ``validate_into``: the invariants its parameters must satisfy;
+- ``size`` and ``chars``: the exact member count and an alphabet cover;
+- ``contains``, plus ``take`` for the rigid (prefix-parsable) primitives;
+- ``parse`` and ``reassemble``, which the compound nodes override;
+- ``members``: generative enumeration in rank order;
+- ``rank`` and ``unrank`` on inputs already known to be in range;
+- ``_split``: its slot plan under a bound, from ``splitting``'s plan nodes;
+- ``to_json`` and ``from_json``: its canonical JSON form, read through
+  ``dsl``'s typed reader.
+
+Canonical order is mixed-radix with the first (leftmost) unit least
+significant, and character sets are ordered by ascending code point.
+Derived values (violations, size, alphabet, lookup tables, plans) are
+computed on first use and stored on the node itself: a malformed tree can
+still be built and reported by validate(), and a format nobody references
+is freed together with everything derived from it. The module functions
+are the public entry points.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, replace
 from datetime import date as _date
 from datetime import datetime, time, timedelta
-from functools import lru_cache
+from functools import cached_property
 
-from .errors import BadLength, InvalidFormat, NonDigit, ParseFailure
+from . import splitting
+from .errors import (
+    BadLength,
+    BadParameter,
+    InvalidFormat,
+    NonDigit,
+    OutOfRange,
+    ParseFailure,
+    UnsplittableAtom,
+)
 
 DIGITS = "0123456789"
 
 SSN_SIZE = 898 * 99 * 9999
 CCN_SIZE = 10**15
-
-
-def _charset(chars) -> str:
-    """Normalize a character collection to a sorted, duplicate-free string."""
-    return "".join(sorted(set(chars)))
-
-
-@dataclass(frozen=True)
-class Ssn:
-    """Nine decimal digits under the area/group/serial exclusion rules."""
-
-
-@dataclass(frozen=True)
-class Ccn:
-    """Sixteen decimal digits, the last being the Luhn check digit."""
-
-
-@dataclass(frozen=True)
-class Date:
-    """Calendar dates between two bounds, rendered as dd.mm.yyyy.
-
-    granularity "day" counts days; "second" counts seconds and renders as
-    dd.mm.yyyy hh:mm:ss. Bounds are proleptic Gregorian datetimes.
-    """
-
-    min: datetime
-    max: datetime
-    granularity: str = "day"
-
-    def __post_init__(self):
-        for name in ("min", "max"):
-            v = getattr(self, name)
-            if isinstance(v, _date) and not isinstance(v, datetime):
-                object.__setattr__(self, name, datetime(v.year, v.month, v.day))
-
-
-@dataclass(frozen=True)
-class FixedString:
-    """Fixed-length strings with one character set per position."""
-
-    charsets: tuple
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "charsets", tuple(_charset(cs) for cs in self.charsets)
-        )
-
-
-@dataclass(frozen=True)
-class DelimVarString:
-    """Strings over one alphabet, length min..max, plus a trailing delimiter."""
-
-    min: int
-    max: int
-    alphabet: str
-    delim: str
-
-    def __post_init__(self):
-        object.__setattr__(self, "alphabet", _charset(self.alphabet))
-
-
-@dataclass(frozen=True)
-class VarString:
-    """Strings over one alphabet with length between min and max. Non-rigid."""
-
-    min: int
-    max: int
-    alphabet: str
-
-    def __post_init__(self):
-        object.__setattr__(self, "alphabet", _charset(self.alphabet))
-
-
-@dataclass(frozen=True)
-class DelimStringSet:
-    """An explicit string table, made prefix-parsable.
-
-    Either every string ends with `delim` (which appears nowhere else in
-    it), or `prefix_free` is set and no string is a prefix of another.
-    The declared order is the rank order; duplicates are dropped.
-    """
-
-    strings: tuple
-    delim: str | None = None
-    prefix_free: bool = False
-
-    def __post_init__(self):
-        object.__setattr__(self, "strings", tuple(dict.fromkeys(self.strings)))
-
-
-@dataclass(frozen=True)
-class StringSet:
-    """An explicit string table with no parsability guarantee. Non-rigid."""
-
-    strings: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "strings", tuple(dict.fromkeys(self.strings)))
-
-
-@dataclass(frozen=True)
-class IntegralDomain:
-    """Canonical decimal renderings of the integers min..max. Non-rigid."""
-
-    min: int
-    max: int
-
-
-@dataclass(frozen=True)
-class Union:
-    """Strings belonging to any one of several alphabet-disjoint parts."""
-
-    parts: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "parts", tuple(self.parts))
-
-
-@dataclass(frozen=True)
-class Concat:
-    """Concatenation of parts, optionally joined by one-character delimiters.
-
-    Without delimiters every boundary must be separable: the left part is a
-    rigid primitive, or the two parts have disjoint alphabets.
-    """
-
-    parts: tuple
-    delims: tuple | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "parts", tuple(self.parts))
-        if self.delims is not None:
-            object.__setattr__(self, "delims", tuple(self.delims))
-
-
-@dataclass(frozen=True)
-class Range:
-    """min..max repetitions of an inner format joined by a delimiter.
-
-    With last_delimited the final piece also carries the delimiter.
-    """
-
-    inner: object
-    delim: str
-    min: int
-    max: int
-    last_delimited: bool = True
-
-
-FormatSpec = (
-    Ssn
-    | Ccn
-    | Date
-    | FixedString
-    | DelimVarString
-    | VarString
-    | DelimStringSet
-    | StringSet
-    | IntegralDomain
-    | Union
-    | Concat
-    | Range
-)
-
-_RIGID = (Ssn, Ccn, Date, FixedString, DelimVarString, DelimStringSet)
-
-
-def is_rigid(spec) -> bool:
-    """Prefix-parsable primitives. Compound formats are treated as non-rigid."""
-    return isinstance(spec, _RIGID)
 
 
 @dataclass(frozen=True)
@@ -214,181 +69,69 @@ class ParsePieces:
 
 
 # ---------------------------------------------------------------------------
-# validation
+# character sets
 
 
-def validate(spec) -> list:
-    """Collect every invariant violation in the tree, with node paths."""
-    out: list[Violation] = []
-    _validate(spec, "", out)
-    return out
+def _charset(chars) -> str:
+    """Normalize a character collection to a sorted, duplicate-free string."""
+    return "".join(sorted(set(chars)))
 
 
-@lru_cache(maxsize=None)
-def _cached_violations(spec):
-    return tuple(validate(spec))
-
-
-def ensure_valid(spec) -> None:
-    """Raise InvalidFormat unless the spec satisfies every invariant."""
-    violations = _cached_violations(spec)
-    if violations:
-        raise InvalidFormat(violations)
-
-
-def _validate(spec, path, out) -> bool:
-    ok = True
-
-    def bad(code, message, sub=None):
-        nonlocal ok
-        out.append(Violation(sub if sub is not None else path, code, message))
-        ok = False
-
-    if isinstance(spec, (Ssn, Ccn)):
-        pass
-
-    elif isinstance(spec, Date):
-        if spec.granularity not in ("day", "second"):
-            bad("BadParameter", f"unknown granularity {spec.granularity!r}")
-        elif spec.min > spec.max:
-            bad("BadBounds", "min date is after max date")
-        elif spec.granularity == "day":
-            for b in (spec.min, spec.max):
-                if b.time() != time(0):
-                    bad("BadParameter", "day granularity needs midnight bounds")
-                    break
+def parse_charset(text: str, path: str = "charset") -> str:
+    """Expand range notation ("a-z0-9", with "\\-" and "\\\\" escapes); a
+    bare dash is only legal between two chars."""
+    tokens = []
+    i = 0
+    while i < len(text):
+        c = text[i]
+        if c == "\\":
+            if i + 1 >= len(text) or text[i + 1] not in "-\\":
+                raise BadParameter(f"{path}: bad escape at offset {i}")
+            tokens.append((text[i + 1], True))
+            i += 2
         else:
-            for b in (spec.min, spec.max):
-                if b.microsecond:
-                    bad("BadParameter", "sub-second bounds are not representable")
-                    break
-
-    elif isinstance(spec, FixedString):
-        if not spec.charsets:
-            bad("BadParameter", "needs at least one position")
-        for i, cs in enumerate(spec.charsets):
-            if not cs:
-                bad("EmptyAlphabet", "empty character set", f"{path}.charsets[{i}]")
-
-    elif isinstance(spec, (VarString, DelimVarString)):
-        if not 0 <= spec.min <= spec.max:
-            bad("BadBounds", f"bad length bounds {spec.min}..{spec.max}")
-        if not spec.alphabet:
-            bad("EmptyAlphabet", "empty alphabet")
-        if isinstance(spec, DelimVarString):
-            if len(spec.delim) != 1:
-                bad("BadDelimiter", "delimiter must be a single character")
-            elif spec.delim in spec.alphabet:
-                bad("DelimiterInAlphabet", f"delimiter {spec.delim!r} is in the alphabet")
-
-    elif isinstance(spec, StringSet):
-        if not spec.strings:
-            bad("EmptyFormat", "empty string set")
-
-    elif isinstance(spec, DelimStringSet):
-        if not spec.strings:
-            bad("EmptyFormat", "empty string set")
-        if spec.delim is None and not spec.prefix_free:
-            bad("BadParameter", "needs a delimiter or the prefix_free flag")
-        elif spec.delim is not None and spec.prefix_free:
-            bad("BadParameter", "delimiter and prefix_free are mutually exclusive")
-        elif spec.delim is not None:
-            if len(spec.delim) != 1:
-                bad("BadDelimiter", "delimiter must be a single character")
-            else:
-                for s in spec.strings:
-                    if not s.endswith(spec.delim) or spec.delim in s[:-1]:
-                        bad(
-                            "BadDelimiter",
-                            f"{s!r} must end with {spec.delim!r} and contain it nowhere else",
-                        )
+            tokens.append((c, False))
+            i += 1
+    out = []
+    j = 0
+    while j < len(tokens):
+        if j + 2 < len(tokens) and tokens[j + 1] == ("-", False):
+            lo, hi = tokens[j][0], tokens[j + 2][0]
+            if ord(lo) > ord(hi):
+                raise BadParameter(f"{path}: descending range {lo!r}-{hi!r}")
+            out.extend(chr(k) for k in range(ord(lo), ord(hi) + 1))
+            j += 3
+        elif tokens[j] == ("-", False):
+            raise BadParameter(f"{path}: bare dash must be escaped or form a range")
         else:
-            for i, a in enumerate(spec.strings):
-                for b in spec.strings[i + 1 :]:
-                    if a.startswith(b) or b.startswith(a):
-                        bad("NotPrefixFree", f"{a!r} and {b!r} are prefix-related")
+            out.append(tokens[j][0])
+            j += 1
+    return "".join(out)
 
-    elif isinstance(spec, IntegralDomain):
-        if spec.min > spec.max:
-            bad("BadBounds", "min exceeds max")
 
-    elif isinstance(spec, Union):
-        if not spec.parts:
-            bad("EmptyFormat", "union with no parts")
-        clean = True
-        for i, part in enumerate(spec.parts):
-            clean &= _validate(part, f"{path}.parts[{i}]", out)
-        if spec.parts and clean:
-            alphas = [alphabet(p) for p in spec.parts]
-            for i in range(len(alphas)):
-                for j in range(i + 1, len(alphas)):
-                    shared = alphas[i] & alphas[j]
-                    if shared:
-                        sample = "".join(sorted(shared)[:5])
-                        bad(
-                            "OverlappingUnionAlphabets",
-                            f"parts {i} and {j} share characters {sample!r}",
-                        )
-            with_empty = [i for i, p in enumerate(spec.parts) if contains(p, "")]
-            if len(with_empty) > 1:
-                bad(
-                    "AmbiguousUnion",
-                    f"parts {with_empty} all contain the empty string",
-                )
-        ok &= clean
+def serialize_charset(chars: str) -> str:
+    """Inverse of parse_charset on normalized (sorted, unique) input."""
 
-    elif isinstance(spec, Concat):
-        if not spec.parts:
-            bad("EmptyFormat", "concatenation with no parts")
-        clean = True
-        for i, part in enumerate(spec.parts):
-            clean &= _validate(part, f"{path}.parts[{i}]", out)
-        if spec.delims is not None and len(spec.delims) != len(spec.parts) - 1:
-            bad(
-                "BadParameter",
-                f"{len(spec.parts)} parts need {len(spec.parts) - 1} delimiters, got {len(spec.delims)}",
-            )
-        elif spec.delims is not None:
-            for i, d in enumerate(spec.delims):
-                if len(d) != 1:
-                    bad("BadDelimiter", f"delimiter {i} must be a single character")
-                elif clean and d in alphabet(spec.parts[i]):
-                    bad(
-                        "DelimiterInAlphabet",
-                        f"delimiter {d!r} appears in the alphabet of part {i}",
-                    )
-        elif clean:
-            for i in range(len(spec.parts) - 1):
-                cur, nxt = spec.parts[i], spec.parts[i + 1]
-                if not is_rigid(cur) and alphabet(cur) & alphabet(nxt):
-                    bad(
-                        "InseparableConcat",
-                        f"part {i + 1} is not separable from part {i}: "
-                        "neither rigid nor alphabet-disjoint",
-                    )
-        ok &= clean
+    def lit(c):
+        return "\\" + c if c in "-\\" else c
 
-    elif isinstance(spec, Range):
-        clean = _validate(spec.inner, f"{path}.inner", out)
-        if not 1 <= spec.min <= spec.max:
-            bad("BadBounds", f"bad repetition bounds {spec.min}..{spec.max}")
-        if len(spec.delim) != 1:
-            bad("BadDelimiter", "delimiter must be a single character")
-        elif clean and spec.delim in alphabet(spec.inner):
-            bad(
-                "DelimiterInAlphabet",
-                f"delimiter {spec.delim!r} appears in the inner alphabet",
-            )
-        ok &= clean
-
-    else:
-        bad("BadParameter", f"not a format node: {type(spec).__name__}")
-
-    return ok
+    pts = [ord(c) for c in chars]
+    out = []
+    i = 0
+    while i < len(pts):
+        j = i
+        while j + 1 < len(pts) and pts[j + 1] == pts[j] + 1:
+            j += 1
+        if j - i >= 2:
+            out.append(lit(chr(pts[i])) + "-" + lit(chr(pts[j])))
+        else:
+            out.extend(lit(chr(pts[k])) for k in range(i, j + 1))
+        i = j + 1
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------
-# size and alphabet
+# counting and enumeration helpers
 
 
 def _count_up_to(base: int, lo: int, stop: int) -> int:
@@ -400,74 +143,45 @@ def _count_up_to(base: int, lo: int, stop: int) -> int:
     return (base**stop - base**lo) // (base - 1)
 
 
-@lru_cache(maxsize=None)
-def size(spec) -> int:
-    """Exact member count. The spec must already be valid."""
-    if isinstance(spec, Ssn):
-        return SSN_SIZE
-    if isinstance(spec, Ccn):
-        return CCN_SIZE
-    if isinstance(spec, Date):
-        if spec.granularity == "day":
-            return spec.max.toordinal() - spec.min.toordinal() + 1
-        delta = spec.max - spec.min
-        return delta.days * 86400 + delta.seconds + 1
-    if isinstance(spec, FixedString):
-        n = 1
-        for cs in spec.charsets:
-            n *= len(cs)
-        return n
-    if isinstance(spec, (VarString, DelimVarString)):
-        return _count_up_to(len(spec.alphabet), spec.min, spec.max + 1)
-    if isinstance(spec, (StringSet, DelimStringSet)):
-        return len(spec.strings)
-    if isinstance(spec, IntegralDomain):
-        return spec.max - spec.min + 1
-    if isinstance(spec, Union):
-        return sum(size(p) for p in spec.parts)
-    if isinstance(spec, Concat):
-        n = 1
-        for p in spec.parts:
-            n *= size(p)
-        return n
-    if isinstance(spec, Range):
-        return _count_up_to(size(spec.inner), spec.min, spec.max + 1)
-    raise TypeError(f"not a format node: {type(spec).__name__}")
+def _recover_length(base: int, lo: int, hi: int, v: int) -> int:
+    """Largest L in [lo, hi] whose shorter-member count does not exceed v."""
+    if hi - lo <= 64:
+        length = lo
+        while length < hi and _count_up_to(base, lo, length + 1) <= v:
+            length += 1
+        return length
+    a, b = lo, hi
+    while a < b:
+        mid = (a + b + 1) // 2
+        if _count_up_to(base, lo, mid) <= v:
+            a = mid
+        else:
+            b = mid - 1
+    return a
 
 
-@lru_cache(maxsize=None)
-def alphabet(spec) -> frozenset:
-    """Characters that can appear in members (a conservative cover)."""
-    if isinstance(spec, (Ssn, Ccn)):
-        return frozenset(DIGITS)
-    if isinstance(spec, Date):
-        extra = " :" if spec.granularity == "second" else ""
-        return frozenset(DIGITS + "." + extra)
-    if isinstance(spec, FixedString):
-        return frozenset().union(*map(frozenset, spec.charsets))
-    if isinstance(spec, VarString):
-        return frozenset(spec.alphabet)
-    if isinstance(spec, DelimVarString):
-        return frozenset(spec.alphabet) | {spec.delim}
-    if isinstance(spec, (StringSet, DelimStringSet)):
-        return frozenset().union(*(frozenset(s) for s in spec.strings))
-    if isinstance(spec, IntegralDomain):
-        extra = "-" if spec.min < 0 else ""
-        return frozenset(DIGITS + extra)
-    if isinstance(spec, Union):
-        return frozenset().union(*(alphabet(p) for p in spec.parts))
-    if isinstance(spec, Concat):
-        out = frozenset().union(*(alphabet(p) for p in spec.parts))
-        if spec.delims:
-            out |= frozenset(spec.delims)
-        return out
-    if isinstance(spec, Range):
-        return alphabet(spec.inner) | {spec.delim}
-    raise TypeError(f"not a format node: {type(spec).__name__}")
+def _fixed_stream(charsets):
+    # first position varies fastest
+    for tup in itertools.product(*reversed(charsets)):
+        yield "".join(reversed(tup))
+
+
+def _tuple_stream(factories):
+    """Cartesian product of piece streams, factor 0 least significant."""
+
+    def gen(i):
+        if i == len(factories):
+            yield ()
+            return
+        for rest in gen(i + 1):
+            for piece in factories[i]():
+                yield (piece,) + rest
+
+    return gen(0)
 
 
 # ---------------------------------------------------------------------------
-# membership
+# primitive value codecs
 
 
 def luhn_digit(digits: str) -> str:
@@ -491,15 +205,19 @@ def _all_decimal(s: str) -> bool:
     return all("0" <= c <= "9" for c in s)
 
 
-def _ssn_ok(s: str) -> bool:
-    return (
-        len(s) == 9
-        and _all_decimal(s)
-        and s[:3] not in ("000", "666")
-        and s[:3] < "900"
-        and s[3:5] != "00"
-        and s[5:] != "0000"
-    )
+SSN_COMPONENT_SIZES = (898, 99, 9999)
+
+
+def ssn_components(s: str) -> tuple:
+    """(area, group, serial) indices of a valid nine-digit id, each from 0."""
+    area, group, serial = int(s[:3]), int(s[3:5]), int(s[5:])
+    return (area - 1 - (1 if area > 666 else 0), group - 1, serial - 1)
+
+
+def ssn_from_components(comp) -> str:
+    ai, gi, ri = comp
+    area = ai + 1 if ai + 1 < 666 else ai + 2
+    return f"{area:03d}{gi + 1:02d}{ri + 1:04d}"
 
 
 def _parse_date_string(s: str, granularity: str):
@@ -534,6 +252,28 @@ def format_date_string(dt: datetime, granularity: str) -> str:
     return out
 
 
+def date_offset(min_date: datetime, d: datetime, granularity: str) -> int:
+    """Days or seconds from the lower bound to d."""
+    if d is None or d < min_date:
+        raise OutOfRange(f"{d} is before {min_date}")
+    if granularity == "day":
+        return d.toordinal() - min_date.toordinal()
+    delta = d - min_date
+    return delta.days * 86400 + delta.seconds
+
+
+def offset_to_date(min_date: datetime, r: int, granularity: str) -> datetime:
+    """Inverse of date_offset."""
+    if r < 0:
+        raise OutOfRange(f"negative offset {r}")
+    try:
+        if granularity == "day":
+            return min_date + timedelta(days=r)
+        return min_date + timedelta(seconds=r)
+    except OverflowError:
+        raise OutOfRange(f"offset {r} leaves the calendar range") from None
+
+
 def _canonical_int(s: str) -> int | None:
     # accepts exactly the strings str() produces for an int
     try:
@@ -543,251 +283,1073 @@ def _canonical_int(s: str) -> int | None:
     return n if str(n) == s else None
 
 
-def contains(spec, s: str) -> bool:
-    """True iff s is a member of the format."""
-    if isinstance(spec, Ssn):
-        return _ssn_ok(s)
-    if isinstance(spec, Ccn):
-        return (
-            len(s) == 16 and _all_decimal(s) and luhn_digit(s[:15]) == s[15]
-        )
-    if isinstance(spec, Date):
-        dt = _parse_date_string(s, spec.granularity)
-        return dt is not None and spec.min <= dt <= spec.max
-    if isinstance(spec, FixedString):
-        return len(s) == len(spec.charsets) and all(
-            c in cs for c, cs in zip(s, spec.charsets)
-        )
-    if isinstance(spec, VarString):
-        return spec.min <= len(s) <= spec.max and all(
-            c in spec.alphabet for c in s
-        )
-    if isinstance(spec, DelimVarString):
-        if not s.endswith(spec.delim):
-            return False
-        body = s[:-1]
-        return spec.min <= len(body) <= spec.max and all(
-            c in spec.alphabet for c in body
-        )
-    if isinstance(spec, (StringSet, DelimStringSet)):
-        return s in _member_set(spec)
-    if isinstance(spec, IntegralDomain):
-        n = _canonical_int(s)
-        return n is not None and spec.min <= n <= spec.max
-    if isinstance(spec, Union):
-        return any(contains(p, s) for p in spec.parts)
-    if isinstance(spec, (Concat, Range)):
-        try:
-            parse(spec, s)
-            return True
-        except ParseFailure:
-            return False
-    raise TypeError(f"not a format node: {type(spec).__name__}")
-
-
-@lru_cache(maxsize=None)
-def _member_set(spec) -> frozenset:
-    return frozenset(spec.strings)
-
-
 # ---------------------------------------------------------------------------
-# parsing
+# the node types
 
 
-def _take(spec, s: str, pos: int) -> int:
-    """Consume one member of a rigid primitive at pos; returns the end index."""
-    if isinstance(spec, (Ssn, Ccn, Date, FixedString)):
-        if isinstance(spec, Ssn):
-            width = 9
-        elif isinstance(spec, Ccn):
-            width = 16
-        elif isinstance(spec, Date):
-            width = 10 if spec.granularity == "day" else 19
-        else:
-            width = len(spec.charsets)
-        end = pos + width
-        if end > len(s) or not contains(spec, s[pos:end]):
-            raise ParseFailure(f"no {type(spec).__name__} member at offset {pos}")
-        return end
-    if isinstance(spec, DelimVarString):
-        idx = s.find(spec.delim, pos)
-        if idx < 0 or not contains(spec, s[pos : idx + 1]):
-            raise ParseFailure(f"no delimited string at offset {pos}")
-        return idx + 1
-    if isinstance(spec, DelimStringSet):
-        if spec.delim is not None:
-            idx = s.find(spec.delim, pos)
-            if idx < 0 or s[pos : idx + 1] not in _member_set(spec):
-                raise ParseFailure(f"no table entry at offset {pos}")
-            return idx + 1
-        for t in spec.strings:
-            if t and s.startswith(t, pos):
-                return pos + len(t)
-        raise ParseFailure(f"no table entry at offset {pos}")
-    raise ParseFailure(f"{type(spec).__name__} is not prefix-parsable")
+class Node:
+    """Base class of the format node types.
+
+    Subclasses are frozen dataclasses, so equality and hashing see only the
+    declared fields, never the values a node caches on itself. Besides the
+    methods below, each subclass provides `size` (exact member count) and
+    `chars` (a frozenset covering every character members can contain).
+    """
+
+    kind = ""  # the "type" tag of the JSON form
+    rigid = False  # a member can be cut off the front of a longer string
+
+    @cached_property
+    def violations(self) -> tuple:
+        """Every invariant violation in this subtree, found once."""
+        out: list = []
+        self.validate_into("", out)
+        return tuple(out)
+
+    def validate_into(self, path: str, out: list) -> None:
+        """Append this subtree's violations, with paths below `path`."""
+
+    def contains(self, s: str) -> bool:
+        """True iff s is a member."""
+        raise NotImplementedError
+
+    def take(self, s: str, pos: int) -> int:
+        """Consume one member of a rigid node at pos; returns the end index."""
+        raise ParseFailure(f"{type(self).__name__} is not prefix-parsable")
+
+    def parse(self, s: str) -> ParsePieces:
+        """Split a member into pieces; raises ParseFailure when s is no member."""
+        if not self.contains(s):
+            raise ParseFailure(f"{s!r} is not in the format")
+        return ParsePieces(((s, 0),))
+
+    def reassemble(self, pp: ParsePieces) -> str:
+        """Invert parse: stitch pieces (and delimiters) back together."""
+        return pp.pieces[0][0]
+
+    def members(self):
+        """Stream members generatively, in rank order (never via unrank)."""
+        raise NotImplementedError
+
+    def rank(self, s: str) -> int:
+        """Position of a member in canonical order."""
+        raise NotImplementedError
+
+    def unrank(self, v: int) -> str:
+        """The member at position v, for 0 <= v < size."""
+        raise NotImplementedError
+
+    @cached_property
+    def _plans(self) -> dict:
+        return {}
+
+    def plan(self, max_size):
+        """The slot plan under a bound (None = unbounded), built once per bound."""
+        plan = self._plans.get(max_size)
+        if plan is None:
+            if max_size is None or self.size <= max_size:
+                plan = splitting.WholeSlot(self)
+            else:
+                plan = self._split(max_size)
+            self._plans[max_size] = plan
+        return plan
+
+    def _split(self, max_size):
+        """The plan for a bound below this node's size."""
+        raise NotImplementedError
+
+    def to_json(self) -> dict:
+        return {"type": self.kind}
+
+    @classmethod
+    def from_json(cls, r):
+        """Build a node from its JSON object, read through dsl's reader `r`."""
+        return cls()
 
 
-def parse(spec, s: str) -> ParsePieces:
-    """Split a member into pieces; raises ParseFailure when s is no member."""
-    if isinstance(spec, Union):
-        for i, part in enumerate(spec.parts):
-            if contains(part, s):
-                return ParsePieces(((s, i),))
-        raise ParseFailure(f"{s!r} matches no union part")
-    if isinstance(spec, Concat):
-        return _parse_concat(spec, s)
-    if isinstance(spec, Range):
-        return _parse_range(spec, s)
-    if not contains(spec, s):
-        raise ParseFailure(f"{s!r} is not in the format")
-    return ParsePieces(((s, 0),))
-
-
-def _parse_concat(spec, s: str) -> ParsePieces:
-    pieces = []
-    pos = 0
-    last = len(spec.parts) - 1
-    for i, part in enumerate(spec.parts):
-        if i == last:
-            piece = s[pos:]
-            pos = len(s)
-        elif spec.delims is not None:
-            idx = s.find(spec.delims[i], pos)
-            if idx < 0:
-                raise ParseFailure(f"missing delimiter {spec.delims[i]!r} after piece {i}")
-            piece = s[pos:idx]
-            pos = idx + 1
-        elif is_rigid(part):
-            end = _take(part, s, pos)
-            piece = s[pos:end]
-            pos = end
-        else:
-            alpha = alphabet(part)
-            end = pos
-            while end < len(s) and s[end] in alpha:
-                end += 1
-            piece = s[pos:end]
-            pos = end
-        pieces.append((piece, i))
-    for piece, i in pieces:
-        if not contains(spec.parts[i], piece):
-            raise ParseFailure(f"piece {i} ({piece!r}) fails its sub-format")
-    return ParsePieces(tuple(pieces))
-
-
-def _parse_range(spec, s: str) -> ParsePieces:
-    if spec.last_delimited:
-        if not s.endswith(spec.delim):
-            raise ParseFailure("missing final delimiter")
-        texts = s[:-1].split(spec.delim)
+def _validate(spec, path: str, out: list) -> bool:
+    """Append the violations of one subtree; True when it has none."""
+    n = len(out)
+    if isinstance(spec, Node):
+        spec.validate_into(path, out)
     else:
-        texts = s.split(spec.delim)
-    k = len(texts)
-    if not spec.min <= k <= spec.max:
-        raise ParseFailure(f"{k} repetitions, expected {spec.min}..{spec.max}")
-    for t in texts:
-        if not contains(spec.inner, t):
-            raise ParseFailure(f"piece {t!r} fails the inner format")
-    return ParsePieces(tuple((t, 0) for t in texts), repetitions=k)
+        out.append(Violation(path, "BadParameter", f"not a format node: {type(spec).__name__}"))
+    return len(out) == n
 
 
-def reassemble(spec, pp: ParsePieces) -> str:
-    """Invert parse: stitch pieces (and the spec's delimiters) back together."""
-    if isinstance(spec, Concat):
-        texts = [p for p, _ in pp.pieces]
-        if spec.delims:
-            out = [texts[0]]
-            for d, t in zip(spec.delims, texts[1:]):
-                out.append(d)
-                out.append(t)
-            return "".join(out)
-        return "".join(texts)
-    if isinstance(spec, Range):
-        body = spec.delim.join(p for p, _ in pp.pieces)
-        return body + spec.delim if spec.last_delimited else body
-    return pp.pieces[0][0]
+class _FixedWidth(Node):
+    """A rigid primitive whose members all have `width` characters."""
+
+    rigid = True
+
+    def take(self, s, pos):
+        end = pos + self.width
+        if end > len(s) or not self.contains(s[pos:end]):
+            raise ParseFailure(f"no {type(self).__name__} member at offset {pos}")
+        return end
 
 
-# ---------------------------------------------------------------------------
-# enumeration (the independent oracle: generative, never via unranking)
+@dataclass(frozen=True)
+class Ssn(_FixedWidth):
+    """Nine decimal digits under the area/group/serial exclusion rules.
 
+    Rank order is numeric order: mixed radix over the (area, group, serial)
+    component indices, serial fastest, which the split plan shares.
+    """
 
-def enumerate_members(spec, limit: int | None = None):
-    """Stream members in rank order: the i-th string yielded has rank i."""
-    it = _stream(spec)
-    if limit is not None:
-        it = itertools.islice(it, limit)
-    return it
+    kind = "ssn"
+    width = 9
+    size = SSN_SIZE
+    chars = frozenset(DIGITS)
 
+    def contains(self, s):
+        return (
+            len(s) == 9
+            and _all_decimal(s)
+            and s[:3] not in ("000", "666")
+            and s[:3] < "900"
+            and s[3:5] != "00"
+            and s[5:] != "0000"
+        )
 
-def _fixed_stream(charsets):
-    # first position varies fastest
-    for tup in itertools.product(*reversed(charsets)):
-        yield "".join(reversed(tup))
-
-
-def _tuple_stream(factories):
-    """Cartesian product of piece streams, factor 0 least significant."""
-
-    def gen(i):
-        if i == len(factories):
-            yield ()
-            return
-        for rest in gen(i + 1):
-            for piece in factories[i]():
-                yield (piece,) + rest
-
-    return gen(0)
-
-
-def _stream(spec):
-    if isinstance(spec, Ssn):
+    def members(self):
         for area in itertools.chain(range(1, 666), range(667, 900)):
             for group in range(1, 100):
                 for serial in range(1, 10000):
                     yield f"{area:03d}{group:02d}{serial:04d}"
-    elif isinstance(spec, Ccn):
+
+    def rank(self, s):
+        area, group, serial = ssn_components(s)
+        return (area * 99 + group) * 9999 + serial
+
+    def unrank(self, v):
+        rest, serial = divmod(v, 9999)
+        return ssn_from_components((*divmod(rest, 99), serial))
+
+    def _split(self, max_size):
+        return splitting.SsnComponents.build(max_size)
+
+
+@dataclass(frozen=True)
+class Ccn(_FixedWidth):
+    """Sixteen decimal digits, the last being the Luhn check digit."""
+
+    kind = "ccn"
+    width = 16
+    size = CCN_SIZE
+    chars = frozenset(DIGITS)
+
+    def contains(self, s):
+        return len(s) == 16 and _all_decimal(s) and luhn_digit(s[:15]) == s[15]
+
+    def members(self):
         for payload in range(CCN_SIZE):
             body = f"{payload:015d}"
             yield body + luhn_digit(body)
-    elif isinstance(spec, Date):
-        step = timedelta(days=1) if spec.granularity == "day" else timedelta(seconds=1)
-        cur = spec.min
-        for _ in range(size(spec)):
-            yield format_date_string(cur, spec.granularity)
+
+    def rank(self, s):
+        return int(s[:15])
+
+    def unrank(self, v):
+        body = f"{v:015d}"
+        return body + luhn_digit(body)
+
+    def _split(self, max_size):
+        return splitting.CcnBlocks.build(max_size)
+
+
+@dataclass(frozen=True)
+class Date(_FixedWidth):
+    """Calendar dates between two bounds, rendered as dd.mm.yyyy.
+
+    granularity "day" counts days; "second" counts seconds and renders as
+    dd.mm.yyyy hh:mm:ss. Bounds are proleptic Gregorian datetimes.
+    """
+
+    min: datetime
+    max: datetime
+    granularity: str = "day"
+
+    kind = "date"
+
+    def __post_init__(self):
+        for name in ("min", "max"):
+            v = getattr(self, name)
+            if isinstance(v, _date) and not isinstance(v, datetime):
+                object.__setattr__(self, name, datetime(v.year, v.month, v.day))
+
+    def validate_into(self, path, out):
+        if self.granularity not in ("day", "second"):
+            out.append(Violation(path, "BadParameter", f"unknown granularity {self.granularity!r}"))
+        elif self.min > self.max:
+            out.append(Violation(path, "BadBounds", "min date is after max date"))
+        elif self.granularity == "day":
+            if any(b.time() != time(0) for b in (self.min, self.max)):
+                out.append(Violation(path, "BadParameter", "day granularity needs midnight bounds"))
+        elif any(b.microsecond for b in (self.min, self.max)):
+            out.append(Violation(path, "BadParameter", "sub-second bounds are not representable"))
+
+    @property
+    def width(self):
+        return 10 if self.granularity == "day" else 19
+
+    @cached_property
+    def size(self):
+        if self.granularity == "day":
+            return self.max.toordinal() - self.min.toordinal() + 1
+        delta = self.max - self.min
+        return delta.days * 86400 + delta.seconds + 1
+
+    @cached_property
+    def chars(self):
+        return frozenset(DIGITS + "." + (" :" if self.granularity == "second" else ""))
+
+    def contains(self, s):
+        dt = _parse_date_string(s, self.granularity)
+        return dt is not None and self.min <= dt <= self.max
+
+    def members(self):
+        step = timedelta(days=1) if self.granularity == "day" else timedelta(seconds=1)
+        cur = self.min
+        for _ in range(self.size):
+            yield format_date_string(cur, self.granularity)
             cur += step
-    elif isinstance(spec, FixedString):
-        yield from _fixed_stream(spec.charsets)
-    elif isinstance(spec, (VarString, DelimVarString)):
-        suffix = spec.delim if isinstance(spec, DelimVarString) else ""
-        for length in range(spec.min, spec.max + 1):
-            for body in _fixed_stream((spec.alphabet,) * length):
-                yield body + suffix
-    elif isinstance(spec, (StringSet, DelimStringSet)):
-        yield from spec.strings
-    elif isinstance(spec, IntegralDomain):
-        for n in range(spec.min, spec.max + 1):
-            yield str(n)
-    elif isinstance(spec, Union):
-        for part in spec.parts:
-            yield from _stream(part)
-    elif isinstance(spec, Concat):
-        factories = [lambda p=part: _stream(p) for part in spec.parts]
-        if spec.delims:
-            for tup in _tuple_stream(factories):
-                out = [tup[0]]
-                for d, t in zip(spec.delims, tup[1:]):
-                    out.append(d)
-                    out.append(t)
-                yield "".join(out)
+
+    def rank(self, s):
+        return date_offset(self.min, _parse_date_string(s, self.granularity), self.granularity)
+
+    def unrank(self, v):
+        return format_date_string(offset_to_date(self.min, v, self.granularity), self.granularity)
+
+    def _split(self, max_size):
+        return splitting.RankWindow(self, max_size)
+
+    def to_json(self):
+        def text(dt):
+            if self.granularity == "day":
+                return dt.date().isoformat()
+            return dt.isoformat(sep="T", timespec="seconds")
+
+        return {"type": self.kind, "min": text(self.min), "max": text(self.max),
+                "granularity": self.granularity}
+
+    @classmethod
+    def from_json(cls, r):
+        gran = r.get("granularity", str, "day")
+        if gran not in ("day", "second"):
+            r.fail(f"granularity must be 'day' or 'second', got {gran!r}")
+        return cls(r.iso_datetime("min"), r.iso_datetime("max"), gran)
+
+
+@dataclass(frozen=True)
+class FixedString(_FixedWidth):
+    """Fixed-length strings with one character set per position."""
+
+    charsets: tuple
+
+    kind = "fixed"
+
+    def __post_init__(self):
+        object.__setattr__(
+            self, "charsets", tuple(_charset(cs) for cs in self.charsets)
+        )
+
+    def validate_into(self, path, out):
+        if not self.charsets:
+            out.append(Violation(path, "BadParameter", "needs at least one position"))
+        for i, cs in enumerate(self.charsets):
+            if not cs:
+                out.append(Violation(f"{path}.charsets[{i}]", "EmptyAlphabet", "empty character set"))
+
+    @property
+    def width(self):
+        return len(self.charsets)
+
+    @cached_property
+    def size(self):
+        n = 1
+        for cs in self.charsets:
+            n *= len(cs)
+        return n
+
+    @cached_property
+    def chars(self):
+        return frozenset("".join(self.charsets))
+
+    def contains(self, s):
+        return len(s) == len(self.charsets) and all(
+            c in cs for c, cs in zip(s, self.charsets)
+        )
+
+    def members(self):
+        return _fixed_stream(self.charsets)
+
+    @cached_property
+    def _index(self) -> tuple:
+        return tuple({c: i for i, c in enumerate(cs)} for cs in self.charsets)
+
+    def rank(self, s):
+        total = 0
+        weight = 1
+        for c, amap in zip(s, self._index):
+            total += amap[c] * weight
+            weight *= len(amap)
+        return total
+
+    def unrank(self, v):
+        chars = []
+        for cs in self.charsets:
+            v, d = divmod(v, len(cs))
+            chars.append(cs[d])
+        return "".join(chars)
+
+    def _split(self, max_size):
+        if len(self.charsets) == 1:
+            return splitting.RankWindow(self, max_size)
+        sizes = [len(cs) for cs in self.charsets]
+        blocks = tuple(
+            (lo, hi, FixedString(self.charsets[lo:hi]).plan(max_size))
+            for lo, hi in splitting.greedy_groups(sizes, max_size, operator.mul)
+        )
+        return splitting.CharBlocks(self, blocks)
+
+    def to_json(self):
+        return {"type": self.kind, "charsets": [serialize_charset(cs) for cs in self.charsets]}
+
+    @classmethod
+    def from_json(cls, r):
+        raw = r.texts("charsets")
+        return cls(tuple(r.charset(cs, f"charsets[{i}]") for i, cs in enumerate(raw)))
+
+
+class _Lengths(Node):
+    """Strings over one alphabet with length min..max, each followed by
+    `suffix` (nothing, or DelimVarString's delimiter)."""
+
+    suffix = ""
+
+    def __post_init__(self):
+        object.__setattr__(self, "alphabet", _charset(self.alphabet))
+
+    def validate_into(self, path, out):
+        if not 0 <= self.min <= self.max:
+            out.append(Violation(path, "BadBounds", f"bad length bounds {self.min}..{self.max}"))
+        if not self.alphabet:
+            out.append(Violation(path, "EmptyAlphabet", "empty alphabet"))
+
+    @cached_property
+    def size(self):
+        return _count_up_to(len(self.alphabet), self.min, self.max + 1)
+
+    @cached_property
+    def chars(self):
+        return frozenset(self.alphabet + self.suffix)
+
+    def length_of(self, s: str) -> int:
+        """The body length a member's length band is chosen by."""
+        return len(s) - len(self.suffix)
+
+    def contains(self, s):
+        n = len(s) - len(self.suffix)
+        return (
+            s.endswith(self.suffix)
+            and self.min <= n <= self.max
+            and all(c in self.alphabet for c in s[:n])
+        )
+
+    def members(self):
+        for length in range(self.min, self.max + 1):
+            for body in _fixed_stream((self.alphabet,) * length):
+                yield body + self.suffix
+
+    @cached_property
+    def _index(self) -> dict:
+        return {c: i for i, c in enumerate(self.alphabet)}
+
+    def rank(self, s):
+        body = s[: len(s) - len(self.suffix)]
+        base = len(self.alphabet)
+        index = self._index
+        total = _count_up_to(base, self.min, len(body))
+        weight = 1
+        for c in body:
+            total += index[c] * weight
+            weight *= base
+        return total
+
+    def unrank(self, v):
+        base = len(self.alphabet)
+        length = _recover_length(base, self.min, self.max, v)
+        v -= _count_up_to(base, self.min, length)
+        chars = []
+        for _ in range(length):
+            v, d = divmod(v, base)
+            chars.append(self.alphabet[d])
+        return "".join(chars) + self.suffix
+
+    def _split(self, max_size):
+        if self.min == self.max:
+            sub = FixedString((self.alphabet,) * self.min).plan(max_size)
+            return splitting.TrailingDelim(sub, self.suffix) if self.suffix else sub
+        base = len(self.alphabet)
+        sizes = [base**L for L in range(self.min, self.max + 1)]
+        bands = []
+        for lo, hi in splitting.greedy_groups(sizes, max_size, operator.add):
+            llo, lhi = self.min + lo, self.min + hi - 1
+            bands.append((llo, lhi, replace(self, min=llo, max=lhi).plan(max_size)))
+        return splitting.LengthBands(self, tuple(bands))
+
+    def to_json(self):
+        return {"type": self.kind, "min": self.min, "max": self.max,
+                "alphabet": serialize_charset(self.alphabet)}
+
+
+@dataclass(frozen=True)
+class VarString(_Lengths):
+    """Strings over one alphabet with length between min and max. Non-rigid."""
+
+    min: int
+    max: int
+    alphabet: str
+
+    kind = "var"
+
+    @classmethod
+    def from_json(cls, r):
+        return cls(r.get("min", int), r.get("max", int),
+                   r.charset(r.get("alphabet", str), "alphabet"))
+
+
+@dataclass(frozen=True)
+class DelimVarString(_Lengths):
+    """Strings over one alphabet, length min..max, plus a trailing delimiter."""
+
+    min: int
+    max: int
+    alphabet: str
+    delim: str
+
+    kind = "delim_var"
+    rigid = True
+
+    @property
+    def suffix(self):
+        return self.delim
+
+    def validate_into(self, path, out):
+        super().validate_into(path, out)
+        if len(self.delim) != 1:
+            out.append(Violation(path, "BadDelimiter", "delimiter must be a single character"))
+        elif self.delim in self.alphabet:
+            out.append(Violation(path, "DelimiterInAlphabet",
+                                 f"delimiter {self.delim!r} is in the alphabet"))
+
+    def take(self, s, pos):
+        idx = s.find(self.delim, pos)
+        if idx < 0 or not self.contains(s[pos : idx + 1]):
+            raise ParseFailure(f"no delimited string at offset {pos}")
+        return idx + 1
+
+    def to_json(self):
+        return {**super().to_json(), "delim": self.delim}
+
+    @classmethod
+    def from_json(cls, r):
+        return cls(r.get("min", int), r.get("max", int),
+                   r.charset(r.get("alphabet", str), "alphabet"), r.get("delim", str))
+
+
+class _Table(Node):
+    """An explicit string table; the declared order is the rank order and
+    duplicates are dropped. Tables have no structure to split."""
+
+    def __post_init__(self):
+        object.__setattr__(self, "strings", tuple(dict.fromkeys(self.strings)))
+
+    def validate_into(self, path, out):
+        if not self.strings:
+            out.append(Violation(path, "EmptyFormat", "empty string set"))
+
+    @property
+    def size(self):
+        return len(self.strings)
+
+    @cached_property
+    def chars(self):
+        return frozenset("".join(self.strings))
+
+    @cached_property
+    def _index(self) -> dict:
+        return {s: i for i, s in enumerate(self.strings)}
+
+    def contains(self, s):
+        return s in self._index
+
+    def members(self):
+        return iter(self.strings)
+
+    def rank(self, s):
+        return self._index[s]
+
+    def unrank(self, v):
+        return self.strings[v]
+
+    def _split(self, max_size):
+        raise UnsplittableAtom(
+            f"a table of {self.size} strings cannot be split below {max_size}"
+        )
+
+    def to_json(self):
+        return {"type": self.kind, "strings": list(self.strings)}
+
+    @classmethod
+    def from_json(cls, r):
+        return cls(r.texts("strings"))
+
+
+@dataclass(frozen=True)
+class DelimStringSet(_Table):
+    """An explicit string table, made prefix-parsable.
+
+    Either every string ends with `delim` (which appears nowhere else in
+    it), or `prefix_free` is set and no string is a prefix of another.
+    The declared order is the rank order; duplicates are dropped.
+    """
+
+    strings: tuple
+    delim: str | None = None
+    prefix_free: bool = False
+
+    kind = "delim_set"
+    rigid = True
+
+    def validate_into(self, path, out):
+        super().validate_into(path, out)
+        if self.delim is None and not self.prefix_free:
+            out.append(Violation(path, "BadParameter", "needs a delimiter or the prefix_free flag"))
+        elif self.delim is not None and self.prefix_free:
+            out.append(Violation(path, "BadParameter",
+                                 "delimiter and prefix_free are mutually exclusive"))
+        elif self.delim is not None and len(self.delim) != 1:
+            out.append(Violation(path, "BadDelimiter", "delimiter must be a single character"))
+        elif self.delim is not None:
+            for s in self.strings:
+                if not s.endswith(self.delim) or self.delim in s[:-1]:
+                    out.append(Violation(
+                        path, "BadDelimiter",
+                        f"{s!r} must end with {self.delim!r} and contain it nowhere else",
+                    ))
         else:
-            for tup in _tuple_stream(factories):
-                yield "".join(tup)
-    elif isinstance(spec, Range):
-        inner_factory = lambda: _stream(spec.inner)  # noqa: E731
-        tail = spec.delim if spec.last_delimited else ""
-        for k in range(spec.min, spec.max + 1):
-            for tup in _tuple_stream([inner_factory] * k):
-                yield spec.delim.join(tup) + tail
-    else:
-        raise TypeError(f"not a format node: {type(spec).__name__}")
+            for i, a in enumerate(self.strings):
+                for b in self.strings[i + 1 :]:
+                    if a.startswith(b) or b.startswith(a):
+                        out.append(Violation(path, "NotPrefixFree",
+                                             f"{a!r} and {b!r} are prefix-related"))
+
+    def take(self, s, pos):
+        if self.delim is not None:
+            idx = s.find(self.delim, pos)
+            if idx < 0 or s[pos : idx + 1] not in self._index:
+                raise ParseFailure(f"no table entry at offset {pos}")
+            return idx + 1
+        # prefix-free: at most one entry matches, and it may be empty
+        for t in self.strings:
+            if s.startswith(t, pos):
+                return pos + len(t)
+        raise ParseFailure(f"no table entry at offset {pos}")
+
+    def to_json(self):
+        out = super().to_json()
+        if self.delim is not None:
+            out["delim"] = self.delim
+        if self.prefix_free:
+            out["prefix_free"] = True
+        return out
+
+    @classmethod
+    def from_json(cls, r):
+        return cls(r.texts("strings"), r.get("delim", str, None),
+                   r.get("prefix_free", bool, False))
+
+
+@dataclass(frozen=True)
+class StringSet(_Table):
+    """An explicit string table with no parsability guarantee. Non-rigid."""
+
+    strings: tuple
+
+    kind = "set"
+
+
+@dataclass(frozen=True)
+class IntegralDomain(Node):
+    """Canonical decimal renderings of the integers min..max. Non-rigid."""
+
+    min: int
+    max: int
+
+    kind = "integral"
+
+    def validate_into(self, path, out):
+        if self.min > self.max:
+            out.append(Violation(path, "BadBounds", "min exceeds max"))
+
+    @property
+    def size(self):
+        return self.max - self.min + 1
+
+    @cached_property
+    def chars(self):
+        return frozenset(DIGITS + ("-" if self.min < 0 else ""))
+
+    def contains(self, s):
+        n = _canonical_int(s)
+        return n is not None and self.min <= n <= self.max
+
+    def members(self):
+        return map(str, range(self.min, self.max + 1))
+
+    def rank(self, s):
+        return int(s) - self.min
+
+    def unrank(self, v):
+        return str(self.min + v)
+
+    def _split(self, max_size):
+        return splitting.RankWindow(self, max_size)
+
+    def to_json(self):
+        return {"type": self.kind, "min": self.min, "max": self.max}
+
+    @classmethod
+    def from_json(cls, r):
+        return cls(r.get("min", int), r.get("max", int))
+
+
+@dataclass(frozen=True)
+class Union(Node):
+    """Strings belonging to any one of several alphabet-disjoint parts."""
+
+    parts: tuple
+
+    kind = "union"
+
+    def __post_init__(self):
+        object.__setattr__(self, "parts", tuple(self.parts))
+
+    def validate_into(self, path, out):
+        if not self.parts:
+            out.append(Violation(path, "EmptyFormat", "union with no parts"))
+        clean = True
+        for i, part in enumerate(self.parts):
+            clean &= _validate(part, f"{path}.parts[{i}]", out)
+        if not (self.parts and clean):
+            return
+        for i, a in enumerate(self.parts):
+            for j in range(i + 1, len(self.parts)):
+                shared = a.chars & self.parts[j].chars
+                if shared:
+                    sample = "".join(sorted(shared)[:5])
+                    out.append(Violation(path, "OverlappingUnionAlphabets",
+                                         f"parts {i} and {j} share characters {sample!r}"))
+        with_empty = [i for i, p in enumerate(self.parts) if p.contains("")]
+        if len(with_empty) > 1:
+            out.append(Violation(path, "AmbiguousUnion",
+                                 f"parts {with_empty} all contain the empty string"))
+
+    @cached_property
+    def size(self):
+        return sum(p.size for p in self.parts)
+
+    @cached_property
+    def chars(self):
+        return frozenset().union(*(p.chars for p in self.parts))
+
+    @cached_property
+    def _offsets(self) -> tuple:
+        # rank offset of each part: the summed sizes of the parts before it
+        return tuple(itertools.accumulate((p.size for p in self.parts), initial=0))
+
+    def contains(self, s):
+        return any(p.contains(s) for p in self.parts)
+
+    def parse(self, s):
+        for i, part in enumerate(self.parts):
+            if part.contains(s):
+                return ParsePieces(((s, i),))
+        raise ParseFailure(f"{s!r} matches no union part")
+
+    def members(self):
+        return itertools.chain.from_iterable(p.members() for p in self.parts)
+
+    def rank(self, s):
+        piece, i = self.parse(s).pieces[0]
+        return self._offsets[i] + self.parts[i].rank(piece)
+
+    def unrank(self, v):
+        i = bisect.bisect_right(self._offsets, v) - 1
+        return self.parts[i].unrank(v - self._offsets[i])
+
+    def _split(self, max_size):
+        sizes = [p.size for p in self.parts]
+        groups = []
+        for lo, hi in splitting.greedy_groups(sizes, max_size, operator.add):
+            sub = self.parts[lo] if hi - lo == 1 else Union(self.parts[lo:hi])
+            groups.append((lo, hi, sub.plan(max_size)))
+        return splitting.UnionGroups(self, tuple(groups))
+
+    def to_json(self):
+        return {"type": self.kind, "parts": [p.to_json() for p in self.parts]}
+
+    @classmethod
+    def from_json(cls, r):
+        return cls(r.nodes("parts"))
+
+
+def _parses(spec, s: str) -> bool:
+    try:
+        spec.parse(s)
+        return True
+    except ParseFailure:
+        return False
+
+
+@dataclass(frozen=True)
+class Concat(Node):
+    """Concatenation of parts, optionally joined by one-character delimiters.
+
+    Without delimiters every boundary must be separable: the left part is a
+    rigid primitive, or the two parts have disjoint alphabets.
+    """
+
+    parts: tuple
+    delims: tuple | None = None
+
+    kind = "concat"
+
+    def __post_init__(self):
+        object.__setattr__(self, "parts", tuple(self.parts))
+        if self.delims is not None:
+            object.__setattr__(self, "delims", tuple(self.delims))
+
+    def validate_into(self, path, out):
+        parts, delims = self.parts, self.delims
+        if not parts:
+            out.append(Violation(path, "EmptyFormat", "concatenation with no parts"))
+        clean = True
+        for i, part in enumerate(parts):
+            clean &= _validate(part, f"{path}.parts[{i}]", out)
+        if delims is not None and len(delims) != len(parts) - 1:
+            out.append(Violation(
+                path, "BadParameter",
+                f"{len(parts)} parts need {len(parts) - 1} delimiters, got {len(delims)}",
+            ))
+        elif delims is not None:
+            for i, d in enumerate(delims):
+                if len(d) != 1:
+                    out.append(Violation(path, "BadDelimiter",
+                                         f"delimiter {i} must be a single character"))
+                elif clean and d in parts[i].chars:
+                    out.append(Violation(path, "DelimiterInAlphabet",
+                                         f"delimiter {d!r} appears in the alphabet of part {i}"))
+        elif clean:
+            for i in range(len(parts) - 1):
+                cur, nxt = parts[i], parts[i + 1]
+                if not cur.rigid and cur.chars & nxt.chars:
+                    out.append(Violation(
+                        path, "InseparableConcat",
+                        f"part {i + 1} is not separable from part {i}: "
+                        "neither rigid nor alphabet-disjoint",
+                    ))
+
+    @cached_property
+    def size(self):
+        n = 1
+        for p in self.parts:
+            n *= p.size
+        return n
+
+    @cached_property
+    def chars(self):
+        return frozenset().union(*(p.chars for p in self.parts), self.delims or ())
+
+    def contains(self, s):
+        return _parses(self, s)
+
+    def parse(self, s):
+        pieces = []
+        pos = 0
+        last = len(self.parts) - 1
+        for i, part in enumerate(self.parts):
+            if i == last:
+                piece = s[pos:]
+                pos = len(s)
+            elif self.delims is not None:
+                idx = s.find(self.delims[i], pos)
+                if idx < 0:
+                    raise ParseFailure(f"missing delimiter {self.delims[i]!r} after piece {i}")
+                piece = s[pos:idx]
+                pos = idx + 1
+            elif part.rigid:
+                end = part.take(s, pos)
+                piece = s[pos:end]
+                pos = end
+            else:
+                alpha = part.chars
+                end = pos
+                while end < len(s) and s[end] in alpha:
+                    end += 1
+                piece = s[pos:end]
+                pos = end
+            pieces.append((piece, i))
+        for piece, i in pieces:
+            if not self.parts[i].contains(piece):
+                raise ParseFailure(f"piece {i} ({piece!r}) fails its sub-format")
+        return ParsePieces(tuple(pieces))
+
+    def reassemble(self, pp):
+        texts = [p for p, _ in pp.pieces]
+        if not self.delims:
+            return "".join(texts)
+        out = [texts[0]]
+        for d, t in zip(self.delims, texts[1:]):
+            out.append(d)
+            out.append(t)
+        return "".join(out)
+
+    def members(self):
+        for tup in _tuple_stream([p.members for p in self.parts]):
+            yield self.reassemble(ParsePieces(tuple((t, 0) for t in tup)))
+
+    def rank(self, s):
+        total = 0
+        weight = 1
+        for piece, i in self.parse(s).pieces:
+            total += self.parts[i].rank(piece) * weight
+            weight *= self.parts[i].size
+        return total
+
+    def unrank(self, v):
+        pieces = []
+        for i, part in enumerate(self.parts):
+            v, r = divmod(v, part.size)
+            pieces.append((part.unrank(r), i))
+        return self.reassemble(ParsePieces(tuple(pieces)))
+
+    def _split(self, max_size):
+        sizes = [p.size for p in self.parts]
+        groups = []
+        for lo, hi in splitting.greedy_groups(sizes, max_size, operator.mul):
+            if hi - lo == 1:
+                sub = self.parts[lo]
+            else:
+                delims = self.delims[lo : hi - 1] if self.delims is not None else None
+                sub = Concat(self.parts[lo:hi], delims)
+            groups.append((lo, hi, sub.plan(max_size)))
+        return splitting.ConcatGroups(self, tuple(groups))
+
+    def to_json(self):
+        out = {"type": self.kind, "parts": [p.to_json() for p in self.parts]}
+        if self.delims is not None:
+            out["delims"] = list(self.delims)
+        return out
+
+    @classmethod
+    def from_json(cls, r):
+        return cls(r.nodes("parts"), r.texts("delims", None))
+
+
+@dataclass(frozen=True)
+class Range(Node):
+    """min..max repetitions of an inner format joined by a delimiter.
+
+    With last_delimited the final piece also carries the delimiter.
+    """
+
+    inner: object
+    delim: str
+    min: int
+    max: int
+    last_delimited: bool = True
+
+    kind = "range"
+
+    def validate_into(self, path, out):
+        clean = _validate(self.inner, f"{path}.inner", out)
+        if not 1 <= self.min <= self.max:
+            out.append(Violation(path, "BadBounds", f"bad repetition bounds {self.min}..{self.max}"))
+        if len(self.delim) != 1:
+            out.append(Violation(path, "BadDelimiter", "delimiter must be a single character"))
+        elif clean and self.delim in self.inner.chars:
+            out.append(Violation(path, "DelimiterInAlphabet",
+                                 f"delimiter {self.delim!r} appears in the inner alphabet"))
+
+    @cached_property
+    def size(self):
+        return _count_up_to(self.inner.size, self.min, self.max + 1)
+
+    @cached_property
+    def chars(self):
+        return self.inner.chars | {self.delim}
+
+    def length_of(self, s: str) -> int:
+        """The repetition count a member's length band is chosen by."""
+        k = s.count(self.delim)
+        return k if self.last_delimited else k + 1
+
+    def contains(self, s):
+        return _parses(self, s)
+
+    def parse(self, s):
+        if self.last_delimited:
+            if not s.endswith(self.delim):
+                raise ParseFailure("missing final delimiter")
+            texts = s[:-1].split(self.delim)
+        else:
+            texts = s.split(self.delim)
+        k = len(texts)
+        if not self.min <= k <= self.max:
+            raise ParseFailure(f"{k} repetitions, expected {self.min}..{self.max}")
+        for t in texts:
+            if not self.inner.contains(t):
+                raise ParseFailure(f"piece {t!r} fails the inner format")
+        return ParsePieces(tuple((t, 0) for t in texts), repetitions=k)
+
+    def reassemble(self, pp):
+        body = self.delim.join(p for p, _ in pp.pieces)
+        return body + self.delim if self.last_delimited else body
+
+    def members(self):
+        for k in range(self.min, self.max + 1):
+            for tup in _tuple_stream([self.inner.members] * k):
+                yield self.reassemble(ParsePieces(tuple((t, 0) for t in tup)))
+
+    def rank(self, s):
+        pp = self.parse(s)
+        base = self.inner.size
+        total = _count_up_to(base, self.min, pp.repetitions)
+        weight = 1
+        for piece, _ in pp.pieces:
+            total += self.inner.rank(piece) * weight
+            weight *= base
+        return total
+
+    def unrank(self, v):
+        base = self.inner.size
+        k = _recover_length(base, self.min, self.max, v)
+        v -= _count_up_to(base, self.min, k)
+        pieces = []
+        for _ in range(k):
+            v, r = divmod(v, base)
+            pieces.append((self.inner.unrank(r), 0))
+        return self.reassemble(ParsePieces(tuple(pieces), k))
+
+    def _split(self, max_size):
+        if self.min == self.max:
+            return self._split_fixed_count(max_size)
+        inner_n = self.inner.size
+        sizes = [inner_n**k for k in range(self.min, self.max + 1)]
+        bands = []
+        for lo, hi in splitting.greedy_groups(sizes, max_size, operator.add):
+            klo, khi = self.min + lo, self.min + hi - 1
+            bands.append((klo, khi, replace(self, min=klo, max=khi).plan(max_size)))
+        return splitting.LengthBands(self, tuple(bands))
+
+    def _split_fixed_count(self, max_size):
+        k = self.min
+        if k == 1:
+            sub = self.inner.plan(max_size)
+            return splitting.TrailingDelim(sub, self.delim) if self.last_delimited else sub
+        groups = []
+        for lo, hi in splitting.greedy_groups([self.inner.size] * k, max_size, operator.mul):
+            cnt = hi - lo
+            delimited = hi < k or self.last_delimited
+            group = Range(self.inner, self.delim, cnt, cnt, delimited)
+            groups.append((lo, hi, group.plan(max_size)))
+        return splitting.RepeatGroups(self, tuple(groups))
+
+    def to_json(self):
+        out = {"type": self.kind, "inner": self.inner.to_json(), "delim": self.delim,
+               "min": self.min, "max": self.max}
+        if not self.last_delimited:
+            out["last_delimited"] = False
+        return out
+
+    @classmethod
+    def from_json(cls, r):
+        return cls(r.node("inner"), r.get("delim", str), r.get("min", int), r.get("max", int),
+                   r.get("last_delimited", bool, True))
+
+
+NODE_TYPES = (
+    Ssn,
+    Ccn,
+    Date,
+    FixedString,
+    DelimVarString,
+    VarString,
+    DelimStringSet,
+    StringSet,
+    IntegralDomain,
+    Union,
+    Concat,
+    Range,
+)
+
+
+# ---------------------------------------------------------------------------
+# entry points
+
+
+def validate(spec) -> list:
+    """Collect every invariant violation in the tree, with node paths."""
+    if isinstance(spec, Node):
+        return list(spec.violations)
+    out: list = []
+    _validate(spec, "", out)
+    return out
+
+
+def ensure_valid(spec) -> None:
+    """Raise InvalidFormat unless the spec satisfies every invariant."""
+    violations = spec.violations if isinstance(spec, Node) else validate(spec)
+    if violations:
+        raise InvalidFormat(violations)
+
+
+def is_rigid(spec) -> bool:
+    """Prefix-parsable primitives. Compound formats are treated as non-rigid."""
+    return isinstance(spec, Node) and spec.rigid
+
+
+def size(spec) -> int:
+    """Exact member count. The spec must already be valid."""
+    return spec.size
+
+
+def alphabet(spec) -> frozenset:
+    """Characters that can appear in members (a conservative cover)."""
+    return spec.chars
+
+
+def contains(spec, s: str) -> bool:
+    """True iff s is a member of the format."""
+    return spec.contains(s)
+
+
+def parse(spec, s: str) -> ParsePieces:
+    """Split a member into pieces; raises ParseFailure when s is no member."""
+    return spec.parse(s)
+
+
+def reassemble(spec, pp: ParsePieces) -> str:
+    """Invert parse: stitch pieces (and the spec's delimiters) back together."""
+    return spec.reassemble(pp)
+
+
+def enumerate_members(spec, limit: int | None = None):
+    """Stream members in rank order: the i-th string yielded has rank i."""
+    it = spec.members()
+    if limit is not None:
+        it = itertools.islice(it, limit)
+    return it

@@ -17,7 +17,6 @@ from math import isqrt
 from .errors import (
     BadParameter,
     InputOutOfDomain,
-    UnknownBackend,
     WalkBudgetExceeded,
 )
 
@@ -30,8 +29,6 @@ __all__ = [
     "cycle_walk_decrypt",
     "WalkRecorder",
     "Fe1Backend",
-    "BACKENDS",
-    "get_backend",
     "read_key_file",
     "write_key_file",
 ]
@@ -242,7 +239,7 @@ def cycle_walk_decrypt(
 
 
 # ---------------------------------------------------------------------------
-# backend registry
+# the integer backend
 
 
 class Fe1Backend:
@@ -259,13 +256,3 @@ class Fe1Backend:
 
     def decrypt(self, key, tweak: bytes, domain: int, x: int) -> int:
         return cycle_walk_decrypt(key, tweak, domain, x, self.walk_budget, self.recorder)
-
-
-BACKENDS = {"fe1": Fe1Backend}
-
-
-def get_backend(name: str, **kwargs):
-    cls = BACKENDS.get(name)
-    if cls is None:
-        raise UnknownBackend(f"no backend named {name!r}")
-    return cls(**kwargs)

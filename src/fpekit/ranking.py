@@ -2,41 +2,21 @@
 
 Ranking is mixed-radix with the first (leftmost) unit least significant.
 For variable-length and repeated shapes, the count of all shorter members
-is added in front, so members sort by length first.
+is added in front, so members sort by length first. Each node type ranks
+itself (`Node.rank` and `Node.unrank` in `formats`); this module holds the
+checked public entry points, the `Rank` value they return, and the
+nine-digit counting helper kept as an independent check on the SSN order.
 """
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
-from datetime import datetime, timedelta
-from functools import lru_cache
 
-from . import formats
 from .errors import NotInFormat, OutOfRange, RankOutOfRange
-from .formats import (
-    Ccn,
-    Concat,
-    Date,
-    DelimStringSet,
-    DelimVarString,
-    FixedString,
-    IntegralDomain,
-    Range,
-    Ssn,
-    StringSet,
-    Union,
-    VarString,
-    contains,
-    ensure_valid,
-    luhn_digit,
-    parse,
-    size,
-)
+from .formats import SSN_SIZE, date_offset, ensure_valid, luhn_digit, offset_to_date
 
 __all__ = [
     "Rank",
-    "CharsetTable",
     "rank",
     "unrank",
     "luhn_digit",
@@ -60,198 +40,21 @@ class Rank:
             )
 
 
-@dataclass(frozen=True)
-class CharsetTable:
-    """Per-position sizes and character orderings for fixed-length ranking."""
-
-    sizes: tuple
-    index: tuple
-
-
-@lru_cache(maxsize=None)
-def _table(charsets: tuple) -> CharsetTable:
-    return CharsetTable(
-        tuple(len(cs) for cs in charsets),
-        tuple({c: i for i, c in enumerate(cs)} for cs in charsets),
-    )
-
-
-@lru_cache(maxsize=None)
-def _alpha_index(alphabet: str) -> dict:
-    return {c: i for i, c in enumerate(alphabet)}
-
-
-@lru_cache(maxsize=None)
-def _cum_sizes(spec) -> tuple:
-    out = [0]
-    for p in spec.parts:
-        out.append(out[-1] + size(p))
-    return tuple(out)
-
-
 def rank(spec, s: str) -> Rank:
     """Position of s in the format's canonical order."""
     ensure_valid(spec)
-    if not contains(spec, s):
+    if not spec.contains(s):
         raise NotInFormat(f"{s!r} is not in the format")
-    return Rank(_rank_value(spec, s), size(spec))
+    return Rank(spec.rank(s), spec.size)
 
 
 def unrank(spec, r) -> str:
     """The member at position r; accepts a Rank or a plain integer."""
     ensure_valid(spec)
-    n = size(spec)
     value = r.value if isinstance(r, Rank) else int(r)
-    if not 0 <= value < n:
-        raise RankOutOfRange(f"rank {value} not in [0, {n})")
-    return _unrank_value(spec, value)
-
-
-# ---------------------------------------------------------------------------
-# per-node ranking
-
-
-def _rank_value(spec, s: str) -> int:
-    if isinstance(spec, Ssn):
-        return _ssn_valid_below(int(s))
-    if isinstance(spec, Ccn):
-        return int(s[:15])
-    if isinstance(spec, Date):
-        dt = formats._parse_date_string(s, spec.granularity)
-        return date_offset(spec.min, dt, spec.granularity)
-    if isinstance(spec, FixedString):
-        return _fixed_rank(spec.charsets, s)
-    if isinstance(spec, VarString):
-        return _var_rank(spec.alphabet, spec.min, s)
-    if isinstance(spec, DelimVarString):
-        return _var_rank(spec.alphabet, spec.min, s[:-1])
-    if isinstance(spec, (StringSet, DelimStringSet)):
-        return _index_map(spec)[s]
-    if isinstance(spec, IntegralDomain):
-        return int(s) - spec.min
-    if isinstance(spec, Union):
-        piece, i = parse(spec, s).pieces[0]
-        return _cum_sizes(spec)[i] + _rank_value(spec.parts[i], piece)
-    if isinstance(spec, Concat):
-        total = 0
-        weight = 1
-        for piece, i in parse(spec, s).pieces:
-            total += _rank_value(spec.parts[i], piece) * weight
-            weight *= size(spec.parts[i])
-        return total
-    if isinstance(spec, Range):
-        pp = parse(spec, s)
-        base = size(spec.inner)
-        total = formats._count_up_to(base, spec.min, pp.repetitions)
-        weight = 1
-        for piece, _ in pp.pieces:
-            total += _rank_value(spec.inner, piece) * weight
-            weight *= base
-        return total
-    raise TypeError(f"not a format node: {type(spec).__name__}")
-
-
-def _unrank_value(spec, v: int) -> str:
-    if isinstance(spec, Ssn):
-        return _ssn_unrank(v)
-    if isinstance(spec, Ccn):
-        body = f"{v:015d}"
-        return body + luhn_digit(body)
-    if isinstance(spec, Date):
-        dt = offset_to_date(spec.min, v, spec.granularity)
-        return formats.format_date_string(dt, spec.granularity)
-    if isinstance(spec, FixedString):
-        return _fixed_unrank(spec.charsets, v)
-    if isinstance(spec, VarString):
-        return _var_unrank(spec.alphabet, spec.min, spec.max, v)
-    if isinstance(spec, DelimVarString):
-        return _var_unrank(spec.alphabet, spec.min, spec.max, v) + spec.delim
-    if isinstance(spec, (StringSet, DelimStringSet)):
-        return spec.strings[v]
-    if isinstance(spec, IntegralDomain):
-        return str(spec.min + v)
-    if isinstance(spec, Union):
-        cum = _cum_sizes(spec)
-        i = bisect.bisect_right(cum, v) - 1
-        return _unrank_value(spec.parts[i], v - cum[i])
-    if isinstance(spec, Concat):
-        pieces = []
-        for i, part in enumerate(spec.parts):
-            v, r = divmod(v, size(part))
-            pieces.append((_unrank_value(part, r), i))
-        return formats.reassemble(spec, formats.ParsePieces(tuple(pieces)))
-    if isinstance(spec, Range):
-        base = size(spec.inner)
-        k = _recover_length(base, spec.min, spec.max, v)
-        v -= formats._count_up_to(base, spec.min, k)
-        pieces = []
-        for _ in range(k):
-            v, r = divmod(v, base)
-            pieces.append((_unrank_value(spec.inner, r), 0))
-        return formats.reassemble(spec, formats.ParsePieces(tuple(pieces), k))
-    raise TypeError(f"not a format node: {type(spec).__name__}")
-
-
-@lru_cache(maxsize=None)
-def _index_map(spec) -> dict:
-    return {s: i for i, s in enumerate(spec.strings)}
-
-
-def _fixed_rank(charsets, s: str) -> int:
-    table = _table(charsets)
-    total = 0
-    weight = 1
-    for c, amap, n in zip(s, table.index, table.sizes):
-        total += amap[c] * weight
-        weight *= n
-    return total
-
-
-def _fixed_unrank(charsets, v: int) -> str:
-    chars = []
-    for cs in charsets:
-        v, d = divmod(v, len(cs))
-        chars.append(cs[d])
-    return "".join(chars)
-
-
-def _var_rank(alphabet: str, lo: int, body: str) -> int:
-    base = len(alphabet)
-    amap = _alpha_index(alphabet)
-    total = formats._count_up_to(base, lo, len(body))
-    weight = 1
-    for c in body:
-        total += amap[c] * weight
-        weight *= base
-    return total
-
-
-def _var_unrank(alphabet: str, lo: int, hi: int, v: int) -> str:
-    base = len(alphabet)
-    length = _recover_length(base, lo, hi, v)
-    v -= formats._count_up_to(base, lo, length)
-    chars = []
-    for _ in range(length):
-        v, d = divmod(v, base)
-        chars.append(alphabet[d])
-    return "".join(chars)
-
-
-def _recover_length(base: int, lo: int, hi: int, v: int) -> int:
-    """Largest L in [lo, hi] whose shorter-member count does not exceed v."""
-    if hi - lo <= 64:
-        length = lo
-        while length < hi and formats._count_up_to(base, lo, length + 1) <= v:
-            length += 1
-        return length
-    a, b = lo, hi
-    while a < b:
-        mid = (a + b + 1) // 2
-        if formats._count_up_to(base, lo, mid) <= v:
-            a = mid
-        else:
-            b = mid - 1
-    return a
+    if not 0 <= value < spec.size:
+        raise RankOutOfRange(f"rank {value} not in [0, {spec.size})")
+    return spec.unrank(value)
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +65,7 @@ def _ssn_valid_below(n: int) -> int:
     # valid nine-digit values strictly below n, for n in [0, 10**9]
     area, rest = divmod(n, 1_000_000)
     if area > 899:
-        return formats.SSN_SIZE
+        return SSN_SIZE
     group, serial = divmod(rest, 10_000)
     full_areas = max(area - 1, 0) - (1 if area > 666 else 0)
     count = full_areas * (99 * 9999)
@@ -278,41 +81,3 @@ def count_invalid_ssn_below(n: int) -> int:
     if not 0 <= n < 10**9:
         raise OutOfRange(f"{n} not in [0, 10**9)")
     return n - _ssn_valid_below(n)
-
-
-def _ssn_unrank(r: int) -> str:
-    # smallest n whose valid-below count reaches r + 1; that n is valid
-    lo, hi = 0, 10**9 - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _ssn_valid_below(mid + 1) >= r + 1:
-            hi = mid
-        else:
-            lo = mid + 1
-    return f"{lo:09d}"
-
-
-# ---------------------------------------------------------------------------
-# calendar offsets
-
-
-def date_offset(min_date: datetime, d: datetime, granularity: str) -> int:
-    """Days or seconds from the lower bound to d."""
-    if d is None or d < min_date:
-        raise OutOfRange(f"{d} is before {min_date}")
-    if granularity == "day":
-        return d.toordinal() - min_date.toordinal()
-    delta = d - min_date
-    return delta.days * 86400 + delta.seconds
-
-
-def offset_to_date(min_date: datetime, r: int, granularity: str) -> datetime:
-    """Inverse of date_offset."""
-    if r < 0:
-        raise OutOfRange(f"negative offset {r}")
-    try:
-        if granularity == "day":
-            return min_date + timedelta(days=r)
-        return min_date + timedelta(seconds=r)
-    except OverflowError:
-        raise OutOfRange(f"offset {r} leaves the calendar range") from None

@@ -1,46 +1,29 @@
-"""Splitting oversized formats into vectors of bounded rank slots.
+"""Slot plans: splitting oversized formats into vectors of bounded rank slots.
 
-A plan is built once per (format, bound) pair. Ranking a member walks the
-plan and emits (rank, slot_size) pairs with every slot size at most the
-bound; unranking consumes such a vector and needs an example member to pin
-down the value-dependent choices (union branch, length band, rank window)
-that the vector itself does not encode. Greedy grouping keeps adjacent
-units together while the aggregate stays within the bound, which uses the
-fewest groups possible for a left-to-right partition.
+Each format node builds its own plan once per bound (`Node.plan`, with the
+per-type rules in each node's `_split`); this module holds the plan node
+types those rules assemble, the greedy grouping they share, the rank
+vector, and the public entry points. Ranking a member walks the plan and
+emits (rank, slot_size) pairs with every slot size at most the bound;
+unranking consumes such a vector and needs an example member to pin down
+the value-dependent choices (union branch, length band, rank window) that
+the vector itself does not encode. Greedy grouping keeps adjacent units
+together while the aggregate stays within the bound, which uses the fewest
+groups possible for a left-to-right partition.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from operator import mul
 
+from . import formats
 from .errors import (
     BadParameter,
     ExampleFormatMismatch,
     NotInFormat,
-    UnsplittableAtom,
     VectorShapeMismatch,
 )
-from .formats import (
-    Ccn,
-    Concat,
-    Date,
-    DelimStringSet,
-    DelimVarString,
-    FixedString,
-    IntegralDomain,
-    Range,
-    Ssn,
-    StringSet,
-    Union,
-    VarString,
-    contains,
-    ensure_valid,
-    luhn_digit,
-    parse,
-    size,
-)
-from .ranking import _rank_value, _unrank_value
 
 __all__ = ["RankVector", "build_plan", "rank_multi", "unrank_multi", "path_signature"]
 
@@ -90,15 +73,7 @@ class _Cursor:
             )
 
 
-def _add(a, b):
-    return a + b
-
-
-def _mul(a, b):
-    return a * b
-
-
-def _greedy_groups(sizes, max_size, combine):
+def greedy_groups(sizes, max_size, combine):
     """Left-to-right grouping: extend while the aggregate fits the bound.
 
     An element larger than the bound becomes its own group and is split
@@ -141,10 +116,10 @@ class WholeSlot:
     spec: object
 
     def rank_into(self, s, out):
-        out.append((_rank_value(self.spec, s), size(self.spec)))
+        out.append((self.spec.rank(s), self.spec.size))
 
     def unrank_from(self, cursor, f):
-        return _unrank_value(self.spec, cursor.take(size(self.spec)))
+        return self.spec.unrank(cursor.take(self.spec.size))
 
     def path_signature(self, s):
         return ()
@@ -162,7 +137,7 @@ class UnionGroups:
     groups: tuple
 
     def _group_of(self, s):
-        part_idx = parse(self.spec, s).pieces[0][1]
+        part_idx = self.spec.parse(s).pieces[0][1]
         for gi, (lo, hi, _) in enumerate(self.groups):
             if lo <= part_idx < hi:
                 return gi
@@ -191,7 +166,7 @@ class ConcatGroups:
     groups: tuple
 
     def _group_texts(self, s):
-        pieces = parse(self.spec, s).pieces
+        pieces = self.spec.parse(s).pieces
         texts = []
         for lo, hi, _ in self.groups:
             chunk = []
@@ -230,17 +205,8 @@ class LengthBands:
     spec: object
     bands: tuple
 
-    def _measure(self, s):
-        sp = self.spec
-        if isinstance(sp, Range):
-            k = s.count(sp.delim)
-            return k if sp.last_delimited else k + 1
-        if isinstance(sp, DelimVarString):
-            return len(s) - 1
-        return len(s)
-
     def _band_of(self, s):
-        m = self._measure(s)
+        m = self.spec.length_of(s)
         for bi, (lo, hi, _) in enumerate(self.bands):
             if lo <= m <= hi:
                 return bi
@@ -351,34 +317,20 @@ class RankWindow:
     width: int
 
     def _window_size(self, win):
-        return min(self.width, size(self.spec) - win * self.width)
+        return min(self.width, self.spec.size - win * self.width)
 
     def rank_into(self, s, out):
-        r = _rank_value(self.spec, s)
+        r = self.spec.rank(s)
         win = r // self.width
         out.append((r - win * self.width, self._window_size(win)))
 
     def unrank_from(self, cursor, f):
-        win = _rank_value(self.spec, f) // self.width
+        win = self.spec.rank(f) // self.width
         off = cursor.take(self._window_size(win))
-        return _unrank_value(self.spec, win * self.width + off)
+        return self.spec.unrank(win * self.width + off)
 
     def path_signature(self, s):
-        return (("w", _rank_value(self.spec, s) // self.width),)
-
-
-_SSN_COMP_SIZES = (898, 99, 9999)
-
-
-def _ssn_components(s):
-    area, group, serial = int(s[:3]), int(s[3:5]), int(s[5:])
-    return (area - 1 - (1 if area > 666 else 0), group - 1, serial - 1)
-
-
-def _ssn_from_components(comp):
-    ai, gi, ri = comp
-    area = ai + 1 if ai + 1 < 666 else ai + 2
-    return f"{area:03d}{gi + 1:02d}{ri + 1:04d}"
+        return (("w", self.spec.rank(s) // self.width),)
 
 
 @dataclass(frozen=True)
@@ -394,51 +346,51 @@ class SsnComponents:
     @staticmethod
     def build(max_size):
         groups = []
-        for lo, hi in _greedy_groups(_SSN_COMP_SIZES, max_size, _mul):
-            if hi - lo == 1 and _SSN_COMP_SIZES[lo] > max_size:
+        for lo, hi in greedy_groups(formats.SSN_COMPONENT_SIZES, max_size, mul):
+            if hi - lo == 1 and formats.SSN_COMPONENT_SIZES[lo] > max_size:
                 groups.append((lo, hi, max_size))
             else:
                 groups.append((lo, hi, None))
         return SsnComponents(tuple(groups))
 
     def rank_into(self, s, out):
-        comp = _ssn_components(s)
+        comp = formats.ssn_components(s)
         for lo, hi, width in self.groups:
             if width is None:
                 r = 0
                 w = 1
                 for i in range(lo, hi):
                     r += comp[i] * w
-                    w *= _SSN_COMP_SIZES[i]
+                    w *= formats.SSN_COMPONENT_SIZES[i]
                 out.append((r, w))
             else:
                 win = comp[lo] // width
                 out.append(
                     (
                         comp[lo] - win * width,
-                        min(width, _SSN_COMP_SIZES[lo] - win * width),
+                        min(width, formats.SSN_COMPONENT_SIZES[lo] - win * width),
                     )
                 )
 
     def unrank_from(self, cursor, f):
-        fc = _ssn_components(f)
+        fc = formats.ssn_components(f)
         comp = [0, 0, 0]
         for lo, hi, width in self.groups:
             if width is None:
                 w = 1
                 for i in range(lo, hi):
-                    w *= _SSN_COMP_SIZES[i]
+                    w *= formats.SSN_COMPONENT_SIZES[i]
                 v = cursor.take(w)
                 for i in range(lo, hi):
-                    v, comp[i] = divmod(v, _SSN_COMP_SIZES[i])
+                    v, comp[i] = divmod(v, formats.SSN_COMPONENT_SIZES[i])
             else:
                 win = fc[lo] // width
-                wsize = min(width, _SSN_COMP_SIZES[lo] - win * width)
+                wsize = min(width, formats.SSN_COMPONENT_SIZES[lo] - win * width)
                 comp[lo] = win * width + cursor.take(wsize)
-        return _ssn_from_components(comp)
+        return formats.ssn_from_components(comp)
 
     def path_signature(self, s):
-        comp = _ssn_components(s)
+        comp = formats.ssn_components(s)
         return tuple(
             ("w", lo, comp[lo] // width)
             for lo, _, width in self.groups
@@ -455,7 +407,7 @@ class CcnBlocks:
     @staticmethod
     def build(max_size):
         blocks = []
-        for lo, hi in _greedy_groups([10] * 15, max_size, _mul):
+        for lo, hi in greedy_groups([10] * 15, max_size, mul):
             if hi - lo == 1 and 10 > max_size:
                 blocks.append((lo, hi, max_size))
             else:
@@ -482,7 +434,7 @@ class CcnBlocks:
                 wsize = min(width, 10 - win * width)
                 digits.append(str(win * width + cursor.take(wsize)))
         payload = "".join(digits)
-        return payload + luhn_digit(payload)
+        return payload + formats.luhn_digit(payload)
 
     def path_signature(self, s):
         return tuple(
@@ -493,131 +445,28 @@ class CcnBlocks:
 
 
 # ---------------------------------------------------------------------------
-# plan construction
+# entry points
 
 
-@lru_cache(maxsize=None)
 def build_plan(spec, max_size):
     """The slot plan for a format under a slot-size bound (None = unbounded)."""
-    ensure_valid(spec)
+    formats.ensure_valid(spec)
     if max_size is not None and max_size < 2:
         raise BadParameter(f"slot bound must be at least 2, got {max_size}")
-    if max_size is None or size(spec) <= max_size:
-        return WholeSlot(spec)
-    if isinstance(spec, Union):
-        return _split_union(spec, max_size)
-    if isinstance(spec, Concat):
-        return _split_concat(spec, max_size)
-    if isinstance(spec, Range):
-        return _split_range(spec, max_size)
-    if isinstance(spec, (VarString, DelimVarString)):
-        return _split_var(spec, max_size)
-    if isinstance(spec, FixedString):
-        return _split_fixed(spec, max_size)
-    if isinstance(spec, Ssn):
-        return SsnComponents.build(max_size)
-    if isinstance(spec, Ccn):
-        return CcnBlocks.build(max_size)
-    if isinstance(spec, (Date, IntegralDomain)):
-        return RankWindow(spec, max_size)
-    raise UnsplittableAtom(
-        f"a table of {size(spec)} strings cannot be split below {max_size}"
-    )
+    return spec.plan(max_size)
 
 
-def _split_union(spec, max_size):
-    sizes = [size(p) for p in spec.parts]
-    groups = []
-    for lo, hi in _greedy_groups(sizes, max_size, _add):
-        sub_spec = spec.parts[lo] if hi - lo == 1 else Union(spec.parts[lo:hi])
-        groups.append((lo, hi, build_plan(sub_spec, max_size)))
-    return UnionGroups(spec, tuple(groups))
-
-
-def _split_concat(spec, max_size):
-    sizes = [size(p) for p in spec.parts]
-    groups = []
-    for lo, hi in _greedy_groups(sizes, max_size, _mul):
-        if hi - lo == 1:
-            sub_spec = spec.parts[lo]
-        else:
-            delims = spec.delims[lo : hi - 1] if spec.delims is not None else None
-            sub_spec = Concat(spec.parts[lo:hi], delims)
-        groups.append((lo, hi, build_plan(sub_spec, max_size)))
-    return ConcatGroups(spec, tuple(groups))
-
-
-def _split_range(spec, max_size):
-    if spec.min == spec.max:
-        return _split_fixed_count(spec, max_size)
-    inner_n = size(spec.inner)
-    sizes = [inner_n**k for k in range(spec.min, spec.max + 1)]
-    bands = []
-    for lo, hi in _greedy_groups(sizes, max_size, _add):
-        klo, khi = spec.min + lo, spec.min + hi - 1
-        band_spec = Range(spec.inner, spec.delim, klo, khi, spec.last_delimited)
-        bands.append((klo, khi, build_plan(band_spec, max_size)))
-    return LengthBands(spec, tuple(bands))
-
-
-def _split_fixed_count(spec, max_size):
-    # spec is a Range with min == max, too big to fit whole
-    k = spec.min
-    if k == 1:
-        sub = build_plan(spec.inner, max_size)
-        return TrailingDelim(sub, spec.delim) if spec.last_delimited else sub
-    inner_n = size(spec.inner)
-    groups = []
-    for lo, hi in _greedy_groups([inner_n] * k, max_size, _mul):
-        cnt = hi - lo
-        delimited = hi < k or spec.last_delimited
-        group_spec = Range(spec.inner, spec.delim, cnt, cnt, delimited)
-        groups.append((lo, hi, build_plan(group_spec, max_size)))
-    return RepeatGroups(spec, tuple(groups))
-
-
-def _split_var(spec, max_size):
-    if spec.min == spec.max:
-        body = FixedString((spec.alphabet,) * spec.min)
-        sub = build_plan(body, max_size)
-        if isinstance(spec, DelimVarString):
-            return TrailingDelim(sub, spec.delim)
-        return sub
-    base = len(spec.alphabet)
-    sizes = [base**L for L in range(spec.min, spec.max + 1)]
-    bands = []
-    for lo, hi in _greedy_groups(sizes, max_size, _add):
-        llo, lhi = spec.min + lo, spec.min + hi - 1
-        if isinstance(spec, DelimVarString):
-            band_spec = DelimVarString(llo, lhi, spec.alphabet, spec.delim)
-        else:
-            band_spec = VarString(llo, lhi, spec.alphabet)
-        bands.append((llo, lhi, build_plan(band_spec, max_size)))
-    return LengthBands(spec, tuple(bands))
-
-
-def _split_fixed(spec, max_size):
-    if len(spec.charsets) == 1:
-        return RankWindow(spec, max_size)
-    sizes = [len(cs) for cs in spec.charsets]
-    blocks = []
-    for lo, hi in _greedy_groups(sizes, max_size, _mul):
-        blocks.append((lo, hi, build_plan(FixedString(spec.charsets[lo:hi]), max_size)))
-    return CharBlocks(spec, tuple(blocks))
-
-
-# ---------------------------------------------------------------------------
-# entry points
+def _require_member(spec, s: str) -> None:
+    formats.ensure_valid(spec)
+    if not spec.contains(s):
+        raise NotInFormat(f"{s!r} is not in the format")
 
 
 def rank_multi(spec, max_size, s: str) -> RankVector:
     """Rank s into bounded slots. With max_size None this is plain ranking."""
-    ensure_valid(spec)
-    if not contains(spec, s):
-        raise NotInFormat(f"{s!r} is not in the format")
-    plan = build_plan(spec, max_size)
+    _require_member(spec, s)
     out: list = []
-    plan.rank_into(s, out)
+    build_plan(spec, max_size).rank_into(s, out)
     ranks, sizes = zip(*out)
     return RankVector(tuple(ranks), tuple(sizes))
 
@@ -625,19 +474,16 @@ def rank_multi(spec, max_size, s: str) -> RankVector:
 def unrank_multi(spec, max_size, vector: RankVector, example: str) -> str:
     """Rebuild a member from slot ranks, using the example member to choose
     every branch the vector does not encode."""
-    ensure_valid(spec)
-    if not contains(spec, example):
+    formats.ensure_valid(spec)
+    if not spec.contains(example):
         raise ExampleFormatMismatch(f"example {example!r} is not in the format")
-    plan = build_plan(spec, max_size)
     cursor = _Cursor(vector)
-    result = plan.unrank_from(cursor, example)
+    result = build_plan(spec, max_size).unrank_from(cursor, example)
     cursor.finish()
     return result
 
 
 def path_signature(spec, max_size, s: str):
     """The variant path a member takes through the plan; hashable."""
-    ensure_valid(spec)
-    if not contains(spec, s):
-        raise NotInFormat(f"{s!r} is not in the format")
+    _require_member(spec, s)
     return build_plan(spec, max_size).path_signature(s)

@@ -1,11 +1,15 @@
 """Whole-string encryption: permutation property, config knobs, tweaks."""
 
+import gc
+import weakref
+
 import pytest
 
 from fpekit import (
     BadParameter,
     CipherConfig,
     Concat,
+    DelimStringSet,
     Fe1Backend,
     FixedString,
     IntFpeKey,
@@ -22,6 +26,7 @@ from fpekit import (
     keygen,
     size,
     unrank,
+    validate,
 )
 
 DIGITS = "0123456789"
@@ -41,6 +46,29 @@ def test_encrypt_is_a_permutation_of_the_format():
         for m, c in zip(members, images):
             assert contains(SMALL, c)
             assert decrypt(cfg, key, SMALL, c) == m
+
+
+def test_empty_prefix_free_entry_is_a_member_piece():
+    # a prefix-free table whose only entry is "" consumes nothing
+    spec = Concat((DelimStringSet(("",), prefix_free=True), FixedString(("ab",))))
+    assert validate(spec) == []
+    assert size(spec) == 2
+    members = list(enumerate_members(spec))
+    assert all(contains(spec, m) for m in members)
+    images = [encrypt(CipherConfig(), KEY_A, spec, m) for m in members]
+    assert sorted(images) == members
+    assert [decrypt(CipherConfig(), KEY_A, spec, c) for c in images] == members
+
+
+def test_formats_are_not_kept_alive_after_use():
+    spec = Concat((FixedString(("AB",)), VarString(1, 3, "abc")))
+    for bound in (None, 3):
+        c = encrypt(CipherConfig(max_size=bound), KEY_A, spec, "Aab")
+        assert decrypt(CipherConfig(max_size=bound), KEY_A, spec, c) == "Aab"
+    ref = weakref.ref(spec)
+    del spec
+    gc.collect()
+    assert ref() is None
 
 
 def test_determinism_and_key_separation():

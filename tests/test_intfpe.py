@@ -11,7 +11,6 @@ from fpekit import (
     Fe1Backend,
     InputOutOfDomain,
     IntFpeKey,
-    UnknownBackend,
     WalkBudgetExceeded,
     WalkRecorder,
     balanced_factor,
@@ -19,7 +18,6 @@ from fpekit import (
     cycle_walk_encrypt,
     feistel_decrypt,
     feistel_encrypt,
-    get_backend,
     read_key_file,
     write_key_file,
 )
@@ -224,14 +222,6 @@ def test_key_file_rejects_garbage(tmp_path):
     path.write_text("ab" * 16)
     with pytest.raises(BadParameter):
         read_key_file(path)
-
-
-def test_backend_registry():
-    be = get_backend("fe1", walk_budget=50)
-    assert isinstance(be, Fe1Backend)
-    assert be.walk_budget == 50
-    with pytest.raises(UnknownBackend):
-        get_backend("nope")
 
 
 def test_backend_round_trip_with_recorder():

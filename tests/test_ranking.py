@@ -18,6 +18,7 @@ from fpekit import (
     Ssn,
     Union,
     VarString,
+    contains,
     count_invalid_ssn_below,
     date_offset,
     enumerate_members,
@@ -171,6 +172,17 @@ def test_ssn_rank_pins():
     assert unrank(Ssn(), 0) == "001010001"
     assert unrank(Ssn(), size(Ssn()) - 1) == "899999999"
     assert rank(Ssn(), "899999999").value == size(Ssn()) - 1
+
+
+def test_ssn_rank_is_numeric_order(rng):
+    # the component encoding must count exactly the valid values below
+    checked = 0
+    while checked < 2000:
+        s = f"{rng.randrange(10**9):09d}"
+        if contains(Ssn(), s):
+            assert rank(Ssn(), s).value == _ssn_valid_below(int(s)), s
+            assert unrank(Ssn(), _ssn_valid_below(int(s))) == s
+            checked += 1
 
 
 def test_count_invalid_pins():

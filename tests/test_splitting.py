@@ -1,6 +1,7 @@
 """Slot plans: bounded domains, exhaustive round trips, path signatures."""
 
 from datetime import datetime
+from operator import mul
 
 import pytest
 
@@ -38,8 +39,7 @@ from fpekit.splitting import (
     RankWindow,
     SsnComponents,
     WholeSlot,
-    _greedy_groups,
-    _mul,
+    greedy_groups,
 )
 
 from corpus import SMALL_SPECS
@@ -56,9 +56,9 @@ UNSPLITTABLE_OVER = {
 
 
 def test_greedy_grouping():
-    assert _greedy_groups([2, 2, 2, 2], 8, _mul) == [(0, 3), (3, 4)]
-    assert _greedy_groups([5, 100, 5], 30, _mul) == [(0, 1), (1, 2), (2, 3)]
-    assert _greedy_groups([2, 2], 100, _mul) == [(0, 2)]
+    assert greedy_groups([2, 2, 2, 2], 8, mul) == [(0, 3), (3, 4)]
+    assert greedy_groups([5, 100, 5], 30, mul) == [(0, 1), (1, 2), (2, 3)]
+    assert greedy_groups([2, 2], 100, mul) == [(0, 2)]
 
 
 def test_whole_slot_when_it_fits():
