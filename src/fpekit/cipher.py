@@ -4,7 +4,8 @@ Encrypt ranks the message into bounded slots, enciphers every slot rank
 with the integer backend, and unranks the new vector back into the format,
 using the message itself as the example that pins all value-dependent
 choices. Decrypt is the mirror image with the ciphertext as the example,
-so both directions walk the same slot structure.
+so both directions walk the same slot structure. The input's membership is
+checked once; both walks over the plan then take it as a member.
 """
 
 from __future__ import annotations
@@ -13,11 +14,10 @@ import hashlib
 import os
 from dataclasses import dataclass, replace
 
-from .dsl import serialize_spec
+from . import dsl
 from .errors import BadParameter, EntropyUnavailable
-from .formats import ensure_valid
 from .intfpe import Fe1Backend, IntFpeKey
-from .splitting import RankVector, rank_multi, unrank_multi
+from .splitting import Cursor, RankVector, build_plan, require_member
 
 __all__ = ["CipherConfig", "keygen", "format_fingerprint", "encrypt", "decrypt"]
 
@@ -51,12 +51,17 @@ def keygen(bits: int = 256) -> IntFpeKey:
 
 
 def format_fingerprint(spec, max_size) -> bytes:
-    """32 bytes binding the canonical format text and the slot bound."""
-    h = hashlib.sha256()
-    h.update(serialize_spec(spec).encode("utf-8"))
-    h.update(b"\x00")
-    h.update(repr(max_size).encode("ascii"))
-    return h.digest()
+    """32 bytes binding the canonical format text and the slot bound,
+    computed once per format and bound and stored on the format node."""
+    bound = repr(max_size)
+    fp = spec.fingerprints.get(bound)
+    if fp is None:
+        h = hashlib.sha256()
+        h.update(dsl.serialize_spec(spec).encode("utf-8"))
+        h.update(b"\x00")
+        h.update(bound.encode("ascii"))
+        fp = spec.fingerprints[bound] = h.digest()
+    return fp
 
 
 def _slot_tweak(fingerprint: bytes, index: int, tweak: bytes) -> bytes:
@@ -67,32 +72,31 @@ def _as_bytes(tweak) -> bytes:
     return tweak.encode("utf-8") if isinstance(tweak, str) else bytes(tweak)
 
 
-def encrypt(cfg: CipherConfig, key: IntFpeKey, spec, message: str, tweak=b"", backend=None) -> str:
-    """Map a member to a member, deterministically under (key, tweak)."""
-    ensure_valid(spec)
+def _crypt(cfg: CipherConfig, key: IntFpeKey, spec, text: str, tweak, backend,
+           decrypting: bool) -> str:
+    """Rank text into slots, map each slot through the backend, and unrank
+    the result with text as the example."""
+    require_member(spec, text)
+    plan = build_plan(spec, cfg.max_size)
     if backend is None:
         backend = Fe1Backend(walk_budget=cfg.walk_budget)
+    slot_fn = backend.decrypt if decrypting else backend.encrypt
     k = key if key.rounds == cfg.rounds else replace(key, rounds=cfg.rounds)
     fp = format_fingerprint(spec, cfg.max_size)
     extra = _as_bytes(tweak)
-    vector = rank_multi(spec, cfg.max_size, message)
-    new_ranks = tuple(
-        backend.encrypt(k, _slot_tweak(fp, i, extra), n, r)
-        for i, (r, n) in enumerate(zip(vector.ranks, vector.sizes))
-    )
-    return unrank_multi(spec, cfg.max_size, RankVector(new_ranks, vector.sizes), message)
+    slots: list = []
+    plan.rank_into(text, slots)
+    ranks = tuple(slot_fn(k, _slot_tweak(fp, i, extra), n, r) for i, (r, n) in enumerate(slots))
+    cursor = Cursor(RankVector(ranks, tuple(n for _, n in slots)))
+    out = plan.unrank_from(cursor, text)
+    cursor.finish()
+    return out
+
+
+def encrypt(cfg: CipherConfig, key: IntFpeKey, spec, message: str, tweak=b"", backend=None) -> str:
+    """Map a member to a member, deterministically under (key, tweak)."""
+    return _crypt(cfg, key, spec, message, tweak, backend, decrypting=False)
 
 
 def decrypt(cfg: CipherConfig, key: IntFpeKey, spec, ciphertext: str, tweak=b"", backend=None) -> str:
-    ensure_valid(spec)
-    if backend is None:
-        backend = Fe1Backend(walk_budget=cfg.walk_budget)
-    k = key if key.rounds == cfg.rounds else replace(key, rounds=cfg.rounds)
-    fp = format_fingerprint(spec, cfg.max_size)
-    extra = _as_bytes(tweak)
-    vector = rank_multi(spec, cfg.max_size, ciphertext)
-    new_ranks = tuple(
-        backend.decrypt(k, _slot_tweak(fp, i, extra), n, r)
-        for i, (r, n) in enumerate(zip(vector.ranks, vector.sizes))
-    )
-    return unrank_multi(spec, cfg.max_size, RankVector(new_ranks, vector.sizes), ciphertext)
+    return _crypt(cfg, key, spec, ciphertext, tweak, backend, decrypting=True)

@@ -8,7 +8,7 @@ finite set of strings. Each node class defines, for its own type:
 - ``contains``, plus ``take`` for the rigid (prefix-parsable) primitives;
 - ``parse`` and ``reassemble``, which the compound nodes override;
 - ``members``: generative enumeration in rank order;
-- ``rank`` and ``unrank`` on inputs already known to be in range;
+- ``rank`` and ``unrank`` on members and in-range ranks, unchecked;
 - ``_split``: its slot plan under a bound, from ``splitting``'s plan nodes;
 - ``to_json`` and ``from_json``: its canonical JSON form, read through
   ``dsl``'s typed reader.
@@ -320,7 +320,7 @@ class Node:
     def parse(self, s: str) -> ParsePieces:
         """Split a member into pieces; raises ParseFailure when s is no member."""
         if not self.contains(s):
-            raise ParseFailure(f"{s!r} is not in the format")
+            raise ParseFailure(f"a string of length {len(s)} is not in the format")
         return ParsePieces(((s, 0),))
 
     def reassemble(self, pp: ParsePieces) -> str:
@@ -332,15 +332,21 @@ class Node:
         raise NotImplementedError
 
     def rank(self, s: str) -> int:
-        """Position of a member in canonical order."""
+        """Position of a member in canonical order. The entry points check
+        membership once; rank and the compound nodes' `cut` do not again."""
         raise NotImplementedError
 
     def unrank(self, v: int) -> str:
-        """The member at position v, for 0 <= v < size."""
+        """The member at position v; the entry points check 0 <= v < size."""
         raise NotImplementedError
 
     @cached_property
     def _plans(self) -> dict:
+        return {}
+
+    @cached_property
+    def fingerprints(self) -> dict:
+        """`cipher.format_fingerprint`'s digests of this node, by slot bound."""
         return {}
 
     def plan(self, max_size):
@@ -977,14 +983,22 @@ class Union(Node):
         for i, part in enumerate(self.parts):
             if part.contains(s):
                 return ParsePieces(((s, i),))
-        raise ParseFailure(f"{s!r} matches no union part")
+        raise ParseFailure(f"a string of length {len(s)} matches no union part")
+
+    @cached_property
+    def part_of_lead(self) -> dict:
+        """A member's part index by its first character ("" for the empty
+        member): validation makes part alphabets disjoint and lets at most
+        one part contain ""."""
+        return {c: i for i, p in enumerate(self.parts)
+                for c in (p.chars | {""} if p.contains("") else p.chars)}
 
     def members(self):
         return itertools.chain.from_iterable(p.members() for p in self.parts)
 
     def rank(self, s):
-        piece, i = self.parse(s).pieces[0]
-        return self._offsets[i] + self.parts[i].rank(piece)
+        i = self.part_of_lead[s[:1]]
+        return self._offsets[i] + self.parts[i].rank(s)
 
     def unrank(self, v):
         i = bisect.bisect_right(self._offsets, v) - 1
@@ -1018,8 +1032,9 @@ def _parses(spec, s: str) -> bool:
 class Concat(Node):
     """Concatenation of parts, optionally joined by one-character delimiters.
 
-    Without delimiters every boundary must be separable: the left part is a
-    rigid primitive, or the two parts have disjoint alphabets.
+    Without delimiters every boundary must be separable: the left part is
+    rigid, or alphabet-disjoint from each later part that can follow it
+    directly (across parts that can be empty).
     """
 
     parts: tuple
@@ -1053,14 +1068,18 @@ class Concat(Node):
                     out.append(Violation(path, "DelimiterInAlphabet",
                                          f"delimiter {d!r} appears in the alphabet of part {i}"))
         elif clean:
-            for i in range(len(parts) - 1):
-                cur, nxt = parts[i], parts[i + 1]
-                if not cur.rigid and cur.chars & nxt.chars:
-                    out.append(Violation(
-                        path, "InseparableConcat",
-                        f"part {i + 1} is not separable from part {i}: "
-                        "neither rigid nor alphabet-disjoint",
-                    ))
+            for i, cur in enumerate(parts):
+                if cur.rigid:
+                    continue
+                for j in range(i + 1, len(parts)):
+                    if cur.chars & parts[j].chars:
+                        out.append(Violation(
+                            path, "InseparableConcat",
+                            f"part {j} is not separable from part {i}: "
+                            "neither rigid nor alphabet-disjoint",
+                        ))
+                    if not parts[j].contains(""):
+                        break
 
     @cached_property
     def size(self):
@@ -1076,36 +1095,40 @@ class Concat(Node):
     def contains(self, s):
         return _parses(self, s)
 
-    def parse(self, s):
-        pieces = []
+    def cut(self, s: str) -> list:
+        """One text per part: a member's parse, with only what a rigid part's
+        `take` consumes checked."""
+        texts = []
         pos = 0
         last = len(self.parts) - 1
         for i, part in enumerate(self.parts):
             if i == last:
-                piece = s[pos:]
-                pos = len(s)
+                end = nxt = len(s)
             elif self.delims is not None:
-                idx = s.find(self.delims[i], pos)
-                if idx < 0:
-                    raise ParseFailure(f"missing delimiter {self.delims[i]!r} after piece {i}")
-                piece = s[pos:idx]
-                pos = idx + 1
+                end = s.find(self.delims[i], pos)
+                if end < 0:
+                    raise ParseFailure(f"missing delimiter {i} after offset {pos}")
+                nxt = end + 1
             elif part.rigid:
-                end = part.take(s, pos)
-                piece = s[pos:end]
-                pos = end
+                end = nxt = part.take(s, pos)
             else:
                 alpha = part.chars
                 end = pos
                 while end < len(s) and s[end] in alpha:
                     end += 1
-                piece = s[pos:end]
-                pos = end
-            pieces.append((piece, i))
-        for piece, i in pieces:
-            if not self.parts[i].contains(piece):
-                raise ParseFailure(f"piece {i} ({piece!r}) fails its sub-format")
-        return ParsePieces(tuple(pieces))
+                nxt = end
+            texts.append(s[pos:end])
+            pos = nxt
+        return texts
+
+    def parse(self, s):
+        texts = self.cut(s)
+        last = len(texts) - 1
+        for i, (text, part) in enumerate(zip(texts, self.parts)):
+            taken = part.rigid and self.delims is None and i < last
+            if not taken and not part.contains(text):
+                raise ParseFailure(f"piece {i} (length {len(text)}) fails its sub-format")
+        return ParsePieces(tuple((t, i) for i, t in enumerate(texts)))
 
     def reassemble(self, pp):
         texts = [p for p, _ in pp.pieces]
@@ -1124,9 +1147,9 @@ class Concat(Node):
     def rank(self, s):
         total = 0
         weight = 1
-        for piece, i in self.parse(s).pieces:
-            total += self.parts[i].rank(piece) * weight
-            weight *= self.parts[i].size
+        for text, part in zip(self.cut(s), self.parts):
+            total += part.rank(text) * weight
+            weight *= part.size
         return total
 
     def unrank(self, v):
@@ -1200,19 +1223,20 @@ class Range(Node):
     def contains(self, s):
         return _parses(self, s)
 
+    def cut(self, s: str) -> list:
+        """The repetition texts of s, split on the delimiter, not checked."""
+        return (s[:-1] if self.last_delimited else s).split(self.delim)
+
     def parse(self, s):
-        if self.last_delimited:
-            if not s.endswith(self.delim):
-                raise ParseFailure("missing final delimiter")
-            texts = s[:-1].split(self.delim)
-        else:
-            texts = s.split(self.delim)
+        if self.last_delimited and not s.endswith(self.delim):
+            raise ParseFailure("missing final delimiter")
+        texts = self.cut(s)
         k = len(texts)
         if not self.min <= k <= self.max:
             raise ParseFailure(f"{k} repetitions, expected {self.min}..{self.max}")
-        for t in texts:
+        for i, t in enumerate(texts):
             if not self.inner.contains(t):
-                raise ParseFailure(f"piece {t!r} fails the inner format")
+                raise ParseFailure(f"piece {i} (length {len(t)}) fails the inner format")
         return ParsePieces(tuple((t, 0) for t in texts), repetitions=k)
 
     def reassemble(self, pp):
@@ -1225,12 +1249,12 @@ class Range(Node):
                 yield self.reassemble(ParsePieces(tuple((t, 0) for t in tup)))
 
     def rank(self, s):
-        pp = self.parse(s)
+        texts = self.cut(s)
         base = self.inner.size
-        total = _count_up_to(base, self.min, pp.repetitions)
+        total = _count_up_to(base, self.min, len(texts))
         weight = 1
-        for piece, _ in pp.pieces:
-            total += self.inner.rank(piece) * weight
+        for text in texts:
+            total += self.inner.rank(text) * weight
             weight *= base
         return total
 

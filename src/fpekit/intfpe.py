@@ -107,8 +107,8 @@ def balanced_factor(n: int):
 # the Feistel permutation on [0, n')
 
 
-@lru_cache(maxsize=4096)
 def _base_state(secret: bytes, tweak: bytes):
+    # built per Feistel pass: a cache here would keep secret keys in module state
     h = hashlib.shake_256()
     h.update(secret)
     h.update(len(tweak).to_bytes(4, "big"))

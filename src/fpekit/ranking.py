@@ -44,7 +44,7 @@ def rank(spec, s: str) -> Rank:
     """Position of s in the format's canonical order."""
     ensure_valid(spec)
     if not spec.contains(s):
-        raise NotInFormat(f"{s!r} is not in the format")
+        raise NotInFormat(f"a string of length {len(s)} is not in the format")
     return Rank(spec.rank(s), spec.size)
 
 

@@ -10,6 +10,9 @@ the value-dependent choices (union branch, length band, rank window) that
 the vector itself does not encode. Greedy grouping keeps adjacent units
 together while the aggregate stays within the bound, which uses the fewest
 groups possible for a left-to-right partition.
+
+Membership is checked once per input, at the entry points here and in
+`cipher`; the plan walks and the nodes' `rank` cut members unchecked.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ class RankVector:
         return len(self.ranks)
 
 
-class _Cursor:
+class Cursor:
     def __init__(self, vector: RankVector):
         self._pairs = list(zip(vector.ranks, vector.sizes))
         self._pos = 0
@@ -137,11 +140,8 @@ class UnionGroups:
     groups: tuple
 
     def _group_of(self, s):
-        part_idx = self.spec.parse(s).pieces[0][1]
-        for gi, (lo, hi, _) in enumerate(self.groups):
-            if lo <= part_idx < hi:
-                return gi
-        raise NotInFormat(f"{s!r} matches no plan group")
+        part_idx = self.spec.part_of_lead[s[:1]]
+        return next(gi for gi, (lo, hi, _) in enumerate(self.groups) if lo <= part_idx < hi)
 
     def rank_into(self, s, out):
         self.groups[self._group_of(s)][2].rank_into(s, out)
@@ -166,14 +166,14 @@ class ConcatGroups:
     groups: tuple
 
     def _group_texts(self, s):
-        pieces = self.spec.parse(s).pieces
+        pieces = self.spec.cut(s)
         texts = []
         for lo, hi, _ in self.groups:
             chunk = []
             for i in range(lo, hi):
                 if i > lo and self.spec.delims is not None:
                     chunk.append(self.spec.delims[i - 1])
-                chunk.append(pieces[i][0])
+                chunk.append(pieces[i])
             texts.append("".join(chunk))
         return texts
 
@@ -207,10 +207,7 @@ class LengthBands:
 
     def _band_of(self, s):
         m = self.spec.length_of(s)
-        for bi, (lo, hi, _) in enumerate(self.bands):
-            if lo <= m <= hi:
-                return bi
-        raise NotInFormat(f"measure {m} falls outside every band")
+        return next(bi for bi, (lo, hi, _) in enumerate(self.bands) if lo <= m <= hi)
 
     def rank_into(self, s, out):
         self.bands[self._band_of(s)][2].rank_into(s, out)
@@ -234,11 +231,6 @@ class RepeatGroups:
     spec: object
     groups: tuple
 
-    def _piece_texts(self, s):
-        if self.spec.last_delimited:
-            return s[:-1].split(self.spec.delim)
-        return s.split(self.spec.delim)
-
     def _group_text(self, texts, lo, hi):
         sp = self.spec
         delimited = hi < sp.min or sp.last_delimited
@@ -246,19 +238,19 @@ class RepeatGroups:
         return body + sp.delim if delimited else body
 
     def rank_into(self, s, out):
-        texts = self._piece_texts(s)
+        texts = self.spec.cut(s)
         for lo, hi, sub in self.groups:
             sub.rank_into(self._group_text(texts, lo, hi), out)
 
     def unrank_from(self, cursor, f):
-        f_texts = self._piece_texts(f)
+        f_texts = self.spec.cut(f)
         return "".join(
             sub.unrank_from(cursor, self._group_text(f_texts, lo, hi))
             for lo, hi, sub in self.groups
         )
 
     def path_signature(self, s):
-        texts = self._piece_texts(s)
+        texts = self.spec.cut(s)
         return tuple(
             ("g", gi, sub.path_signature(self._group_text(texts, lo, hi)))
             for gi, (lo, hi, sub) in enumerate(self.groups)
@@ -456,15 +448,16 @@ def build_plan(spec, max_size):
     return spec.plan(max_size)
 
 
-def _require_member(spec, s: str) -> None:
+def require_member(spec, s: str) -> None:
+    """Raise NotInFormat unless the spec is valid and s is one of its members."""
     formats.ensure_valid(spec)
     if not spec.contains(s):
-        raise NotInFormat(f"{s!r} is not in the format")
+        raise NotInFormat(f"a string of length {len(s)} is not in the format")
 
 
 def rank_multi(spec, max_size, s: str) -> RankVector:
     """Rank s into bounded slots. With max_size None this is plain ranking."""
-    _require_member(spec, s)
+    require_member(spec, s)
     out: list = []
     build_plan(spec, max_size).rank_into(s, out)
     ranks, sizes = zip(*out)
@@ -476,8 +469,8 @@ def unrank_multi(spec, max_size, vector: RankVector, example: str) -> str:
     every branch the vector does not encode."""
     formats.ensure_valid(spec)
     if not spec.contains(example):
-        raise ExampleFormatMismatch(f"example {example!r} is not in the format")
-    cursor = _Cursor(vector)
+        raise ExampleFormatMismatch(f"the example (length {len(example)}) is not in the format")
+    cursor = Cursor(vector)
     result = build_plan(spec, max_size).unrank_from(cursor, example)
     cursor.finish()
     return result
@@ -485,5 +478,5 @@ def unrank_multi(spec, max_size, vector: RankVector, example: str) -> str:
 
 def path_signature(spec, max_size, s: str):
     """The variant path a member takes through the plan; hashable."""
-    _require_member(spec, s)
+    require_member(spec, s)
     return build_plan(spec, max_size).path_signature(s)

@@ -28,6 +28,7 @@ from fpekit import (
     unrank,
     validate,
 )
+from fpekit import dsl
 
 DIGITS = "0123456789"
 
@@ -65,6 +66,28 @@ def test_formats_are_not_kept_alive_after_use():
     for bound in (None, 3):
         c = encrypt(CipherConfig(max_size=bound), KEY_A, spec, "Aab")
         assert decrypt(CipherConfig(max_size=bound), KEY_A, spec, c) == "Aab"
+    ref = weakref.ref(spec)
+    del spec
+    gc.collect()
+    assert ref() is None
+
+
+def test_fingerprint_is_computed_once_per_format_and_bound(monkeypatch):
+    serialized = 0
+    real = dsl.serialize_spec
+
+    def counting(spec):
+        nonlocal serialized
+        serialized += 1
+        return real(spec)
+
+    monkeypatch.setattr(dsl, "serialize_spec", counting)
+    spec = Concat((FixedString(("AB",)), VarString(1, 3, "abc")))
+    for bound in (None, 3):
+        cfg = CipherConfig(max_size=bound)
+        for _ in range(50):
+            assert decrypt(cfg, KEY_A, spec, encrypt(cfg, KEY_A, spec, "Aab")) == "Aab"
+    assert serialized == 2
     ref = weakref.ref(spec)
     del spec
     gc.collect()

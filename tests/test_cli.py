@@ -206,6 +206,7 @@ def test_csv_errors_name_the_cell(tmp_path, key, run):
     assert code == 1
     assert "row 2, column ssn" in err
     assert "NotInFormat" in err
+    assert "000121234" not in err
 
 
 def test_csv_short_row_is_reported(tmp_path, key, run):

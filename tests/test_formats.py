@@ -119,6 +119,13 @@ def test_concat_inseparable_rejected():
     assert "InseparableConcat" in codes(c)
 
 
+def test_concat_separability_reaches_across_parts_that_can_be_empty():
+    # with "y" empty the two integers touch: "1"+""+"12" and "11"+""+"2" collide
+    c = Concat((IntegralDomain(1, 12), VarString(0, 1, "y"), IntegralDomain(1, 12)))
+    assert "InseparableConcat" in codes(c)
+    assert validate(Concat((IntegralDomain(1, 12), VarString(1, 1, "y"), IntegralDomain(1, 12)))) == []
+
+
 def test_rigid_left_part_separates_shared_alphabet():
     c = Concat((FixedString(("ab", "ab")), VarString(0, 2, "ab")))
     assert validate(c) == []

@@ -8,12 +8,15 @@ import pytest
 from fpekit import (
     BadParameter,
     Ccn,
+    CipherConfig,
     Concat,
     Date,
     DelimStringSet,
     ExampleFormatMismatch,
     FixedString,
     IntegralDomain,
+    IntFpeKey,
+    Range,
     RankVector,
     Ssn,
     StringSet,
@@ -23,6 +26,8 @@ from fpekit import (
     VectorShapeMismatch,
     build_plan,
     contains,
+    decrypt,
+    encrypt,
     enumerate_members,
     path_signature,
     rank,
@@ -153,6 +158,43 @@ def test_vector_must_match_plan():
         unrank_multi(spec, 2, RankVector(vec.ranks + (0,), vec.sizes + (2,)), s)
     with pytest.raises(VectorShapeMismatch):
         unrank_multi(spec, 2, RankVector((0, 0, 0), (2, 2, 3)), s)
+
+
+LOWER = "abcdefghijklmnopqrstuvwxyz"
+WORD = Concat((FixedString((LOWER.upper(),)), VarString(1, 9, LOWER)))
+ADDRESS = Concat(
+    (
+        Range(WORD, " ", 2, 4, last_delimited=False),
+        Range(WORD, " ", 1, 3, last_delimited=False),
+        IntegralDomain(1, 9999),
+        FixedString(("0123456789",) * 5),
+        Range(WORD, " ", 1, 2, last_delimited=False),
+    ),
+    (",", ",", ",", ","),
+)
+
+
+@pytest.mark.parametrize("bound", [None, 2, 2**16])
+@pytest.mark.parametrize(
+    "record",
+    [
+        "Elm Street,Dov3r,42,12345,France",  # a digit inside a town word
+        "Aa Bb Cc Dd Ee,Town,42,12345,France",  # five street words, at most four
+        "Elm  Street,Town,42,12345,France",  # an empty street word
+    ],
+)
+def test_deep_non_members_are_rejected(bound, record):
+    assert contains(ADDRESS, "Elm Street,Dover,42,12345,France")
+    cfg = CipherConfig(max_size=bound)
+    key = IntFpeKey(bytes(32))
+    for call in (
+        lambda: rank_multi(ADDRESS, bound, record),
+        lambda: path_signature(ADDRESS, bound, record),
+        lambda: encrypt(cfg, key, ADDRESS, record),
+        lambda: decrypt(cfg, key, ADDRESS, record),
+    ):
+        with pytest.raises(NotInFormat):
+            call()
 
 
 def test_example_must_be_a_member():
