@@ -258,10 +258,10 @@ def expansion_and_cycles(
     ensure_valid(simplified)
     n_orig, n_simp = original.size, simplified.size
     rng = random.Random(seed)
-    for _ in range(subset_samples):
+    for i in range(subset_samples):
         s = unrank(original, rng.randrange(n_orig))
         if not simplified.contains(s):
-            raise NotSubset(f"{s!r} is outside the simplified format")
+            raise NotSubset(f"sample {i} (length {len(s)}) is outside the simplified format")
 
     key = IntFpeKey(rng.randbytes(32), rounds=rounds)
     tweak = b"bench"

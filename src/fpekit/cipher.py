@@ -4,8 +4,8 @@ Encrypt ranks the message into bounded slots, enciphers every slot rank
 with the integer backend, and unranks the new vector back into the format,
 using the message itself as the example that pins all value-dependent
 choices. Decrypt is the mirror image with the ciphertext as the example,
-so both directions walk the same slot structure. The input's membership is
-checked once; both walks over the plan then take it as a member.
+so both directions walk the same slot structure. The rank walk is also
+the input's membership check; the unrank walk then takes it as a member.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 from . import dsl
 from .errors import BadParameter, EntropyUnavailable
 from .intfpe import Fe1Backend, IntFpeKey
-from .splitting import Cursor, RankVector, build_plan, require_member
+from .splitting import Cursor, RankVector, build_plan, rank_slots
 
 __all__ = ["CipherConfig", "keygen", "format_fingerprint", "encrypt", "decrypt"]
 
@@ -76,7 +76,6 @@ def _crypt(cfg: CipherConfig, key: IntFpeKey, spec, text: str, tweak, backend,
            decrypting: bool) -> str:
     """Rank text into slots, map each slot through the backend, and unrank
     the result with text as the example."""
-    require_member(spec, text)
     plan = build_plan(spec, cfg.max_size)
     if backend is None:
         backend = Fe1Backend(walk_budget=cfg.walk_budget)
@@ -84,8 +83,7 @@ def _crypt(cfg: CipherConfig, key: IntFpeKey, spec, text: str, tweak, backend,
     k = key if key.rounds == cfg.rounds else replace(key, rounds=cfg.rounds)
     fp = format_fingerprint(spec, cfg.max_size)
     extra = _as_bytes(tweak)
-    slots: list = []
-    plan.rank_into(text, slots)
+    slots = rank_slots(plan, text)
     ranks = tuple(slot_fn(k, _slot_tweak(fp, i, extra), n, r) for i, (r, n) in enumerate(slots))
     cursor = Cursor(RankVector(ranks, tuple(n for _, n in slots)))
     out = plan.unrank_from(cursor, text)

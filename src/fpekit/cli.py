@@ -75,9 +75,13 @@ def cli():
 @cli.command()
 @click.option("--bits", type=click.Choice(["128", "256"]), default="256", show_default=True)
 @click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
-def keygen(bits, out_path):
-    """Generate a key and write it as hex."""
-    write_key_file(out_path, cipher.keygen(int(bits)))
+@click.option("--force", is_flag=True, help="Replace an existing key file.")
+def keygen(bits, out_path, force):
+    """Generate a key and write it as hex, readable by the owner only."""
+    try:
+        write_key_file(out_path, cipher.keygen(int(bits)), overwrite=force)
+    except FileExistsError:
+        raise click.ClickException(f"{out_path} exists; pass --force to replace it") from None
     click.echo(out_path)
 
 

@@ -19,6 +19,11 @@ class InvalidFormat(FpeError):
 class NotInFormat(FpeError):
     """The given string is not a member of the format."""
 
+    @classmethod
+    def of(cls, s: str):
+        """The error for s, which gives its length but never its text."""
+        return cls(f"a string of length {len(s)} is not in the format")
+
 
 class ParseFailure(NotInFormat):
     """A string could not be split into the pieces its format prescribes."""

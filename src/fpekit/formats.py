@@ -5,10 +5,13 @@ finite set of strings. Each node class defines, for its own type:
 
 - ``validate_into``: the invariants its parameters must satisfy;
 - ``size`` and ``chars``: the exact member count and an alphabet cover;
-- ``contains``, plus ``take`` for the rigid (prefix-parsable) primitives;
-- ``parse`` and ``reassemble``, which the compound nodes override;
+- ``rank``: the position of a member, and ParseFailure for any other
+  string, so ranking is the membership check (``contains`` is "rank does
+  not raise");
+- ``unrank``: the member at an in-range rank, unchecked;
+- ``take`` for the rigid (prefix-parsable) primitives, and ``parse`` and
+  ``reassemble``, which the compound nodes override;
 - ``members``: generative enumeration in rank order;
-- ``rank`` and ``unrank`` on members and in-range ranks, unchecked;
 - ``_split``: its slot plan under a bound, from ``splitting``'s plan nodes;
 - ``to_json`` and ``from_json``: its canonical JSON form, read through
   ``dsl``'s typed reader.
@@ -134,30 +137,10 @@ def serialize_charset(chars: str) -> str:
 # counting and enumeration helpers
 
 
-def _count_up_to(base: int, lo: int, stop: int) -> int:
-    # number of tuples with piece-count in [lo, stop) over `base` choices
-    if stop <= lo:
-        return 0
-    if base == 1:
-        return stop - lo
-    return (base**stop - base**lo) // (base - 1)
-
-
-def _recover_length(base: int, lo: int, hi: int, v: int) -> int:
-    """Largest L in [lo, hi] whose shorter-member count does not exceed v."""
-    if hi - lo <= 64:
-        length = lo
-        while length < hi and _count_up_to(base, lo, length + 1) <= v:
-            length += 1
-        return length
-    a, b = lo, hi
-    while a < b:
-        mid = (a + b + 1) // 2
-        if _count_up_to(base, lo, mid) <= v:
-            a = mid
-        else:
-            b = mid - 1
-    return a
+def _count_starts(base: int, lo: int, hi: int) -> tuple:
+    """The rank at which each piece count lo..hi starts, when members sort by
+    count first over `base` choices per piece, followed by the total."""
+    return tuple(itertools.accumulate((base**k for k in range(lo, hi + 1)), initial=0))
 
 
 def _fixed_stream(charsets):
@@ -209,9 +192,27 @@ SSN_COMPONENT_SIZES = (898, 99, 9999)
 
 
 def ssn_components(s: str) -> tuple:
-    """(area, group, serial) indices of a valid nine-digit id, each from 0."""
+    """(area, group, serial) indices of a valid nine-digit id, each from 0;
+    ParseFailure for a string that breaks the exclusion rules."""
+    if not (
+        len(s) == 9
+        and _all_decimal(s)
+        and s[:3] not in ("000", "666")
+        and s[:3] < "900"
+        and s[3:5] != "00"
+        and s[5:] != "0000"
+    ):
+        raise ParseFailure.of(s)
     area, group, serial = int(s[:3]), int(s[3:5]), int(s[5:])
     return (area - 1 - (1 if area > 666 else 0), group - 1, serial - 1)
+
+
+def ccn_payload(s: str) -> str:
+    """The fifteen payload digits of a Luhn-valid card number; ParseFailure
+    for anything else."""
+    if not (len(s) == 16 and _all_decimal(s) and luhn_digit(s[:15]) == s[15]):
+        raise ParseFailure.of(s)
+    return s[:15]
 
 
 def ssn_from_components(comp) -> str:
@@ -310,17 +311,22 @@ class Node:
         """Append this subtree's violations, with paths below `path`."""
 
     def contains(self, s: str) -> bool:
-        """True iff s is a member."""
-        raise NotImplementedError
+        """True iff s is a member, which is exactly when `rank` succeeds."""
+        try:
+            self.rank(s)
+        except ParseFailure:
+            return False
+        return True
 
     def take(self, s: str, pos: int) -> int:
-        """Consume one member of a rigid node at pos; returns the end index."""
+        """The end index of the piece a member of a rigid node would span from
+        pos, found from its boundary alone: `rank` checks the piece."""
         raise ParseFailure(f"{type(self).__name__} is not prefix-parsable")
 
     def parse(self, s: str) -> ParsePieces:
         """Split a member into pieces; raises ParseFailure when s is no member."""
         if not self.contains(s):
-            raise ParseFailure(f"a string of length {len(s)} is not in the format")
+            raise ParseFailure.of(s)
         return ParsePieces(((s, 0),))
 
     def reassemble(self, pp: ParsePieces) -> str:
@@ -332,8 +338,8 @@ class Node:
         raise NotImplementedError
 
     def rank(self, s: str) -> int:
-        """Position of a member in canonical order. The entry points check
-        membership once; rank and the compound nodes' `cut` do not again."""
+        """Position of a member in canonical order; ParseFailure, giving
+        lengths and offsets but never the text, for any other string."""
         raise NotImplementedError
 
     def unrank(self, v: int) -> str:
@@ -390,7 +396,7 @@ class _FixedWidth(Node):
 
     def take(self, s, pos):
         end = pos + self.width
-        if end > len(s) or not self.contains(s[pos:end]):
+        if end > len(s):
             raise ParseFailure(f"no {type(self).__name__} member at offset {pos}")
         return end
 
@@ -407,16 +413,6 @@ class Ssn(_FixedWidth):
     width = 9
     size = SSN_SIZE
     chars = frozenset(DIGITS)
-
-    def contains(self, s):
-        return (
-            len(s) == 9
-            and _all_decimal(s)
-            and s[:3] not in ("000", "666")
-            and s[:3] < "900"
-            and s[3:5] != "00"
-            and s[5:] != "0000"
-        )
 
     def members(self):
         for area in itertools.chain(range(1, 666), range(667, 900)):
@@ -445,16 +441,13 @@ class Ccn(_FixedWidth):
     size = CCN_SIZE
     chars = frozenset(DIGITS)
 
-    def contains(self, s):
-        return len(s) == 16 and _all_decimal(s) and luhn_digit(s[:15]) == s[15]
-
     def members(self):
         for payload in range(CCN_SIZE):
             body = f"{payload:015d}"
             yield body + luhn_digit(body)
 
     def rank(self, s):
-        return int(s[:15])
+        return int(ccn_payload(s))
 
     def unrank(self, v):
         body = f"{v:015d}"
@@ -510,10 +503,6 @@ class Date(_FixedWidth):
     def chars(self):
         return frozenset(DIGITS + "." + (" :" if self.granularity == "second" else ""))
 
-    def contains(self, s):
-        dt = _parse_date_string(s, self.granularity)
-        return dt is not None and self.min <= dt <= self.max
-
     def members(self):
         step = timedelta(days=1) if self.granularity == "day" else timedelta(seconds=1)
         cur = self.min
@@ -522,7 +511,10 @@ class Date(_FixedWidth):
             cur += step
 
     def rank(self, s):
-        return date_offset(self.min, _parse_date_string(s, self.granularity), self.granularity)
+        dt = _parse_date_string(s, self.granularity)
+        if dt is None or not self.min <= dt <= self.max:
+            raise ParseFailure.of(s)
+        return date_offset(self.min, dt, self.granularity)
 
     def unrank(self, v):
         return format_date_string(offset_to_date(self.min, v, self.granularity), self.granularity)
@@ -582,11 +574,6 @@ class FixedString(_FixedWidth):
     def chars(self):
         return frozenset("".join(self.charsets))
 
-    def contains(self, s):
-        return len(s) == len(self.charsets) and all(
-            c in cs for c, cs in zip(s, self.charsets)
-        )
-
     def members(self):
         return _fixed_stream(self.charsets)
 
@@ -595,10 +582,15 @@ class FixedString(_FixedWidth):
         return tuple({c: i for i, c in enumerate(cs)} for cs in self.charsets)
 
     def rank(self, s):
+        if len(s) != len(self._index):
+            raise ParseFailure.of(s)
         total = 0
         weight = 1
         for c, amap in zip(s, self._index):
-            total += amap[c] * weight
+            d = amap.get(c)
+            if d is None:
+                raise ParseFailure.of(s)
+            total += d * weight
             weight *= len(amap)
         return total
 
@@ -644,8 +636,12 @@ class _Lengths(Node):
             out.append(Violation(path, "EmptyAlphabet", "empty alphabet"))
 
     @cached_property
+    def _starts(self) -> tuple:
+        return _count_starts(len(self.alphabet), self.min, self.max)
+
+    @cached_property
     def size(self):
-        return _count_up_to(len(self.alphabet), self.min, self.max + 1)
+        return self._starts[-1]
 
     @cached_property
     def chars(self):
@@ -654,14 +650,6 @@ class _Lengths(Node):
     def length_of(self, s: str) -> int:
         """The body length a member's length band is chosen by."""
         return len(s) - len(self.suffix)
-
-    def contains(self, s):
-        n = len(s) - len(self.suffix)
-        return (
-            s.endswith(self.suffix)
-            and self.min <= n <= self.max
-            and all(c in self.alphabet for c in s[:n])
-        )
 
     def members(self):
         for length in range(self.min, self.max + 1):
@@ -673,20 +661,26 @@ class _Lengths(Node):
         return {c: i for i, c in enumerate(self.alphabet)}
 
     def rank(self, s):
-        body = s[: len(s) - len(self.suffix)]
-        base = len(self.alphabet)
+        n = len(s) - len(self.suffix)
+        if not (self.min <= n <= self.max and s.endswith(self.suffix)):
+            raise ParseFailure.of(s)
         index = self._index
-        total = _count_up_to(base, self.min, len(body))
+        base = len(index)
+        total = self._starts[n - self.min]
         weight = 1
-        for c in body:
-            total += index[c] * weight
+        for c in s[:n]:
+            d = index.get(c)
+            if d is None:
+                raise ParseFailure.of(s)
+            total += d * weight
             weight *= base
         return total
 
     def unrank(self, v):
         base = len(self.alphabet)
-        length = _recover_length(base, self.min, self.max, v)
-        v -= _count_up_to(base, self.min, length)
+        i = bisect.bisect_right(self._starts, v) - 1
+        v -= self._starts[i]
+        length = self.min + i
         chars = []
         for _ in range(length):
             v, d = divmod(v, base)
@@ -752,7 +746,7 @@ class DelimVarString(_Lengths):
 
     def take(self, s, pos):
         idx = s.find(self.delim, pos)
-        if idx < 0 or not self.contains(s[pos : idx + 1]):
+        if idx < 0:
             raise ParseFailure(f"no delimited string at offset {pos}")
         return idx + 1
 
@@ -788,14 +782,14 @@ class _Table(Node):
     def _index(self) -> dict:
         return {s: i for i, s in enumerate(self.strings)}
 
-    def contains(self, s):
-        return s in self._index
-
     def members(self):
         return iter(self.strings)
 
     def rank(self, s):
-        return self._index[s]
+        r = self._index.get(s)
+        if r is None:
+            raise ParseFailure.of(s)
+        return r
 
     def unrank(self, v):
         return self.strings[v]
@@ -855,7 +849,7 @@ class DelimStringSet(_Table):
     def take(self, s, pos):
         if self.delim is not None:
             idx = s.find(self.delim, pos)
-            if idx < 0 or s[pos : idx + 1] not in self._index:
+            if idx < 0:
                 raise ParseFailure(f"no table entry at offset {pos}")
             return idx + 1
         # prefix-free: at most one entry matches, and it may be empty
@@ -908,15 +902,14 @@ class IntegralDomain(Node):
     def chars(self):
         return frozenset(DIGITS + ("-" if self.min < 0 else ""))
 
-    def contains(self, s):
-        n = _canonical_int(s)
-        return n is not None and self.min <= n <= self.max
-
     def members(self):
         return map(str, range(self.min, self.max + 1))
 
     def rank(self, s):
-        return int(s) - self.min
+        n = _canonical_int(s)
+        if n is None or not self.min <= n <= self.max:
+            raise ParseFailure.of(s)
+        return n - self.min
 
     def unrank(self, v):
         return str(self.min + v)
@@ -976,28 +969,31 @@ class Union(Node):
         # rank offset of each part: the summed sizes of the parts before it
         return tuple(itertools.accumulate((p.size for p in self.parts), initial=0))
 
-    def contains(self, s):
-        return any(p.contains(s) for p in self.parts)
-
     def parse(self, s):
-        for i, part in enumerate(self.parts):
-            if part.contains(s):
-                return ParsePieces(((s, i),))
-        raise ParseFailure(f"a string of length {len(s)} matches no union part")
+        i = self.part_of(s)
+        if not self.parts[i].contains(s):
+            raise ParseFailure.of(s)
+        return ParsePieces(((s, i),))
 
     @cached_property
-    def part_of_lead(self) -> dict:
-        """A member's part index by its first character ("" for the empty
-        member): validation makes part alphabets disjoint and lets at most
-        one part contain ""."""
+    def _part_of_lead(self) -> dict:
         return {c: i for i, p in enumerate(self.parts)
                 for c in (p.chars | {""} if p.contains("") else p.chars)}
+
+    def part_of(self, s: str) -> int:
+        """The only part s can belong to, by its first character ("" for the
+        empty string): validation makes part alphabets disjoint and lets at
+        most one part contain "". ParseFailure when no part can hold s."""
+        i = self._part_of_lead.get(s[:1])
+        if i is None:
+            raise ParseFailure(f"a string of length {len(s)} starts outside every part")
+        return i
 
     def members(self):
         return itertools.chain.from_iterable(p.members() for p in self.parts)
 
     def rank(self, s):
-        i = self.part_of_lead[s[:1]]
+        i = self.part_of(s)
         return self._offsets[i] + self.parts[i].rank(s)
 
     def unrank(self, v):
@@ -1018,14 +1014,6 @@ class Union(Node):
     @classmethod
     def from_json(cls, r):
         return cls(r.nodes("parts"))
-
-
-def _parses(spec, s: str) -> bool:
-    try:
-        spec.parse(s)
-        return True
-    except ParseFailure:
-        return False
 
 
 @dataclass(frozen=True)
@@ -1092,12 +1080,9 @@ class Concat(Node):
     def chars(self):
         return frozenset().union(*(p.chars for p in self.parts), self.delims or ())
 
-    def contains(self, s):
-        return _parses(self, s)
-
     def cut(self, s: str) -> list:
-        """One text per part: a member's parse, with only what a rigid part's
-        `take` consumes checked."""
+        """One text per part, from the delimiters, the rigid parts' `take` and
+        the other parts' alphabets; the texts themselves are not checked."""
         texts = []
         pos = 0
         last = len(self.parts) - 1
@@ -1123,15 +1108,15 @@ class Concat(Node):
 
     def parse(self, s):
         texts = self.cut(s)
-        last = len(texts) - 1
         for i, (text, part) in enumerate(zip(texts, self.parts)):
-            taken = part.rigid and self.delims is None and i < last
-            if not taken and not part.contains(text):
+            if not part.contains(text):
                 raise ParseFailure(f"piece {i} (length {len(text)}) fails its sub-format")
         return ParsePieces(tuple((t, i) for i, t in enumerate(texts)))
 
     def reassemble(self, pp):
-        texts = [p for p, _ in pp.pieces]
+        return self._join([p for p, _ in pp.pieces])
+
+    def _join(self, texts) -> str:
         if not self.delims:
             return "".join(texts)
         out = [texts[0]]
@@ -1141,8 +1126,7 @@ class Concat(Node):
         return "".join(out)
 
     def members(self):
-        for tup in _tuple_stream([p.members for p in self.parts]):
-            yield self.reassemble(ParsePieces(tuple((t, 0) for t in tup)))
+        return map(self._join, _tuple_stream([p.members for p in self.parts]))
 
     def rank(self, s):
         total = 0
@@ -1153,11 +1137,11 @@ class Concat(Node):
         return total
 
     def unrank(self, v):
-        pieces = []
-        for i, part in enumerate(self.parts):
+        texts = []
+        for part in self.parts:
             v, r = divmod(v, part.size)
-            pieces.append((part.unrank(r), i))
-        return self.reassemble(ParsePieces(tuple(pieces)))
+            texts.append(part.unrank(r))
+        return self._join(texts)
 
     def _split(self, max_size):
         sizes = [p.size for p in self.parts]
@@ -1208,8 +1192,12 @@ class Range(Node):
                                  f"delimiter {self.delim!r} appears in the inner alphabet"))
 
     @cached_property
+    def _starts(self) -> tuple:
+        return _count_starts(self.inner.size, self.min, self.max)
+
+    @cached_property
     def size(self):
-        return _count_up_to(self.inner.size, self.min, self.max + 1)
+        return self._starts[-1]
 
     @cached_property
     def chars(self):
@@ -1220,38 +1208,39 @@ class Range(Node):
         k = s.count(self.delim)
         return k if self.last_delimited else k + 1
 
-    def contains(self, s):
-        return _parses(self, s)
-
     def cut(self, s: str) -> list:
-        """The repetition texts of s, split on the delimiter, not checked."""
-        return (s[:-1] if self.last_delimited else s).split(self.delim)
+        """The repetition texts of s, split on the delimiter; ParseFailure
+        without the final delimiter (if one is due) or min..max texts. The
+        texts themselves are not checked."""
+        if self.last_delimited and not s.endswith(self.delim):
+            raise ParseFailure(f"a string of length {len(s)} lacks the final delimiter")
+        texts = (s[:-1] if self.last_delimited else s).split(self.delim)
+        if not self.min <= len(texts) <= self.max:
+            raise ParseFailure(f"{len(texts)} repetitions, expected {self.min}..{self.max}")
+        return texts
 
     def parse(self, s):
-        if self.last_delimited and not s.endswith(self.delim):
-            raise ParseFailure("missing final delimiter")
         texts = self.cut(s)
-        k = len(texts)
-        if not self.min <= k <= self.max:
-            raise ParseFailure(f"{k} repetitions, expected {self.min}..{self.max}")
         for i, t in enumerate(texts):
             if not self.inner.contains(t):
                 raise ParseFailure(f"piece {i} (length {len(t)}) fails the inner format")
-        return ParsePieces(tuple((t, 0) for t in texts), repetitions=k)
+        return ParsePieces(tuple((t, 0) for t in texts), repetitions=len(texts))
 
     def reassemble(self, pp):
-        body = self.delim.join(p for p, _ in pp.pieces)
+        return self._join([p for p, _ in pp.pieces])
+
+    def _join(self, texts) -> str:
+        body = self.delim.join(texts)
         return body + self.delim if self.last_delimited else body
 
     def members(self):
         for k in range(self.min, self.max + 1):
-            for tup in _tuple_stream([self.inner.members] * k):
-                yield self.reassemble(ParsePieces(tuple((t, 0) for t in tup)))
+            yield from map(self._join, _tuple_stream([self.inner.members] * k))
 
     def rank(self, s):
         texts = self.cut(s)
         base = self.inner.size
-        total = _count_up_to(base, self.min, len(texts))
+        total = self._starts[len(texts) - self.min]
         weight = 1
         for text in texts:
             total += self.inner.rank(text) * weight
@@ -1260,13 +1249,13 @@ class Range(Node):
 
     def unrank(self, v):
         base = self.inner.size
-        k = _recover_length(base, self.min, self.max, v)
-        v -= _count_up_to(base, self.min, k)
-        pieces = []
-        for _ in range(k):
+        i = bisect.bisect_right(self._starts, v) - 1
+        v -= self._starts[i]
+        texts = []
+        for _ in range(self.min + i):
             v, r = divmod(v, base)
-            pieces.append((self.inner.unrank(r), 0))
-        return self.reassemble(ParsePieces(tuple(pieces), k))
+            texts.append(self.inner.unrank(r))
+        return self._join(texts)
 
     def _split(self, max_size):
         if self.min == self.max:

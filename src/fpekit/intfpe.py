@@ -10,6 +10,7 @@ half, with rejection sampling to keep them uniform.
 from __future__ import annotations
 
 import hashlib
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
@@ -51,9 +52,12 @@ class IntFpeKey:
             raise BadParameter("need at least 3 rounds")
 
 
-def write_key_file(path, key: IntFpeKey) -> None:
-    """Store the secret as one hex line."""
-    with open(path, "w", encoding="ascii") as fh:
+def write_key_file(path, key: IntFpeKey, overwrite: bool = False) -> None:
+    """Store the secret as one hex line in a file only its owner can read.
+    An existing file raises FileExistsError unless overwrite is set."""
+    flags = os.O_WRONLY | os.O_CREAT | (os.O_TRUNC if overwrite else os.O_EXCL)
+    with open(os.open(path, flags, 0o600), "w", encoding="ascii") as fh:
+        os.fchmod(fh.fileno(), 0o600)
         fh.write(key.secret.hex() + "\n")
 
 
@@ -108,7 +112,7 @@ def balanced_factor(n: int):
 
 
 def _base_state(secret: bytes, tweak: bytes):
-    # built per Feistel pass: a cache here would keep secret keys in module state
+    # built per cycle walk: a cache here would keep secret keys in module state
     h = hashlib.shake_256()
     h.update(secret)
     h.update(len(tweak).to_bytes(4, "big"))
@@ -116,51 +120,66 @@ def _base_state(secret: bytes, tweak: bytes):
     return h
 
 
-def _round_output(base, round_no: int, modulus: int, value: int) -> int:
+def _half(modulus: int) -> tuple:
+    # a Feistel half's modulus, round-output digest length, and excess bits
     bits = (modulus - 1).bit_length()
-    if bits == 0:
-        return 0
     nbytes = (bits + 7) // 8
-    shift = nbytes * 8 - bits
-    ctr = 0
-    while True:
-        h = base.copy()
-        h.update(round_no.to_bytes(2, "big"))
-        h.update(ctr.to_bytes(4, "big"))
-        h.update(value.to_bytes(max(1, (value.bit_length() + 7) // 8), "big"))
-        out = int.from_bytes(h.digest(nbytes), "big") >> shift
-        if out < modulus:
-            return out
-        ctr += 1
+    return modulus, nbytes, nbytes * 8 - bits
+
+
+class _FeistelPass:
+    """The permutation over [0, n') for one key, tweak and domain size, with
+    its constants built once: the split a x b = n', each half's digest
+    length and shift, and the keyed SHAKE state."""
+
+    def __init__(self, key: IntFpeKey, tweak: bytes, n: int):
+        self.a, self.b, self.n2 = balanced_factor(n)
+        self.base = _base_state(key.secret, tweak)
+        self.rounds = key.rounds
+        self.halves = (_half(self.b), _half(self.a))  # by round parity
+
+    def apply(self, x: int, sign: int) -> int:
+        """The permutation (sign 1) or its inverse (sign -1) at x < n'.
+
+        Round i adds, to one half, SHAKE over the keyed state, i (2 bytes),
+        a counter (4 bytes) and the other half (minimal big-endian),
+        rejection-sampled below the half's modulus.
+        """
+        a, b, base, halves = self.a, self.b, self.base, self.halves
+        q, r = divmod(x, a)
+        for i in range(1, self.rounds + 1) if sign > 0 else range(self.rounds, 0, -1):
+            value = q if i % 2 else r
+            modulus, nbytes, shift = halves[i % 2]
+            k = (value.bit_length() + 7) // 8 or 1
+            msg = (i << 32) << (8 * k) | value
+            while True:
+                h = base.copy()
+                h.update(msg.to_bytes(6 + k, "big"))
+                f = int.from_bytes(h.digest(nbytes), "big") >> shift
+                if f < modulus:
+                    break
+                msg += 1 << (8 * k)  # the next counter
+            if i % 2:
+                r = (r + sign * f) % a
+            else:
+                q = (q + sign * f) % b
+        return a * q + r
+
+
+def _one_pass(key: IntFpeKey, tweak: bytes, n: int, x: int, sign: int) -> int:
+    fp = _FeistelPass(key, tweak, n)
+    if not 0 <= x < fp.n2:
+        raise InputOutOfDomain(f"{x} not in [0, {fp.n2})")
+    return fp.apply(x, sign)
 
 
 def feistel_encrypt(key: IntFpeKey, tweak: bytes, n: int, x: int) -> int:
     """One pass of the permutation over [0, n') where n' >= n."""
-    a, b, n2 = balanced_factor(n)
-    if not 0 <= x < n2:
-        raise InputOutOfDomain(f"{x} not in [0, {n2})")
-    q, r = divmod(x, a)
-    base = _base_state(key.secret, tweak)
-    for i in range(1, key.rounds + 1):
-        if i % 2:
-            r = (r + _round_output(base, i, a, q)) % a
-        else:
-            q = (q + _round_output(base, i, b, r)) % b
-    return a * q + r
+    return _one_pass(key, tweak, n, x, 1)
 
 
 def feistel_decrypt(key: IntFpeKey, tweak: bytes, n: int, x: int) -> int:
-    a, b, n2 = balanced_factor(n)
-    if not 0 <= x < n2:
-        raise InputOutOfDomain(f"{x} not in [0, {n2})")
-    q, r = divmod(x, a)
-    base = _base_state(key.secret, tweak)
-    for i in range(key.rounds, 0, -1):
-        if i % 2:
-            r = (r - _round_output(base, i, a, q)) % a
-        else:
-            q = (q - _round_output(base, i, b, r)) % b
-    return a * q + r
+    return _one_pass(key, tweak, n, x, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -183,59 +202,43 @@ class WalkRecorder:
         return out
 
 
-def cycle_walk_encrypt(
-    key, tweak: bytes, m_size: int, x: int, walk_budget: int = 10**6, recorder=None
-) -> int:
-    """Permute [0, m_size) by iterating the Feistel pass until it lands inside."""
+def _cycle_walk(key, tweak: bytes, m_size: int, x: int, walk_budget: int, recorder,
+                sign: int) -> int:
+    """Iterate the Feistel pass (sign 1) or its inverse (sign -1), built once
+    for the walk, until it lands inside [0, m_size)."""
     if m_size < 1:
         raise BadParameter(f"empty domain {m_size}")
     if not 0 <= x < m_size:
         raise InputOutOfDomain(f"{x} not in [0, {m_size})")
-    if m_size == 1:
-        if recorder is not None:
-            recorder.record(m_size, 0)
-        return 0
     y = x
     steps = 0
-    while True:
-        y = feistel_encrypt(key, tweak, m_size, y)
-        steps += 1
-        if y < m_size:
-            break
-        if steps >= walk_budget:
-            raise WalkBudgetExceeded(
-                f"no landing in [0, {m_size}) within {walk_budget} applications"
-            )
+    if m_size > 1:
+        fp = _FeistelPass(key, tweak, m_size)
+        while True:
+            y = fp.apply(y, sign)
+            steps += 1
+            if y < m_size:
+                break
+            if steps >= walk_budget:
+                raise WalkBudgetExceeded(
+                    f"no landing in [0, {m_size}) within {walk_budget} applications"
+                )
     if recorder is not None:
         recorder.record(m_size, steps)
     return y
+
+
+def cycle_walk_encrypt(
+    key, tweak: bytes, m_size: int, x: int, walk_budget: int = 10**6, recorder=None
+) -> int:
+    """Permute [0, m_size) by iterating the Feistel pass until it lands inside."""
+    return _cycle_walk(key, tweak, m_size, x, walk_budget, recorder, 1)
 
 
 def cycle_walk_decrypt(
     key, tweak: bytes, m_size: int, x: int, walk_budget: int = 10**6, recorder=None
 ) -> int:
-    if m_size < 1:
-        raise BadParameter(f"empty domain {m_size}")
-    if not 0 <= x < m_size:
-        raise InputOutOfDomain(f"{x} not in [0, {m_size})")
-    if m_size == 1:
-        if recorder is not None:
-            recorder.record(m_size, 0)
-        return 0
-    y = x
-    steps = 0
-    while True:
-        y = feistel_decrypt(key, tweak, m_size, y)
-        steps += 1
-        if y < m_size:
-            break
-        if steps >= walk_budget:
-            raise WalkBudgetExceeded(
-                f"no landing in [0, {m_size}) within {walk_budget} applications"
-            )
-    if recorder is not None:
-        recorder.record(m_size, steps)
-    return y
+    return _cycle_walk(key, tweak, m_size, x, walk_budget, recorder, -1)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotInFormat, OutOfRange, RankOutOfRange
+from .errors import NotInFormat, OutOfRange, ParseFailure, RankOutOfRange
 from .formats import SSN_SIZE, date_offset, ensure_valid, luhn_digit, offset_to_date
 
 __all__ = [
@@ -43,9 +43,11 @@ class Rank:
 def rank(spec, s: str) -> Rank:
     """Position of s in the format's canonical order."""
     ensure_valid(spec)
-    if not spec.contains(s):
-        raise NotInFormat(f"a string of length {len(s)} is not in the format")
-    return Rank(spec.rank(s), spec.size)
+    try:
+        value = spec.rank(s)
+    except ParseFailure:
+        raise NotInFormat.of(s) from None
+    return Rank(value, spec.size)
 
 
 def unrank(spec, r) -> str:

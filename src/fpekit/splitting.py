@@ -11,8 +11,10 @@ the vector itself does not encode. Greedy grouping keeps adjacent units
 together while the aggregate stays within the bound, which uses the fewest
 groups possible for a left-to-right partition.
 
-Membership is checked once per input, at the entry points here and in
-`cipher`; the plan walks and the nodes' `rank` cut members unchecked.
+Ranking is the membership check: every node's `rank` and every plan
+node's `rank_into` raise ParseFailure for a string that is no member, so
+the entry points here and in `cipher` walk each input once and report a
+plain NotInFormat. Unranking trusts its example; `unrank_multi` checks it.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .errors import (
     BadParameter,
     ExampleFormatMismatch,
     NotInFormat,
+    ParseFailure,
     VectorShapeMismatch,
 )
 
@@ -140,7 +143,7 @@ class UnionGroups:
     groups: tuple
 
     def _group_of(self, s):
-        part_idx = self.spec.part_of_lead[s[:1]]
+        part_idx = self.spec.part_of(s)
         return next(gi for gi, (lo, hi, _) in enumerate(self.groups) if lo <= part_idx < hi)
 
     def rank_into(self, s, out):
@@ -207,7 +210,10 @@ class LengthBands:
 
     def _band_of(self, s):
         m = self.spec.length_of(s)
-        return next(bi for bi, (lo, hi, _) in enumerate(self.bands) if lo <= m <= hi)
+        for bi, (lo, hi, _) in enumerate(self.bands):
+            if lo <= m <= hi:
+                return bi
+        raise ParseFailure(f"length {m} is in no band")
 
     def rank_into(self, s, out):
         self.bands[self._band_of(s)][2].rank_into(s, out)
@@ -225,7 +231,8 @@ class RepeatGroups:
     """A fixed repetition count split into runs of adjacent pieces.
 
     Every group keeps its own delimiters, so the rebuilt group strings
-    concatenate directly.
+    concatenate directly. The spec's `cut` checks the count and the final
+    delimiter.
     """
 
     spec: object
@@ -265,6 +272,8 @@ class CharBlocks:
     blocks: tuple
 
     def rank_into(self, s, out):
+        if len(s) != self.spec.width:
+            raise ParseFailure(f"length {len(s)}, expected {self.spec.width}")
         for lo, hi, sub in self.blocks:
             sub.rank_into(s[lo:hi], out)
 
@@ -288,6 +297,8 @@ class TrailingDelim:
     delim: str
 
     def rank_into(self, s, out):
+        if not s.endswith(self.delim):
+            raise ParseFailure(f"a string of length {len(s)} lacks the final delimiter")
         self.sub.rank_into(s[:-1], out)
 
     def unrank_from(self, cursor, f):
@@ -407,8 +418,9 @@ class CcnBlocks:
         return CcnBlocks(tuple(blocks))
 
     def rank_into(self, s, out):
+        payload = formats.ccn_payload(s)
         for lo, hi, width in self.blocks:
-            v = int(s[lo:hi])
+            v = int(payload[lo:hi])
             if width is None:
                 out.append((v, 10 ** (hi - lo)))
             else:
@@ -448,19 +460,20 @@ def build_plan(spec, max_size):
     return spec.plan(max_size)
 
 
-def require_member(spec, s: str) -> None:
-    """Raise NotInFormat unless the spec is valid and s is one of its members."""
-    formats.ensure_valid(spec)
-    if not spec.contains(s):
-        raise NotInFormat(f"a string of length {len(s)} is not in the format")
+def rank_slots(plan, s: str) -> list:
+    """The (rank, slot size) pairs of s under a plan, from one checked walk;
+    NotInFormat unless s is a member."""
+    out: list = []
+    try:
+        plan.rank_into(s, out)
+    except ParseFailure:
+        raise NotInFormat.of(s) from None
+    return out
 
 
 def rank_multi(spec, max_size, s: str) -> RankVector:
     """Rank s into bounded slots. With max_size None this is plain ranking."""
-    require_member(spec, s)
-    out: list = []
-    build_plan(spec, max_size).rank_into(s, out)
-    ranks, sizes = zip(*out)
+    ranks, sizes = zip(*rank_slots(build_plan(spec, max_size), s))
     return RankVector(tuple(ranks), tuple(sizes))
 
 
@@ -478,5 +491,7 @@ def unrank_multi(spec, max_size, vector: RankVector, example: str) -> str:
 
 def path_signature(spec, max_size, s: str):
     """The variant path a member takes through the plan; hashable."""
-    require_member(spec, s)
-    return build_plan(spec, max_size).path_signature(s)
+    plan = build_plan(spec, max_size)
+    if not spec.contains(s):
+        raise NotInFormat.of(s)
+    return plan.path_signature(s)

@@ -92,6 +92,20 @@ PREFIX_SPECS = [
     ("union_ssn_words", Union((Ssn(), VarString(1, 3, "abc")))),
 ]
 
+LOWER = "abcdefghijklmnopqrstuvwxyz"
+WORD = Concat((FixedString((LOWER.upper(),)), VarString(1, 9, LOWER)))
+# the acceptance suite's address record: street, town, number, zip, country
+ADDRESS = Concat(
+    (
+        Range(WORD, " ", 2, 4, last_delimited=False),
+        Range(WORD, " ", 1, 3, last_delimited=False),
+        IntegralDomain(1, 9999),
+        FixedString((DIGITS,) * 5),
+        Range(WORD, " ", 1, 2, last_delimited=False),
+    ),
+    (",", ",", ",", ","),
+)
+
 
 def by_name(name):
     for n, spec in SMALL_SPECS + PREFIX_SPECS:

@@ -1,5 +1,6 @@
 """Leakage grouping, sparse-set advantage, expansion measurements."""
 
+import re
 from datetime import date
 from fractions import Fraction
 from itertools import product
@@ -116,6 +117,15 @@ def test_expansion_and_cycles_on_a_tight_pair():
 def test_simplified_format_must_cover_the_original():
     with pytest.raises(NotSubset):
         expansion_and_cycles(VarString(1, 2, "ab"), VarString(1, 1, "ab"), trials=10)
+
+
+def test_not_subset_names_the_sample_but_not_its_text():
+    # every sample outside the simplified format is six letters of "qz"
+    with pytest.raises(NotSubset) as err:
+        expansion_and_cycles(VarString(5, 6, "qz"), VarString(5, 5, "qz"), trials=10)
+    message = str(err.value)
+    assert "sample" in message and "length 6" in message
+    assert not re.search("[qz]{6}", message)
 
 
 def test_transaction_formats_line_up():

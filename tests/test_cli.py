@@ -1,6 +1,7 @@
 """End-to-end command coverage through the real entry point."""
 
 import csv
+import stat
 import subprocess
 import sys
 
@@ -60,6 +61,20 @@ def test_keygen_writes_hex(tmp_path, run):
     assert text.endswith("\n")
     bytes.fromhex(text.strip())
     assert len(text.strip()) == 64
+
+
+def test_keygen_never_overwrites_silently_and_is_owner_only(tmp_path, run):
+    path = tmp_path / "key.hex"
+    assert run("keygen", "--out", str(path))[0] == 0
+    assert stat.S_IMODE(path.stat().st_mode) == 0o600
+    first = path.read_text()
+    code, _, err = run("keygen", "--out", str(path))
+    assert code != 0 and "--force" in err
+    assert path.read_text() == first
+    path.chmod(0o644)
+    assert run("keygen", "--force", "--out", str(path))[0] == 0
+    assert path.read_text() != first
+    assert stat.S_IMODE(path.stat().st_mode) == 0o600
 
 
 def test_keygen_rejects_other_sizes(tmp_path, run):

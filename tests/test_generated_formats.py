@@ -1,0 +1,203 @@
+"""Random valid format trees (depth at most 3) against the soundness contract.
+
+For every tree that validates: its members are distinct, there are size()
+of them, each is accepted, and the i-th has rank i; the checked rank walk,
+parse and every bounded plan accept exactly the members; and encryption of
+a small format under several slot bounds is a permutation that round-trips.
+"""
+
+from datetime import datetime, timedelta
+
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from fpekit import (
+    Ccn,
+    CipherConfig,
+    Concat,
+    Date,
+    DelimStringSet,
+    DelimVarString,
+    FixedString,
+    IntegralDomain,
+    IntFpeKey,
+    Range,
+    Ssn,
+    StringSet,
+    Union,
+    UnsplittableAtom,
+    VarString,
+    contains,
+    decrypt,
+    encrypt,
+    enumerate_members,
+    parse,
+    rank,
+    rank_multi,
+    size,
+    unrank,
+    unrank_multi,
+    validate,
+)
+from fpekit.errors import NotInFormat, ParseFailure
+
+LETTERS = "abcdefgh"
+DELIMS = ",;|-"
+ENUM_LIMIT = 1000  # formats up to this size are enumerated to the end
+SETTINGS = dict(
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
+)
+
+
+def charsets(pool):
+    return st.sets(st.sampled_from(pool), min_size=1, max_size=3).map("".join)
+
+
+def _date(days):
+    return datetime(2000, 1, 1) + timedelta(days=days)
+
+
+@st.composite
+def leaves(draw, pool):
+    kind = draw(st.sampled_from(
+        ["fixed", "var", "delim_var", "set", "delim_set", "prefix_free",
+         "integral", "date", "seconds", "ssn", "ccn"]
+    ))
+    if kind == "fixed":
+        return FixedString(tuple(draw(st.lists(charsets(pool), min_size=1, max_size=2))))
+    if kind in ("var", "delim_var"):
+        lo = draw(st.integers(0, 2))
+        hi = lo + draw(st.integers(0, 2))
+        if kind == "var":
+            return VarString(lo, hi, draw(charsets(pool)))
+        return DelimVarString(lo, hi, draw(charsets(pool)), draw(st.sampled_from(DELIMS)))
+    texts = st.lists(st.text(pool, max_size=3), min_size=1, max_size=3)
+    if kind == "set":
+        return StringSet(tuple(draw(texts)))
+    if kind == "delim_set":
+        d = draw(st.sampled_from(DELIMS))
+        return DelimStringSet(tuple(t + d for t in draw(texts)), d)
+    if kind == "prefix_free":
+        return DelimStringSet(tuple(draw(texts)), prefix_free=True)
+    if kind == "integral":
+        lo = draw(st.integers(-15, 15))
+        return IntegralDomain(lo, lo + draw(st.integers(0, 25)))
+    if kind == "date":
+        lo = draw(st.integers(0, 400))
+        return Date(_date(lo), _date(lo + draw(st.integers(0, 40))))
+    if kind == "seconds":
+        lo = _date(draw(st.integers(0, 400))) - timedelta(seconds=draw(st.integers(0, 9)))
+        return Date(lo, lo + timedelta(seconds=draw(st.integers(0, 30))), "second")
+    return Ssn() if kind == "ssn" else Ccn()
+
+
+def _pools(draw, pool, k):
+    """Disjoint character pools for k children, or the shared one."""
+    if draw(st.booleans()):
+        return [pool[i::k] or pool for i in range(k)]
+    return [pool] * k
+
+
+@st.composite
+def trees(draw, depth=3, pool=LETTERS):
+    if depth == 1 or draw(st.integers(0, 3)) == 0:
+        return draw(leaves(pool))
+    kind = draw(st.sampled_from(["union", "concat", "range"]))
+    if kind == "range":
+        inner = draw(trees(depth - 1, pool))
+        lo = draw(st.integers(1, 2))
+        hi = lo + draw(st.integers(0, 1))
+        return Range(inner, draw(st.sampled_from(DELIMS)), lo, hi, draw(st.booleans()))
+    k = draw(st.integers(2, 3))
+    parts = tuple(draw(trees(depth - 1, p)) for p in _pools(draw, pool, k))
+    if kind == "union":
+        return Union(parts)
+    delims = None
+    if draw(st.booleans()):
+        delims = tuple(draw(st.sampled_from(DELIMS)) for _ in range(k - 1))
+    return Concat(parts, delims)
+
+
+valid_trees = trees().filter(lambda spec: not validate(spec))
+
+
+def near_strings(spec, members):
+    """Strings over the format's alphabet, and members with one edit."""
+    chars = sorted(spec.chars) or ["a"]
+    edits = st.tuples(st.sampled_from(members), st.integers(0, 20), st.sampled_from(chars),
+                      st.sampled_from(["replace", "insert", "delete"]))
+
+    def edit(args):
+        m, pos, c, how = args
+        pos = pos % (len(m) + 1)
+        if how == "insert":
+            return m[:pos] + c + m[pos:]
+        if how == "delete":
+            return m[:pos] + m[pos + 1:]
+        return m[:pos] + c + m[pos + 1:]
+
+    return st.one_of(st.text(st.sampled_from(chars), max_size=12), edits.map(edit))
+
+
+@settings(max_examples=150, **SETTINGS)
+@given(valid_trees)
+def test_members_are_distinct_and_ranked_in_order(spec):
+    n = size(spec)
+    members = list(enumerate_members(spec, limit=ENUM_LIMIT + 1))
+    assert len(members) == (n if n <= ENUM_LIMIT else ENUM_LIMIT + 1), spec
+    members = members[:ENUM_LIMIT]
+    assert len(set(members)) == len(members)
+    for i, m in enumerate(members):
+        assert contains(spec, m), (spec, i)
+        assert rank(spec, m).value == i, (spec, i)
+        assert unrank(spec, i) == m, (spec, i)
+
+
+@settings(max_examples=150, **SETTINGS)
+@given(valid_trees, st.data())
+def test_checked_walks_accept_exactly_the_members(spec, data):
+    members = list(enumerate_members(spec, limit=50))
+    for _ in range(8):
+        s = data.draw(near_strings(spec, members))
+        member = contains(spec, s)
+        try:
+            r = spec.rank(s)
+        except ParseFailure:
+            assert not member
+        else:
+            assert member and unrank(spec, r) == s
+        try:
+            parse(spec, s)
+        except ParseFailure:
+            assert not member
+        else:
+            assert member
+        for bound in (2, 5):
+            try:
+                vec = rank_multi(spec, bound, s)
+            except UnsplittableAtom:
+                continue
+            except NotInFormat as e:
+                assert type(e) is NotInFormat and not member
+            else:
+                assert member and unrank_multi(spec, bound, vec, s) == s
+
+
+KEY = IntFpeKey(bytes(range(32)))
+
+
+@settings(max_examples=40, **SETTINGS)
+@given(valid_trees)
+def test_small_formats_encrypt_to_a_permutation(spec):
+    assume(size(spec) <= 300)
+    members = list(enumerate_members(spec))
+    for bound in (None, 2, 5):
+        cfg = CipherConfig(max_size=bound)
+        try:
+            images = [encrypt(cfg, KEY, spec, m) for m in members]
+        except UnsplittableAtom:
+            continue
+        assert sorted(images) == sorted(members), (spec, bound)
+        assert [decrypt(cfg, KEY, spec, c) for c in images] == members, (spec, bound)

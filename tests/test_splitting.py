@@ -16,7 +16,6 @@ from fpekit import (
     FixedString,
     IntegralDomain,
     IntFpeKey,
-    Range,
     RankVector,
     Ssn,
     StringSet,
@@ -47,7 +46,7 @@ from fpekit.splitting import (
     greedy_groups,
 )
 
-from corpus import SMALL_SPECS
+from corpus import ADDRESS, SMALL_SPECS
 
 DIGITS = "0123456789"
 BOUNDS = (2, 3, 7, 10, 64)
@@ -158,20 +157,6 @@ def test_vector_must_match_plan():
         unrank_multi(spec, 2, RankVector(vec.ranks + (0,), vec.sizes + (2,)), s)
     with pytest.raises(VectorShapeMismatch):
         unrank_multi(spec, 2, RankVector((0, 0, 0), (2, 2, 3)), s)
-
-
-LOWER = "abcdefghijklmnopqrstuvwxyz"
-WORD = Concat((FixedString((LOWER.upper(),)), VarString(1, 9, LOWER)))
-ADDRESS = Concat(
-    (
-        Range(WORD, " ", 2, 4, last_delimited=False),
-        Range(WORD, " ", 1, 3, last_delimited=False),
-        IntegralDomain(1, 9999),
-        FixedString(("0123456789",) * 5),
-        Range(WORD, " ", 1, 2, last_delimited=False),
-    ),
-    (",", ",", ",", ","),
-)
 
 
 @pytest.mark.parametrize("bound", [None, 2, 2**16])
