@@ -1,6 +1,11 @@
 """Exception types shared across the toolkit."""
 
 
+def outside(x: int, bound: int) -> str:
+    """x is not in [0, bound), told by its bit length: a rank encodes a plaintext."""
+    return f"a {'negative ' * (x < 0)}{x.bit_length()}-bit value is not in [0, {bound})"
+
+
 class FpeError(Exception):
     """Base class for every toolkit error."""
 

@@ -1,24 +1,25 @@
 """Keyed permutations of integer ranges [0, N).
 
-A balanced Feistel network runs over [0, N') where N' >= N is the nearest
-integer with a usable two-factor decomposition; cycle walking re-applies
-the permutation until the output lands inside [0, N). Round outputs come
-from SHAKE-256 over the key, the tweak, the round number, and the opposite
-half, with rejection sampling to keep them uniform.
+Up to SHUFFLE_LIMIT values, a keyed Fisher-Yates shuffle permutes [0, N)
+directly. Above it, a near-square Feistel network over [0, a*b), a = isqrt(N),
+is cycle-walked into [0, N). Every SHAKE-256 call binds the key, the tweak, N,
+the round count and a round number (0 for the shuffle); a Feistel round adds
+the other half and reduces an output 8 bytes longer than its modulus needs.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
+import struct
 from dataclasses import dataclass
-from functools import lru_cache
 from math import isqrt
 
 from .errors import (
     BadParameter,
     InputOutOfDomain,
     WalkBudgetExceeded,
+    outside,
 )
 
 __all__ = [
@@ -34,10 +35,6 @@ __all__ = [
     "write_key_file",
 ]
 
-# above this, trial division to the square root stops being a desk-scale cost
-_EXACT_FACTOR_LIMIT = 2**32
-
-
 @dataclass(frozen=True)
 class IntFpeKey:
     """A 32-byte secret plus the Feistel round count."""
@@ -48,8 +45,8 @@ class IntFpeKey:
     def __post_init__(self):
         if not isinstance(self.secret, bytes) or len(self.secret) != 32:
             raise BadParameter("secret must be exactly 32 bytes")
-        if self.rounds < 3:
-            raise BadParameter("need at least 3 rounds")
+        if not 3 <= self.rounds < 2**16:  # every XOF call binds it in 2 bytes
+            raise BadParameter("need from 3 to 65535 rounds")
 
 
 def write_key_file(path, key: IntFpeKey, overwrite: bool = False) -> None:
@@ -77,88 +74,63 @@ def read_key_file(path) -> IntFpeKey:
 # factoring the working range
 
 
-def _largest_small_divisor(m: int):
-    for d in range(isqrt(m), 1, -1):
-        if m % d == 0:
-            return d
-    return None
-
-
-@lru_cache(maxsize=None)
 def balanced_factor(n: int):
-    """(a, b, n') with a*b = n' >= n, 1 < a <= b, and b/a as small as possible.
-
-    Below 2**32 the decomposition is exact: the first n' at or above n that
-    has a nontrivial divisor pair. Above it, trial division is replaced by
-    a = isqrt(n), b = ceil(n / a), which stays near-square and expands the
-    range by less than one part in a.
-    """
+    """(a, b, n') with a*b = n' >= n, 2 <= a <= b <= a + 3: a = isqrt(n) and
+    b = ceil(n / a), floored at 2, so the range grows by less than a."""
     if n < 2:
         raise BadParameter(f"domain must have at least two values, got {n}")
-    if n > _EXACT_FACTOR_LIMIT:
-        a = isqrt(n)
-        b = -(-n // a)
-        return a, b, a * b
-    m = max(n, 4)
-    while True:
-        a = _largest_small_divisor(m)
-        if a is not None:
-            return a, m // a, m
-        m += 1
+    a = max(2, isqrt(n))
+    b = max(2, -(-n // a))
+    return a, b, a * b
 
 
 # ---------------------------------------------------------------------------
 # the Feistel permutation on [0, n')
 
 
-def _base_state(secret: bytes, tweak: bytes):
-    # built per cycle walk: a cache here would keep secret keys in module state
-    h = hashlib.shake_256()
-    h.update(secret)
-    h.update(len(tweak).to_bytes(4, "big"))
-    h.update(tweak)
+def _base_state(key: IntFpeKey, tweak: bytes, n: int):
+    # SHAKE-256 over the secret, tweak, domain size and round count, before each
+    # call's 2-byte round number; a cache would keep secret keys in module state
+    size = n.to_bytes((n.bit_length() + 7) // 8, "big")
+    h = hashlib.shake_256(key.secret + len(tweak).to_bytes(4, "big") + tweak)
+    h.update(len(size).to_bytes(4, "big") + size + key.rounds.to_bytes(2, "big"))
     return h
 
 
-def _half(modulus: int) -> tuple:
-    # a Feistel half's modulus, round-output digest length, and excess bits
-    bits = (modulus - 1).bit_length()
-    nbytes = (bits + 7) // 8
-    return modulus, nbytes, nbytes * 8 - bits
+def _half(modulus: int, other: int) -> tuple:
+    # a round that adds to the half below `modulus`, reading the half below
+    # `other`: the modulus, the digest length (8 bytes over the modulus's,
+    # so reducing it is biased by under 2**-64), and the value's width in bits
+    nbytes = ((modulus - 1).bit_length() + 7) // 8 + 8
+    width = ((other - 1).bit_length() + 7) // 8 * 8
+    return modulus, nbytes, width
 
 
 class _FeistelPass:
     """The permutation over [0, n') for one key, tweak and domain size, with
-    its constants built once: the split a x b = n', each half's digest
-    length and shift, and the keyed SHAKE state."""
+    its constants built once: the split a x b = n', each half's modulus,
+    digest length and message width, and the keyed SHAKE state."""
 
     def __init__(self, key: IntFpeKey, tweak: bytes, n: int):
         self.a, self.b, self.n2 = balanced_factor(n)
-        self.base = _base_state(key.secret, tweak)
+        self.base = _base_state(key, tweak, n)
         self.rounds = key.rounds
-        self.halves = (_half(self.b), _half(self.a))  # by round parity
+        self.halves = (_half(self.b, self.a), _half(self.a, self.b))  # by round parity
 
     def apply(self, x: int, sign: int) -> int:
         """The permutation (sign 1) or its inverse (sign -1) at x < n'.
 
-        Round i adds, to one half, SHAKE over the keyed state, i (2 bytes),
-        a counter (4 bytes) and the other half (minimal big-endian),
-        rejection-sampled below the half's modulus.
+        Round i adds, to one half, one SHAKE output over the keyed state, i
+        (2 bytes) and the other half (fixed width), reduced mod the half's
+        modulus.
         """
         a, b, base, halves = self.a, self.b, self.base, self.halves
         q, r = divmod(x, a)
         for i in range(1, self.rounds + 1) if sign > 0 else range(self.rounds, 0, -1):
-            value = q if i % 2 else r
-            modulus, nbytes, shift = halves[i % 2]
-            k = (value.bit_length() + 7) // 8 or 1
-            msg = (i << 32) << (8 * k) | value
-            while True:
-                h = base.copy()
-                h.update(msg.to_bytes(6 + k, "big"))
-                f = int.from_bytes(h.digest(nbytes), "big") >> shift
-                if f < modulus:
-                    break
-                msg += 1 << (8 * k)  # the next counter
+            modulus, nbytes, width = halves[i % 2]
+            h = base.copy()
+            h.update(((i << width) | (q if i % 2 else r)).to_bytes(2 + width // 8, "big"))
+            f = int.from_bytes(h.digest(nbytes), "big") % modulus
             if i % 2:
                 r = (r + sign * f) % a
             else:
@@ -169,7 +141,7 @@ class _FeistelPass:
 def _one_pass(key: IntFpeKey, tweak: bytes, n: int, x: int, sign: int) -> int:
     fp = _FeistelPass(key, tweak, n)
     if not 0 <= x < fp.n2:
-        raise InputOutOfDomain(f"{x} not in [0, {fp.n2})")
+        raise InputOutOfDomain(outside(x, fp.n2))
     return fp.apply(x, sign)
 
 
@@ -180,6 +152,28 @@ def feistel_encrypt(key: IntFpeKey, tweak: bytes, n: int, x: int) -> int:
 
 def feistel_decrypt(key: IntFpeKey, tweak: bytes, n: int, x: int) -> int:
     return _one_pass(key, tweak, n, x, -1)
+
+
+# ---------------------------------------------------------------------------
+# the keyed shuffle on [0, n) for tiny n
+
+# Domains up to this size are shuffled, not walked. CPython 3.11 on a 2-vCPU
+# x86-64 Xeon VM, per value enciphered: a shuffle costs about 2 us plus 0.15 us
+# per domain value, a 12-round Feistel walk about 20 us, so they meet near 120-140.
+SHUFFLE_LIMIT = 128
+
+
+def _shuffle(key: IntFpeKey, tweak: bytes, n: int) -> list:
+    """The keyed permutation of [0, n) as a list: a Fisher-Yates shuffle
+    whose n - 1 draws of 8 bytes come from one SHAKE output over the keyed
+    state and round number 0, which no Feistel round uses."""
+    h = _base_state(key, tweak, n)
+    h.update(bytes(2))
+    perm = list(range(n))
+    for i, d in zip(range(n - 1, 0, -1), struct.unpack(f">{n - 1}Q", h.digest(8 * (n - 1)))):
+        j = d % (i + 1)
+        perm[i], perm[j] = perm[j], perm[i]
+    return perm
 
 
 # ---------------------------------------------------------------------------
@@ -205,14 +199,17 @@ class WalkRecorder:
 def _cycle_walk(key, tweak: bytes, m_size: int, x: int, walk_budget: int, recorder,
                 sign: int) -> int:
     """Iterate the Feistel pass (sign 1) or its inverse (sign -1), built once
-    for the walk, until it lands inside [0, m_size)."""
+    for the walk, until it lands inside [0, m_size); a domain up to
+    SHUFFLE_LIMIT is shuffled instead, which counts as one step."""
     if m_size < 1:
         raise BadParameter(f"empty domain {m_size}")
     if not 0 <= x < m_size:
-        raise InputOutOfDomain(f"{x} not in [0, {m_size})")
-    y = x
-    steps = 0
-    if m_size > 1:
+        raise InputOutOfDomain(outside(x, m_size))
+    y, steps = x, 0
+    if 1 < m_size <= SHUFFLE_LIMIT:
+        perm = _shuffle(key, tweak, m_size)
+        y, steps = perm[x] if sign > 0 else perm.index(x), 1
+    elif m_size > 1:
         fp = _FeistelPass(key, tweak, m_size)
         while True:
             y = fp.apply(y, sign)
@@ -220,9 +217,8 @@ def _cycle_walk(key, tweak: bytes, m_size: int, x: int, walk_budget: int, record
             if y < m_size:
                 break
             if steps >= walk_budget:
-                raise WalkBudgetExceeded(
-                    f"no landing in [0, {m_size}) within {walk_budget} applications"
-                )
+                raise WalkBudgetExceeded(f"no landing in [0, {m_size}) "
+                                         f"within {walk_budget} applications")
     if recorder is not None:
         recorder.record(m_size, steps)
     return y
@@ -231,7 +227,7 @@ def _cycle_walk(key, tweak: bytes, m_size: int, x: int, walk_budget: int, record
 def cycle_walk_encrypt(
     key, tweak: bytes, m_size: int, x: int, walk_budget: int = 10**6, recorder=None
 ) -> int:
-    """Permute [0, m_size) by iterating the Feistel pass until it lands inside."""
+    """Permute [0, m_size): shuffle it, or walk the Feistel pass back into it."""
     return _cycle_walk(key, tweak, m_size, x, walk_budget, recorder, 1)
 
 
@@ -246,9 +242,7 @@ def cycle_walk_decrypt(
 
 
 class Fe1Backend:
-    """Feistel-then-walk enciphering of integer ranges."""
-
-    name = "fe1"
+    """Feistel-then-walk (or shuffle) enciphering of integer ranges."""
 
     def __init__(self, walk_budget: int = 10**6, recorder=None):
         self.walk_budget = walk_budget

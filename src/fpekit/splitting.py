@@ -29,6 +29,7 @@ from .errors import (
     NotInFormat,
     ParseFailure,
     VectorShapeMismatch,
+    outside,
 )
 
 __all__ = ["RankVector", "build_plan", "rank_multi", "unrank_multi", "path_signature"]
@@ -50,7 +51,7 @@ class RankVector:
             )
         for i, (r, n) in enumerate(zip(self.ranks, self.sizes)):
             if not 0 <= r < n:
-                raise VectorShapeMismatch(f"slot {i}: rank {r} not in [0, {n})")
+                raise VectorShapeMismatch(f"slot {i}: {outside(r, n)}")
 
     def __len__(self):
         return len(self.ranks)

@@ -1,6 +1,7 @@
-"""Integer range permutations: factoring, Feistel passes, cycle walking."""
+"""Integer range permutations: factoring, Feistel passes, shuffles, cycle walking."""
 
-from math import isqrt
+from collections import Counter
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -21,23 +22,13 @@ from fpekit import (
     read_key_file,
     write_key_file,
 )
+from fpekit.intfpe import SHUFFLE_LIMIT
 
 KEY = IntFpeKey(bytes(range(32)))
 
 
 # ---------------------------------------------------------------------------
 # factoring
-
-
-def exact_factor_oracle(n):
-    """Smallest composite at or above max(n, 4), split at its largest
-    divisor not exceeding the square root."""
-    m = max(n, 4)
-    while True:
-        for d in range(isqrt(m), 1, -1):
-            if m % d == 0:
-                return d, m // d, m
-        m += 1
 
 
 def test_balanced_factor_pins():
@@ -48,9 +39,14 @@ def test_balanced_factor_pins():
     assert balanced_factor(3) == (2, 2, 4)
 
 
-def test_balanced_factor_matches_oracle():
-    for n in list(range(2, 600)) + [997, 1024, 9973, 65537, 10**6 + 3]:
-        assert balanced_factor(n) == exact_factor_oracle(n), n
+def test_balanced_factor_is_near_square():
+    large = [2**32 + 1, 2_000_006, 999_999_937, 10**30, 2**256 - 1, 3**200, 2**2000]
+    for n in list(range(2, 200_000)) + large:
+        a, b, n2 = balanced_factor(n)
+        assert n2 == a * b >= n, n
+        assert 2 <= a <= b <= a + 3, n
+        if n >= 4:
+            assert n2 - n < a, n
 
 
 def test_balanced_factor_rejects_tiny_domains():
@@ -104,6 +100,14 @@ def test_feistel_depends_on_tweak_and_key():
     assert base != [feistel_encrypt(other, b"a", n, x) for x in range(50)]
 
 
+def test_feistel_binds_the_domain_size():
+    # 20000 and 20001 share the split 141 x 142, but not the round function
+    assert balanced_factor(20000) == balanced_factor(20001)
+    xs = range(0, 20000, 997)
+    assert [feistel_encrypt(KEY, b"n", 20000, x) for x in xs] != [
+        feistel_encrypt(KEY, b"n", 20001, x) for x in xs]
+
+
 def test_feistel_deterministic():
     xs = [feistel_encrypt(KEY, b"tweak", 12345, 77) for _ in range(3)]
     assert xs[0] == xs[1] == xs[2]
@@ -117,12 +121,56 @@ def test_feistel_handles_huge_domains():
     assert feistel_decrypt(KEY, b"big", n, y) == x
 
 
+def test_feistel_round_trips_on_a_2000_bit_domain():
+    # each half is 1,000 bits, so every round draws a 133-byte XOF output
+    n = 2**2000
+    for x in (0, 3**1200, n - 1):
+        y = feistel_encrypt(KEY, b"huge", n, x)
+        assert 0 <= y < n
+        assert y != x
+        assert feistel_decrypt(KEY, b"huge", n, y) == x
+
+
+def test_feistel_round_makes_one_xof_call(monkeypatch):
+    import fpekit.intfpe as intfpe
+
+    calls = []
+
+    class Counting:
+        def __init__(self, h):
+            self.h = h
+
+        def update(self, data):
+            self.h.update(data)
+
+        def copy(self):
+            return Counting(self.h.copy())
+
+        def digest(self, n):
+            calls.append(n)
+            return self.h.digest(n)
+
+    real = intfpe._base_state
+    monkeypatch.setattr(intfpe, "_base_state", lambda *args: Counting(real(*args)))
+    for n in (SHUFFLE_LIMIT + 1, 17_576, 2**40 + 3):
+        for x in (0, 1, n // 3):
+            calls.clear()
+            feistel_encrypt(KEY, b"count", n, x)
+            assert len(calls) == KEY.rounds, n
+    calls.clear()
+    cycle_walk_encrypt(KEY, b"count", SHUFFLE_LIMIT, 5)
+    assert len(calls) == 1
+
+
 def test_key_validation():
     with pytest.raises(BadParameter):
         IntFpeKey(b"short")
     with pytest.raises(BadParameter):
         IntFpeKey(bytes(32), rounds=2)
+    with pytest.raises(BadParameter):
+        IntFpeKey(bytes(32), rounds=2**16)
     IntFpeKey(bytes(32), rounds=3)
+    IntFpeKey(bytes(32), rounds=2**16 - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -146,30 +194,34 @@ def test_cycle_walk_trivial_domain_records_zero_steps():
 
 
 def test_cycle_walk_exact_fit_takes_one_step():
-    # 20 factors exactly, so every application already lands inside
-    rec = WalkRecorder()
-    for x in range(20):
-        cycle_walk_encrypt(KEY, b"fit", 20, x, recorder=rec)
-    assert {s for _, s in rec.events} == {1}
+    # 20 is shuffled; 400 = 20 x 20 is a Feistel domain that factors
+    # exactly, so every application already lands inside
+    for m in (20, 400):
+        rec = WalkRecorder()
+        for x in range(m):
+            cycle_walk_encrypt(KEY, b"fit", m, x, recorder=rec)
+        assert {s for _, s in rec.events} == {1}
 
 
 def test_cycle_walk_budget_exceeded():
-    # m = 5 walks inside [0, 8); find a tweak where some input needs more
-    # than one application, then a budget of one must fail exactly there
+    # the smallest Feistel domain that does not factor exactly walks inside
+    # [0, n'); find a tweak where some input needs more than one
+    # application, then a budget of one must fail exactly there
+    m = next(n for n in range(SHUFFLE_LIMIT + 1, 2 * SHUFFLE_LIMIT) if balanced_factor(n)[2] > n)
     for t in range(64):
         tweak = b"tight%d" % t
         walked = WalkRecorder()
-        for x in range(5):
-            cycle_walk_encrypt(KEY, tweak, 5, x, recorder=walked)
+        for x in range(m):
+            cycle_walk_encrypt(KEY, tweak, m, x, recorder=walked)
         long_walks = sum(1 for _, s in walked.events if s > 1)
         if long_walks:
             break
     else:
         pytest.fail("no tweak produced a multi-step walk")
     hits = 0
-    for x in range(5):
+    for x in range(m):
         try:
-            cycle_walk_encrypt(KEY, tweak, 5, x, walk_budget=1)
+            cycle_walk_encrypt(KEY, tweak, m, x, walk_budget=1)
         except WalkBudgetExceeded:
             hits += 1
     assert hits == long_walks > 0
@@ -180,6 +232,55 @@ def test_cycle_walk_rejects_bad_inputs():
         cycle_walk_encrypt(KEY, b"", 0, 0)
     with pytest.raises(InputOutOfDomain):
         cycle_walk_encrypt(KEY, b"", 5, 5)
+
+
+def test_out_of_domain_errors_give_the_bit_length_not_the_value():
+    x = 987654321
+    for call in (feistel_encrypt, feistel_decrypt, cycle_walk_encrypt, cycle_walk_decrypt):
+        with pytest.raises(InputOutOfDomain) as e:
+            call(KEY, b"", 1024, x)
+        assert str(x) not in str(e.value)
+        assert "30-bit" in str(e.value) and "[0, 1024)" in str(e.value)
+
+
+# ---------------------------------------------------------------------------
+# the keyed shuffle for domains up to SHUFFLE_LIMIT
+
+
+def _table(key, tweak, n):
+    return [cycle_walk_encrypt(key, tweak, n, x) for x in range(n)]
+
+
+def test_shuffle_is_a_keyed_permutation_that_round_trips():
+    other_key = IntFpeKey(bytes(32))
+    fewer_rounds = IntFpeKey(KEY.secret, rounds=6)
+    for n in range(2, SHUFFLE_LIMIT + 1):
+        rec = WalkRecorder()
+        table = [cycle_walk_encrypt(KEY, b"s", n, x, recorder=rec) for x in range(n)]
+        assert sorted(table) == list(range(n)), n
+        assert rec.events == [(n, 1)] * n
+        assert [cycle_walk_decrypt(KEY, b"s", n, y) for y in table] == list(range(n))
+        if n >= 6:
+            # at n < 6 two keys share a permutation too often to pin
+            assert table != _table(other_key, b"s", n), n
+            assert table != _table(KEY, b"t", n), n
+            assert table != _table(fewer_rounds, b"s", n), n
+
+
+def test_shuffle_variants_differ_on_tiny_domains():
+    # at n = 2 any two keyed permutations agree half the time, so compare
+    # over many tweaks instead
+    tweaks = [b"%d" % i for i in range(64)]
+    base = [_table(KEY, t, 2) for t in tweaks]
+    assert base != [_table(IntFpeKey(bytes(32)), t, 2) for t in tweaks]
+    assert base != [_table(IntFpeKey(KEY.secret, rounds=6), t, 2) for t in tweaks]
+    assert base != [_table(KEY, t + b"x", 2) for t in tweaks]
+
+
+def test_shuffle_spreads_over_all_permutations():
+    counts = Counter(tuple(_table(KEY, b"dist%d" % i, 3)) for i in range(1200))
+    assert set(counts) == set(permutations(range(3)))
+    assert all(140 <= c <= 260 for c in counts.values()), counts
 
 
 def test_recorder_histogram():

@@ -146,6 +146,13 @@ def test_rank_vector_validation():
         RankVector((-1,), (2,))
 
 
+def test_rank_vector_error_gives_the_bit_length_not_the_rank():
+    with pytest.raises(VectorShapeMismatch) as e:
+        RankVector((1, 987654321), (2, 1000))
+    assert "987654321" not in str(e.value)
+    assert "slot 1" in str(e.value) and "30-bit" in str(e.value) and "1000" in str(e.value)
+
+
 def test_vector_must_match_plan():
     spec = FixedString(("ab", "01", "xy"))
     s = "a0x"
