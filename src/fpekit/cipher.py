@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 from . import dsl
 from .errors import BadParameter, EntropyUnavailable
-from .intfpe import Fe1Backend, IntFpeKey
+from .intfpe import Fe1Backend, IntFpeKey, check_rounds
 from .splitting import Cursor, RankVector, build_plan, rank_slots
 
 __all__ = ["CipherConfig", "keygen", "format_fingerprint", "encrypt", "decrypt"]
@@ -33,8 +33,7 @@ class CipherConfig:
     def __post_init__(self):
         if self.max_size is not None and self.max_size < 2:
             raise BadParameter("max_size must be at least 2, or None for unbounded")
-        if self.rounds < 3:
-            raise BadParameter("need at least 3 rounds")
+        check_rounds(self.rounds)
 
 
 def keygen(bits: int = 256) -> IntFpeKey:

@@ -5,6 +5,11 @@ directly. Above it, a near-square Feistel network over [0, a*b), a = isqrt(N),
 is cycle-walked into [0, N). Every SHAKE-256 call binds the key, the tweak, N,
 the round count and a round number (0 for the shuffle); a Feistel round adds
 the other half and reduces an output 8 bytes longer than its modulus needs.
+
+An IntFpeKey builds each permutation once per (tweak, N), the Feistel pass
+(split, half constants, keyed state) or the shuffle table and its inverse, and
+keeps at most 256 (_KEY_CACHE_ENTRIES), emptied when it would hold more. The
+store dies with the key, and every output is the same as when built afresh.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import isqrt
 
 from .errors import (
@@ -35,18 +40,24 @@ __all__ = [
     "write_key_file",
 ]
 
+def check_rounds(rounds: int) -> None:
+    if not 3 <= rounds < 2**16:  # every XOF call binds it in 2 bytes
+        raise BadParameter("need from 3 to 65535 rounds")
+
+
 @dataclass(frozen=True)
 class IntFpeKey:
-    """A 32-byte secret plus the Feistel round count."""
+    """A 32-byte secret plus the Feistel round count, and the permutations
+    built under it so far (not compared, hashed or printed)."""
 
-    secret: bytes
+    secret: bytes = field(repr=False)
     rounds: int = 12
+    _permutations: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.secret, bytes) or len(self.secret) != 32:
             raise BadParameter("secret must be exactly 32 bytes")
-        if not 3 <= self.rounds < 2**16:  # every XOF call binds it in 2 bytes
-            raise BadParameter("need from 3 to 65535 rounds")
+        check_rounds(self.rounds)
 
 
 def write_key_file(path, key: IntFpeKey, overwrite: bool = False) -> None:
@@ -138,8 +149,24 @@ class _FeistelPass:
         return a * q + r
 
 
+# The most permutations a key keeps; 2^16-bounded address records use 49.
+_KEY_CACHE_ENTRIES = 256
+
+
+def _keyed(key: IntFpeKey, build, tweak: bytes, n: int):
+    """build(key, tweak, n), built once per key. A cache that grows past the
+    bound is emptied, one dict call, so threads sharing a key need no lock."""
+    cache = key._permutations
+    p = cache.get((build, tweak, n))
+    if p is None:
+        p = cache[build, tweak, n] = build(key, tweak, n)
+        if len(cache) > _KEY_CACHE_ENTRIES:
+            cache.clear()
+    return p
+
+
 def _one_pass(key: IntFpeKey, tweak: bytes, n: int, x: int, sign: int) -> int:
-    fp = _FeistelPass(key, tweak, n)
+    fp = _keyed(key, _FeistelPass, tweak, n)
     if not 0 <= x < fp.n2:
         raise InputOutOfDomain(outside(x, fp.n2))
     return fp.apply(x, sign)
@@ -163,17 +190,17 @@ def feistel_decrypt(key: IntFpeKey, tweak: bytes, n: int, x: int) -> int:
 SHUFFLE_LIMIT = 128
 
 
-def _shuffle(key: IntFpeKey, tweak: bytes, n: int) -> list:
-    """The keyed permutation of [0, n) as a list: a Fisher-Yates shuffle
-    whose n - 1 draws of 8 bytes come from one SHAKE output over the keyed
-    state and round number 0, which no Feistel round uses."""
+def _shuffle(key: IntFpeKey, tweak: bytes, n: int) -> tuple:
+    """The keyed permutation of [0, n) and its inverse, as two lists: a
+    Fisher-Yates shuffle whose n - 1 draws of 8 bytes come from one SHAKE
+    output over the keyed state and round number 0, which no Feistel round uses."""
     h = _base_state(key, tweak, n)
     h.update(bytes(2))
     perm = list(range(n))
     for i, d in zip(range(n - 1, 0, -1), struct.unpack(f">{n - 1}Q", h.digest(8 * (n - 1)))):
         j = d % (i + 1)
         perm[i], perm[j] = perm[j], perm[i]
-    return perm
+    return perm, sorted(range(n), key=perm.__getitem__)
 
 
 # ---------------------------------------------------------------------------
@@ -198,19 +225,19 @@ class WalkRecorder:
 
 def _cycle_walk(key, tweak: bytes, m_size: int, x: int, walk_budget: int, recorder,
                 sign: int) -> int:
-    """Iterate the Feistel pass (sign 1) or its inverse (sign -1), built once
-    for the walk, until it lands inside [0, m_size); a domain up to
-    SHUFFLE_LIMIT is shuffled instead, which counts as one step."""
+    """Iterate the key's Feistel pass (sign 1) or its inverse (sign -1) until
+    it lands inside [0, m_size); a domain up to SHUFFLE_LIMIT is shuffled
+    instead, which counts as one step."""
     if m_size < 1:
         raise BadParameter(f"empty domain {m_size}")
     if not 0 <= x < m_size:
         raise InputOutOfDomain(outside(x, m_size))
     y, steps = x, 0
     if 1 < m_size <= SHUFFLE_LIMIT:
-        perm = _shuffle(key, tweak, m_size)
-        y, steps = perm[x] if sign > 0 else perm.index(x), 1
+        perm, inverse = _keyed(key, _shuffle, tweak, m_size)
+        y, steps = (perm if sign > 0 else inverse)[x], 1
     elif m_size > 1:
-        fp = _FeistelPass(key, tweak, m_size)
+        fp = _keyed(key, _FeistelPass, tweak, m_size)
         while True:
             y = fp.apply(y, sign)
             steps += 1

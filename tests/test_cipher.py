@@ -192,6 +192,10 @@ def test_config_validation():
         CipherConfig(max_size=1)
     with pytest.raises(BadParameter):
         CipherConfig(rounds=2)
+    # the key binds the round count in 2 bytes, so the config checks the same range
+    with pytest.raises(BadParameter):
+        CipherConfig(rounds=70_000)
+    CipherConfig(rounds=2**16 - 1)
 
 
 def test_keygen_shapes():

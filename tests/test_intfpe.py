@@ -1,5 +1,8 @@
 """Integer range permutations: factoring, Feistel passes, shuffles, cycle walking."""
 
+import random
+import threading
+import weakref
 from collections import Counter
 from itertools import permutations
 
@@ -9,6 +12,7 @@ from hypothesis import strategies as st
 
 from fpekit import (
     BadParameter,
+    CipherConfig,
     Fe1Backend,
     InputOutOfDomain,
     IntFpeKey,
@@ -17,12 +21,20 @@ from fpekit import (
     balanced_factor,
     cycle_walk_decrypt,
     cycle_walk_encrypt,
+    decrypt,
+    encrypt,
     feistel_decrypt,
     feistel_encrypt,
+    format_fingerprint,
+    rank_multi,
     read_key_file,
+    unrank,
     write_key_file,
 )
+from fpekit import intfpe
 from fpekit.intfpe import SHUFFLE_LIMIT
+
+from corpus import ADDRESS
 
 KEY = IntFpeKey(bytes(range(32)))
 
@@ -332,3 +344,93 @@ def test_backend_round_trip_with_recorder():
     assert be.decrypt(KEY, b"t", 1000, y) == 123
     assert len(rec.events) == 2
     assert all(domain == 1000 for domain, _ in rec.events)
+
+
+# ---------------------------------------------------------------------------
+# the permutations a key keeps
+
+
+def test_key_repr_holds_no_secret():
+    key = IntFpeKey(bytes(range(32)))
+    cycle_walk_encrypt(key, b"r", 1000, 7)
+    for text in (repr(key), str(key)):
+        assert repr(key.secret) not in text
+        assert key.secret.hex() not in text
+        assert "_permutations" not in text
+
+
+def test_key_keeps_at_most_the_bound_of_permutations():
+    key = IntFpeKey(bytes(range(32)))
+    bound = intfpe._KEY_CACHE_ENTRIES
+    for t in range(3 * bound):
+        m = 1000 if t % 2 else SHUFFLE_LIMIT
+        x = t % m
+        y = cycle_walk_encrypt(key, b"b%d" % t, m, x)
+        assert cycle_walk_decrypt(key, b"b%d" % t, m, y) == x
+        assert len(key._permutations) <= bound
+    # emptying a full cache changes no output
+    assert cycle_walk_encrypt(IntFpeKey(key.secret), b"b1", 1000, 1) == cycle_walk_encrypt(
+        key, b"b1", 1000, 1)
+
+
+def test_keys_compare_and_hash_on_secret_and_rounds_only():
+    used, fresh = IntFpeKey(bytes(range(32))), IntFpeKey(bytes(range(32)))
+    feistel_encrypt(used, b"h", 5000, 3)
+    cycle_walk_encrypt(used, b"h", 50, 3)
+    assert used._permutations and not fresh._permutations
+    assert used == fresh and hash(used) == hash(fresh)
+    assert len({used, fresh}) == 1
+    assert used != IntFpeKey(bytes(range(32)), rounds=6)
+
+
+def test_a_dropped_key_is_freed_with_its_permutations():
+    key = IntFpeKey(bytes(range(1, 33)))
+    feistel_encrypt(key, b"w", 5000, 3)
+    cycle_walk_encrypt(key, b"w", 50, 3)
+    ref = weakref.ref(key)
+    del key
+    assert ref() is None
+
+
+def test_each_slot_permutation_is_built_once_per_key(monkeypatch):
+    calls = Counter()
+    real = intfpe._base_state
+
+    def counting(key, tweak, n):
+        calls[tweak, n] += 1
+        return real(key, tweak, n)
+
+    monkeypatch.setattr(intfpe, "_base_state", counting)
+    key = IntFpeKey(bytes(range(2, 34)))
+    cfg = CipherConfig(max_size=2**16)
+    record = "Elm Street,Dover,42,12345,France"
+    for _ in range(50):
+        assert decrypt(cfg, key, ADDRESS, encrypt(cfg, key, ADDRESS, record)) == record
+    fp = format_fingerprint(ADDRESS, cfg.max_size)
+    sizes = rank_multi(ADDRESS, cfg.max_size, record).sizes
+    assert calls == Counter((fp + i.to_bytes(4, "big"), n) for i, n in enumerate(sizes))
+
+
+def test_threads_sharing_a_key_give_the_serial_ciphertexts():
+    # distinct caller tweaks make more permutations than the key keeps, so
+    # the threads also race while the cache is emptied and refilled
+    rng = random.Random(6)
+    jobs = [(unrank(ADDRESS, rng.randrange(ADDRESS.size)), b"t%d" % i) for i in range(16)]
+    cfg = CipherConfig(max_size=2**16)
+    serial = [encrypt(cfg, IntFpeKey(bytes(range(32))), ADDRESS, m, t) for m, t in jobs]
+    shared = IntFpeKey(bytes(range(32)))
+    start = threading.Barrier(4)
+    results = [None] * 4
+
+    def work(k):
+        # each thread starts at a different record
+        start.wait()
+        order = list(range(4 * k, 16)) + list(range(4 * k))
+        results[k] = {i: encrypt(cfg, shared, ADDRESS, *jobs[i]) for i in order}
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert [[r[i] for i in range(16)] for r in results] == [serial] * 4
