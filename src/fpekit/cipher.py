@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import hashlib
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import dsl
 from .errors import BadParameter, EntropyUnavailable
-from .intfpe import Fe1Backend, IntFpeKey, check_rounds
+from .intfpe import Fe1Backend, IntFpeKey, check_rounds, with_rounds
 from .splitting import Cursor, RankVector, build_plan, rank_slots
 
 __all__ = ["CipherConfig", "keygen", "format_fingerprint", "encrypt", "decrypt"]
@@ -79,7 +79,7 @@ def _crypt(cfg: CipherConfig, key: IntFpeKey, spec, text: str, tweak, backend,
     if backend is None:
         backend = Fe1Backend(walk_budget=cfg.walk_budget)
     slot_fn = backend.decrypt if decrypting else backend.encrypt
-    k = key if key.rounds == cfg.rounds else replace(key, rounds=cfg.rounds)
+    k = with_rounds(key, cfg.rounds)
     fp = format_fingerprint(spec, cfg.max_size)
     extra = _as_bytes(tweak)
     slots = rank_slots(plan, text)

@@ -10,6 +10,16 @@ An IntFpeKey builds each permutation once per (tweak, N), the Feistel pass
 (split, half constants, keyed state) or the shuffle table and its inverse, and
 keeps at most 256 (_KEY_CACHE_ENTRIES), emptied when it would hold more. The
 store dies with the key, and every output is the same as when built afresh.
+
+A Feistel pass whose round function has at most TABLE_LIMIT distinct outputs
+tabulates it, in 16-bit rows, on the apply whose count matches the table's
+cost: the table takes E = ceil(r/2)*b + floor(r/2)*a XOF calls for r rounds,
+as many as E // r applies, so a pass used that often has paid for it. The
+point depends on the apply count only, never on the inputs, so an apply's
+time does not show which halves were seen before. A pass used fewer times
+costs one counter decrement per apply, one used exactly that often at most
+about twice its XOF calls. A key's 256 passes hold at most 2.4 MB of tables
+(1.9 MB under a 2^16 bound), and tables change no output.
 """
 
 from __future__ import annotations
@@ -17,7 +27,8 @@ from __future__ import annotations
 import hashlib
 import os
 import struct
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass, field, replace
 from math import isqrt
 
 from .errors import (
@@ -110,46 +121,102 @@ def _base_state(key: IntFpeKey, tweak: bytes, n: int):
 
 def _half(modulus: int, other: int) -> tuple:
     # a round that adds to the half below `modulus`, reading the half below
-    # `other`: the modulus, the digest length (8 bytes over the modulus's,
-    # so reducing it is biased by under 2**-64), and the value's width in bits
+    # `other`: the digest length (8 bytes over the modulus's, so reducing it
+    # is biased by under 2**-64), the other half's width in bits, and the
+    # message length (2 bytes of round number, then the other half)
     nbytes = ((modulus - 1).bit_length() + 7) // 8 + 8
     width = ((other - 1).bit_length() + 7) // 8 * 8
-    return modulus, nbytes, width
+    return nbytes, width, 2 + width // 8
+
+
+# A pass tabulates its round function when the table has at most this many
+# entries: every slot of a 2^16 bound at 12 rounds (at most 3,072). Every
+# half is then below it, so a row of 16-bit values holds any round output.
+TABLE_LIMIT = 4096
 
 
 class _FeistelPass:
     """The permutation over [0, n') for one key, tweak and domain size, with
-    its constants built once: the split a x b = n', each half's modulus,
-    digest length and message width, and the keyed SHAKE state."""
+    its constants built once: the split a x b = n', each half's digest
+    length and message width, and the keyed SHAKE state.
+
+    A pass whose table of round outputs has at most TABLE_LIMIT entries
+    counts its applies; the apply that brings the count `untabulated` to 0
+    builds the whole table, and every later apply reads it instead of
+    calling the XOF. Threads need no lock: a lost decrement only delays the
+    build, and two builds publish equal tables.
+    """
 
     def __init__(self, key: IntFpeKey, tweak: bytes, n: int):
-        self.a, self.b, self.n2 = balanced_factor(n)
+        a, b, self.n2 = balanced_factor(n)
+        self.a, self.b = a, b
         self.base = _base_state(key, tweak, n)
-        self.rounds = key.rounds
-        self.halves = (_half(self.b, self.a), _half(self.a, self.b))  # by round parity
+        self.rounds = rounds = key.rounds
+        self.halves = (_half(b, a), _half(a, b))  # by round parity
+        self.table = None
+        entries = (rounds + 1) // 2 * b + rounds // 2 * a
+        # the build costs `entries` XOF calls, as many as this many applies
+        self.untabulated = entries // rounds if entries <= TABLE_LIMIT else 0
 
     def apply(self, x: int, sign: int) -> int:
         """The permutation (sign 1) or its inverse (sign -1) at x < n'.
 
         Round i adds, to one half, one SHAKE output over the keyed state, i
-        (2 bytes) and the other half (fixed width), reduced mod the half's
-        modulus.
+        (2 bytes) and the other half (fixed width), mod the half's modulus:
+        odd rounds add to r mod a reading q, even rounds to q mod b reading r.
+        Adding the whole output and then reducing gives the same half as
+        adding the output reduced, which is what a table row holds.
         """
-        a, b, base, halves = self.a, self.b, self.base, self.halves
+        a, b = self.a, self.b
         q, r = divmod(x, a)
-        for i in range(1, self.rounds + 1) if sign > 0 else range(self.rounds, 0, -1):
-            modulus, nbytes, width = halves[i % 2]
-            h = base.copy()
-            h.update(((i << width) | (q if i % 2 else r)).to_bytes(2 + width // 8, "big"))
-            f = int.from_bytes(h.digest(nbytes), "big") % modulus
+        order = range(1, self.rounds + 1) if sign > 0 else range(self.rounds, 0, -1)
+        table = self.table
+        if table is None:
+            self.untabulated = left = self.untabulated - 1
+            if left:
+                base = self.base
+                (even_n, even_w, even_len), (odd_n, odd_w, odd_len) = self.halves
+                for i in order:
+                    h = base.copy()
+                    if i % 2:
+                        h.update(((i << odd_w) | q).to_bytes(odd_len, "big"))
+                        r = (r + sign * int.from_bytes(h.digest(odd_n), "big")) % a
+                    else:
+                        h.update(((i << even_w) | r).to_bytes(even_len, "big"))
+                        q = (q + sign * int.from_bytes(h.digest(even_n), "big")) % b
+                return a * q + r
+            table = self._tabulate()
+        for i in order:
             if i % 2:
-                r = (r + sign * f) % a
+                r = (r + sign * table[i - 1][q]) % a
             else:
-                q = (q + sign * f) % b
+                q = (q + sign * table[i - 1][r]) % b
         return a * q + r
 
+    def _tabulate(self) -> tuple:
+        """Every round's output for every value of the other half, as one row
+        of 16-bit values per round (a half is below TABLE_LIMIT), published
+        with one attribute store. The same SHAKE inputs as apply's, fed as
+        the round number and then each value of the other half."""
+        rows, messages = [], {}
+        for i in range(1, self.rounds + 1):
+            nbytes, width, _ = self.halves[i % 2]
+            modulus, other = (self.a, self.b) if i % 2 else (self.b, self.a)
+            if other not in messages:
+                messages[other] = [v.to_bytes(width // 8, "big") for v in range(other)]
+            head = self.base.copy()
+            head.update(i.to_bytes(2, "big"))
+            row = []
+            for m in messages[other]:
+                h = head.copy()
+                h.update(m)
+                row.append(int.from_bytes(h.digest(nbytes), "big") % modulus)
+            rows.append(array("H", row))
+        self.table = table = tuple(rows)
+        return table
 
-# The most permutations a key keeps; 2^16-bounded address records use 49.
+
+# The most permutations a key keeps; 210 address records at 2^16 use 52.
 _KEY_CACHE_ENTRIES = 256
 
 
@@ -163,6 +230,16 @@ def _keyed(key: IntFpeKey, build, tweak: bytes, n: int):
         if len(cache) > _KEY_CACHE_ENTRIES:
             cache.clear()
     return p
+
+
+def _set_rounds(key: IntFpeKey, _tweak: bytes, rounds: int) -> IntFpeKey:
+    return replace(key, rounds=rounds)
+
+
+def with_rounds(key: IntFpeKey, rounds: int) -> IntFpeKey:
+    """The key with another round count, built once and kept in the key's
+    store (under no tweak), so its own permutations are reused across calls."""
+    return key if key.rounds == rounds else _keyed(key, _set_rounds, b"", rounds)
 
 
 def _one_pass(key: IntFpeKey, tweak: bytes, n: int, x: int, sign: int) -> int:
@@ -184,9 +261,13 @@ def feistel_decrypt(key: IntFpeKey, tweak: bytes, n: int, x: int) -> int:
 # ---------------------------------------------------------------------------
 # the keyed shuffle on [0, n) for tiny n
 
-# Domains up to this size are shuffled, not walked. CPython 3.11 on a 2-vCPU
-# x86-64 Xeon VM, per value enciphered: a shuffle costs about 2 us plus 0.15 us
-# per domain value, a 12-round Feistel walk about 20 us, so they meet near 120-140.
+# Domains up to this size are shuffled, not walked. The value is part of the
+# ciphertext: changing it re-enciphers every domain between the old and the
+# new limit, a versioned break. With both built once per key, the shuffle is
+# still the cheaper at this size: at n = 128 its first call (the whole table)
+# takes about 28 us and a value 0.5 us after it, where at n = 129 a tabulated
+# 12-round pass takes 1.9 us a value, after a first call of 21 us and a table
+# of 138 XOF calls (CPython 3.11, 2-vCPU x86-64 Xeon VM).
 SHUFFLE_LIMIT = 128
 
 

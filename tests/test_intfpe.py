@@ -1,7 +1,9 @@
 """Integer range permutations: factoring, Feistel passes, shuffles, cycle walking."""
 
 import random
+import sys
 import threading
+import tracemalloc
 import weakref
 from collections import Counter
 from itertools import permutations
@@ -392,23 +394,42 @@ def test_a_dropped_key_is_freed_with_its_permutations():
     assert ref() is None
 
 
-def test_each_slot_permutation_is_built_once_per_key(monkeypatch):
+def _base_states_of_50_round_trips(monkeypatch, key, cfg):
+    """Count intfpe._base_state calls per (tweak, n, rounds) over 50
+    encrypt+decrypt round trips of one address record at 2^16. Returns the
+    counts, and the counts if each slot permutation is built exactly once."""
     calls = Counter()
     real = intfpe._base_state
 
     def counting(key, tweak, n):
-        calls[tweak, n] += 1
+        calls[tweak, n, key.rounds] += 1
         return real(key, tweak, n)
 
     monkeypatch.setattr(intfpe, "_base_state", counting)
-    key = IntFpeKey(bytes(range(2, 34)))
-    cfg = CipherConfig(max_size=2**16)
     record = "Elm Street,Dover,42,12345,France"
     for _ in range(50):
         assert decrypt(cfg, key, ADDRESS, encrypt(cfg, key, ADDRESS, record)) == record
     fp = format_fingerprint(ADDRESS, cfg.max_size)
     sizes = rank_multi(ADDRESS, cfg.max_size, record).sizes
-    assert calls == Counter((fp + i.to_bytes(4, "big"), n) for i, n in enumerate(sizes))
+    return calls, Counter((fp + i.to_bytes(4, "big"), n, cfg.rounds) for i, n in enumerate(sizes))
+
+
+def test_each_slot_permutation_is_built_once_per_key(monkeypatch):
+    key = IntFpeKey(bytes(range(2, 34)))
+    calls, once_each = _base_states_of_50_round_trips(monkeypatch, key, CipherConfig(max_size=2**16))
+    assert calls == once_each
+
+
+def test_a_config_round_count_builds_each_slot_permutation_once(monkeypatch):
+    # a 12-round key under an 8-round config: the 8-round key is derived
+    # once and kept in the key's store, with its own permutations
+    key = IntFpeKey(bytes(range(2, 34)))
+    cfg = CipherConfig(max_size=2**16, rounds=8)
+    calls, once_each = _base_states_of_50_round_trips(monkeypatch, key, cfg)
+    assert calls == once_each
+    record = "Elm Street,Dover,42,12345,France"
+    assert encrypt(cfg, key, ADDRESS, record) == encrypt(
+        cfg, IntFpeKey(key.secret, rounds=8), ADDRESS, record)
 
 
 def test_threads_sharing_a_key_give_the_serial_ciphertexts():
@@ -434,3 +455,184 @@ def test_threads_sharing_a_key_give_the_serial_ciphertexts():
     for t in threads:
         t.join()
     assert [[r[i] for i in range(16)] for r in results] == [serial] * 4
+
+
+# ---------------------------------------------------------------------------
+# tabulated round functions
+
+
+class _CountingState:
+    """A SHAKE state that notes the length of every digest it makes."""
+
+    def __init__(self, h, calls):
+        self.h, self.calls = h, calls
+
+    def update(self, data):
+        self.h.update(data)
+
+    def copy(self):
+        return _CountingState(self.h.copy(), self.calls)
+
+    def digest(self, n):
+        self.calls.append(n)
+        return self.h.digest(n)
+
+
+def _entries(n, rounds):
+    a, b, _ = balanced_factor(n)
+    return (rounds + 1) // 2 * b + rounds // 2 * a
+
+
+def _largest_tabulated(rounds):
+    # a table has at least rounds * isqrt(n) entries, so no n from here up
+    # is tabulated; search down
+    n = (intfpe.TABLE_LIMIT // rounds + 1) ** 2
+    while _entries(n, rounds) > intfpe.TABLE_LIMIT:
+        n -= 1
+    return n
+
+
+def _pass(key, tweak, n):
+    return intfpe._keyed(key, intfpe._FeistelPass, tweak, n)
+
+
+def _applies_to_build(key, tweak, n, xs):
+    """Encrypt and decrypt, alternately, the values xs under the key's pass
+    until it has built its table; the number of applies that took."""
+    p = _pass(key, tweak, n)
+    for count, x in enumerate(xs, 1):
+        (feistel_encrypt if count % 2 else feistel_decrypt)(key, tweak, n, x)
+        if p.table is not None:
+            return count
+    pytest.fail("the pass never built its table")
+
+
+def test_table_sizes_at_the_limit():
+    assert _entries(2**16, 12) == 3072 <= intfpe.TABLE_LIMIT
+    assert _largest_tabulated(12) == 341**2
+    for rounds in (3, 6, 12):
+        n = _largest_tabulated(rounds)
+        assert _entries(n, rounds) <= intfpe.TABLE_LIMIT < _entries(n + 1, rounds)
+
+
+@pytest.mark.parametrize("rounds", [3, 6, 12])
+def test_a_tabulated_pass_gives_the_untabulated_outputs(rounds, monkeypatch):
+    secret = bytes(range(32))
+    for n in (129, 676, 9_999, 17_576, 41_538, _largest_tabulated(rounds)):
+        n2 = balanced_factor(n)[2]
+        xs = range(n2) if n2 <= 20_000 else random.Random(n).sample(range(n2), 20_000)
+        key = IntFpeKey(secret, rounds=rounds)
+        _applies_to_build(key, b"tab", n, range(n2))
+        ys = [feistel_encrypt(key, b"tab", n, x) for x in xs]
+        back = [feistel_decrypt(key, b"tab", n, y) for y in ys]
+        assert back == list(xs), n
+        with monkeypatch.context() as m:
+            m.setattr(intfpe, "TABLE_LIMIT", 0)
+            fresh = IntFpeKey(secret, rounds=rounds)
+            assert ys == [feistel_encrypt(fresh, b"tab", n, x) for x in xs], n
+            # decrypt undoes encrypt on both sides, so a sample suffices
+            assert back[::10] == [feistel_decrypt(fresh, b"tab", n, y) for y in ys[::10]], n
+        assert _pass(fresh, b"tab", n).table is None
+
+
+def test_a_tabulated_apply_makes_no_xof_call(monkeypatch):
+    calls = []
+    real = intfpe._base_state
+    monkeypatch.setattr(intfpe, "_base_state", lambda *args: _CountingState(real(*args), calls))
+    key = IntFpeKey(bytes(range(3, 35)))
+    for n in (SHUFFLE_LIMIT + 1, 17_576, 2**16):
+        for x in range(400):
+            cycle_walk_encrypt(key, b"zero", n, x % n)
+        calls.clear()
+        y = feistel_encrypt(key, b"zero", n, 5)
+        assert feistel_decrypt(key, b"zero", n, y) == 5
+        assert cycle_walk_decrypt(key, b"zero", n, cycle_walk_encrypt(key, b"zero", n, 7)) == 7
+        assert calls == [], n
+
+
+def test_the_build_point_is_the_apply_count_not_the_inputs():
+    for n in (SHUFFLE_LIMIT + 1, 17_576, 2**16):
+        n2 = balanced_factor(n)[2]
+        spread = random.Random(n).sample(range(n2), n2)
+        points = [_applies_to_build(IntFpeKey(bytes(range(32))), b"when", n, xs)
+                  for xs in ([0] * n2, spread)]
+        assert points == [_entries(n, 12) // 12] * 2, n
+
+
+def test_an_untabulated_pass_never_builds_a_table():
+    n = _largest_tabulated(12) + 1
+    key = IntFpeKey(bytes(range(32)))
+    for x in range(2 * intfpe.TABLE_LIMIT // 12):
+        feistel_encrypt(key, b"never", n, x)
+    assert _pass(key, b"never", n).table is None
+
+
+def test_threads_racing_across_the_build_point_give_the_serial_ciphertexts():
+    # more threads than cores, switching as often as the interpreter allows,
+    # all crossing the build points of the same passes
+    rng = random.Random(7)
+    records = [unrank(ADDRESS, rng.randrange(ADDRESS.size)) for _ in range(40)]
+    cfg = CipherConfig(max_size=2**16)
+    secret = bytes(range(4, 36))
+    # a fresh key per record never reaches a build point
+    serial = [encrypt(cfg, IntFpeKey(secret), ADDRESS, m) for m in records]
+    shared = IntFpeKey(secret)
+    start = threading.Barrier(4, timeout=60)
+    results = [None] * 4
+
+    def work(k):
+        start.wait()
+        order = list(range(10 * k, 40)) + list(range(10 * k))
+        out = {}
+        for i in order:
+            out[i] = encrypt(cfg, shared, ADDRESS, records[i])
+            assert decrypt(cfg, shared, ADDRESS, out[i]) == records[i]
+        results[k] = out
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert [[r[i] for i in range(40)] for r in results] == [serial] * 4
+    passes = [p for p in shared._permutations.values() if isinstance(p, intfpe._FeistelPass)]
+    assert any(p.table is not None for p in passes)
+
+
+class _ZeroState:
+    """Stands in for a keyed SHAKE state: every digest reads as 0, and no
+    call allocates."""
+
+    def update(self, data):
+        pass
+
+    def copy(self):
+        return self
+
+    def digest(self, n):
+        return b"\0"
+
+
+def test_a_key_of_256_largest_tables_stays_under_3_mb(monkeypatch):
+    # a 16-bit row takes the same memory whatever its values, so the tables
+    # are built from a constant XOF: traced, the million SHAKE calls of 256
+    # real tables take over ten seconds
+    monkeypatch.setattr(intfpe, "_base_state", lambda *args: _ZeroState())
+    n = _largest_tabulated(12)
+    key = IntFpeKey(bytes(range(32)))
+    tracemalloc.start()
+    try:
+        for t in range(intfpe._KEY_CACHE_ENTRIES):
+            _pass(key, b"m%d" % t, n)._tabulate()
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(key._permutations) == intfpe._KEY_CACHE_ENTRIES
+    assert all(sum(map(len, p.table)) == _entries(n, 12) for p in key._permutations.values())
+    assert held < 3 * 2**20, held
