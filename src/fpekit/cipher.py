@@ -1,11 +1,12 @@
 """Format-preserving encryption of strings.
 
 Encrypt ranks the message into bounded slots, enciphers every slot rank
-with the integer backend, and unranks the new vector back into the format,
-using the message itself as the example that pins all value-dependent
-choices. Decrypt is the mirror image with the ciphertext as the example,
-so both directions walk the same slot structure. The rank walk is also
-the input's membership check; the unrank walk then takes it as a member.
+with the integer backend, and fills the message's template with the new
+ranks. One checked rank walk gives both the ranks and the template, which
+keeps every value-dependent choice of the message (union branch, length
+band, rank window) and its literal delimiters, so the ciphertext is
+`unrank(pi(ranks), path(message))` and the input is walked only once.
+Decrypt is the mirror image on the ciphertext, whose path is the message's.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 from . import dsl
 from .errors import BadParameter, EntropyUnavailable
 from .intfpe import Fe1Backend, IntFpeKey, check_rounds, with_rounds
-from .splitting import Cursor, RankVector, build_plan, rank_slots
+from .splitting import RankVector, build_plan, fill, rank_walk
 
 __all__ = ["CipherConfig", "keygen", "format_fingerprint", "encrypt", "decrypt"]
 
@@ -73,8 +74,8 @@ def _as_bytes(tweak) -> bytes:
 
 def _crypt(cfg: CipherConfig, key: IntFpeKey, spec, text: str, tweak, backend,
            decrypting: bool) -> str:
-    """Rank text into slots, map each slot through the backend, and unrank
-    the result with text as the example."""
+    """Rank text into slots, map each slot through the backend, and fill
+    text's template with the results."""
     plan = build_plan(spec, cfg.max_size)
     if backend is None:
         backend = Fe1Backend(walk_budget=cfg.walk_budget)
@@ -82,12 +83,10 @@ def _crypt(cfg: CipherConfig, key: IntFpeKey, spec, text: str, tweak, backend,
     k = with_rounds(key, cfg.rounds)
     fp = format_fingerprint(spec, cfg.max_size)
     extra = _as_bytes(tweak)
-    slots = rank_slots(plan, text)
+    slots, template = rank_walk(plan, text)
     ranks = tuple(slot_fn(k, _slot_tweak(fp, i, extra), n, r) for i, (r, n) in enumerate(slots))
-    cursor = Cursor(RankVector(ranks, tuple(n for _, n in slots)))
-    out = plan.unrank_from(cursor, text)
-    cursor.finish()
-    return out
+    # the backend may return anything: check its ranks before the fill
+    return fill(template, RankVector(ranks, tuple(n for _, n in slots)).ranks)
 
 
 def encrypt(cfg: CipherConfig, key: IntFpeKey, spec, message: str, tweak=b"", backend=None) -> str:

@@ -4,17 +4,20 @@ Each format node builds its own plan once per bound (`Node.plan`, with the
 per-type rules in each node's `_split`); this module holds the plan node
 types those rules assemble, the greedy grouping they share, the rank
 vector, and the public entry points. Ranking a member walks the plan and
-emits (rank, slot_size) pairs with every slot size at most the bound;
-unranking consumes such a vector and needs an example member to pin down
-the value-dependent choices (union branch, length band, rank window) that
-the vector itself does not encode. Greedy grouping keeps adjacent units
-together while the aggregate stays within the bound, which uses the fewest
-groups possible for a left-to-right partition.
+emits (rank, slot_size) pairs with every slot size at most the bound.
+The same walk writes a template of the member in output order: literal
+text (the delimiters between concat groups, a trailing delimiter) and one
+fill item per slot-bearing leaf, `(unrank, base)`. The template holds every
+value-dependent choice (union branch, length band, rank window) that the
+ranks themselves do not encode, so `fill` spells a member from new ranks
+in one flat pass, with no second walk over the plan. Greedy grouping keeps
+adjacent units together while the aggregate stays within the bound, which
+uses the fewest groups possible for a left-to-right partition.
 
 Ranking is the membership check: every node's `rank` and every plan
 node's `rank_into` raise ParseFailure for a string that is no member, so
 the entry points here and in `cipher` walk each input once and report a
-plain NotInFormat. Unranking trusts its example; `unrank_multi` checks it.
+plain NotInFormat. `unrank_multi` ranks its example with the same walk.
 """
 
 from __future__ import annotations
@@ -55,29 +58,6 @@ class RankVector:
 
     def __len__(self):
         return len(self.ranks)
-
-
-class Cursor:
-    def __init__(self, vector: RankVector):
-        self._pairs = list(zip(vector.ranks, vector.sizes))
-        self._pos = 0
-
-    def take(self, expected_size: int) -> int:
-        if self._pos >= len(self._pairs):
-            raise VectorShapeMismatch("rank vector exhausted")
-        r, n = self._pairs[self._pos]
-        if n != expected_size:
-            raise VectorShapeMismatch(
-                f"slot {self._pos}: vector size {n}, plan expects {expected_size}"
-            )
-        self._pos += 1
-        return r
-
-    def finish(self) -> None:
-        if self._pos != len(self._pairs):
-            raise VectorShapeMismatch(
-                f"{len(self._pairs) - self._pos} slots left unconsumed"
-            )
 
 
 def greedy_groups(sizes, max_size, combine):
@@ -122,11 +102,10 @@ class WholeSlot:
 
     spec: object
 
-    def rank_into(self, s, out):
-        out.append((self.spec.rank(s), self.spec.size))
-
-    def unrank_from(self, cursor, f):
-        return self.spec.unrank(cursor.take(self.spec.size))
+    def rank_into(self, s, slots, template):
+        spec = self.spec
+        slots.append((spec.rank(s), spec.size))
+        template.append((spec.unrank, 0))
 
     def path_signature(self, s):
         return ()
@@ -136,8 +115,8 @@ class WholeSlot:
 class UnionGroups:
     """Consecutive union parts grouped by summed size.
 
-    A member is ranked within its group only; which group applies is read
-    off the example during unranking, so the slot never encodes it.
+    A member is ranked within its group only; which group applies is kept
+    in the template, so the slot never encodes it.
     """
 
     spec: object
@@ -147,11 +126,8 @@ class UnionGroups:
         part_idx = self.spec.part_of(s)
         return next(gi for gi, (lo, hi, _) in enumerate(self.groups) if lo <= part_idx < hi)
 
-    def rank_into(self, s, out):
-        self.groups[self._group_of(s)][2].rank_into(s, out)
-
-    def unrank_from(self, cursor, f):
-        return self.groups[self._group_of(f)][2].unrank_from(cursor, f)
+    def rank_into(self, s, slots, template):
+        self.groups[self._group_of(s)][2].rank_into(s, slots, template)
 
     def path_signature(self, s):
         gi = self._group_of(s)
@@ -163,7 +139,7 @@ class ConcatGroups:
     """Consecutive concat parts grouped by multiplied size.
 
     Delimiters inside a group stay part of the group's sub-format; border
-    delimiters between groups are re-attached here.
+    delimiters between groups go into the template here.
     """
 
     spec: object
@@ -171,6 +147,8 @@ class ConcatGroups:
 
     def _group_texts(self, s):
         pieces = self.spec.cut(s)
+        if len(pieces) == len(self.groups):  # one part per group
+            return pieces
         texts = []
         for lo, hi, _ in self.groups:
             chunk = []
@@ -181,17 +159,12 @@ class ConcatGroups:
             texts.append("".join(chunk))
         return texts
 
-    def rank_into(self, s, out):
-        for (_, _, sub), text in zip(self.groups, self._group_texts(s)):
-            sub.rank_into(text, out)
-
-    def unrank_from(self, cursor, f):
-        out = []
-        for gi, ((_, _, sub), ft) in enumerate(zip(self.groups, self._group_texts(f))):
-            if gi > 0 and self.spec.delims is not None:
-                out.append(self.spec.delims[self.groups[gi - 1][1] - 1])
-            out.append(sub.unrank_from(cursor, ft))
-        return "".join(out)
+    def rank_into(self, s, slots, template):
+        delims = self.spec.delims
+        for (lo, _, sub), text in zip(self.groups, self._group_texts(s)):
+            if lo and delims is not None:
+                template.append(delims[lo - 1])
+            sub.rank_into(text, slots, template)
 
     def path_signature(self, s):
         return tuple(
@@ -216,11 +189,8 @@ class LengthBands:
                 return bi
         raise ParseFailure(f"length {m} is in no band")
 
-    def rank_into(self, s, out):
-        self.bands[self._band_of(s)][2].rank_into(s, out)
-
-    def unrank_from(self, cursor, f):
-        return self.bands[self._band_of(f)][2].unrank_from(cursor, f)
+    def rank_into(self, s, slots, template):
+        self.bands[self._band_of(s)][2].rank_into(s, slots, template)
 
     def path_signature(self, s):
         bi = self._band_of(s)
@@ -245,17 +215,10 @@ class RepeatGroups:
         body = sp.delim.join(texts[lo:hi])
         return body + sp.delim if delimited else body
 
-    def rank_into(self, s, out):
+    def rank_into(self, s, slots, template):
         texts = self.spec.cut(s)
         for lo, hi, sub in self.groups:
-            sub.rank_into(self._group_text(texts, lo, hi), out)
-
-    def unrank_from(self, cursor, f):
-        f_texts = self.spec.cut(f)
-        return "".join(
-            sub.unrank_from(cursor, self._group_text(f_texts, lo, hi))
-            for lo, hi, sub in self.groups
-        )
+            sub.rank_into(self._group_text(texts, lo, hi), slots, template)
 
     def path_signature(self, s):
         texts = self.spec.cut(s)
@@ -272,16 +235,11 @@ class CharBlocks:
     spec: object
     blocks: tuple
 
-    def rank_into(self, s, out):
+    def rank_into(self, s, slots, template):
         if len(s) != self.spec.width:
             raise ParseFailure(f"length {len(s)}, expected {self.spec.width}")
         for lo, hi, sub in self.blocks:
-            sub.rank_into(s[lo:hi], out)
-
-    def unrank_from(self, cursor, f):
-        return "".join(
-            sub.unrank_from(cursor, f[lo:hi]) for lo, hi, sub in self.blocks
-        )
+            sub.rank_into(s[lo:hi], slots, template)
 
     def path_signature(self, s):
         return tuple(
@@ -292,18 +250,16 @@ class CharBlocks:
 
 @dataclass(frozen=True)
 class TrailingDelim:
-    """Strip a trailing delimiter before the sub-plan, re-attach after."""
+    """Strip a trailing delimiter before the sub-plan; the template keeps it."""
 
     sub: object
     delim: str
 
-    def rank_into(self, s, out):
+    def rank_into(self, s, slots, template):
         if not s.endswith(self.delim):
             raise ParseFailure(f"a string of length {len(s)} lacks the final delimiter")
-        self.sub.rank_into(s[:-1], out)
-
-    def unrank_from(self, cursor, f):
-        return self.sub.unrank_from(cursor, f[:-1]) + self.delim
+        self.sub.rank_into(s[:-1], slots, template)
+        template.append(self.delim)
 
     def path_signature(self, s):
         return self.sub.path_signature(s[:-1])
@@ -311,7 +267,7 @@ class TrailingDelim:
 
 @dataclass(frozen=True)
 class RankWindow:
-    """Contiguous windows of the rank space, window chosen by the example.
+    """Contiguous windows of the rank space; the template keeps the window.
 
     The fallback for primitives with no positional structure to cut:
     integer ranges, dates, single oversized character positions.
@@ -323,15 +279,11 @@ class RankWindow:
     def _window_size(self, win):
         return min(self.width, self.spec.size - win * self.width)
 
-    def rank_into(self, s, out):
+    def rank_into(self, s, slots, template):
         r = self.spec.rank(s)
         win = r // self.width
-        out.append((r - win * self.width, self._window_size(win)))
-
-    def unrank_from(self, cursor, f):
-        win = self.spec.rank(f) // self.width
-        off = cursor.take(self._window_size(win))
-        return self.spec.unrank(win * self.width + off)
+        slots.append((r - win * self.width, self._window_size(win)))
+        template.append((self.spec.unrank, win * self.width))
 
     def path_signature(self, s):
         return (("w", self.spec.rank(s) // self.width),)
@@ -342,7 +294,7 @@ class SsnComponents:
     """Area, group, and serial as mixed-radix components, grouped greedily.
 
     A component whose own size exceeds the bound degrades to rank windows
-    over that component.
+    over that component. One fill item spells the id from all the slots.
     """
 
     groups: tuple
@@ -357,8 +309,9 @@ class SsnComponents:
                 groups.append((lo, hi, None))
         return SsnComponents(tuple(groups))
 
-    def rank_into(self, s, out):
+    def rank_into(self, s, slots, template):
         comp = formats.ssn_components(s)
+        bases = []
         for lo, hi, width in self.groups:
             if width is None:
                 r = 0
@@ -366,31 +319,20 @@ class SsnComponents:
                 for i in range(lo, hi):
                     r += comp[i] * w
                     w *= formats.SSN_COMPONENT_SIZES[i]
-                out.append((r, w))
+                slots.append((r, w))
+                bases.append(0)
             else:
-                win = comp[lo] // width
-                out.append(
-                    (
-                        comp[lo] - win * width,
-                        min(width, formats.SSN_COMPONENT_SIZES[lo] - win * width),
-                    )
-                )
+                base = comp[lo] - comp[lo] % width
+                slots.append((comp[lo] - base, min(width, formats.SSN_COMPONENT_SIZES[lo] - base)))
+                bases.append(base)
+        template.append((self._spell, tuple(bases)))
 
-    def unrank_from(self, cursor, f):
-        fc = formats.ssn_components(f)
+    def _spell(self, values):
+        """The id whose group values (base plus rank) these are."""
         comp = [0, 0, 0]
-        for lo, hi, width in self.groups:
-            if width is None:
-                w = 1
-                for i in range(lo, hi):
-                    w *= formats.SSN_COMPONENT_SIZES[i]
-                v = cursor.take(w)
-                for i in range(lo, hi):
-                    v, comp[i] = divmod(v, formats.SSN_COMPONENT_SIZES[i])
-            else:
-                win = fc[lo] // width
-                wsize = min(width, formats.SSN_COMPONENT_SIZES[lo] - win * width)
-                comp[lo] = win * width + cursor.take(wsize)
+        for (lo, hi, _), v in zip(self.groups, values):
+            for i in range(lo, hi):
+                v, comp[i] = divmod(v, formats.SSN_COMPONENT_SIZES[i])
         return formats.ssn_from_components(comp)
 
     def path_signature(self, s):
@@ -404,7 +346,8 @@ class SsnComponents:
 
 @dataclass(frozen=True)
 class CcnBlocks:
-    """Payload digits in positional blocks; the check digit is recomputed."""
+    """Payload digits in positional blocks; one fill item spells them all and
+    recomputes the check digit."""
 
     blocks: tuple
 
@@ -418,27 +361,23 @@ class CcnBlocks:
                 blocks.append((lo, hi, None))
         return CcnBlocks(tuple(blocks))
 
-    def rank_into(self, s, out):
+    def rank_into(self, s, slots, template):
         payload = formats.ccn_payload(s)
+        bases = []
         for lo, hi, width in self.blocks:
             v = int(payload[lo:hi])
             if width is None:
-                out.append((v, 10 ** (hi - lo)))
+                slots.append((v, 10 ** (hi - lo)))
+                bases.append(0)
             else:
-                win = v // width
-                out.append((v - win * width, min(width, 10 - win * width)))
+                base = v - v % width
+                slots.append((v - base, min(width, 10 - base)))
+                bases.append(base)
+        template.append((self._spell, tuple(bases)))
 
-    def unrank_from(self, cursor, f):
-        digits = []
-        for lo, hi, width in self.blocks:
-            if width is None:
-                v = cursor.take(10 ** (hi - lo))
-                digits.append(f"{v:0{hi - lo}d}")
-            else:
-                win = int(f[lo:hi]) // width
-                wsize = min(width, 10 - win * width)
-                digits.append(str(win * width + cursor.take(wsize)))
-        payload = "".join(digits)
+    def _spell(self, values):
+        """The card number whose block values (base plus rank) these are."""
+        payload = "".join(f"{v:0{hi - lo}d}" for (lo, hi, _), v in zip(self.blocks, values))
         return payload + formats.luhn_digit(payload)
 
     def path_signature(self, s):
@@ -461,33 +400,66 @@ def build_plan(spec, max_size):
     return spec.plan(max_size)
 
 
-def rank_slots(plan, s: str) -> list:
-    """The (rank, slot size) pairs of s under a plan, from one checked walk;
-    NotInFormat unless s is a member."""
-    out: list = []
+def rank_walk(plan, s: str):
+    """The (rank, slot size) pairs of s under a plan and the template that
+    spells s from them, from one checked walk; NotInFormat unless s is a
+    member."""
+    slots: list = []
+    template: list = []
     try:
-        plan.rank_into(s, out)
+        plan.rank_into(s, slots, template)
     except ParseFailure:
         raise NotInFormat.of(s) from None
-    return out
+    return slots, template
+
+
+def fill(template, ranks) -> str:
+    """Spell a rank walk's template with new slot ranks, in one flat pass.
+
+    Text items stay as they are. A fill item `(unrank, base)` takes the next
+    rank and spells `unrank(base + rank)`; a leaf that spans several slots
+    gives a tuple of bases, one per slot, and its unrank takes the list of
+    sums. The ranks must fit the template's slot sizes: `RankVector` checks
+    them against the walk's sizes before any fill.
+    """
+    it = iter(ranks)
+    out = []
+    for item in template:
+        if item.__class__ is str:
+            out.append(item)
+        else:
+            unrank, base = item
+            if base.__class__ is int:
+                out.append(unrank(base + next(it)))
+            else:
+                out.append(unrank([b + next(it) for b in base]))
+    return "".join(out)
 
 
 def rank_multi(spec, max_size, s: str) -> RankVector:
     """Rank s into bounded slots. With max_size None this is plain ranking."""
-    ranks, sizes = zip(*rank_slots(build_plan(spec, max_size), s))
-    return RankVector(tuple(ranks), tuple(sizes))
+    ranks, sizes = zip(*rank_walk(build_plan(spec, max_size), s)[0])
+    return RankVector(ranks, sizes)
 
 
 def unrank_multi(spec, max_size, vector: RankVector, example: str) -> str:
-    """Rebuild a member from slot ranks, using the example member to choose
-    every branch the vector does not encode."""
-    formats.ensure_valid(spec)
-    if not spec.contains(example):
-        raise ExampleFormatMismatch(f"the example (length {len(example)}) is not in the format")
-    cursor = Cursor(vector)
-    result = build_plan(spec, max_size).unrank_from(cursor, example)
-    cursor.finish()
-    return result
+    """Rebuild a member from slot ranks, taking every choice the vector does
+    not encode from one checked rank walk of the example member."""
+    plan = build_plan(spec, max_size)
+    try:
+        slots, template = rank_walk(plan, example)
+    except NotInFormat:
+        raise ExampleFormatMismatch(
+            f"the example (length {len(example)}) is not in the format"
+        ) from None
+    sizes = tuple(n for _, n in slots)
+    if vector.sizes != sizes:
+        bad = next((i for i, (a, b) in enumerate(zip(vector.sizes, sizes)) if a != b), None)
+        raise VectorShapeMismatch(
+            f"{len(vector)} slots, the example has {len(sizes)}" if bad is None
+            else f"slot {bad}: vector size {vector.sizes[bad]}, the example's is {sizes[bad]}"
+        )
+    return fill(template, vector.ranks)
 
 
 def path_signature(spec, max_size, s: str):

@@ -3,7 +3,8 @@
 For every tree that validates: its members are distinct, there are size()
 of them, each is accepted, and the i-th has rank i; the checked rank walk,
 parse and every bounded plan accept exactly the members; and encryption of
-a small format under several slot bounds is a permutation that round-trips.
+a small format under several slot bounds is a permutation that round-trips
+and keeps each member's path through the slot plan.
 """
 
 from datetime import datetime, timedelta
@@ -32,6 +33,7 @@ from fpekit import (
     encrypt,
     enumerate_members,
     parse,
+    path_signature,
     rank,
     rank_multi,
     size,
@@ -201,3 +203,25 @@ def test_small_formats_encrypt_to_a_permutation(spec):
             continue
         assert sorted(images) == sorted(members), (spec, bound)
         assert [decrypt(cfg, KEY, spec, c) for c in images] == members, (spec, bound)
+
+
+@settings(max_examples=40, **SETTINGS)
+@given(valid_trees)
+def test_encryption_keeps_the_path_and_permutes_each_path_class(spec):
+    assume(size(spec) <= 300)
+    members = list(enumerate_members(spec))
+    for bound in (2, 5, 17):
+        cfg = CipherConfig(max_size=bound)
+        try:
+            images = [encrypt(cfg, KEY, spec, m) for m in members]
+        except UnsplittableAtom:
+            continue
+        classes = {}
+        for m, c in zip(members, images):
+            path = path_signature(spec, bound, m)
+            assert path_signature(spec, bound, c) == path, (spec, bound, m)
+            ms, cs = classes.setdefault(path, ([], []))
+            ms.append(m)
+            cs.append(c)
+        for path, (ms, cs) in classes.items():
+            assert sorted(cs) == sorted(ms), (spec, bound, path)

@@ -16,6 +16,7 @@ from fpekit import (
     FixedString,
     IntegralDomain,
     IntFpeKey,
+    Range,
     RankVector,
     Ssn,
     StringSet,
@@ -187,6 +188,76 @@ def test_deep_non_members_are_rejected(bound, record):
     ):
         with pytest.raises(NotInFormat):
             call()
+
+
+# ---------------------------------------------------------------------------
+# one rank walk per input: the template, not a second walk, spells the output
+
+RECORD = "Elm Street Ave,Dover,42,12345,France"
+
+
+@pytest.fixture
+def cuts(monkeypatch):
+    """A one-item list counting the calls to Concat.cut and Range.cut."""
+    count = [0]
+    for cls in (Concat, Range):
+        def counted(self, s, real=cls.cut):
+            count[0] += 1
+            return real(self, s)
+        monkeypatch.setattr(cls, "cut", counted)
+    return count
+
+
+def test_unrank_multi_walks_its_example_once(cuts):
+    for bound in (None, 2**16):
+        cuts[0] = 0
+        vec = rank_multi(ADDRESS, bound, RECORD)
+        ranked = cuts[0]
+        cuts[0] = 0
+        assert unrank_multi(ADDRESS, bound, vec, RECORD) == RECORD
+        assert ranked > 0 and cuts[0] == ranked, bound
+
+
+def test_encrypt_and_decrypt_cut_each_input_once(cuts):
+    cfg = CipherConfig(max_size=2**16)
+    key = IntFpeKey(bytes(32))
+    rank_multi(ADDRESS, cfg.max_size, RECORD)
+    ranked = cuts[0]
+    cuts[0] = 0
+    c = encrypt(cfg, key, ADDRESS, RECORD)
+    assert cuts[0] == ranked
+    cuts[0] = 0
+    assert decrypt(cfg, key, ADDRESS, c) == RECORD
+    assert cuts[0] == ranked
+
+
+class _SizeBackend:
+    """An integer backend that answers n, one past the last rank, for every
+    slot of size n, and keeps the ranks it was handed."""
+
+    def __init__(self):
+        self.ranks = []
+
+    def encrypt(self, key, tweak, n, r):
+        self.ranks.append(r)
+        return n
+
+    decrypt = encrypt
+
+
+@pytest.mark.parametrize("bound", [None, 2**16])
+def test_backend_ranks_are_checked_before_the_fill(bound):
+    backend = _SizeBackend()
+    with pytest.raises(VectorShapeMismatch) as e:
+        encrypt(CipherConfig(max_size=bound), IntFpeKey(bytes(32)), ADDRESS, RECORD,
+                backend=backend)
+    text = str(e.value)
+    assert text.startswith("slot 0: ") and "-bit value is not in [0, " in text
+    # the words only: the digits of a slot size may hold "42" by chance
+    for piece in (RECORD, "Elm", "Street", "Ave", "Dover", "France"):
+        assert piece not in text
+    if bound is None:  # one slot, whose plaintext rank has about 136 digits
+        assert str(backend.ranks[0]) not in text
 
 
 def test_example_must_be_a_member():
