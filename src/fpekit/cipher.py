@@ -17,8 +17,9 @@ from dataclasses import dataclass
 
 from . import dsl
 from .errors import BadParameter, EntropyUnavailable
-from .intfpe import Fe1Backend, IntFpeKey, check_rounds, with_rounds
-from .splitting import RankVector, build_plan, fill, rank_walk
+from .intfpe import (Fe1Backend, IntFpeKey, check_rounds, check_walk_budget, crypt_slots,
+                     slot_tweak, with_rounds)
+from .splitting import build_plan, check_ranks, fill, rank_walk
 
 __all__ = ["CipherConfig", "keygen", "format_fingerprint", "encrypt", "decrypt"]
 
@@ -35,6 +36,7 @@ class CipherConfig:
         if self.max_size is not None and self.max_size < 2:
             raise BadParameter("max_size must be at least 2, or None for unbounded")
         check_rounds(self.rounds)
+        check_walk_budget(self.walk_budget)
 
 
 def keygen(bits: int = 256) -> IntFpeKey:
@@ -64,29 +66,29 @@ def format_fingerprint(spec, max_size) -> bytes:
     return fp
 
 
-def _slot_tweak(fingerprint: bytes, index: int, tweak: bytes) -> bytes:
-    return fingerprint + index.to_bytes(4, "big") + tweak
-
-
 def _as_bytes(tweak) -> bytes:
     return tweak.encode("utf-8") if isinstance(tweak, str) else bytes(tweak)
 
 
 def _crypt(cfg: CipherConfig, key: IntFpeKey, spec, text: str, tweak, backend,
            decrypting: bool) -> str:
-    """Rank text into slots, map each slot through the backend, and fill
-    text's template with the results."""
+    """Rank text into slots, map them through the backend (an Fe1Backend in
+    one crypt_slots call), and fill text's template with the results."""
     plan = build_plan(spec, cfg.max_size)
     if backend is None:
         backend = Fe1Backend(walk_budget=cfg.walk_budget)
-    slot_fn = backend.decrypt if decrypting else backend.encrypt
     k = with_rounds(key, cfg.rounds)
     fp = format_fingerprint(spec, cfg.max_size)
     extra = _as_bytes(tweak)
     slots, template = rank_walk(plan, text)
-    ranks = tuple(slot_fn(k, _slot_tweak(fp, i, extra), n, r) for i, (r, n) in enumerate(slots))
+    if isinstance(backend, Fe1Backend):
+        ranks = crypt_slots(k, fp, extra, slots, decrypting, backend.walk_budget, backend.recorder)
+    else:
+        slot_fn = backend.decrypt if decrypting else backend.encrypt
+        ranks = [slot_fn(k, slot_tweak(fp, i, extra), n, r) for i, (r, n) in enumerate(slots)]
     # the backend may return anything: check its ranks before the fill
-    return fill(template, RankVector(ranks, tuple(n for _, n in slots)).ranks)
+    check_ranks(ranks, [n for _, n in slots])
+    return fill(template, ranks)
 
 
 def encrypt(cfg: CipherConfig, key: IntFpeKey, spec, message: str, tweak=b"", backend=None) -> str:

@@ -6,9 +6,10 @@ is cycle-walked into [0, N). Every SHAKE-256 call binds the key, the tweak, N,
 the round count and a round number (0 for the shuffle); a Feistel round adds
 the other half and reduces an output 8 bytes longer than its modulus needs.
 
-An IntFpeKey builds each permutation once per (tweak, N), the Feistel pass
-(split, half constants, keyed state) or the shuffle table and its inverse, and
-keeps at most 256 (_KEY_CACHE_ENTRIES), emptied when it would hold more. The
+An IntFpeKey builds each permutation once, the Feistel pass (split, half
+constants, keyed state) or the shuffle table and its inverse, and keeps at most
+256 (_KEY_CACHE_ENTRIES), emptied when it would hold more. crypt_slots finds a
+record's slots by index and size under the record's fingerprint and tweak. The
 store dies with the key, and every output is the same as when built afresh.
 
 A Feistel pass whose round function has at most TABLE_LIMIT distinct outputs
@@ -18,8 +19,9 @@ as many as E // r applies, so a pass used that often has paid for it. The
 point depends on the apply count only, never on the inputs, so an apply's
 time does not show which halves were seen before. A pass used fewer times
 costs one counter decrement per apply, one used exactly that often at most
-about twice its XOF calls. A key's 256 passes hold at most 2.4 MB of tables
-(1.9 MB under a 2^16 bound), and tables change no output.
+about twice its XOF calls. A table is read in (odd, even) round pairs. A key's
+256 passes hold at most 2.4 MB of tables (1.9 MB under a 2^16 bound), and
+tables change no output.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ __all__ = [
     "feistel_decrypt",
     "cycle_walk_encrypt",
     "cycle_walk_decrypt",
+    "crypt_slots",
     "WalkRecorder",
     "Fe1Backend",
     "read_key_file",
@@ -54,6 +57,11 @@ __all__ = [
 def check_rounds(rounds: int) -> None:
     if not 3 <= rounds < 2**16:  # every XOF call binds it in 2 bytes
         raise BadParameter("need from 3 to 65535 rounds")
+
+
+def check_walk_budget(walk_budget: int) -> None:
+    if walk_budget < 1:
+        raise BadParameter("walk_budget must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -153,13 +161,14 @@ class _FeistelPass:
         self.base = _base_state(key, tweak, n)
         self.rounds = rounds = key.rounds
         self.halves = (_half(b, a), _half(a, b))  # by round parity
-        self.table = None
+        self.table = self.pairs = self.last = None
         entries = (rounds + 1) // 2 * b + rounds // 2 * a
         # the build costs `entries` XOF calls, as many as this many applies
         self.untabulated = entries // rounds if entries <= TABLE_LIMIT else 0
 
-    def apply(self, x: int, sign: int) -> int:
-        """The permutation (sign 1) or its inverse (sign -1) at x < n'.
+    def walk(self, x: int, m: int, sign: int, budget: int) -> tuple:
+        """(value, applies): the permutation (sign 1) or its inverse (sign -1)
+        applied to x < n' until it lands in [0, m), at most `budget` times.
 
         Round i adds, to one half, one SHAKE output over the keyed state, i
         (2 bytes) and the other half (fixed width), mod the half's modulus:
@@ -168,36 +177,44 @@ class _FeistelPass:
         adding the output reduced, which is what a table row holds.
         """
         a, b = self.a, self.b
-        q, r = divmod(x, a)
-        order = range(1, self.rounds + 1) if sign > 0 else range(self.rounds, 0, -1)
-        table = self.table
-        if table is None:
-            self.untabulated = left = self.untabulated - 1
-            if left:
-                base = self.base
+        for steps in range(1, budget + 1):
+            q, r = divmod(x, a)
+            pairs = self.pairs
+            if pairs is None:
+                self.untabulated = left = self.untabulated - 1
+                pairs = None if left else self._tabulate()
+            if pairs is None:
                 (even_n, even_w, even_len), (odd_n, odd_w, odd_len) = self.halves
-                for i in order:
-                    h = base.copy()
+                for i in range(1, self.rounds + 1) if sign > 0 else range(self.rounds, 0, -1):
+                    h = self.base.copy()
                     if i % 2:
                         h.update(((i << odd_w) | q).to_bytes(odd_len, "big"))
                         r = (r + sign * int.from_bytes(h.digest(odd_n), "big")) % a
                     else:
                         h.update(((i << even_w) | r).to_bytes(even_len, "big"))
                         q = (q + sign * int.from_bytes(h.digest(even_n), "big")) % b
-                return a * q + r
-            table = self._tabulate()
-        for i in order:
-            if i % 2:
-                r = (r + sign * table[i - 1][q]) % a
+            elif sign > 0:
+                for odd, even in pairs:
+                    r = (r + odd[q]) % a
+                    q = (q + even[r]) % b
+                if self.last is not None:
+                    r = (r + self.last[q]) % a
             else:
-                q = (q + sign * table[i - 1][r]) % b
-        return a * q + r
+                if self.last is not None:
+                    r = (r - self.last[q]) % a
+                for odd, even in reversed(pairs):
+                    q = (q - even[r]) % b
+                    r = (r - odd[q]) % a
+            x = a * q + r
+            if x < m:
+                return x, steps
+        raise WalkBudgetExceeded(f"no landing in [0, {m}) within {budget} applications")
 
     def _tabulate(self) -> tuple:
         """Every round's output for every value of the other half, as one row
-        of 16-bit values per round (a half is below TABLE_LIMIT), published
-        with one attribute store. The same SHAKE inputs as apply's, fed as
-        the round number and then each value of the other half."""
+        of 16-bit values per round (a half is below TABLE_LIMIT), published as
+        (odd, even) round pairs stored after the last odd row. The same SHAKE
+        inputs as walk's: the round number, then each value of the other half."""
         rows, messages = [], {}
         for i in range(1, self.rounds + 1):
             nbytes, width, _ = self.halves[i % 2]
@@ -212,23 +229,26 @@ class _FeistelPass:
                 h.update(m)
                 row.append(int.from_bytes(h.digest(nbytes), "big") % modulus)
             rows.append(array("H", row))
-        self.table = table = tuple(rows)
-        return table
+        self.table, self.last = tuple(rows), rows[-1] if len(rows) % 2 else None
+        self.pairs = pairs = tuple(zip(rows[::2], rows[1::2]))
+        return pairs
 
 
 # The most permutations a key keeps; 210 address records at 2^16 use 52.
 _KEY_CACHE_ENTRIES = 256
 
 
-def _keyed(key: IntFpeKey, build, tweak: bytes, n: int):
-    """build(key, tweak, n), built once per key. A cache that grows past the
-    bound is emptied, one dict call, so threads sharing a key need no lock."""
-    cache = key._permutations
-    p = cache.get((build, tweak, n))
+def _keyed(key: IntFpeKey, build, tweak: bytes, n: int, k=None):
+    """build(key, tweak, n), built once per key and kept under k, by default
+    (build, tweak, n). A store past the bound is emptied, one dict call, so
+    threads sharing a key need no lock."""
+    store = key._permutations
+    k = k or (build, tweak, n)
+    p = store.get(k)
     if p is None:
-        p = cache[build, tweak, n] = build(key, tweak, n)
-        if len(cache) > _KEY_CACHE_ENTRIES:
-            cache.clear()
+        p = store[k] = build(key, tweak, n)
+        if len(store) > _KEY_CACHE_ENTRIES:
+            store.clear()
     return p
 
 
@@ -246,7 +266,7 @@ def _one_pass(key: IntFpeKey, tweak: bytes, n: int, x: int, sign: int) -> int:
     fp = _keyed(key, _FeistelPass, tweak, n)
     if not 0 <= x < fp.n2:
         raise InputOutOfDomain(outside(x, fp.n2))
-    return fp.apply(x, sign)
+    return fp.walk(x, fp.n2, sign, 1)[0]
 
 
 def feistel_encrypt(key: IntFpeKey, tweak: bytes, n: int, x: int) -> int:
@@ -306,7 +326,7 @@ class WalkRecorder:
 
 def _cycle_walk(key, tweak: bytes, m_size: int, x: int, walk_budget: int, recorder,
                 sign: int) -> int:
-    """Iterate the key's Feistel pass (sign 1) or its inverse (sign -1) until
+    """Walk the key's Feistel pass (sign 1) or its inverse (sign -1) until
     it lands inside [0, m_size); a domain up to SHUFFLE_LIMIT is shuffled
     instead, which counts as one step."""
     if m_size < 1:
@@ -315,18 +335,9 @@ def _cycle_walk(key, tweak: bytes, m_size: int, x: int, walk_budget: int, record
         raise InputOutOfDomain(outside(x, m_size))
     y, steps = x, 0
     if 1 < m_size <= SHUFFLE_LIMIT:
-        perm, inverse = _keyed(key, _shuffle, tweak, m_size)
-        y, steps = (perm if sign > 0 else inverse)[x], 1
+        y, steps = _keyed(key, _shuffle, tweak, m_size)[sign < 0][x], 1
     elif m_size > 1:
-        fp = _keyed(key, _FeistelPass, tweak, m_size)
-        while True:
-            y = fp.apply(y, sign)
-            steps += 1
-            if y < m_size:
-                break
-            if steps >= walk_budget:
-                raise WalkBudgetExceeded(f"no landing in [0, {m_size}) "
-                                         f"within {walk_budget} applications")
+        y, steps = _keyed(key, _FeistelPass, tweak, m_size).walk(x, m_size, sign, walk_budget)
     if recorder is not None:
         recorder.record(m_size, steps)
     return y
@@ -345,6 +356,33 @@ def cycle_walk_decrypt(
     return _cycle_walk(key, tweak, m_size, x, walk_budget, recorder, -1)
 
 
+def slot_tweak(fingerprint: bytes, index: int, tweak: bytes) -> bytes:
+    return fingerprint + index.to_bytes(4, "big") + tweak
+
+
+def crypt_slots(key, fingerprint: bytes, tweak: bytes, slots, decrypting: bool,
+                walk_budget: int, recorder=None) -> list:
+    """The new ranks of a record's (rank, size) slots: what cycle_walk_encrypt
+    (or decrypt) gives each under its slot_tweak, one recorder event a slot.
+    The key keeps a slot's permutation under (fingerprint, tweak, index,
+    size), so the slot tweak is built only to build the permutation."""
+    store, sign, out = key._permutations, -1 if decrypting else 1, []
+    for i, (x, n) in enumerate(slots):
+        if not 0 <= x < n:
+            raise InputOutOfDomain(f"slot {i}: {outside(x, n)}")
+        y, steps = x, 0
+        if n > 1:
+            p = store.get((fingerprint, tweak, i, n))
+            if p is None:
+                p = _keyed(key, _shuffle if n <= SHUFFLE_LIMIT else _FeistelPass,
+                           slot_tweak(fingerprint, i, tweak), n, (fingerprint, tweak, i, n))
+            y, steps = p.walk(x, n, sign, walk_budget) if n > SHUFFLE_LIMIT else (p[decrypting][x], 1)
+        if recorder is not None:
+            recorder.record(n, steps)
+        out.append(y)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # the integer backend
 
@@ -353,6 +391,7 @@ class Fe1Backend:
     """Feistel-then-walk (or shuffle) enciphering of integer ranges."""
 
     def __init__(self, walk_budget: int = 10**6, recorder=None):
+        check_walk_budget(walk_budget)
         self.walk_budget = walk_budget
         self.recorder = recorder
 

@@ -48,16 +48,19 @@ class RankVector:
     def __post_init__(self):
         object.__setattr__(self, "ranks", tuple(self.ranks))
         object.__setattr__(self, "sizes", tuple(self.sizes))
-        if len(self.ranks) != len(self.sizes):
-            raise VectorShapeMismatch(
-                f"{len(self.ranks)} ranks against {len(self.sizes)} sizes"
-            )
-        for i, (r, n) in enumerate(zip(self.ranks, self.sizes)):
-            if not 0 <= r < n:
-                raise VectorShapeMismatch(f"slot {i}: {outside(r, n)}")
+        check_ranks(self.ranks, self.sizes)
 
     def __len__(self):
         return len(self.ranks)
+
+
+def check_ranks(ranks, sizes) -> None:
+    """VectorShapeMismatch, naming the slot, unless each size has a rank below it."""
+    if len(ranks) != len(sizes):
+        raise VectorShapeMismatch(f"{len(ranks)} ranks against {len(sizes)} sizes")
+    for i, (r, n) in enumerate(zip(ranks, sizes)):
+        if not 0 <= r < n:
+            raise VectorShapeMismatch(f"slot {i}: {outside(r, n)}")
 
 
 def greedy_groups(sizes, max_size, combine):
@@ -419,7 +422,7 @@ def fill(template, ranks) -> str:
     Text items stay as they are. A fill item `(unrank, base)` takes the next
     rank and spells `unrank(base + rank)`; a leaf that spans several slots
     gives a tuple of bases, one per slot, and its unrank takes the list of
-    sums. The ranks must fit the template's slot sizes: `RankVector` checks
+    sums. The ranks must fit the template's slot sizes: `check_ranks` checks
     them against the walk's sizes before any fill.
     """
     it = iter(ranks)

@@ -17,7 +17,9 @@ from fpekit import (
     Ssn,
     Union,
     VarString,
+    WalkBudgetExceeded,
     WalkRecorder,
+    balanced_factor,
     contains,
     decrypt,
     encrypt,
@@ -206,3 +208,27 @@ def test_keygen_shapes():
     assert keygen().secret != keygen().secret
     with pytest.raises(BadParameter):
         keygen(192)
+
+
+def test_a_walk_past_the_budget_fails_on_the_default_path():
+    # 26 x 26 x 15 = 10,140 values on a 100 x 102 Feistel range: a few
+    # inputs need a second application, which a budget of one does not
+    # allow. Upper-case members cannot show up in the lower-case message.
+    upper = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+    spec = FixedString((upper, upper, upper[:15]))
+    assert balanced_factor(spec.size)[2] > spec.size
+    rec = WalkRecorder()
+    for r in range(spec.size):
+        encrypt(CipherConfig(), KEY_A, spec, unrank(spec, r), backend=Fe1Backend(recorder=rec))
+    walked = [r for r, (_, steps) in enumerate(rec.events) if steps > 1]
+    assert walked
+    for r in walked:
+        m = unrank(spec, r)
+        with pytest.raises(WalkBudgetExceeded) as e:
+            encrypt(CipherConfig(walk_budget=1), KEY_A, spec, m)
+        assert m not in str(e.value) and str(r) not in str(e.value), r
+    for r in range(0, spec.size, 97):
+        if r not in walked:
+            m = unrank(spec, r)
+            assert encrypt(CipherConfig(walk_budget=1), KEY_A, spec, m) == encrypt(
+                CipherConfig(), KEY_A, spec, m)

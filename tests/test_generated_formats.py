@@ -3,13 +3,14 @@
 For every tree that validates: its members are distinct, there are size()
 of them, each is accepted, and the i-th has rank i; the checked rank walk,
 parse and every bounded plan accept exactly the members; and encryption of
-a small format under several slot bounds is a permutation that round-trips
-and keeps each member's path through the slot plan.
+a small format under several slot bounds is a permutation that round-trips,
+keeps each member's path through the slot plan, and is the same whether the
+integer backend takes a record's slots in one call or one slot at a time.
 """
 
 from datetime import datetime, timedelta
 
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from fpekit import (
@@ -19,6 +20,7 @@ from fpekit import (
     Date,
     DelimStringSet,
     DelimVarString,
+    Fe1Backend,
     FixedString,
     IntegralDomain,
     IntFpeKey,
@@ -28,6 +30,7 @@ from fpekit import (
     Union,
     UnsplittableAtom,
     VarString,
+    WalkRecorder,
     contains,
     decrypt,
     encrypt,
@@ -42,6 +45,8 @@ from fpekit import (
     validate,
 )
 from fpekit.errors import NotInFormat, ParseFailure
+
+from corpus import ADDRESS
 
 LETTERS = "abcdefgh"
 DELIMS = ",;|-"
@@ -225,3 +230,64 @@ def test_encryption_keeps_the_path_and_permutes_each_path_class(spec):
             cs.append(c)
         for path, (ms, cs) in classes.items():
             assert sorted(cs) == sorted(ms), (spec, bound, path)
+
+
+class _PerSlotBackend:
+    """Forwards every slot to an Fe1Backend, one call a slot: a backend that
+    is not an Fe1Backend, so cipher takes its per-slot loop."""
+
+    def __init__(self, recorder):
+        self.inner = Fe1Backend(recorder=recorder)
+
+    def encrypt(self, key, tweak, n, x):
+        return self.inner.encrypt(key, tweak, n, x)
+
+    def decrypt(self, key, tweak, n, x):
+        return self.inner.decrypt(key, tweak, n, x)
+
+
+def _routes_agree(spec, bound, members) -> list:
+    """Encrypt and decrypt each member by the default path, an injected
+    Fe1Backend (one call a record) and a per-slot stub forwarding to
+    Fe1Backend; all three must give the same outputs, and the two recorders
+    the same events, one per slot in slot order. Returns the slot sizes seen."""
+    cfg = CipherConfig(max_size=bound)
+    vector, per_slot = WalkRecorder(), WalkRecorder()
+    seen = []
+    for m in members:
+        sizes = list(rank_multi(spec, bound, m).sizes)
+        c = encrypt(cfg, KEY, spec, m)
+        assert encrypt(cfg, KEY, spec, m, backend=Fe1Backend(recorder=vector)) == c
+        assert encrypt(cfg, KEY, spec, m, backend=_PerSlotBackend(per_slot)) == c
+        assert decrypt(cfg, KEY, spec, c) == m
+        assert decrypt(cfg, KEY, spec, c, backend=Fe1Backend(recorder=vector)) == m
+        assert decrypt(cfg, KEY, spec, c, backend=_PerSlotBackend(per_slot)) == m
+        assert [n for n, _ in vector.events] == sizes * 2, (spec, bound, m)
+        assert vector.events == per_slot.events, (spec, bound, m)
+        vector.events.clear()
+        per_slot.events.clear()
+        seen += sizes
+    return seen
+
+
+# the member "x" is one slot of one value under bound 2
+ONE_VALUE_SLOT = Union((StringSet(("x",)), FixedString(("ab", "cd"))))
+
+
+@settings(max_examples=40, **SETTINGS)
+@given(valid_trees)
+@example(ONE_VALUE_SLOT)
+def test_one_call_per_record_and_one_call_per_slot_agree(spec):
+    assume(size(spec) <= 300)
+    members = list(enumerate_members(spec))
+    for bound in (2, 5, 17):
+        try:
+            _routes_agree(spec, bound, members)
+        except UnsplittableAtom:
+            continue
+
+
+def test_the_routes_agree_on_a_one_value_slot_and_on_address_records():
+    assert 1 in _routes_agree(ONE_VALUE_SLOT, 2, list(enumerate_members(ONE_VALUE_SLOT)))
+    records = [unrank(ADDRESS, (ADDRESS.size // 23) * k) for k in range(1, 21)]
+    assert len(_routes_agree(ADDRESS, 2**16, records)) == 20 * 39

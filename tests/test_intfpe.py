@@ -348,6 +348,16 @@ def test_backend_round_trip_with_recorder():
     assert all(domain == 1000 for domain, _ in rec.events)
 
 
+def test_backend_and_config_reject_a_walk_budget_below_one():
+    for budget in (0, -1):
+        with pytest.raises(BadParameter):
+            Fe1Backend(walk_budget=budget)
+        with pytest.raises(BadParameter):
+            CipherConfig(walk_budget=budget)
+    Fe1Backend(walk_budget=1)
+    CipherConfig(walk_budget=1)
+
+
 # ---------------------------------------------------------------------------
 # the permutations a key keeps
 
@@ -548,6 +558,42 @@ def test_a_tabulated_apply_makes_no_xof_call(monkeypatch):
         assert feistel_decrypt(key, b"zero", n, y) == 5
         assert cycle_walk_decrypt(key, b"zero", n, cycle_walk_encrypt(key, b"zero", n, 7)) == 7
         assert calls == [], n
+
+
+@pytest.mark.parametrize("rounds", [3, 12])
+def test_a_tabulated_vector_call_gives_the_xof_outputs(rounds, monkeypatch):
+    # one record of slots, shuffled, one-valued and Feistel, every Feistel
+    # pass tabulated; both directions must equal the untabulated outputs
+    # and make no XOF call
+    sizes = (1, 5, SHUFFLE_LIMIT, SHUFFLE_LIMIT + 1, 9_999, 17_576, _largest_tabulated(rounds))
+    fp, tweak, secret = bytes(range(32)), b"vec", bytes(range(5, 37))
+    rng = random.Random(rounds)
+
+    def vectors(count):
+        return [[(rng.randrange(n), n) for n in sizes] for _ in range(count)]
+
+    calls = []
+    real = intfpe._base_state
+    monkeypatch.setattr(intfpe, "_base_state", lambda *args: _CountingState(real(*args), calls))
+    key = IntFpeKey(secret, rounds=rounds)
+    for v in vectors(max(_entries(n, rounds) // rounds for n in sizes[3:])):
+        intfpe.crypt_slots(key, fp, tweak, v, False, 10**6)
+    passes = [p for p in key._permutations.values() if isinstance(p, intfpe._FeistelPass)]
+    assert len(passes) == 4 and all(p.table is not None for p in passes)
+    sample = vectors(200)
+    calls.clear()
+    enc = [intfpe.crypt_slots(key, fp, tweak, v, False, 10**6) for v in sample]
+    dec = [intfpe.crypt_slots(key, fp, tweak, v, True, 10**6) for v in sample]
+    back = [intfpe.crypt_slots(key, fp, tweak, list(zip(e, sizes)), True, 10**6) for e in enc]
+    assert calls == []
+    assert back == [[x for x, _ in v] for v in sample]
+    with monkeypatch.context() as m:
+        m.setattr(intfpe, "TABLE_LIMIT", 0)
+        fresh = IntFpeKey(secret, rounds=rounds)
+        assert enc == [intfpe.crypt_slots(fresh, fp, tweak, v, False, 10**6) for v in sample]
+        assert dec == [intfpe.crypt_slots(fresh, fp, tweak, v, True, 10**6) for v in sample]
+    assert all(p.table is None for p in fresh._permutations.values()
+               if isinstance(p, intfpe._FeistelPass))
 
 
 def test_the_build_point_is_the_apply_count_not_the_inputs():

@@ -260,6 +260,24 @@ def test_backend_ranks_are_checked_before_the_fill(bound):
         assert str(backend.ranks[0]) not in text
 
 
+class _NegativeBackend:
+    """An integer backend that answers -1 for every slot."""
+
+    def encrypt(self, key, tweak, n, r):
+        return -1
+
+    decrypt = encrypt
+
+
+@pytest.mark.parametrize("bound", [None, 2**16])
+def test_a_negative_backend_rank_is_refused(bound):
+    for crypt in (encrypt, decrypt):
+        with pytest.raises(VectorShapeMismatch) as e:
+            crypt(CipherConfig(max_size=bound), IntFpeKey(bytes(32)), ADDRESS, RECORD,
+                  backend=_NegativeBackend())
+        assert str(e.value).startswith("slot 0: ") and "-bit value is not in [0, " in str(e.value)
+
+
 def test_example_must_be_a_member():
     spec = FixedString(("ab",))
     with pytest.raises(ExampleFormatMismatch):
