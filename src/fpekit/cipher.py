@@ -1,10 +1,10 @@
 """Format-preserving encryption of strings.
 
-Encrypt ranks the message into bounded slots, enciphers every slot rank
-with the integer backend, and fills the message's template with the new
-ranks. One checked rank walk gives both the ranks and the template, which
-keeps every value-dependent choice of the message (union branch, length
-band, rank window) and its literal delimiters, so the ciphertext is
+Encrypt walks the message's slot plan once (`splitting.walk`). Where the
+walk meets a slot, it ranks the piece, enciphers the rank with the integer
+backend under the slot's tweak, and spells the new rank in its place. The
+walk keeps every value-dependent choice of the message (union branch,
+length band, rank window) and its literal delimiters, so the ciphertext is
 `unrank(pi(ranks), path(message))` and the input is walked only once.
 Decrypt is the mirror image on the ciphertext, whose path is the message's.
 """
@@ -14,12 +14,13 @@ from __future__ import annotations
 import hashlib
 import os
 from dataclasses import dataclass
+from itertools import count
 
 from . import dsl
-from .errors import BadParameter, EntropyUnavailable
-from .intfpe import (Fe1Backend, IntFpeKey, check_rounds, check_walk_budget, crypt_slots,
+from .errors import BadParameter, EntropyUnavailable, VectorShapeMismatch, outside
+from .intfpe import (Fe1Backend, IntFpeKey, check_rounds, check_walk_budget, slot_permutation,
                      slot_tweak, with_rounds)
-from .splitting import build_plan, check_ranks, fill, rank_walk
+from .splitting import build_plan, walk
 
 __all__ = ["CipherConfig", "keygen", "format_fingerprint", "encrypt", "decrypt"]
 
@@ -72,23 +73,26 @@ def _as_bytes(tweak) -> bytes:
 
 def _crypt(cfg: CipherConfig, key: IntFpeKey, spec, text: str, tweak, backend,
            decrypting: bool) -> str:
-    """Rank text into slots, map them through the backend (an Fe1Backend in
-    one crypt_slots call), and fill text's template with the results."""
+    """Walk text once, mapping each slot through the backend (an Fe1Backend
+    by its key's slot_permutation) where the walk meets it."""
     plan = build_plan(spec, cfg.max_size)
     if backend is None:
         backend = Fe1Backend(walk_budget=cfg.walk_budget)
     k = with_rounds(key, cfg.rounds)
     fp = format_fingerprint(spec, cfg.max_size)
     extra = _as_bytes(tweak)
-    slots, template = rank_walk(plan, text)
     if isinstance(backend, Fe1Backend):
-        ranks = crypt_slots(k, fp, extra, slots, decrypting, backend.walk_budget, backend.recorder)
+        perm = slot_permutation(k, fp, extra, decrypting, backend.walk_budget, backend.recorder)
     else:
-        slot_fn = backend.decrypt if decrypting else backend.encrypt
-        ranks = [slot_fn(k, slot_tweak(fp, i, extra), n, r) for i, (r, n) in enumerate(slots)]
-    # the backend may return anything: check its ranks before the fill
-    check_ranks(ranks, [n for _, n in slots])
-    return fill(template, ranks)
+        slot_fn, index = backend.decrypt if decrypting else backend.encrypt, count()
+
+        def perm(r, n):  # the backend may answer anything: check it before the slot is spelled
+            i = next(index)
+            y = slot_fn(k, slot_tweak(fp, i, extra), n, r)
+            if not 0 <= y < n:
+                raise VectorShapeMismatch(f"slot {i}: {outside(y, n)}")
+            return y
+    return walk(plan, text, perm)
 
 
 def encrypt(cfg: CipherConfig, key: IntFpeKey, spec, message: str, tweak=b"", backend=None) -> str:

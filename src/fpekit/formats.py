@@ -429,7 +429,7 @@ class Ssn(_FixedWidth):
         return ssn_from_components((*divmod(rest, 99), serial))
 
     def _split(self, max_size):
-        return splitting.SsnComponents.build(max_size)
+        return splitting.SsnComponents(splitting.radix_blocks(SSN_COMPONENT_SIZES, max_size))
 
 
 @dataclass(frozen=True)
@@ -454,7 +454,7 @@ class Ccn(_FixedWidth):
         return body + luhn_digit(body)
 
     def _split(self, max_size):
-        return splitting.CcnBlocks.build(max_size)
+        return splitting.CcnBlocks(splitting.radix_blocks((10,) * 15, max_size))
 
 
 @dataclass(frozen=True)
@@ -605,11 +605,7 @@ class FixedString(_FixedWidth):
         if len(self.charsets) == 1:
             return splitting.RankWindow(self, max_size)
         sizes = [len(cs) for cs in self.charsets]
-        blocks = tuple(
-            (lo, hi, FixedString(self.charsets[lo:hi]).plan(max_size))
-            for lo, hi in splitting.greedy_groups(sizes, max_size, operator.mul)
-        )
-        return splitting.CharBlocks(self, blocks)
+        return splitting.CharBlocks(self, splitting.radix_blocks(sizes, max_size))
 
     def to_json(self):
         return {"type": self.kind, "charsets": [serialize_charset(cs) for cs in self.charsets]}
@@ -1276,8 +1272,7 @@ class Range(Node):
         groups = []
         for lo, hi in splitting.greedy_groups([self.inner.size] * k, max_size, operator.mul):
             cnt = hi - lo
-            delimited = hi < k or self.last_delimited
-            group = Range(self.inner, self.delim, cnt, cnt, delimited)
+            group = self.inner if cnt == 1 else Range(self.inner, self.delim, cnt, cnt, False)
             groups.append((lo, hi, group.plan(max_size)))
         return splitting.RepeatGroups(self, tuple(groups))
 

@@ -8,9 +8,12 @@ the other half and reduces an output 8 bytes longer than its modulus needs.
 
 An IntFpeKey builds each permutation once, the Feistel pass (split, half
 constants, keyed state) or the shuffle table and its inverse, and keeps at most
-256 (_KEY_CACHE_ENTRIES), emptied when it would hold more. crypt_slots finds a
-record's slots by index and size under the record's fingerprint and tweak. The
-store dies with the key, and every output is the same as when built afresh.
+256 (_KEY_CACHE_ENTRIES), emptied when it would hold more. A record's walk
+permutes its slots through one slot_permutation, which finds each by index and
+size under the record's fingerprint and tweak; a cycle walk under a slot_tweak
+reads the same four fields from the tweak, so either way a slot permutation is
+built once. The store dies with the key, and every output is the same as when
+built afresh.
 
 A Feistel pass whose round function has at most TABLE_LIMIT distinct outputs
 tabulates it, in 16-bit rows, on the apply whose count matches the table's
@@ -31,6 +34,7 @@ import os
 import struct
 from array import array
 from dataclasses import dataclass, field, replace
+from itertools import count
 from math import isqrt
 
 from .errors import (
@@ -47,6 +51,7 @@ __all__ = [
     "feistel_decrypt",
     "cycle_walk_encrypt",
     "cycle_walk_decrypt",
+    "slot_permutation",
     "crypt_slots",
     "WalkRecorder",
     "Fe1Backend",
@@ -328,16 +333,18 @@ def _cycle_walk(key, tweak: bytes, m_size: int, x: int, walk_budget: int, record
                 sign: int) -> int:
     """Walk the key's Feistel pass (sign 1) or its inverse (sign -1) until
     it lands inside [0, m_size); a domain up to SHUFFLE_LIMIT is shuffled
-    instead, which counts as one step."""
+    instead, which counts as one step. A tweak of 36 or more bytes is a
+    slot_tweak to the key's store, which slot_permutation's entries share."""
     if m_size < 1:
         raise BadParameter(f"empty domain {m_size}")
     if not 0 <= x < m_size:
         raise InputOutOfDomain(outside(x, m_size))
     y, steps = x, 0
-    if 1 < m_size <= SHUFFLE_LIMIT:
-        y, steps = _keyed(key, _shuffle, tweak, m_size)[sign < 0][x], 1
-    elif m_size > 1:
-        y, steps = _keyed(key, _FeistelPass, tweak, m_size).walk(x, m_size, sign, walk_budget)
+    if m_size > 1:
+        k = ((tweak[:32], tweak[36:], int.from_bytes(tweak[32:36], "big"), m_size)
+             if len(tweak) >= 36 else None)
+        p = _keyed(key, _shuffle if m_size <= SHUFFLE_LIMIT else _FeistelPass, tweak, m_size, k)
+        y, steps = p.walk(x, m_size, sign, walk_budget) if m_size > SHUFFLE_LIMIT else (p[sign < 0][x], 1)
     if recorder is not None:
         recorder.record(m_size, steps)
     return y
@@ -360,14 +367,16 @@ def slot_tweak(fingerprint: bytes, index: int, tweak: bytes) -> bytes:
     return fingerprint + index.to_bytes(4, "big") + tweak
 
 
-def crypt_slots(key, fingerprint: bytes, tweak: bytes, slots, decrypting: bool,
-                walk_budget: int, recorder=None) -> list:
-    """The new ranks of a record's (rank, size) slots: what cycle_walk_encrypt
-    (or decrypt) gives each under its slot_tweak, one recorder event a slot.
-    The key keeps a slot's permutation under (fingerprint, tweak, index,
-    size), so the slot tweak is built only to build the permutation."""
-    store, sign, out = key._permutations, -1 if decrypting else 1, []
-    for i, (x, n) in enumerate(slots):
+def slot_permutation(key, fingerprint: bytes, tweak: bytes, decrypting: bool,
+                     walk_budget: int, recorder=None):
+    """perm(x, n) for one record: what cycle_walk_encrypt (or decrypt) gives
+    its next slot, of rank x and size n, under its slot_tweak. The key keeps a
+    slot's permutation under (fingerprint, tweak, index, size), so the slot
+    tweak is built only to build the permutation."""
+    store, sign, index = key._permutations, -1 if decrypting else 1, count()
+
+    def perm(x, n):
+        i = next(index)
         if not 0 <= x < n:
             raise InputOutOfDomain(f"slot {i}: {outside(x, n)}")
         y, steps = x, 0
@@ -379,8 +388,16 @@ def crypt_slots(key, fingerprint: bytes, tweak: bytes, slots, decrypting: bool,
             y, steps = p.walk(x, n, sign, walk_budget) if n > SHUFFLE_LIMIT else (p[decrypting][x], 1)
         if recorder is not None:
             recorder.record(n, steps)
-        out.append(y)
-    return out
+        return y
+
+    return perm
+
+
+def crypt_slots(key, fingerprint: bytes, tweak: bytes, slots, decrypting: bool,
+                walk_budget: int, recorder=None) -> list:
+    """The new ranks of a record's (rank, size) slots, one slot_permutation call each."""
+    perm = slot_permutation(key, fingerprint, tweak, decrypting, walk_budget, recorder)
+    return [perm(x, n) for x, n in slots]
 
 
 # ---------------------------------------------------------------------------

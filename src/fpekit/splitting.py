@@ -3,27 +3,27 @@
 Each format node builds its own plan once per bound (`Node.plan`, with the
 per-type rules in each node's `_split`); this module holds the plan node
 types those rules assemble, the greedy grouping they share, the rank
-vector, and the public entry points. Ranking a member walks the plan and
-emits (rank, slot_size) pairs with every slot size at most the bound.
-The same walk writes a template of the member in output order: literal
-text (the delimiters between concat groups, a trailing delimiter) and one
-fill item per slot-bearing leaf, `(unrank, base)`. The template holds every
-value-dependent choice (union branch, length band, rank window) that the
-ranks themselves do not encode, so `fill` spells a member from new ranks
-in one flat pass, with no second walk over the plan. Greedy grouping keeps
-adjacent units together while the aggregate stays within the bound, which
-uses the fewest groups possible for a left-to-right partition.
+vector, and the public entry points. Greedy grouping keeps adjacent units
+together while the aggregate stays within the bound, which uses the fewest
+groups possible for a left-to-right partition.
 
-Ranking is the membership check: every node's `rank` and every plan
-node's `rank_into` raise ParseFailure for a string that is no member, so
-the entry points here and in `cipher` walk each input once and report a
-plain NotInFormat. `unrank_multi` ranks its example with the same walk.
+One walk, `crypt_into(s, out, perm)`, takes a member apart and spells its
+image. At each slot it ranks the piece, calls `perm(rank, size)`, in slot
+order and with every size at most the bound, and appends the piece spelled
+from perm's answer to `out`; literal delimiters are appended where they
+stand. Every choice the ranks do not encode (union branch, length band,
+rank window) is read off the input and kept, so the output has its path.
+Ranking is the membership check: every node's `rank` and every plan node's
+`crypt_into` raise ParseFailure for a string that is no member, so each
+entry point walks its input once and reports a plain NotInFormat.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from operator import mul
+from functools import cached_property
+from operator import getitem, itemgetter, mul
 
 from . import formats
 from .errors import (
@@ -48,19 +48,14 @@ class RankVector:
     def __post_init__(self):
         object.__setattr__(self, "ranks", tuple(self.ranks))
         object.__setattr__(self, "sizes", tuple(self.sizes))
-        check_ranks(self.ranks, self.sizes)
+        if len(self.ranks) != len(self.sizes):
+            raise VectorShapeMismatch(f"{len(self.ranks)} ranks against {len(self.sizes)} sizes")
+        for i, (r, n) in enumerate(zip(self.ranks, self.sizes)):
+            if not 0 <= r < n:
+                raise VectorShapeMismatch(f"slot {i}: {outside(r, n)}")
 
     def __len__(self):
         return len(self.ranks)
-
-
-def check_ranks(ranks, sizes) -> None:
-    """VectorShapeMismatch, naming the slot, unless each size has a rank below it."""
-    if len(ranks) != len(sizes):
-        raise VectorShapeMismatch(f"{len(ranks)} ranks against {len(sizes)} sizes")
-    for i, (r, n) in enumerate(zip(ranks, sizes)):
-        if not 0 <= r < n:
-            raise VectorShapeMismatch(f"slot {i}: {outside(r, n)}")
 
 
 def greedy_groups(sizes, max_size, combine):
@@ -95,6 +90,22 @@ def greedy_groups(sizes, max_size, combine):
     return groups
 
 
+def radix_blocks(sizes, max_size) -> tuple:
+    """Greedy product groups of mixed-radix units, as (lo, hi, window): a unit
+    larger than the bound stands alone, with windows of the bound's width."""
+    return tuple((lo, hi, max_size if sizes[lo] > max_size else None)
+                 for lo, hi in greedy_groups(sizes, max_size, mul))
+
+
+def _windowed(perm, r, n, window):
+    """perm of rank r in [0, n), or, with a window width, of r within the
+    window of that width that holds it, which stays where it is."""
+    if window is None:
+        return perm(r, n)
+    base = r - r % window
+    return base + perm(r - base, min(window, n - base))
+
+
 # ---------------------------------------------------------------------------
 # plan nodes
 
@@ -105,10 +116,9 @@ class WholeSlot:
 
     spec: object
 
-    def rank_into(self, s, slots, template):
+    def crypt_into(self, s, out, perm):
         spec = self.spec
-        slots.append((spec.rank(s), spec.size))
-        template.append((spec.unrank, 0))
+        out.append(spec.unrank(perm(spec.rank(s), spec.size)))
 
     def path_signature(self, s):
         return ()
@@ -118,8 +128,8 @@ class WholeSlot:
 class UnionGroups:
     """Consecutive union parts grouped by summed size.
 
-    A member is ranked within its group only; which group applies is kept
-    in the template, so the slot never encodes it.
+    A member is ranked within its group only; the walk keeps the group, so
+    the slot never encodes it.
     """
 
     spec: object
@@ -129,8 +139,8 @@ class UnionGroups:
         part_idx = self.spec.part_of(s)
         return next(gi for gi, (lo, hi, _) in enumerate(self.groups) if lo <= part_idx < hi)
 
-    def rank_into(self, s, slots, template):
-        self.groups[self._group_of(s)][2].rank_into(s, slots, template)
+    def crypt_into(self, s, out, perm):
+        self.groups[self._group_of(s)][2].crypt_into(s, out, perm)
 
     def path_signature(self, s):
         gi = self._group_of(s)
@@ -141,8 +151,8 @@ class UnionGroups:
 class ConcatGroups:
     """Consecutive concat parts grouped by multiplied size.
 
-    Delimiters inside a group stay part of the group's sub-format; border
-    delimiters between groups go into the template here.
+    Delimiters inside a group stay part of the group's sub-format; the walk
+    writes the border delimiters between groups.
     """
 
     spec: object
@@ -162,12 +172,12 @@ class ConcatGroups:
             texts.append("".join(chunk))
         return texts
 
-    def rank_into(self, s, slots, template):
+    def crypt_into(self, s, out, perm):
         delims = self.spec.delims
         for (lo, _, sub), text in zip(self.groups, self._group_texts(s)):
             if lo and delims is not None:
-                template.append(delims[lo - 1])
-            sub.rank_into(text, slots, template)
+                out.append(delims[lo - 1])
+            sub.crypt_into(text, out, perm)
 
     def path_signature(self, s):
         return tuple(
@@ -187,13 +197,13 @@ class LengthBands:
 
     def _band_of(self, s):
         m = self.spec.length_of(s)
-        for bi, (lo, hi, _) in enumerate(self.bands):
-            if lo <= m <= hi:
-                return bi
-        raise ParseFailure(f"length {m} is in no band")
+        bi = bisect_right(self.bands, m, key=itemgetter(0)) - 1
+        if bi < 0 or m > self.bands[bi][1]:
+            raise ParseFailure(f"length {m} is in no band")
+        return bi
 
-    def rank_into(self, s, slots, template):
-        self.bands[self._band_of(s)][2].rank_into(s, slots, template)
+    def crypt_into(self, s, out, perm):
+        self.bands[self._band_of(s)][2].crypt_into(s, out, perm)
 
     def path_signature(self, s):
         bi = self._band_of(s)
@@ -204,65 +214,92 @@ class LengthBands:
 class RepeatGroups:
     """A fixed repetition count split into runs of adjacent pieces.
 
-    Every group keeps its own delimiters, so the rebuilt group strings
-    concatenate directly. The spec's `cut` checks the count and the final
-    delimiter.
+    A group's sub-plan covers its pieces joined by the delimiter, without a
+    delimiter after the last; the walk writes that one when it is due. The
+    spec's `cut` checks the count and the final delimiter.
     """
 
     spec: object
     groups: tuple
 
-    def _group_text(self, texts, lo, hi):
-        sp = self.spec
-        delimited = hi < sp.min or sp.last_delimited
-        body = sp.delim.join(texts[lo:hi])
-        return body + sp.delim if delimited else body
+    def _group_texts(self, s):
+        texts, delim = self.spec.cut(s), self.spec.delim
+        return [texts[lo] if hi - lo == 1 else delim.join(texts[lo:hi])
+                for lo, hi, _ in self.groups]
 
-    def rank_into(self, s, slots, template):
-        texts = self.spec.cut(s)
-        for lo, hi, sub in self.groups:
-            sub.rank_into(self._group_text(texts, lo, hi), slots, template)
+    def crypt_into(self, s, out, perm):
+        sp = self.spec
+        for (lo, hi, sub), text in zip(self.groups, self._group_texts(s)):
+            sub.crypt_into(text, out, perm)
+            if hi < sp.min or sp.last_delimited:
+                out.append(sp.delim)
 
     def path_signature(self, s):
-        texts = self.spec.cut(s)
         return tuple(
-            ("g", gi, sub.path_signature(self._group_text(texts, lo, hi)))
-            for gi, (lo, hi, sub) in enumerate(self.groups)
+            ("g", gi, sub.path_signature(text))
+            for gi, ((_, _, sub), text) in enumerate(zip(self.groups, self._group_texts(s)))
         )
 
 
 @dataclass(frozen=True)
 class CharBlocks:
-    """A fixed-length body cut into positional blocks."""
+    """A fixed-length body cut into positional blocks `(lo, hi, window)`.
+
+    A block is one slot over its positions, mixed radix with the leftmost
+    least significant. A block whose one position has more characters than
+    the bound has its window set, and its slot is the rank window of that
+    width holding the character, as RankWindow cuts a primitive.
+    """
 
     spec: object
     blocks: tuple
 
-    def rank_into(self, s, slots, template):
+    @cached_property
+    def _tables(self) -> tuple:
+        """Per block: its bounds, window and size, a map per position from a
+        character to its digit times the position's weight, and its charsets."""
+        out = []
+        for lo, hi, window in self.blocks:
+            weighted, n = [], 1
+            for cs in self.spec.charsets[lo:hi]:
+                weighted.append({c: d * n for d, c in enumerate(cs)})
+                n *= len(cs)
+            out.append((lo, hi, window, n, weighted, self.spec.charsets[lo:hi]))
+        return tuple(out)
+
+    def crypt_into(self, s, out, perm):
         if len(s) != self.spec.width:
             raise ParseFailure(f"length {len(s)}, expected {self.spec.width}")
-        for lo, hi, sub in self.blocks:
-            sub.rank_into(s[lo:hi], slots, template)
+        for lo, hi, window, n, weighted, charsets in self._tables:
+            try:
+                r = sum(map(getitem, weighted, s[lo:hi]))
+            except KeyError:
+                raise ParseFailure(f"offsets {lo}..{hi - 1}: a character outside its set") from None
+            r = _windowed(perm, r, n, window)
+            for cs in charsets:
+                r, d = divmod(r, len(cs))
+                out.append(cs[d])
 
     def path_signature(self, s):
+        index = self.spec._index
         return tuple(
-            ("g", bi, sub.path_signature(s[lo:hi]))
-            for bi, (lo, hi, sub) in enumerate(self.blocks)
+            ("g", bi, () if window is None else (("w", index[lo][s[lo]] // window),))
+            for bi, (lo, _, window) in enumerate(self.blocks)
         )
 
 
 @dataclass(frozen=True)
 class TrailingDelim:
-    """Strip a trailing delimiter before the sub-plan; the template keeps it."""
+    """Strip a trailing delimiter before the sub-plan; the walk writes it back."""
 
     sub: object
     delim: str
 
-    def rank_into(self, s, slots, template):
+    def crypt_into(self, s, out, perm):
         if not s.endswith(self.delim):
             raise ParseFailure(f"a string of length {len(s)} lacks the final delimiter")
-        self.sub.rank_into(s[:-1], slots, template)
-        template.append(self.delim)
+        self.sub.crypt_into(s[:-1], out, perm)
+        out.append(self.delim)
 
     def path_signature(self, s):
         return self.sub.path_signature(s[:-1])
@@ -270,7 +307,7 @@ class TrailingDelim:
 
 @dataclass(frozen=True)
 class RankWindow:
-    """Contiguous windows of the rank space; the template keeps the window.
+    """Contiguous windows of the rank space; the walk keeps the window.
 
     The fallback for primitives with no positional structure to cut:
     integer ranges, dates, single oversized character positions.
@@ -279,14 +316,9 @@ class RankWindow:
     spec: object
     width: int
 
-    def _window_size(self, win):
-        return min(self.width, self.spec.size - win * self.width)
-
-    def rank_into(self, s, slots, template):
-        r = self.spec.rank(s)
-        win = r // self.width
-        slots.append((r - win * self.width, self._window_size(win)))
-        template.append((self.spec.unrank, win * self.width))
+    def crypt_into(self, s, out, perm):
+        spec = self.spec
+        out.append(spec.unrank(_windowed(perm, spec.rank(s), spec.size, self.width)))
 
     def path_signature(self, s):
         return (("w", self.spec.rank(s) // self.width),)
@@ -297,38 +329,21 @@ class SsnComponents:
     """Area, group, and serial as mixed-radix components, grouped greedily.
 
     A component whose own size exceeds the bound degrades to rank windows
-    over that component. One fill item spells the id from all the slots.
+    over that component. The walk permutes every group, then spells the id.
     """
 
     groups: tuple
 
-    @staticmethod
-    def build(max_size):
-        groups = []
-        for lo, hi in greedy_groups(formats.SSN_COMPONENT_SIZES, max_size, mul):
-            if hi - lo == 1 and formats.SSN_COMPONENT_SIZES[lo] > max_size:
-                groups.append((lo, hi, max_size))
-            else:
-                groups.append((lo, hi, None))
-        return SsnComponents(tuple(groups))
-
-    def rank_into(self, s, slots, template):
+    def crypt_into(self, s, out, perm):
         comp = formats.ssn_components(s)
-        bases = []
+        values = []
         for lo, hi, width in self.groups:
-            if width is None:
-                r = 0
-                w = 1
-                for i in range(lo, hi):
-                    r += comp[i] * w
-                    w *= formats.SSN_COMPONENT_SIZES[i]
-                slots.append((r, w))
-                bases.append(0)
-            else:
-                base = comp[lo] - comp[lo] % width
-                slots.append((comp[lo] - base, min(width, formats.SSN_COMPONENT_SIZES[lo] - base)))
-                bases.append(base)
-        template.append((self._spell, tuple(bases)))
+            r, n = 0, 1
+            for i in range(lo, hi):
+                r += comp[i] * n
+                n *= formats.SSN_COMPONENT_SIZES[i]
+            values.append(_windowed(perm, r, n, width))
+        out.append(self._spell(values))
 
     def _spell(self, values):
         """The id whose group values (base plus rank) these are."""
@@ -349,34 +364,15 @@ class SsnComponents:
 
 @dataclass(frozen=True)
 class CcnBlocks:
-    """Payload digits in positional blocks; one fill item spells them all and
-    recomputes the check digit."""
+    """Payload digits in positional blocks; the walk permutes every block,
+    then spells the payload and recomputes the check digit."""
 
     blocks: tuple
 
-    @staticmethod
-    def build(max_size):
-        blocks = []
-        for lo, hi in greedy_groups([10] * 15, max_size, mul):
-            if hi - lo == 1 and 10 > max_size:
-                blocks.append((lo, hi, max_size))
-            else:
-                blocks.append((lo, hi, None))
-        return CcnBlocks(tuple(blocks))
-
-    def rank_into(self, s, slots, template):
+    def crypt_into(self, s, out, perm):
         payload = formats.ccn_payload(s)
-        bases = []
-        for lo, hi, width in self.blocks:
-            v = int(payload[lo:hi])
-            if width is None:
-                slots.append((v, 10 ** (hi - lo)))
-                bases.append(0)
-            else:
-                base = v - v % width
-                slots.append((v - base, min(width, 10 - base)))
-                bases.append(base)
-        template.append((self._spell, tuple(bases)))
+        out.append(self._spell([_windowed(perm, int(payload[lo:hi]), 10 ** (hi - lo), width)
+                                for lo, hi, width in self.blocks]))
 
     def _spell(self, values):
         """The card number whose block values (base plus rank) these are."""
@@ -403,66 +399,51 @@ def build_plan(spec, max_size):
     return spec.plan(max_size)
 
 
-def rank_walk(plan, s: str):
-    """The (rank, slot size) pairs of s under a plan and the template that
-    spells s from them, from one checked walk; NotInFormat unless s is a
-    member."""
-    slots: list = []
-    template: list = []
+def walk(plan, s: str, perm) -> str:
+    """s with each slot's rank r, of size n, replaced by perm(r, n), from one
+    checked walk of the plan; NotInFormat unless s is a member. perm sees the
+    slots in plan order and must answer a rank below n."""
+    out: list = []
     try:
-        plan.rank_into(s, slots, template)
+        plan.crypt_into(s, out, perm)
     except ParseFailure:
         raise NotInFormat.of(s) from None
-    return slots, template
-
-
-def fill(template, ranks) -> str:
-    """Spell a rank walk's template with new slot ranks, in one flat pass.
-
-    Text items stay as they are. A fill item `(unrank, base)` takes the next
-    rank and spells `unrank(base + rank)`; a leaf that spans several slots
-    gives a tuple of bases, one per slot, and its unrank takes the list of
-    sums. The ranks must fit the template's slot sizes: `check_ranks` checks
-    them against the walk's sizes before any fill.
-    """
-    it = iter(ranks)
-    out = []
-    for item in template:
-        if item.__class__ is str:
-            out.append(item)
-        else:
-            unrank, base = item
-            if base.__class__ is int:
-                out.append(unrank(base + next(it)))
-            else:
-                out.append(unrank([b + next(it) for b in base]))
     return "".join(out)
 
 
 def rank_multi(spec, max_size, s: str) -> RankVector:
     """Rank s into bounded slots. With max_size None this is plain ranking."""
-    ranks, sizes = zip(*rank_walk(build_plan(spec, max_size), s)[0])
+    slots: list = []
+    walk(build_plan(spec, max_size), s, lambda r, n: slots.append((r, n)) or r)
+    ranks, sizes = zip(*slots)
     return RankVector(ranks, sizes)
 
 
 def unrank_multi(spec, max_size, vector: RankVector, example: str) -> str:
     """Rebuild a member from slot ranks, taking every choice the vector does
-    not encode from one checked rank walk of the example member."""
+    not encode from one checked walk of the example member."""
     plan = build_plan(spec, max_size)
+    sizes: list = []
+
+    def replay(_, n):
+        i = len(sizes)
+        sizes.append(n)
+        # a slot the vector does not fit is spelled from rank 0, then refused
+        return vector.ranks[i] if i < len(vector) and vector.sizes[i] == n else 0
+
     try:
-        slots, template = rank_walk(plan, example)
+        out = walk(plan, example, replay)
     except NotInFormat:
         raise ExampleFormatMismatch(
             f"the example (length {len(example)}) is not in the format"
         ) from None
-    sizes = tuple(n for _, n in slots)
-    if vector.sizes != sizes:
+    if vector.sizes != tuple(sizes):
         bad = next((i for i, (a, b) in enumerate(zip(vector.sizes, sizes)) if a != b), None)
         raise VectorShapeMismatch(
             f"{len(vector)} slots, the example has {len(sizes)}" if bad is None
             else f"slot {bad}: vector size {vector.sizes[bad]}, the example's is {sizes[bad]}"
         )
-    return fill(template, vector.ranks)
+    return out
 
 
 def path_signature(spec, max_size, s: str):

@@ -4,8 +4,9 @@ For every tree that validates: its members are distinct, there are size()
 of them, each is accepted, and the i-th has rank i; the checked rank walk,
 parse and every bounded plan accept exactly the members; and encryption of
 a small format under several slot bounds is a permutation that round-trips,
-keeps each member's path through the slot plan, and is the same whether the
-integer backend takes a record's slots in one call or one slot at a time.
+keeps each member's path through the slot plan, maps each slot by its index,
+size and rank alone, and is the same whether the integer backend takes a
+record's slots in one call or one slot at a time.
 """
 
 from datetime import datetime, timedelta
@@ -230,6 +231,25 @@ def test_encryption_keeps_the_path_and_permutes_each_path_class(spec):
             cs.append(c)
         for path, (ms, cs) in classes.items():
             assert sorted(cs) == sorted(ms), (spec, bound, path)
+
+
+@settings(max_examples=40, **SETTINGS)
+@given(valid_trees)
+def test_each_output_slot_depends_only_on_its_index_size_and_input_rank(spec):
+    assume(size(spec) <= 300)
+    members = list(enumerate_members(spec))
+    for bound in (2, 5, 17):
+        cfg = CipherConfig(max_size=bound)
+        try:
+            images = [encrypt(cfg, KEY, spec, m) for m in members]
+        except UnsplittableAtom:
+            continue
+        seen = {}
+        for m, c in zip(members, images):
+            v, w = rank_multi(spec, bound, m), rank_multi(spec, bound, c)
+            assert w.sizes == v.sizes, (spec, bound, m)
+            for i, (n, r, out) in enumerate(zip(v.sizes, v.ranks, w.ranks)):
+                assert seen.setdefault((i, n, r), out) == out, (spec, bound, m, i)
 
 
 class _PerSlotBackend:

@@ -18,6 +18,7 @@ from fpekit import (
     Fe1Backend,
     InputOutOfDomain,
     IntFpeKey,
+    RankVector,
     WalkBudgetExceeded,
     WalkRecorder,
     balanced_factor,
@@ -31,6 +32,7 @@ from fpekit import (
     rank_multi,
     read_key_file,
     unrank,
+    unrank_multi,
     write_key_file,
 )
 from fpekit import intfpe
@@ -440,6 +442,32 @@ def test_a_config_round_count_builds_each_slot_permutation_once(monkeypatch):
     record = "Elm Street,Dover,42,12345,France"
     assert encrypt(cfg, key, ADDRESS, record) == encrypt(
         cfg, IntFpeKey(key.secret, rounds=8), ADDRESS, record)
+
+
+def test_a_slot_permutation_is_stored_once_whichever_path_asks(monkeypatch):
+    # encrypt keeps a slot's permutation under (fingerprint, tweak, index,
+    # size); a per-slot Fe1Backend call under that slot's slot_tweak must
+    # find the same entry, as the benchmark's traced rebuild does
+    rng = random.Random(2)
+    records = [unrank(ADDRESS, rng.randrange(ADDRESS.size)) for _ in range(210)]
+    cfg = CipherConfig(max_size=2**16)
+    key = IntFpeKey(bytes(range(32)))
+    images = [encrypt(cfg, key, ADDRESS, m) for m in records]
+    slots = {(i, n) for m in records
+             for i, n in enumerate(rank_multi(ADDRESS, cfg.max_size, m).sizes) if n > 1}
+    assert len(key._permutations) == len(slots) == 52
+    calls = []
+    real = intfpe._base_state
+    monkeypatch.setattr(intfpe, "_base_state", lambda *args: calls.append(args) or real(*args))
+    fp, backend = format_fingerprint(ADDRESS, cfg.max_size), Fe1Backend()
+    for m, c in zip(records, images):
+        for text, slot_fn, want in ((m, backend.encrypt, c), (c, backend.decrypt, m)):
+            v = rank_multi(ADDRESS, cfg.max_size, text)
+            ranks = [slot_fn(key, intfpe.slot_tweak(fp, i, b""), n, r)
+                     for i, (r, n) in enumerate(zip(v.ranks, v.sizes))]
+            assert unrank_multi(ADDRESS, cfg.max_size, RankVector(ranks, v.sizes), text) == want
+    assert calls == []
+    assert len(key._permutations) == 52
 
 
 def test_threads_sharing_a_key_give_the_serial_ciphertexts():

@@ -12,6 +12,7 @@ from fpekit import (
     Concat,
     Date,
     DelimStringSet,
+    DelimVarString,
     ExampleFormatMismatch,
     FixedString,
     IntegralDomain,
@@ -381,6 +382,73 @@ def test_union_and_concat_plans_nest():
             vec = rank_multi(spec, bound, s)
             assert all(n <= bound for n in vec.sizes)
             assert unrank_multi(spec, bound, vec, s) == s
+
+
+LOWER = "abcdefghijklmnopqrstuvwxyz"
+ALNUM = DIGITS + LOWER + LOWER.upper()
+
+
+@pytest.mark.parametrize("last_delimited", [True, False])
+@pytest.mark.parametrize("bound", [5, 9])
+def test_one_repetition_groups_keep_their_delimiters(bound, last_delimited):
+    # no two repetitions of 9 values fit one slot, so each is a group of its
+    # own: a whole slot at bound 9, two character blocks at bound 5
+    spec = Range(FixedString(("abc", "xyz")), ";", 3, 3, last_delimited)
+    assert [(lo, hi) for lo, hi, _ in build_plan(spec, bound).groups] == [(0, 1), (1, 2), (2, 3)]
+    cfg, key = CipherConfig(max_size=bound), IntFpeKey(bytes(32))
+    members = list(enumerate_members(spec))
+    images = [encrypt(cfg, key, spec, s) for s in members]
+    assert sorted(images) == sorted(members)
+    for s, c in zip(members, images):
+        assert unrank_multi(spec, bound, rank_multi(spec, bound, s), s) == s
+        assert c.count(";") == s.count(";") and c.endswith(";") == last_delimited
+        assert decrypt(cfg, key, spec, c) == s
+
+
+def test_an_oversized_position_is_cut_into_the_rank_windows_it_has_alone():
+    spec, one = FixedString((ALNUM, ALNUM)), FixedString((ALNUM,))
+    plan = build_plan(spec, 50)
+    assert isinstance(plan, CharBlocks) and plan.blocks == ((0, 1, 50), (1, 2, 50))
+    assert isinstance(build_plan(one, 50), RankWindow)
+    members = list(enumerate_members(spec))
+    for s in members:
+        alone = [rank_multi(one, 50, c) for c in s]
+        vec = rank_multi(spec, 50, s)
+        assert vec == RankVector(sum((v.ranks for v in alone), ()), sum((v.sizes for v in alone), ()))
+        assert path_signature(spec, 50, s) == tuple(
+            ("g", i, path_signature(one, 50, c)) for i, c in enumerate(s))
+        assert unrank_multi(spec, 50, vec, s) == s
+    cfg, key = CipherConfig(max_size=50), IntFpeKey(bytes(32))
+    images = [encrypt(cfg, key, spec, s) for s in members]
+    assert sorted(images) == sorted(members)
+    assert [decrypt(cfg, key, spec, c) for c in images] == members
+
+
+@pytest.mark.parametrize(
+    "spec, bound, member",
+    [
+        (VarString(2, 9, "ab"), 2**5, lambda k: "b" * k),
+        (DelimVarString(2, 9, "ab", ";"), 2**5, lambda k: "b" * k + ";"),
+        (Range(FixedString(("ab",)), ",", 2, 7, False), 8, lambda k: ",".join("b" * k)),
+        (Range(FixedString(("ab",)), ",", 2, 7, True), 8, lambda k: "b," * k),
+    ],
+)
+def test_band_edges_round_trip_and_lengths_past_the_bands_are_refused(spec, bound, member):
+    plan = build_plan(spec, bound)
+    assert isinstance(plan, LengthBands) and len(plan.bands) > 2
+    cfg, key = CipherConfig(max_size=bound), IntFpeKey(bytes(32))
+    for bi, (lo, hi, _) in enumerate(plan.bands):
+        for k in (lo, hi):
+            s = member(k)
+            assert path_signature(spec, bound, s)[0] == ("len", bi)
+            assert unrank_multi(spec, bound, rank_multi(spec, bound, s), s) == s
+            c = encrypt(cfg, key, spec, s)
+            assert path_signature(spec, bound, c)[0] == ("len", bi)
+            assert decrypt(cfg, key, spec, c) == s
+    for k in (spec.min - 1, spec.max + 1):
+        for call in (rank_multi, lambda spec, bound, s: encrypt(cfg, key, spec, s)):
+            with pytest.raises(NotInFormat):
+                call(spec, bound, member(k))
 
 
 # ---------------------------------------------------------------------------
