@@ -76,12 +76,12 @@ def _crypt(cfg: CipherConfig, key: IntFpeKey, spec, text: str, tweak, backend,
     """Walk text once, mapping each slot through the backend (an Fe1Backend
     by its key's slot_permutation) where the walk meets it."""
     plan = build_plan(spec, cfg.max_size)
-    if backend is None:
-        backend = Fe1Backend(walk_budget=cfg.walk_budget)
     k = with_rounds(key, cfg.rounds)
     fp = format_fingerprint(spec, cfg.max_size)
     extra = _as_bytes(tweak)
-    if isinstance(backend, Fe1Backend):
+    if backend is None:  # the config has checked its walk budget
+        perm = slot_permutation(k, fp, extra, decrypting, cfg.walk_budget, None)
+    elif isinstance(backend, Fe1Backend):
         perm = slot_permutation(k, fp, extra, decrypting, backend.walk_budget, backend.recorder)
     else:
         slot_fn, index = backend.decrypt if decrypting else backend.encrypt, count()

@@ -5,10 +5,11 @@ finite set of strings. Each node class defines, for its own type:
 
 - ``validate_into``: the invariants its parameters must satisfy;
 - ``size`` and ``chars``: the exact member count and an alphabet cover;
-- ``rank``: the position of a member, and ParseFailure for any other
-  string, so ranking is the membership check (``contains`` is "rank does
-  not raise");
-- ``unrank``: the member at an in-range rank, unchecked;
+- ``_make_ranker``: its rank function, which gives the position of a
+  member and raises ParseFailure for any other string, so ranking is the
+  membership check (``contains`` is "rank does not raise");
+- ``_make_unranker``: its unrank function, which gives the member at an
+  in-range rank, unchecked;
 - ``take`` for the rigid (prefix-parsable) primitives, and ``parse`` and
   ``reassemble``, which the compound nodes override;
 - ``members``: generative enumeration in rank order;
@@ -18,11 +19,15 @@ finite set of strings. Each node class defines, for its own type:
 
 Canonical order is mixed-radix with the first (leftmost) unit least
 significant, and character sets are ordered by ascending code point.
-Derived values (violations, size, alphabet, lookup tables, plans) are
-computed on first use and stored on the node itself: a malformed tree can
-still be built and reported by validate(), and a format nobody references
-is freed together with everything derived from it. The module functions
-are the public entry points.
+Derived values (violations, size, alphabet, lookup tables, rank and unrank
+functions, plans) are computed on first use and stored on the node itself.
+A node builds its rank and unrank functions once, binding its own
+constants and its children's functions, so ranking a member runs one
+function per node it passes; the only method a rank function calls is
+`cut`, once per `Concat` or `Range` node. A malformed tree can still be
+built and reported by validate(), and a format nobody references is freed
+together with everything derived from it. The module functions are the
+public entry points.
 """
 
 from __future__ import annotations
@@ -33,7 +38,6 @@ import operator
 from dataclasses import dataclass, replace
 from datetime import date as _date
 from datetime import datetime, time, timedelta
-from functools import cached_property
 
 from . import splitting
 from .errors import (
@@ -141,6 +145,18 @@ def _count_starts(base: int, lo: int, hi: int) -> tuple:
     """The rank at which each piece count lo..hi starts, when members sort by
     count first over `base` choices per piece, followed by the total."""
     return tuple(itertools.accumulate((base**k for k in range(lo, hi + 1)), initial=0))
+
+
+def _lookup(index: dict):
+    """A rank function that reads a member's rank from a dict."""
+
+    def rank(s):
+        r = index.get(s)
+        if r is None:
+            raise ParseFailure.of(s)
+        return r
+
+    return rank
 
 
 def _fixed_stream(charsets):
@@ -275,17 +291,29 @@ def offset_to_date(min_date: datetime, r: int, granularity: str) -> datetime:
         raise OutOfRange(f"offset {r} leaves the calendar range") from None
 
 
-def _canonical_int(s: str) -> int | None:
-    # accepts exactly the strings str() produces for an int
-    try:
-        n = int(s)
-    except ValueError:
-        return None
-    return n if str(n) == s else None
-
-
 # ---------------------------------------------------------------------------
 # the node types
+
+
+class cached_property:
+    """functools.cached_property without the class-wide lock that Python
+    3.11 takes on every first use, about a microsecond each: a new format
+    computes dozens of these values, rank and unrank functions included,
+    in its first encryption. A value two threads compute at once is
+    computed twice, and either result is correct."""
+
+    def __init__(self, func):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, node, owner=None):
+        if node is None:
+            return self
+        value = node.__dict__[self.name] = self.func(node)
+        return value
 
 
 class Node:
@@ -295,10 +323,14 @@ class Node:
     declared fields, never the values a node caches on itself. Besides the
     methods below, each subclass provides `size` (exact member count) and
     `chars` (a frozenset covering every character members can contain).
+    `rank` and `unrank` call the node's `ranker` and `unranker`: functions
+    each subclass builds once in `_make_ranker` and `_make_unranker`, from
+    its constants and its children's built functions.
     """
 
     kind = ""  # the "type" tag of the JSON form
     rigid = False  # a member can be cut off the front of a longer string
+    width = None  # the length of every member, when all members have one
 
     @cached_property
     def violations(self) -> tuple:
@@ -340,10 +372,26 @@ class Node:
     def rank(self, s: str) -> int:
         """Position of a member in canonical order; ParseFailure, giving
         lengths and offsets but never the text, for any other string."""
-        raise NotImplementedError
+        return self.ranker(s)
 
     def unrank(self, v: int) -> str:
         """The member at position v; the entry points check 0 <= v < size."""
+        return self.unranker(v)
+
+    @cached_property
+    def ranker(self):
+        """`rank` as one function, built on first use."""
+        return self._make_ranker()
+
+    @cached_property
+    def unranker(self):
+        """`unrank` as one function, built on first use."""
+        return self._make_unranker()
+
+    def _make_ranker(self):
+        raise NotImplementedError
+
+    def _make_unranker(self):
         raise NotImplementedError
 
     @cached_property
@@ -420,13 +468,15 @@ class Ssn(_FixedWidth):
                 for serial in range(1, 10000):
                     yield f"{area:03d}{group:02d}{serial:04d}"
 
-    def rank(self, s):
-        area, group, serial = ssn_components(s)
-        return (area * 99 + group) * 9999 + serial
+    def _make_ranker(self):
+        def rank(s):
+            area, group, serial = ssn_components(s)
+            return (area * 99 + group) * 9999 + serial
 
-    def unrank(self, v):
-        rest, serial = divmod(v, 9999)
-        return ssn_from_components((*divmod(rest, 99), serial))
+        return rank
+
+    def _make_unranker(self):
+        return lambda v: ssn_from_components((*divmod(v // 9999, 99), v % 9999))
 
     def _split(self, max_size):
         return splitting.SsnComponents(splitting.radix_blocks(SSN_COMPONENT_SIZES, max_size))
@@ -446,12 +496,15 @@ class Ccn(_FixedWidth):
             body = f"{payload:015d}"
             yield body + luhn_digit(body)
 
-    def rank(self, s):
-        return int(ccn_payload(s))
+    def _make_ranker(self):
+        return lambda s: int(ccn_payload(s))
 
-    def unrank(self, v):
-        body = f"{v:015d}"
-        return body + luhn_digit(body)
+    def _make_unranker(self):
+        def unrank(v):
+            body = f"{v:015d}"
+            return body + luhn_digit(body)
+
+        return unrank
 
     def _split(self, max_size):
         return splitting.CcnBlocks(splitting.radix_blocks((10,) * 15, max_size))
@@ -510,14 +563,20 @@ class Date(_FixedWidth):
             yield format_date_string(cur, self.granularity)
             cur += step
 
-    def rank(self, s):
-        dt = _parse_date_string(s, self.granularity)
-        if dt is None or not self.min <= dt <= self.max:
-            raise ParseFailure.of(s)
-        return date_offset(self.min, dt, self.granularity)
+    def _make_ranker(self):
+        lo, hi, gran = self.min, self.max, self.granularity
 
-    def unrank(self, v):
-        return format_date_string(offset_to_date(self.min, v, self.granularity), self.granularity)
+        def rank(s):
+            dt = _parse_date_string(s, gran)
+            if dt is None or not lo <= dt <= hi:
+                raise ParseFailure.of(s)
+            return date_offset(lo, dt, gran)
+
+        return rank
+
+    def _make_unranker(self):
+        lo, gran = self.min, self.granularity
+        return lambda v: format_date_string(offset_to_date(lo, v, gran), gran)
 
     def _split(self, max_size):
         return splitting.RankWindow(self, max_size)
@@ -579,27 +638,44 @@ class FixedString(_FixedWidth):
 
     @cached_property
     def _index(self) -> tuple:
-        return tuple({c: i for i, c in enumerate(cs)} for cs in self.charsets)
+        """Per position, a map from a character to its digit; positions with
+        the same set share one map."""
+        maps = {cs: {c: i for i, c in enumerate(cs)} for cs in set(self.charsets)}
+        return tuple(maps[cs] for cs in self.charsets)
 
-    def rank(self, s):
-        if len(s) != len(self._index):
-            raise ParseFailure.of(s)
-        total = 0
-        weight = 1
-        for c, amap in zip(s, self._index):
-            d = amap.get(c)
-            if d is None:
+    def _make_ranker(self):
+        if len(self.charsets) == 1:
+            return _lookup(self._index[0])
+        width = self.width
+        # Horner's rule from the last (most significant) position
+        steps = tuple(zip(self._index[::-1], map(len, self.charsets[::-1])))
+
+        def rank(s):
+            if len(s) != width:
                 raise ParseFailure.of(s)
-            total += d * weight
-            weight *= len(amap)
-        return total
+            r = 0
+            try:
+                for c, (index, base) in zip(reversed(s), steps):
+                    r = r * base + index[c]
+            except KeyError:
+                raise ParseFailure(f"length {width}: a character outside its position's set") from None
+            return r
 
-    def unrank(self, v):
-        chars = []
-        for cs in self.charsets:
-            v, d = divmod(v, len(cs))
-            chars.append(cs[d])
-        return "".join(chars)
+        return rank
+
+    def _make_unranker(self):
+        if len(self.charsets) == 1:
+            return self.charsets[0].__getitem__
+        steps = tuple((len(cs), cs) for cs in self.charsets)
+
+        def unrank(v):
+            chars = []
+            for base, cs in steps:
+                v, d = divmod(v, base)
+                chars.append(cs[d])
+            return "".join(chars)
+
+        return unrank
 
     def _split(self, max_size):
         if len(self.charsets) == 1:
@@ -656,32 +732,46 @@ class _Lengths(Node):
     def _index(self) -> dict:
         return {c: i for i, c in enumerate(self.alphabet)}
 
-    def rank(self, s):
-        n = len(s) - len(self.suffix)
-        if not (self.min <= n <= self.max and s.endswith(self.suffix)):
-            raise ParseFailure.of(s)
-        index = self._index
-        base = len(index)
-        total = self._starts[n - self.min]
-        weight = 1
-        for c in s[:n]:
-            d = index.get(c)
-            if d is None:
-                raise ParseFailure.of(s)
-            total += d * weight
-            weight *= base
-        return total
+    def _make_ranker(self):
+        index, base, starts = self._index, len(self.alphabet), self._starts
+        lo, hi, suffix = self.min, self.max, self.suffix
 
-    def unrank(self, v):
-        base = len(self.alphabet)
-        i = bisect.bisect_right(self._starts, v) - 1
-        v -= self._starts[i]
-        length = self.min + i
-        chars = []
-        for _ in range(length):
-            v, d = divmod(v, base)
-            chars.append(self.alphabet[d])
-        return "".join(chars) + self.suffix
+        def rank(s):  # a body, without the suffix
+            n = len(s)
+            if not lo <= n <= hi:
+                raise ParseFailure.of(s)
+            r = 0
+            try:
+                for c in reversed(s):  # Horner's rule, last character first
+                    r = r * base + index[c]
+            except KeyError:
+                raise ParseFailure(f"length {n}: a character outside the alphabet") from None
+            return starts[n - lo] + r
+
+        if not suffix:
+            return rank
+
+        def rank_with_suffix(s):
+            if not s.endswith(suffix):
+                raise ParseFailure(f"a string of length {len(s)} lacks the final delimiter")
+            return rank(s[:-1])
+
+        return rank_with_suffix
+
+    def _make_unranker(self):
+        alphabet, base, starts = self.alphabet, len(self.alphabet), self._starts
+        lo, suffix = self.min, self.suffix
+
+        def unrank(v):
+            i = bisect.bisect_right(starts, v) - 1
+            v -= starts[i]
+            chars = []
+            for _ in range(lo + i):
+                v, d = divmod(v, base)
+                chars.append(alphabet[d])
+            return "".join(chars) + suffix
+
+        return unrank
 
     def _split(self, max_size):
         if self.min == self.max:
@@ -781,14 +871,11 @@ class _Table(Node):
     def members(self):
         return iter(self.strings)
 
-    def rank(self, s):
-        r = self._index.get(s)
-        if r is None:
-            raise ParseFailure.of(s)
-        return r
+    def _make_ranker(self):
+        return _lookup(self._index)
 
-    def unrank(self, v):
-        return self.strings[v]
+    def _make_unranker(self):
+        return self.strings.__getitem__
 
     def _split(self, max_size):
         raise UnsplittableAtom(
@@ -901,14 +988,23 @@ class IntegralDomain(Node):
     def members(self):
         return map(str, range(self.min, self.max + 1))
 
-    def rank(self, s):
-        n = _canonical_int(s)
-        if n is None or not self.min <= n <= self.max:
-            raise ParseFailure.of(s)
-        return n - self.min
+    def _make_ranker(self):
+        lo, hi = self.min, self.max
 
-    def unrank(self, v):
-        return str(self.min + v)
+        def rank(s):  # only the text str() gives an int is a member
+            try:
+                n = int(s)
+            except ValueError:
+                raise ParseFailure.of(s) from None
+            if not lo <= n <= hi or str(n) != s:
+                raise ParseFailure.of(s)
+            return n - lo
+
+        return rank
+
+    def _make_unranker(self):
+        lo = self.min
+        return lambda v: str(lo + v)
 
     def _split(self, max_size):
         return splitting.RankWindow(self, max_size)
@@ -988,13 +1084,27 @@ class Union(Node):
     def members(self):
         return itertools.chain.from_iterable(p.members() for p in self.parts)
 
-    def rank(self, s):
-        i = self.part_of(s)
-        return self._offsets[i] + self.parts[i].rank(s)
+    def _make_ranker(self):
+        lead, offsets = self._part_of_lead, self._offsets
+        rankers = tuple(p.ranker for p in self.parts)
 
-    def unrank(self, v):
-        i = bisect.bisect_right(self._offsets, v) - 1
-        return self.parts[i].unrank(v - self._offsets[i])
+        def rank(s):
+            i = lead.get(s[:1])
+            if i is None:
+                raise ParseFailure(f"a string of length {len(s)} starts outside every part")
+            return offsets[i] + rankers[i](s)
+
+        return rank
+
+    def _make_unranker(self):
+        offsets = self._offsets
+        unrankers = tuple(p.unranker for p in self.parts)
+
+        def unrank(v):
+            i = bisect.bisect_right(offsets, v) - 1
+            return unrankers[i](v - offsets[i])
+
+        return unrank
 
     def _split(self, max_size):
         sizes = [p.size for p in self.parts]
@@ -1076,9 +1186,40 @@ class Concat(Node):
     def chars(self):
         return frozenset().union(*(p.chars for p in self.parts), self.delims or ())
 
-    def cut(self, s: str) -> list:
+    def cut(self, s: str):
+        """One text per part, by the rule `_cut_rule` chose; the texts
+        themselves are not checked."""
+        return self._cut_rule(s)
+
+    @cached_property
+    def _cut_rule(self):
+        """The function `cut` applies, chosen once. With one delimiter
+        character it splits on it, which gives the pieces of reading the
+        delimiters in order; with no delimiters and a width for every part
+        but the last it slices at fixed offsets; else it reads in order."""
+        parts, delims = self.parts, self.delims
+        last = len(parts) - 1
+        if delims and len(set(delims)) == 1:
+            d = delims[0]
+
+            def cut(s):
+                texts = s.split(d, last)
+                if len(texts) <= last:
+                    raise ParseFailure(f"missing delimiter {len(texts) - 1} "
+                                       f"in a string of length {len(s)}")
+                return texts
+
+            return cut
+        if not delims and all(p.width is not None for p in parts[:last]):
+            if not last:
+                return lambda s: (s,)
+            ends = tuple(itertools.accumulate(p.width for p in parts[:last]))
+            return operator.itemgetter(*map(slice, (0,) + ends, ends + (None,)))
+        return self._cut_in_order
+
+    def _cut_in_order(self, s: str) -> list:
         """One text per part, from the delimiters, the rigid parts' `take` and
-        the other parts' alphabets; the texts themselves are not checked."""
+        the other parts' alphabets."""
         texts = []
         pos = 0
         last = len(self.parts) - 1
@@ -1112,32 +1253,45 @@ class Concat(Node):
     def reassemble(self, pp):
         return self._join([p for p, _ in pp.pieces])
 
-    def _join(self, texts) -> str:
-        if not self.delims:
-            return "".join(texts)
-        out = [texts[0]]
-        for d, t in zip(self.delims, texts[1:]):
-            out.append(d)
-            out.append(t)
-        return "".join(out)
+    @cached_property
+    def _join(self):
+        """The function joining one text per part with the delimiters."""
+        delims = self.delims
+        if not delims:
+            return "".join
+        if len(set(delims)) == 1:
+            return delims[0].join
+        after = delims + ("",)  # the text after each part
+        return lambda texts: "".join(itertools.chain.from_iterable(zip(texts, after)))
 
     def members(self):
         return map(self._join, _tuple_stream([p.members for p in self.parts]))
 
-    def rank(self, s):
-        total = 0
-        weight = 1
-        for text, part in zip(self.cut(s), self.parts):
-            total += part.rank(text) * weight
-            weight *= part.size
-        return total
+    def _make_ranker(self):
+        # each part's rank function and weight, the product of the sizes before it
+        weights = itertools.accumulate((p.size for p in self.parts), operator.mul, initial=1)
+        steps = tuple(zip((p.ranker for p in self.parts), weights))
 
-    def unrank(self, v):
-        texts = []
-        for part in self.parts:
-            v, r = divmod(v, part.size)
-            texts.append(part.unrank(r))
-        return self._join(texts)
+        def rank(s):
+            total = 0
+            for text, (rank_part, weight) in zip(self.cut(s), steps):
+                total += rank_part(text) * weight
+            return total
+
+        return rank
+
+    def _make_unranker(self):
+        join = self._join
+        steps = tuple((p.size, p.unranker) for p in self.parts)
+
+        def unrank(v):
+            texts = []
+            for n, unrank_part in steps:
+                v, r = divmod(v, n)
+                texts.append(unrank_part(r))
+            return join(texts)
+
+        return unrank
 
     def _split(self, max_size):
         sizes = [p.size for p in self.parts]
@@ -1233,25 +1387,32 @@ class Range(Node):
         for k in range(self.min, self.max + 1):
             yield from map(self._join, _tuple_stream([self.inner.members] * k))
 
-    def rank(self, s):
-        texts = self.cut(s)
-        base = self.inner.size
-        total = self._starts[len(texts) - self.min]
-        weight = 1
-        for text in texts:
-            total += self.inner.rank(text) * weight
-            weight *= base
-        return total
+    def _make_ranker(self):
+        inner, starts, lo = self.inner.ranker, self._starts, self.min
+        # the weight of each repetition: a power of the inner size
+        powers = tuple(itertools.accumulate(itertools.repeat(self.inner.size, self.max - 1),
+                                            operator.mul, initial=1))
 
-    def unrank(self, v):
-        base = self.inner.size
-        i = bisect.bisect_right(self._starts, v) - 1
-        v -= self._starts[i]
-        texts = []
-        for _ in range(self.min + i):
-            v, r = divmod(v, base)
-            texts.append(self.inner.unrank(r))
-        return self._join(texts)
+        def rank(s):
+            texts = self.cut(s)
+            return starts[len(texts) - lo] + sum(map(operator.mul, map(inner, texts), powers))
+
+        return rank
+
+    def _make_unranker(self):
+        inner, base, starts, lo = self.inner.unranker, self.inner.size, self._starts, self.min
+        delim, tail = self.delim, self.delim if self.last_delimited else ""
+
+        def unrank(v):
+            i = bisect.bisect_right(starts, v) - 1
+            v -= starts[i]
+            texts = []
+            for _ in range(lo + i):
+                v, r = divmod(v, base)
+                texts.append(inner(r))
+            return delim.join(texts) + tail
+
+        return unrank
 
     def _split(self, max_size):
         if self.min == self.max:

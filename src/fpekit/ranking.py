@@ -2,10 +2,12 @@
 
 Ranking is mixed-radix with the first (leftmost) unit least significant.
 For variable-length and repeated shapes, the count of all shorter members
-is added in front, so members sort by length first. Each node type ranks
-itself (`Node.rank` and `Node.unrank` in `formats`); this module holds the
-checked public entry points, the `Rank` value they return, and the
-nine-digit counting helper kept as an independent check on the SSN order.
+is added in front, so members sort by length first. Each format node
+builds its own rank and unrank functions once (`_make_ranker` and
+`_make_unranker` in `formats`, behind `Node.rank` and `Node.unrank`); this
+module holds the checked public entry points, the `Rank` value they
+return, and the nine-digit counting helper kept as an independent check on
+the SSN order.
 """
 
 from __future__ import annotations

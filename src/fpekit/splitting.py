@@ -118,7 +118,7 @@ class WholeSlot:
 
     def crypt_into(self, s, out, perm):
         spec = self.spec
-        out.append(spec.unrank(perm(spec.rank(s), spec.size)))
+        out.append(spec.unranker(perm(spec.ranker(s), spec.size)))
 
     def path_signature(self, s):
         return ()
@@ -318,7 +318,7 @@ class RankWindow:
 
     def crypt_into(self, s, out, perm):
         spec = self.spec
-        out.append(spec.unrank(_windowed(perm, spec.rank(s), spec.size, self.width)))
+        out.append(spec.unranker(_windowed(perm, spec.ranker(s), spec.size, self.width)))
 
     def path_signature(self, s):
         return (("w", self.spec.rank(s) // self.width),)

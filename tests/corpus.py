@@ -93,18 +93,25 @@ PREFIX_SPECS = [
 ]
 
 LOWER = "abcdefghijklmnopqrstuvwxyz"
-WORD = Concat((FixedString((LOWER.upper(),)), VarString(1, 9, LOWER)))
-# the acceptance suite's address record: street, town, number, zip, country
-ADDRESS = Concat(
-    (
-        Range(WORD, " ", 2, 4, last_delimited=False),
-        Range(WORD, " ", 1, 3, last_delimited=False),
-        IntegralDomain(1, 9999),
-        FixedString((DIGITS,) * 5),
-        Range(WORD, " ", 1, 2, last_delimited=False),
-    ),
-    (",", ",", ",", ","),
-)
+
+
+def address_format():
+    """A new tree of the acceptance suite's address record: street, town,
+    number, zip, country, the three word ranges sharing one word node."""
+    word = Concat((FixedString((LOWER.upper(),)), VarString(1, 9, LOWER)))
+    return Concat(
+        (
+            Range(word, " ", 2, 4, last_delimited=False),
+            Range(word, " ", 1, 3, last_delimited=False),
+            IntegralDomain(1, 9999),
+            FixedString((DIGITS,) * 5),
+            Range(word, " ", 1, 2, last_delimited=False),
+        ),
+        (",", ",", ",", ","),
+    )
+
+
+ADDRESS = address_format()
 
 
 def by_name(name):

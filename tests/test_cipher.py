@@ -31,6 +31,9 @@ from fpekit import (
     validate,
 )
 from fpekit import dsl
+from fpekit.formats import NODE_TYPES
+
+from corpus import address_format
 
 DIGITS = "0123456789"
 
@@ -90,6 +93,39 @@ def test_fingerprint_is_computed_once_per_format_and_bound(monkeypatch):
         for _ in range(50):
             assert decrypt(cfg, KEY_A, spec, encrypt(cfg, KEY_A, spec, "Aab")) == "Aab"
     assert serialized == 2
+    ref = weakref.ref(spec)
+    del spec
+    gc.collect()
+    assert ref() is None
+
+
+def _tree(spec):
+    """The nodes of a format tree, each parent before its children."""
+    yield spec
+    for child in getattr(spec, "parts", None) or (getattr(spec, "inner", None),):
+        if child is not None:
+            yield from _tree(child)
+
+
+def test_rank_functions_are_built_once_per_node(monkeypatch):
+    built = {}  # (id, builder) -> [node, count]; holding the node keeps its id unique
+    for cls in NODE_TYPES:
+        for name in ("_make_ranker", "_make_unranker"):
+            def counting(self, real=getattr(cls, name), name=name):
+                built.setdefault((id(self), name), [self, 0])[1] += 1
+                return real(self)
+
+            monkeypatch.setattr(cls, name, counting)
+    spec = address_format()
+    record = "Elm Street Ave,Dover,42,12345,France"
+    for bound in (None, 2**16):
+        cfg = CipherConfig(max_size=bound)
+        for _ in range(50):
+            assert decrypt(cfg, KEY_A, spec, encrypt(cfg, KEY_A, spec, record)) == record
+    assert {count for _, count in built.values()} == {1}
+    for node in _tree(spec):
+        assert (id(node), "_make_ranker") in built and (id(node), "_make_unranker") in built
+    built.clear()
     ref = weakref.ref(spec)
     del spec
     gc.collect()

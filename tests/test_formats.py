@@ -1,5 +1,7 @@
 """Format tree validation, counting, membership, parsing, enumeration."""
 
+import string
+import tracemalloc
 from datetime import datetime
 
 import pytest
@@ -358,3 +360,20 @@ def test_ccn_enumeration_carries_check_digit():
 
 def test_enumeration_respects_limit():
     assert len(list(enumerate_members(Ccn(), limit=10))) == 10
+
+
+# ---------------------------------------------------------------------------
+# rank and unrank functions
+
+
+def test_rank_functions_hold_no_table_that_grows_with_length_times_alphabet():
+    spec = VarString(0, 3000, string.ascii_letters + string.digits)
+    size(spec)  # the start rank of every length is built here
+    member = "Zz9" * 1000
+    tracemalloc.start()
+    try:
+        assert spec.unrank(spec.rank(member)) == member
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000, peak

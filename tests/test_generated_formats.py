@@ -6,11 +6,13 @@ parse and every bounded plan accept exactly the members; and encryption of
 a small format under several slot bounds is a permutation that round-trips,
 keeps each member's path through the slot plan, maps each slot by its index,
 size and rank alone, and is the same whether the integer backend takes a
-record's slots in one call or one slot at a time.
+record's slots in one call or one slot at a time. No error for a non-member,
+of these trees or of the corpus formats, repeats the string it refused.
 """
 
 from datetime import datetime, timedelta
 
+import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -47,7 +49,7 @@ from fpekit import (
 )
 from fpekit.errors import NotInFormat, ParseFailure
 
-from corpus import ADDRESS
+from corpus import ADDRESS, PREFIX_SPECS, SMALL_SPECS
 
 LETTERS = "abcdefgh"
 DELIMS = ",;|-"
@@ -194,6 +196,49 @@ def test_checked_walks_accept_exactly_the_members(spec, data):
 
 
 KEY = IntFpeKey(bytes(range(32)))
+CORPUS = SMALL_SPECS + PREFIX_SPECS + [("address", ADDRESS)]
+
+
+def _refused_without_echo(spec, data):
+    """Non-members near the format's first and last members are refused by
+    spec.rank (ParseFailure), rank and encrypt at bounds None and 5
+    (NotInFormat), with a text that holds neither the input, when it has
+    four characters or more, nor any six characters of it in a row."""
+    checks = [(ParseFailure, spec.rank), (NotInFormat, lambda s: rank(spec, s))]
+    for bound in (None, 5):
+        cfg = CipherConfig(max_size=bound)
+        checks.append((NotInFormat, lambda s, cfg=cfg: encrypt(cfg, KEY, spec, s)))
+    n = size(spec)
+    members = list(enumerate_members(spec, limit=20))
+    members += [unrank(spec, r) for r in range(max(20, n - 12), n)]
+    for _ in range(8):
+        s = data.draw(near_strings(spec, members))
+        if contains(spec, s):
+            continue
+        for kind, call in checks:
+            try:
+                call(s)
+            except UnsplittableAtom:
+                continue
+            except NotInFormat as e:
+                assert type(e) is kind, (spec, e)
+                assert len(s) < 4 or s not in str(e), (spec, e)
+                assert not any(s[i:i + 6] in str(e) for i in range(len(s) - 5)), (spec, e)
+            else:
+                raise AssertionError(f"{spec} accepted a non-member")
+
+
+@settings(max_examples=60, **SETTINGS)
+@given(valid_trees, st.data())
+def test_no_error_echoes_its_input(spec, data):
+    _refused_without_echo(spec, data)
+
+
+@pytest.mark.parametrize("spec", [spec for _, spec in CORPUS], ids=[name for name, _ in CORPUS])
+@settings(max_examples=4, **SETTINGS)
+@given(st.data())
+def test_no_error_echoes_a_corpus_input(spec, data):
+    _refused_without_echo(spec, data)
 
 
 @settings(max_examples=40, **SETTINGS)
