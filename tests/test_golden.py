@@ -20,7 +20,7 @@ from corpus import PREFIX_SPECS, SMALL_SPECS
 
 GOLDEN = Path(__file__).with_name("golden_vectors.json")
 KEYS = (IntFpeKey(bytes(range(32))), IntFpeKey(bytes(range(1, 33))))
-BOUNDS = {"inf": None, "2^16": 2**16, "2^64": 2**64}
+BOUNDS = {"inf": None, "2^16": 2**16, "2^64": 2**64, "5": 5}
 TWEAKS = ("", "col")
 
 
