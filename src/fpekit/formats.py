@@ -22,12 +22,12 @@ significant, and character sets are ordered by ascending code point.
 Derived values (violations, size, alphabet, lookup tables, rank and unrank
 functions, plans) are computed on first use and stored on the node itself.
 A node builds its rank and unrank functions once, binding its own
-constants and its children's functions, so ranking a member runs one
-function per node it passes; the only method a rank function calls is
-`cut`, once per `Concat` or `Range` node. A malformed tree can still be
-built and reported by validate(), and a format nobody references is freed
-together with everything derived from it. The module functions are the
-public entry points.
+constants, its children's functions and, for `Concat` and `Range`, its
+cut rule, so ranking a member runs one function per node it passes and
+calls no method. A malformed tree can still be built and reported by
+validate(), and a format nobody references is freed together with
+everything derived from it. The module functions are the public entry
+points.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from datetime import date as _date
 from datetime import datetime, time, timedelta
 
 from . import splitting
+from .splitting import cached_property
 from .errors import (
     BadLength,
     BadParameter,
@@ -183,25 +184,23 @@ def _tuple_stream(factories):
 # primitive value codecs
 
 
+_LUHN_DOUBLED = bytes.maketrans(b"0123456789", b"0246813579")  # the digit of 2d's digit sum
+
+
 def luhn_digit(digits: str) -> str:
     """The check digit that makes digits + check Luhn-valid (16 total)."""
     if len(digits) != 15:
         raise BadLength(f"expected 15 digits, got {len(digits)}")
-    total = 0
-    for i, ch in enumerate(digits):
-        if not "0" <= ch <= "9":
-            raise NonDigit(f"not a decimal digit: {ch!r}")
-        d = ord(ch) - 48
-        if i % 2 == 0:
-            d *= 2
-            if d > 9:
-                d -= 9
-        total += d
-    return str((10 - total % 10) % 10)
+    if not _all_decimal(digits):
+        raise NonDigit(f"not a decimal digit: {next(c for c in digits if not _all_decimal(c))!r}")
+    b = digits.encode("ascii")  # each byte is its digit plus 48
+    total = sum(b[0::2].translate(_LUHN_DOUBLED)) + sum(b[1::2]) - 48 * 15
+    return str(-total % 10)
 
 
 def _all_decimal(s: str) -> bool:
-    return all("0" <= c <= "9" for c in s)
+    """True when every character of s is an ASCII digit (so also for "")."""
+    return not s or s.isascii() and s.isdigit()
 
 
 SSN_COMPONENT_SIZES = (898, 99, 9999)
@@ -240,24 +239,17 @@ def ssn_from_components(comp) -> str:
 def _parse_date_string(s: str, granularity: str):
     """Strict dd.mm.yyyy [hh:mm:ss] reader; None when malformed."""
     width = 10 if granularity == "day" else 19
-    if len(s) != width:
+    if len(s) != width or s[2] != "." or s[5] != ".":
         return None
-    digit_at = [0, 1, 3, 4, 6, 7, 8, 9]
-    if s[2] != "." or s[5] != ".":
-        return None
+    fields = [s[6:10], s[3:5], s[0:2]]  # year, month, day
     if width == 19:
         if s[10] != " " or s[13] != ":" or s[16] != ":":
             return None
-        digit_at += [11, 12, 14, 15, 17, 18]
-    if not all("0" <= s[i] <= "9" for i in digit_at):
+        fields += [s[11:13], s[14:16], s[17:19]]
+    if not _all_decimal("".join(fields)):
         return None
-    day, month, year = int(s[0:2]), int(s[3:5]), int(s[6:10])
     try:
-        if width == 10:
-            return datetime(year, month, day)
-        return datetime(
-            year, month, day, int(s[11:13]), int(s[14:16]), int(s[17:19])
-        )
+        return datetime(*map(int, fields))
     except ValueError:
         return None
 
@@ -293,27 +285,6 @@ def offset_to_date(min_date: datetime, r: int, granularity: str) -> datetime:
 
 # ---------------------------------------------------------------------------
 # the node types
-
-
-class cached_property:
-    """functools.cached_property without the class-wide lock that Python
-    3.11 takes on every first use, about a microsecond each: a new format
-    computes dozens of these values, rank and unrank functions included,
-    in its first encryption. A value two threads compute at once is
-    computed twice, and either result is correct."""
-
-    def __init__(self, func):
-        self.func = func
-        self.__doc__ = func.__doc__
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, node, owner=None):
-        if node is None:
-            return self
-        value = node.__dict__[self.name] = self.func(node)
-        return value
 
 
 class Node:
@@ -719,9 +690,11 @@ class _Lengths(Node):
     def chars(self):
         return frozenset(self.alphabet + self.suffix)
 
-    def length_of(self, s: str) -> int:
-        """The body length a member's length band is chosen by."""
-        return len(s) - len(self.suffix)
+    @cached_property
+    def length_of(self):
+        """The function giving the body length a member's band is chosen by."""
+        k = len(self.suffix)
+        return (lambda s: len(s) - k) if k else len
 
     def members(self):
         for length in range(self.min, self.max + 1):
@@ -1271,10 +1244,11 @@ class Concat(Node):
         # each part's rank function and weight, the product of the sizes before it
         weights = itertools.accumulate((p.size for p in self.parts), operator.mul, initial=1)
         steps = tuple(zip((p.ranker for p in self.parts), weights))
+        cut = self._cut_rule
 
         def rank(s):
             total = 0
-            for text, (rank_part, weight) in zip(self.cut(s), steps):
+            for text, (rank_part, weight) in zip(cut(s), steps):
                 total += rank_part(text) * weight
             return total
 
@@ -1353,21 +1327,34 @@ class Range(Node):
     def chars(self):
         return self.inner.chars | {self.delim}
 
-    def length_of(self, s: str) -> int:
-        """The repetition count a member's length band is chosen by."""
-        k = s.count(self.delim)
-        return k if self.last_delimited else k + 1
+    @cached_property
+    def length_of(self):
+        """The function giving the repetition count a member's band is chosen by."""
+        delim, extra = self.delim, 0 if self.last_delimited else 1
+        return lambda s: s.count(delim) + extra
 
     def cut(self, s: str) -> list:
         """The repetition texts of s, split on the delimiter; ParseFailure
         without the final delimiter (if one is due) or min..max texts. The
         texts themselves are not checked."""
-        if self.last_delimited and not s.endswith(self.delim):
-            raise ParseFailure(f"a string of length {len(s)} lacks the final delimiter")
-        texts = (s[:-1] if self.last_delimited else s).split(self.delim)
-        if not self.min <= len(texts) <= self.max:
-            raise ParseFailure(f"{len(texts)} repetitions, expected {self.min}..{self.max}")
-        return texts
+        return self._cut_rule(s)
+
+    @cached_property
+    def _cut_rule(self):
+        """The function `cut` applies, built once."""
+        delim, last, lo, hi = self.delim, self.last_delimited, self.min, self.max
+
+        def cut(s):
+            if last:
+                if not s.endswith(delim):
+                    raise ParseFailure(f"a string of length {len(s)} lacks the final delimiter")
+                s = s[:-1]
+            texts = s.split(delim)
+            if not lo <= len(texts) <= hi:
+                raise ParseFailure(f"{len(texts)} repetitions, expected {lo}..{hi}")
+            return texts
+
+        return cut
 
     def parse(self, s):
         texts = self.cut(s)
@@ -1388,13 +1375,13 @@ class Range(Node):
             yield from map(self._join, _tuple_stream([self.inner.members] * k))
 
     def _make_ranker(self):
-        inner, starts, lo = self.inner.ranker, self._starts, self.min
+        inner, starts, lo, cut = self.inner.ranker, self._starts, self.min, self._cut_rule
         # the weight of each repetition: a power of the inner size
         powers = tuple(itertools.accumulate(itertools.repeat(self.inner.size, self.max - 1),
                                             operator.mul, initial=1))
 
         def rank(s):
-            texts = self.cut(s)
+            texts = cut(s)
             return starts[len(texts) - lo] + sum(map(operator.mul, map(inner, texts), powers))
 
         return rank

@@ -7,22 +7,25 @@ vector, and the public entry points. Greedy grouping keeps adjacent units
 together while the aggregate stays within the bound, which uses the fewest
 groups possible for a left-to-right partition.
 
-One walk, `crypt_into(s, out, perm)`, takes a member apart and spells its
-image. At each slot it ranks the piece, calls `perm(rank, size)`, in slot
-order and with every size at most the bound, and appends the piece spelled
-from perm's answer to `out`; literal delimiters are appended where they
-stand. Every choice the ranks do not encode (union branch, length band,
-rank window) is read off the input and kept, so the output has its path.
-Ranking is the membership check: every node's `rank` and every plan node's
-`crypt_into` raise ParseFailure for a string that is no member, so each
-entry point walks its input once and reports a plain NotInFormat.
+One walk takes a member apart and spells its image. Each plan node builds
+its walk function, `crypt(s, out, perm)`, once, on the first walk that
+reaches it, binding its constants, its spec's rank, unrank and cut
+functions, and the walk functions of the children it always visits. At
+each slot the walk ranks the piece, calls `perm(rank, size)`, in slot
+order and with every size at most the bound, and appends the piece
+spelled from perm's answer to `out`; literal delimiters are appended where
+they stand. Every choice the ranks do not encode (union branch, length
+band, rank window) is read off the input and kept, so the output has its
+path. Ranking is the membership check: every rank and walk function raises
+ParseFailure for a string that is no member, so each entry point walks its
+input once and reports a plain NotInFormat.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
+from itertools import accumulate, chain
 from operator import getitem, itemgetter, mul
 
 from . import formats
@@ -36,6 +39,29 @@ from .errors import (
 )
 
 __all__ = ["RankVector", "build_plan", "rank_multi", "unrank_multi", "path_signature"]
+
+
+class cached_property:
+    """functools.cached_property without the class-wide lock that Python
+    3.11 takes on every first use, about a microsecond each: a new format
+    computes dozens of these values, rank, unrank and walk functions
+    included, in its first encryption. A value two threads compute at once
+    is computed twice, and either result is correct. It lives here, and
+    `formats` imports it, because the plan nodes below use it while
+    `formats` is still importing this module."""
+
+    def __init__(self, func):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, node, owner=None):
+        if node is None:
+            return self
+        value = node.__dict__[self.name] = self.func(node)
+        return value
 
 
 @dataclass(frozen=True)
@@ -106,26 +132,56 @@ def _windowed(perm, r, n, window):
     return base + perm(r - base, min(window, n - base))
 
 
+def _grouped(cut, groups, between):
+    """A function giving one text per group from `cut`'s one text per unit:
+    the texts of units lo..hi-1 with the strings `between[lo:hi-1]` that
+    stand between them. It is `cut` itself when every group holds one unit."""
+    if all(hi - lo == 1 for lo, hi, _ in groups):
+        return cut
+    # per group: its bounds, and the string after each of its units
+    afters = tuple((lo, hi, between[lo:hi - 1] + ("",)) for lo, hi, _ in groups)
+
+    def grouped(s):
+        texts = cut(s)
+        return ["".join(chain.from_iterable(zip(texts[lo:hi], after))) for lo, hi, after in afters]
+
+    return grouped
+
+
 # ---------------------------------------------------------------------------
 # plan nodes
 
 
+class _Plan:
+    """Base class of the plan node types. Each builds its walk function,
+    `crypt(s, out, perm)`, in `_make_crypt`; `crypt` holds it once built."""
+
+    @cached_property
+    def crypt(self):
+        """The walk of this node as one function, built on first use."""
+        return self._make_crypt()
+
+
 @dataclass(frozen=True)
-class WholeSlot:
+class WholeSlot(_Plan):
     """The whole format fits in one slot."""
 
     spec: object
 
-    def crypt_into(self, s, out, perm):
-        spec = self.spec
-        out.append(spec.unranker(perm(spec.ranker(s), spec.size)))
+    def _make_crypt(self):
+        rank, unrank, n = self.spec.ranker, self.spec.unranker, self.spec.size
+
+        def crypt(s, out, perm):
+            out.append(unrank(perm(rank(s), n)))
+
+        return crypt
 
     def path_signature(self, s):
         return ()
 
 
 @dataclass(frozen=True)
-class UnionGroups:
+class UnionGroups(_Plan):
     """Consecutive union parts grouped by summed size.
 
     A member is ranked within its group only; the walk keeps the group, so
@@ -139,8 +195,17 @@ class UnionGroups:
         part_idx = self.spec.part_of(s)
         return next(gi for gi, (lo, hi, _) in enumerate(self.groups) if lo <= part_idx < hi)
 
-    def crypt_into(self, s, out, perm):
-        self.groups[self._group_of(s)][2].crypt_into(s, out, perm)
+    def _make_crypt(self):
+        plan_of_part = [sub for lo, hi, sub in self.groups for _ in range(lo, hi)]
+        plan_of_lead = {c: plan_of_part[i] for c, i in self.spec._part_of_lead.items()}
+
+        def crypt(s, out, perm):
+            sub = plan_of_lead.get(s[:1])
+            if sub is None:
+                raise ParseFailure(f"a string of length {len(s)} starts outside every part")
+            sub.crypt(s, out, perm)
+
+        return crypt
 
     def path_signature(self, s):
         gi = self._group_of(s)
@@ -148,7 +213,7 @@ class UnionGroups:
 
 
 @dataclass(frozen=True)
-class ConcatGroups:
+class ConcatGroups(_Plan):
     """Consecutive concat parts grouped by multiplied size.
 
     Delimiters inside a group stay part of the group's sub-format; the walk
@@ -172,12 +237,20 @@ class ConcatGroups:
             texts.append("".join(chunk))
         return texts
 
-    def crypt_into(self, s, out, perm):
-        delims = self.spec.delims
-        for (lo, _, sub), text in zip(self.groups, self._group_texts(s)):
-            if lo and delims is not None:
-                out.append(delims[lo - 1])
-            sub.crypt_into(text, out, perm)
+    def _make_crypt(self):
+        spec, delims = self.spec, self.spec.delims
+        cut = _grouped(spec._cut_rule, self.groups, delims or ("",) * (len(spec.parts) - 1))
+        # each group's walk, after the delimiter that ends the part before it
+        steps = tuple((delims[lo - 1] if lo and delims else "", sub.crypt)
+                      for lo, _, sub in self.groups)
+
+        def crypt(s, out, perm):
+            for text, (border, sub) in zip(cut(s), steps):
+                if border:
+                    out.append(border)
+                sub(text, out, perm)
+
+        return crypt
 
     def path_signature(self, s):
         return tuple(
@@ -189,7 +262,7 @@ class ConcatGroups:
 
 
 @dataclass(frozen=True)
-class LengthBands:
+class LengthBands(_Plan):
     """Members routed by length (or repetition count) into sub-format bands."""
 
     spec: object
@@ -202,8 +275,18 @@ class LengthBands:
             raise ParseFailure(f"length {m} is in no band")
         return bi
 
-    def crypt_into(self, s, out, perm):
-        self.bands[self._band_of(s)][2].crypt_into(s, out, perm)
+    def _make_crypt(self):
+        length_of = self.spec.length_of
+        starts, ends, plans = zip(*self.bands)
+
+        def crypt(s, out, perm):
+            m = length_of(s)
+            bi = bisect_right(starts, m) - 1
+            if bi < 0 or m > ends[bi]:
+                raise ParseFailure(f"length {m} is in no band")
+            plans[bi].crypt(s, out, perm)
+
+        return crypt
 
     def path_signature(self, s):
         bi = self._band_of(s)
@@ -211,7 +294,7 @@ class LengthBands:
 
 
 @dataclass(frozen=True)
-class RepeatGroups:
+class RepeatGroups(_Plan):
     """A fixed repetition count split into runs of adjacent pieces.
 
     A group's sub-plan covers its pieces joined by the delimiter, without a
@@ -227,12 +310,20 @@ class RepeatGroups:
         return [texts[lo] if hi - lo == 1 else delim.join(texts[lo:hi])
                 for lo, hi, _ in self.groups]
 
-    def crypt_into(self, s, out, perm):
+    def _make_crypt(self):
         sp = self.spec
-        for (lo, hi, sub), text in zip(self.groups, self._group_texts(s)):
-            sub.crypt_into(text, out, perm)
-            if hi < sp.min or sp.last_delimited:
-                out.append(sp.delim)
+        cut = _grouped(sp._cut_rule, self.groups, (sp.delim,) * (sp.min - 1))
+        # each group's walk and the delimiter written after it, if one is due
+        steps = tuple((sub.crypt, sp.delim if hi < sp.min or sp.last_delimited else "")
+                      for _, hi, sub in self.groups)
+
+        def crypt(s, out, perm):
+            for text, (sub, delim) in zip(cut(s), steps):
+                sub(text, out, perm)
+                if delim:
+                    out.append(delim)
+
+        return crypt
 
     def path_signature(self, s):
         return tuple(
@@ -242,7 +333,7 @@ class RepeatGroups:
 
 
 @dataclass(frozen=True)
-class CharBlocks:
+class CharBlocks(_Plan):
     """A fixed-length body cut into positional blocks `(lo, hi, window)`.
 
     A block is one slot over its positions, mixed radix with the leftmost
@@ -254,31 +345,39 @@ class CharBlocks:
     spec: object
     blocks: tuple
 
-    @cached_property
-    def _tables(self) -> tuple:
-        """Per block: its bounds, window and size, a map per position from a
-        character to its digit times the position's weight, and its charsets."""
-        out = []
+    def _make_crypt(self):
+        width, charsets = self.spec.width, self.spec.charsets
+        # per block: its bounds, window and size, a map per position from a
+        # character to its digit times the position's weight, and the
+        # position's base and characters, to spell the permuted rank
+        tables = []
         for lo, hi, window in self.blocks:
             weighted, n = [], 1
-            for cs in self.spec.charsets[lo:hi]:
+            for cs in charsets[lo:hi]:
                 weighted.append({c: d * n for d, c in enumerate(cs)})
                 n *= len(cs)
-            out.append((lo, hi, window, n, weighted, self.spec.charsets[lo:hi]))
-        return tuple(out)
+            tables.append((lo, hi, window, n, tuple(weighted),
+                           tuple((len(cs), cs) for cs in charsets[lo:hi])))
+        tables = tuple(tables)
 
-    def crypt_into(self, s, out, perm):
-        if len(s) != self.spec.width:
-            raise ParseFailure(f"length {len(s)}, expected {self.spec.width}")
-        for lo, hi, window, n, weighted, charsets in self._tables:
-            try:
-                r = sum(map(getitem, weighted, s[lo:hi]))
-            except KeyError:
-                raise ParseFailure(f"offsets {lo}..{hi - 1}: a character outside its set") from None
-            r = _windowed(perm, r, n, window)
-            for cs in charsets:
-                r, d = divmod(r, len(cs))
-                out.append(cs[d])
+        def crypt(s, out, perm):
+            if len(s) != width:
+                raise ParseFailure(f"length {len(s)}, expected {width}")
+            for lo, hi, window, n, weighted, spell in tables:
+                try:
+                    r = sum(map(getitem, weighted, s[lo:hi]))
+                except KeyError:
+                    raise ParseFailure(f"offsets {lo}..{hi - 1}: a character outside its set") from None
+                if window is None:
+                    r = perm(r, n)
+                else:  # the rank window holding r stays where it is
+                    base = r - r % window
+                    r = base + perm(r - base, min(window, n - base))
+                for radix, cs in spell:
+                    r, d = divmod(r, radix)
+                    out.append(cs[d])
+
+        return crypt
 
     def path_signature(self, s):
         index = self.spec._index
@@ -289,24 +388,29 @@ class CharBlocks:
 
 
 @dataclass(frozen=True)
-class TrailingDelim:
+class TrailingDelim(_Plan):
     """Strip a trailing delimiter before the sub-plan; the walk writes it back."""
 
     sub: object
     delim: str
 
-    def crypt_into(self, s, out, perm):
-        if not s.endswith(self.delim):
-            raise ParseFailure(f"a string of length {len(s)} lacks the final delimiter")
-        self.sub.crypt_into(s[:-1], out, perm)
-        out.append(self.delim)
+    def _make_crypt(self):
+        sub, delim = self.sub.crypt, self.delim
+
+        def crypt(s, out, perm):
+            if not s.endswith(delim):
+                raise ParseFailure(f"a string of length {len(s)} lacks the final delimiter")
+            sub(s[:-1], out, perm)
+            out.append(delim)
+
+        return crypt
 
     def path_signature(self, s):
         return self.sub.path_signature(s[:-1])
 
 
 @dataclass(frozen=True)
-class RankWindow:
+class RankWindow(_Plan):
     """Contiguous windows of the rank space; the walk keeps the window.
 
     The fallback for primitives with no positional structure to cut:
@@ -316,16 +420,22 @@ class RankWindow:
     spec: object
     width: int
 
-    def crypt_into(self, s, out, perm):
-        spec = self.spec
-        out.append(spec.unranker(_windowed(perm, spec.ranker(s), spec.size, self.width)))
+    def _make_crypt(self):
+        rank, unrank, n, width = self.spec.ranker, self.spec.unranker, self.spec.size, self.width
+
+        def crypt(s, out, perm):
+            r = rank(s)
+            base = r - r % width
+            out.append(unrank(base + perm(r - base, min(width, n - base))))
+
+        return crypt
 
     def path_signature(self, s):
         return (("w", self.spec.rank(s) // self.width),)
 
 
 @dataclass(frozen=True)
-class SsnComponents:
+class SsnComponents(_Plan):
     """Area, group, and serial as mixed-radix components, grouped greedily.
 
     A component whose own size exceeds the bound degrades to rank windows
@@ -334,24 +444,25 @@ class SsnComponents:
 
     groups: tuple
 
-    def crypt_into(self, s, out, perm):
-        comp = formats.ssn_components(s)
-        values = []
-        for lo, hi, width in self.groups:
-            r, n = 0, 1
-            for i in range(lo, hi):
-                r += comp[i] * n
-                n *= formats.SSN_COMPONENT_SIZES[i]
-            values.append(_windowed(perm, r, n, width))
-        out.append(self._spell(values))
+    def _make_crypt(self):
+        components, spell = formats.ssn_components, formats.ssn_from_components
+        # per group: its bounds and window, and its components' weights and sizes
+        groups = []
+        for lo, hi, window in self.groups:
+            sizes = formats.SSN_COMPONENT_SIZES[lo:hi]
+            *weights, n = accumulate(sizes, mul, initial=1)
+            groups.append((lo, hi, window, n, tuple(weights), sizes))
+        groups = tuple(groups)
 
-    def _spell(self, values):
-        """The id whose group values (base plus rank) these are."""
-        comp = [0, 0, 0]
-        for (lo, hi, _), v in zip(self.groups, values):
-            for i in range(lo, hi):
-                v, comp[i] = divmod(v, formats.SSN_COMPONENT_SIZES[i])
-        return formats.ssn_from_components(comp)
+        def crypt(s, out, perm):
+            comp = list(components(s))
+            for lo, hi, window, n, weights, sizes in groups:
+                v = _windowed(perm, sum(map(mul, comp[lo:hi], weights)), n, window)
+                for i, size in enumerate(sizes, lo):
+                    v, comp[i] = divmod(v, size)
+            out.append(spell(comp))
+
+        return crypt
 
     def path_signature(self, s):
         comp = formats.ssn_components(s)
@@ -363,21 +474,24 @@ class SsnComponents:
 
 
 @dataclass(frozen=True)
-class CcnBlocks:
+class CcnBlocks(_Plan):
     """Payload digits in positional blocks; the walk permutes every block,
     then spells the payload and recomputes the check digit."""
 
     blocks: tuple
 
-    def crypt_into(self, s, out, perm):
-        payload = formats.ccn_payload(s)
-        out.append(self._spell([_windowed(perm, int(payload[lo:hi]), 10 ** (hi - lo), width)
-                                for lo, hi, width in self.blocks]))
+    def _make_crypt(self):
+        payload_of, luhn = formats.ccn_payload, formats.luhn_digit
+        blocks = tuple((lo, hi, window, 10 ** (hi - lo), f"0{hi - lo}d")
+                       for lo, hi, window in self.blocks)
 
-    def _spell(self, values):
-        """The card number whose block values (base plus rank) these are."""
-        payload = "".join(f"{v:0{hi - lo}d}" for (lo, hi, _), v in zip(self.blocks, values))
-        return payload + formats.luhn_digit(payload)
+        def crypt(s, out, perm):
+            payload = payload_of(s)
+            body = "".join(format(_windowed(perm, int(payload[lo:hi]), n, window), spelled)
+                           for lo, hi, window, n, spelled in blocks)
+            out.append(body + luhn(body))
+
+        return crypt
 
     def path_signature(self, s):
         return tuple(
@@ -405,7 +519,7 @@ def walk(plan, s: str, perm) -> str:
     slots in plan order and must answer a rank below n."""
     out: list = []
     try:
-        plan.crypt_into(s, out, perm)
+        plan.crypt(s, out, perm)
     except ParseFailure:
         raise NotInFormat.of(s) from None
     return "".join(out)

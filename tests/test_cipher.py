@@ -16,6 +16,7 @@ from fpekit import (
     NotInFormat,
     Ssn,
     Union,
+    UnsplittableAtom,
     VarString,
     WalkBudgetExceeded,
     WalkRecorder,
@@ -32,13 +33,17 @@ from fpekit import (
 )
 from fpekit import dsl
 from fpekit.formats import NODE_TYPES
+from fpekit.splitting import (CcnBlocks, CharBlocks, ConcatGroups, LengthBands, RankWindow,
+                              RepeatGroups, SsnComponents, TrailingDelim, UnionGroups, WholeSlot)
 
-from corpus import address_format
+from corpus import PREFIX_SPECS, SMALL_SPECS, address_format
 
 DIGITS = "0123456789"
 
 KEY_A = IntFpeKey(bytes(range(32)))
 KEY_B = IntFpeKey(bytes(range(1, 33)))
+PLAN_TYPES = (WholeSlot, UnionGroups, ConcatGroups, LengthBands, RepeatGroups, CharBlocks,
+              TrailingDelim, RankWindow, SsnComponents, CcnBlocks)
 
 SMALL = Union((FixedString(("abc", "01")), VarString(1, 2, "xy")))
 
@@ -125,6 +130,40 @@ def test_rank_functions_are_built_once_per_node(monkeypatch):
     assert {count for _, count in built.values()} == {1}
     for node in _tree(spec):
         assert (id(node), "_make_ranker") in built and (id(node), "_make_unranker") in built
+    built.clear()
+    ref = weakref.ref(spec)
+    del spec
+    gc.collect()
+    assert ref() is None
+
+
+def test_walk_functions_are_built_once_per_plan_node(monkeypatch):
+    built = {}  # id -> [plan node, count]; holding the node keeps its id unique
+    for cls in PLAN_TYPES:
+        def counting(self, real=cls._make_crypt):
+            built.setdefault(id(self), [self, 0])[1] += 1
+            return real(self)
+
+        monkeypatch.setattr(cls, "_make_crypt", counting)
+    spec = address_format()
+    record = "Elm Street Ave,Dover,42,12345,France"
+    cfg = CipherConfig(max_size=2**16)
+    for _ in range(50):
+        assert decrypt(cfg, KEY_A, spec, encrypt(cfg, KEY_A, spec, record)) == record
+    cfg = CipherConfig(max_size=5)
+    for name, corpus_spec in SMALL_SPECS + PREFIX_SPECS:
+        fresh = dsl.parse_spec(dsl.serialize_spec(corpus_spec))  # plans no test has walked
+        n = size(fresh)
+        members = [unrank(fresh, r) for r in {0, n // 3, n - 1}]
+        for _ in range(2):
+            for m in members:
+                try:
+                    c = encrypt(cfg, KEY_A, fresh, m)
+                except UnsplittableAtom:
+                    break
+                assert decrypt(cfg, KEY_A, fresh, c) == m, name
+    assert {count for _, count in built.values()} == {1}
+    assert {type(node) for node, _ in built.values()} == set(PLAN_TYPES)
     built.clear()
     ref = weakref.ref(spec)
     del spec

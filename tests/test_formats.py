@@ -1,5 +1,6 @@
 """Format tree validation, counting, membership, parsing, enumeration."""
 
+import random
 import string
 import tracemalloc
 from datetime import datetime
@@ -34,6 +35,7 @@ from fpekit import (
     validate,
 )
 from fpekit.errors import BadLength, NonDigit, ParseFailure
+from fpekit.formats import DIGITS, _all_decimal
 
 from corpus import PREFIX_SPECS, SMALL_SPECS
 
@@ -299,6 +301,64 @@ def test_luhn_rejects_bad_input():
         luhn_digit("123")
     with pytest.raises(NonDigit):
         luhn_digit("12345678901234x")
+
+
+def loop_luhn_digit(digits):
+    """luhn_digit as a loop over the characters, the reference for the
+    library's slice sums."""
+    if len(digits) != 15:
+        raise BadLength(f"expected 15 digits, got {len(digits)}")
+    total = 0
+    for i, ch in enumerate(digits):
+        if not "0" <= ch <= "9":
+            raise NonDigit(f"not a decimal digit: {ch!r}")
+        d = ord(ch) - 48
+        if i % 2 == 0:
+            d *= 2
+            if d > 9:
+                d -= 9
+        total += d
+    return str((10 - total % 10) % 10)
+
+
+# digits outside ASCII (superscript, Arabic-Indic, fullwidth), signs, blanks
+NOT_DECIMAL = "\u00b2\u0663\uff10+- \t.a"
+
+
+def _outcome(f, x):
+    try:
+        return f(x)
+    except (BadLength, NonDigit) as e:
+        return type(e), str(e)
+
+
+def test_luhn_digit_agrees_with_the_character_loop():
+    rng = random.Random(12)
+    payloads = ["".join(rng.choices(DIGITS, k=15)) for _ in range(2000)]
+    for p in payloads[:300]:
+        i = rng.randrange(15)
+        payloads += [p[:i] + c + p[i + 1:] for c in NOT_DECIMAL]
+    payloads += ["", "1" * 14, "1" * 16, NOT_DECIMAL * 2]
+    for p in payloads:
+        assert _outcome(luhn_digit, p) == _outcome(loop_luhn_digit, p), p
+
+
+def test_decimal_check_takes_ascii_digits_only():
+    rng = random.Random(13)
+    texts = ["", *DIGITS, *NOT_DECIMAL]
+    texts += ["".join(rng.choices(DIGITS + NOT_DECIMAL, k=rng.randrange(1, 12))) for _ in range(500)]
+    for t in texts:
+        assert _all_decimal(t) == all("0" <= c <= "9" for c in t), t
+    ssn, ccn = "123456789", "4532015112830366"
+    day, second = "29.02.2000", "29.02.2000 23:59:58"
+    date_day = Date(datetime(2000, 1, 1), datetime(2000, 12, 31))
+    date_second = Date(datetime(2000, 1, 1), datetime(2000, 12, 31), "second")
+    for spec, member in ((Ssn(), ssn), (Ccn(), ccn), (date_day, day), (date_second, second)):
+        assert contains(spec, member)
+        for i, ch in enumerate(member):
+            if ch in DIGITS:
+                for c in NOT_DECIMAL:
+                    assert not contains(spec, member[:i] + c + member[i + 1:]), (member, i, c)
 
 
 # ---------------------------------------------------------------------------

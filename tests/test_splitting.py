@@ -48,7 +48,7 @@ from fpekit.splitting import (
     greedy_groups,
 )
 
-from corpus import ADDRESS, SMALL_SPECS
+from corpus import ADDRESS, SMALL_SPECS, address_format
 
 DIGITS = "0123456789"
 BOUNDS = (2, 3, 7, 10, 64)
@@ -199,37 +199,48 @@ RECORD = "Elm Street Ave,Dover,42,12345,France"
 
 @pytest.fixture
 def cuts(monkeypatch):
-    """A one-item list counting the calls to Concat.cut and Range.cut."""
+    """A one-item list counting the calls to the cut functions that Concat
+    and Range nodes build from here on, and a new address tree to build them."""
     count = [0]
     for cls in (Concat, Range):
-        def counted(self, s, real=cls.cut):
-            count[0] += 1
-            return real(self, s)
-        monkeypatch.setattr(cls, "cut", counted)
-    return count
+        rule = vars(cls)["_cut_rule"]  # the cached property; its func builds the cut
+
+        def counting(node, build=rule.func):
+            cut = build(node)
+
+            def counted(s):
+                count[0] += 1
+                return cut(s)
+
+            return counted
+
+        monkeypatch.setattr(rule, "func", counting)
+    return count, address_format()
 
 
 def test_unrank_multi_walks_its_example_once(cuts):
+    count, address = cuts
     for bound in (None, 2**16):
-        cuts[0] = 0
-        vec = rank_multi(ADDRESS, bound, RECORD)
-        ranked = cuts[0]
-        cuts[0] = 0
-        assert unrank_multi(ADDRESS, bound, vec, RECORD) == RECORD
-        assert ranked > 0 and cuts[0] == ranked, bound
+        count[0] = 0
+        vec = rank_multi(address, bound, RECORD)
+        ranked = count[0]
+        count[0] = 0
+        assert unrank_multi(address, bound, vec, RECORD) == RECORD
+        assert ranked > 0 and count[0] == ranked, bound
 
 
 def test_encrypt_and_decrypt_cut_each_input_once(cuts):
+    count, address = cuts
     cfg = CipherConfig(max_size=2**16)
     key = IntFpeKey(bytes(32))
-    rank_multi(ADDRESS, cfg.max_size, RECORD)
-    ranked = cuts[0]
-    cuts[0] = 0
-    c = encrypt(cfg, key, ADDRESS, RECORD)
-    assert cuts[0] == ranked
-    cuts[0] = 0
-    assert decrypt(cfg, key, ADDRESS, c) == RECORD
-    assert cuts[0] == ranked
+    rank_multi(address, cfg.max_size, RECORD)
+    ranked = count[0]
+    count[0] = 0
+    c = encrypt(cfg, key, address, RECORD)
+    assert count[0] == ranked
+    count[0] = 0
+    assert decrypt(cfg, key, address, c) == RECORD
+    assert count[0] == ranked
 
 
 class _SizeBackend:
@@ -402,6 +413,21 @@ def test_one_repetition_groups_keep_their_delimiters(bound, last_delimited):
     for s, c in zip(members, images):
         assert unrank_multi(spec, bound, rank_multi(spec, bound, s), s) == s
         assert c.count(";") == s.count(";") and c.endswith(";") == last_delimited
+        assert decrypt(cfg, key, spec, c) == s
+
+
+def test_a_group_of_several_parts_keeps_the_delimiters_between_them():
+    # 2 * 7 * 10 values fit one slot of 200, so the first three parts and
+    # both kinds of delimiter between them form one group
+    spec = Concat((FixedString(("ab",)), VarString(0, 2, "xy"), IntegralDomain(0, 9),
+                   FixedString(("cd", "ef"))), ("-", "/", "-"))
+    assert [(lo, hi) for lo, hi, _ in build_plan(spec, 200).groups] == [(0, 3), (3, 4)]
+    cfg, key = CipherConfig(max_size=200), IntFpeKey(bytes(32))
+    members = list(enumerate_members(spec))
+    images = [encrypt(cfg, key, spec, s) for s in members]
+    assert sorted(images) == sorted(members)
+    for s, c in zip(members, images):
+        assert unrank_multi(spec, 200, rank_multi(spec, 200, s), s) == s
         assert decrypt(cfg, key, spec, c) == s
 
 
