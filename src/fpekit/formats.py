@@ -1375,14 +1375,14 @@ class Range(Node):
             yield from map(self._join, _tuple_stream([self.inner.members] * k))
 
     def _make_ranker(self):
-        inner, starts, lo, cut = self.inner.ranker, self._starts, self.min, self._cut_rule
-        # the weight of each repetition: a power of the inner size
-        powers = tuple(itertools.accumulate(itertools.repeat(self.inner.size, self.max - 1),
-                                            operator.mul, initial=1))
+        inner, base, starts, lo = self.inner.ranker, self.inner.size, self._starts, self.min
+        cut = self._cut_rule
 
         def rank(s):
-            texts = cut(s)
-            return starts[len(texts) - lo] + sum(map(operator.mul, map(inner, texts), powers))
+            texts, v = cut(s), 0
+            for t in reversed(texts):  # Horner's rule: repetition j weighs base**j
+                v = v * base + inner(t)
+            return starts[len(texts) - lo] + v
 
         return rank
 

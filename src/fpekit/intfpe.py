@@ -6,24 +6,25 @@ is cycle-walked into [0, N). Every SHAKE-256 call binds the key, the tweak, N,
 the round count and a round number (0 for the shuffle); a Feistel round adds
 the other half and reduces an output 8 bytes longer than its modulus needs.
 
-An IntFpeKey builds each permutation once, the Feistel pass (split, half
-constants, keyed state) or the shuffle table and its inverse, and keeps at most
-256 (_KEY_CACHE_ENTRIES), emptied when it would hold more. A record's walk
-permutes its slots through one slot_permutation, which finds each by index and
-size under the record's fingerprint and tweak; a cycle walk under a slot_tweak
-reads the same four fields from the tweak, so either way a slot permutation is
-built once. The store dies with the key, and every output is the same as when
-built afresh.
+An IntFpeKey builds each permutation once and keeps at most 256
+(_KEY_CACHE_ENTRIES), emptied when it would hold more. An entry is its forward
+and inverse: a shuffle's two lists, or a Feistel pass's two functions, built
+with it. A record's walk permutes its slots through one slot_permutation, which
+finds each by index and size under the record's fingerprint and tweak; a cycle
+walk under a slot_tweak reads the same four fields from the tweak, so either
+way a slot permutation is built once. The store dies with the key, and every
+output is the same as when built afresh.
 
 A Feistel pass whose round function has at most TABLE_LIMIT distinct outputs
 tabulates it, in 16-bit rows, on the apply whose count matches the table's
 cost: the table takes E = ceil(r/2)*b + floor(r/2)*a XOF calls for r rounds,
 as many as E // r applies, so a pass used that often has paid for it. The
 point depends on the apply count only, never on the inputs, so an apply's
-time does not show which halves were seen before. A pass used fewer times
-costs one counter decrement per apply, one used exactly that often at most
-about twice its XOF calls. A table is read in (odd, even) round pairs. A key's
-256 passes hold at most 2.4 MB of tables (1.9 MB under a 2^16 bound), and
+time does not show which halves were seen before. That apply, in either
+function, builds the table and swaps `apply` for two functions that read it in
+(odd, even) round pairs. A pass used fewer times costs one counter decrement
+per apply, one used exactly that often at most about twice its XOF calls. A
+key's 256 passes hold at most 2.4 MB of tables (1.9 MB under a 2^16 bound), and
 tables change no output.
 """
 
@@ -32,8 +33,10 @@ from __future__ import annotations
 import hashlib
 import os
 import struct
+import weakref
 from array import array
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from itertools import count
 from math import isqrt
 
@@ -132,14 +135,14 @@ def _base_state(key: IntFpeKey, tweak: bytes, n: int):
     return h
 
 
-def _half(modulus: int, other: int) -> tuple:
-    # a round that adds to the half below `modulus`, reading the half below
-    # `other`: the digest length (8 bytes over the modulus's, so reducing it
-    # is biased by under 2**-64), the other half's width in bits, and the
-    # message length (2 bytes of round number, then the other half)
-    nbytes = ((modulus - 1).bit_length() + 7) // 8 + 8
-    width = ((other - 1).bit_length() + 7) // 8 * 8
-    return nbytes, width, 2 + width // 8
+@lru_cache(maxsize=64)  # passes of one split share them; at most 64 splits kept
+def _round_constants(a: int, b: int, rounds: int) -> tuple:
+    # per round: its number (2 bytes), then the modulus of the half it adds to
+    # (odd rounds r mod a, even q mod b), the byte width of the half it reads,
+    # and a digest 8 bytes over the modulus's, so reducing it is biased by < 2**-64
+    wa, wb = ((a - 1).bit_length() + 7) // 8, ((b - 1).bit_length() + 7) // 8
+    halves = ((a, wb, wa + 8), (b, wa, wb + 8)) * (rounds // 2 + 1)
+    return tuple(zip((i.to_bytes(2, "big") for i in range(1, rounds + 1)), halves))
 
 
 # A pass tabulates its round function when the table has at most this many
@@ -149,94 +152,103 @@ TABLE_LIMIT = 4096
 
 
 class _FeistelPass:
-    """The permutation over [0, n') for one key, tweak and domain size, with
-    its constants built once: the split a x b = n', each half's digest
-    length and message width, and the keyed SHAKE state.
+    """The permutation over [0, n') for one key, tweak and domain size, as
+    `apply`: its forward and inverse functions, each one application to a
+    value below n', built once with the split a x b = n', each round's
+    constants and the keyed SHAKE state bound to them.
 
-    A pass whose table of round outputs has at most TABLE_LIMIT entries
-    counts its applies; the apply that brings the count `untabulated` to 0
-    builds the whole table, and every later apply reads it instead of
-    calling the XOF. Threads need no lock: a lost decrement only delays the
-    build, and two builds publish equal tables.
-    """
+    Both count applies; the one that brings the count to 0 builds the table
+    (_tabulate), which swaps `apply` for two functions that read it. Threads
+    need no lock: the swap is one attribute assignment, a lost decrement
+    only delays the build, and two builds publish equal tables."""
 
     def __init__(self, key: IntFpeKey, tweak: bytes, n: int):
         a, b, self.n2 = balanced_factor(n)
         self.a, self.b = a, b
         self.base = _base_state(key, tweak, n)
         self.rounds = rounds = key.rounds
-        self.halves = (_half(b, a), _half(a, b))  # by round parity
-        self.table = self.pairs = self.last = None
+        self.table = None
         entries = (rounds + 1) // 2 * b + rounds // 2 * a
         # the build costs `entries` XOF calls, as many as this many applies
-        self.untabulated = entries // rounds if entries <= TABLE_LIMIT else 0
+        self.apply = self._hashed(entries // rounds if entries <= TABLE_LIMIT else 0)
 
-    def walk(self, x: int, m: int, sign: int, budget: int) -> tuple:
-        """(value, applies): the permutation (sign 1) or its inverse (sign -1)
-        applied to x < n' until it lands in [0, m), at most `budget` times.
+    def _hashed(self, left: int) -> tuple:
+        """(forward, inverse) through the XOF, counting down from `left` > 0 to
+        the table's build. Round i adds, to one half, one SHAKE output over the
+        keyed state, i (2 bytes) and the other half (fixed width), mod the
+        half's modulus; (u, v) are the half it adds to and the half it reads."""
+        a, base, odd = self.a, self.base, self.rounds % 2
+        steps = _round_constants(a, self.b, self.rounds)
+        back = steps[::-1]
 
-        Round i adds, to one half, one SHAKE output over the keyed state, i
-        (2 bytes) and the other half (fixed width), mod the half's modulus:
-        odd rounds add to r mod a reading q, even rounds to q mod b reading r.
-        Adding the whole output and then reducing gives the same half as
-        adding the output reduced, which is what a table row holds.
-        """
-        a, b = self.a, self.b
-        for steps in range(1, budget + 1):
-            q, r = divmod(x, a)
-            pairs = self.pairs
-            if pairs is None:
-                self.untabulated = left = self.untabulated - 1
-                pairs = None if left else self._tabulate()
-            if pairs is None:
-                (even_n, even_w, even_len), (odd_n, odd_w, odd_len) = self.halves
-                for i in range(1, self.rounds + 1) if sign > 0 else range(self.rounds, 0, -1):
-                    h = self.base.copy()
-                    if i % 2:
-                        h.update(((i << odd_w) | q).to_bytes(odd_len, "big"))
-                        r = (r + sign * int.from_bytes(h.digest(odd_n), "big")) % a
-                    else:
-                        h.update(((i << even_w) | r).to_bytes(even_len, "big"))
-                        q = (q + sign * int.from_bytes(h.digest(even_n), "big")) % b
-            elif sign > 0:
-                for odd, even in pairs:
-                    r = (r + odd[q]) % a
-                    q = (q + even[r]) % b
-                if self.last is not None:
-                    r = (r + self.last[q]) % a
-            else:
-                if self.last is not None:
-                    r = (r - self.last[q]) % a
-                for odd, even in reversed(pairs):
-                    q = (q - even[r]) % b
-                    r = (r - odd[q]) % a
-            x = a * q + r
-            if x < m:
-                return x, steps
-        raise WalkBudgetExceeded(f"no landing in [0, {m}) within {budget} applications")
+        def forward(x):
+            v, u = divmod(x, a)
+            for head, (m, width, nbytes) in steps:
+                h = base.copy()
+                h.update(head + v.to_bytes(width, "big"))
+                u, v = v, (u + int.from_bytes(h.digest(nbytes), "big")) % m
+            return a * u + v if odd else a * v + u
+
+        def inverse(x):
+            u, v = divmod(x, a) if odd else divmod(x, a)[::-1]  # as forward leaves them
+            for head, (m, width, nbytes) in back:
+                h = base.copy()
+                h.update(head + u.to_bytes(width, "big"))
+                u, v = (v - int.from_bytes(h.digest(nbytes), "big")) % m, u
+            return a * v + u
+
+        # the pass holds these functions, so they hold it weakly: no cycle
+        this = weakref.ref(self)
+
+        def counted(f, d):
+            def apply(x):
+                nonlocal left
+                left = now = left - 1
+                return f(x) if now else this()._tabulate()[d](x)
+            return apply
+
+        return (counted(forward, 0), counted(inverse, 1)) if left else (forward, inverse)
 
     def _tabulate(self) -> tuple:
-        """Every round's output for every value of the other half, as one row
-        of 16-bit values per round (a half is below TABLE_LIMIT), published as
-        (odd, even) round pairs stored after the last odd row. The same SHAKE
-        inputs as walk's: the round number, then each value of the other half."""
-        rows, messages = [], {}
-        for i in range(1, self.rounds + 1):
-            nbytes, width, _ = self.halves[i % 2]
-            modulus, other = (self.a, self.b) if i % 2 else (self.b, self.a)
+        """Every round's XOF output for every value of the other half, reduced
+        (the sum mod the modulus is the same), one row of 16-bit values per
+        round (a half is below TABLE_LIMIT), kept in `table`. Swaps in, and
+        returns, two functions that read the rows in (odd, even) round pairs."""
+        a, b, rows, messages = self.a, self.b, [], {}
+        for head, (m, width, nbytes) in _round_constants(a, b, self.rounds):
+            other = self.n2 // m
             if other not in messages:
-                messages[other] = [v.to_bytes(width // 8, "big") for v in range(other)]
-            head = self.base.copy()
-            head.update(i.to_bytes(2, "big"))
+                messages[other] = [v.to_bytes(width, "big") for v in range(other)]
+            start = self.base.copy()
+            start.update(head)
             row = []
-            for m in messages[other]:
-                h = head.copy()
-                h.update(m)
-                row.append(int.from_bytes(h.digest(nbytes), "big") % modulus)
+            for message in messages[other]:
+                h = start.copy()
+                h.update(message)
+                row.append(int.from_bytes(h.digest(nbytes), "big") % m)
             rows.append(array("H", row))
-        self.table, self.last = tuple(rows), rows[-1] if len(rows) % 2 else None
-        self.pairs = pairs = tuple(zip(rows[::2], rows[1::2]))
-        return pairs
+        self.table = tuple(rows)
+        # after an odd count of rounds, a last even row of zeros adds nothing
+        evens = rows[1::2] + [array("H", bytes(2 * a))] * (len(rows) % 2)
+        pairs = tuple(zip(rows[::2], evens))
+        back = pairs[::-1]
+
+        def forward(x):
+            q, r = divmod(x, a)
+            for odd, even in pairs:
+                r = (r + odd[q]) % a
+                q = (q + even[r]) % b
+            return a * q + r
+
+        def inverse(x):
+            q, r = divmod(x, a)
+            for odd, even in back:
+                q = (q - even[r]) % b
+                r = (r - odd[q]) % a
+            return a * q + r
+
+        self.apply = forward, inverse
+        return self.apply
 
 
 # The most permutations a key keeps; 210 address records at 2^16 use 52.
@@ -267,20 +279,20 @@ def with_rounds(key: IntFpeKey, rounds: int) -> IntFpeKey:
     return key if key.rounds == rounds else _keyed(key, _set_rounds, b"", rounds)
 
 
-def _one_pass(key: IntFpeKey, tweak: bytes, n: int, x: int, sign: int) -> int:
+def _one_pass(key: IntFpeKey, tweak: bytes, n: int, x: int, decrypting: bool) -> int:
     fp = _keyed(key, _FeistelPass, tweak, n)
     if not 0 <= x < fp.n2:
         raise InputOutOfDomain(outside(x, fp.n2))
-    return fp.walk(x, fp.n2, sign, 1)[0]
+    return fp.apply[decrypting](x)
 
 
 def feistel_encrypt(key: IntFpeKey, tweak: bytes, n: int, x: int) -> int:
     """One pass of the permutation over [0, n') where n' >= n."""
-    return _one_pass(key, tweak, n, x, 1)
+    return _one_pass(key, tweak, n, x, False)
 
 
 def feistel_decrypt(key: IntFpeKey, tweak: bytes, n: int, x: int) -> int:
-    return _one_pass(key, tweak, n, x, -1)
+    return _one_pass(key, tweak, n, x, True)
 
 
 # ---------------------------------------------------------------------------
@@ -330,11 +342,11 @@ class WalkRecorder:
 
 
 def _cycle_walk(key, tweak: bytes, m_size: int, x: int, walk_budget: int, recorder,
-                sign: int) -> int:
-    """Walk the key's Feistel pass (sign 1) or its inverse (sign -1) until
-    it lands inside [0, m_size); a domain up to SHUFFLE_LIMIT is shuffled
-    instead, which counts as one step. A tweak of 36 or more bytes is a
-    slot_tweak to the key's store, which slot_permutation's entries share."""
+                decrypting: bool) -> int:
+    """Walk the key's Feistel pass, or its inverse, until it lands inside
+    [0, m_size); a domain up to SHUFFLE_LIMIT is shuffled instead, which
+    counts as one step. A tweak of 36 or more bytes is a slot_tweak to the
+    key's store, which slot_permutation's entries share."""
     if m_size < 1:
         raise BadParameter(f"empty domain {m_size}")
     if not 0 <= x < m_size:
@@ -344,7 +356,13 @@ def _cycle_walk(key, tweak: bytes, m_size: int, x: int, walk_budget: int, record
         k = ((tweak[:32], tweak[36:], int.from_bytes(tweak[32:36], "big"), m_size)
              if len(tweak) >= 36 else None)
         p = _keyed(key, _shuffle if m_size <= SHUFFLE_LIMIT else _FeistelPass, tweak, m_size, k)
-        y, steps = p.walk(x, m_size, sign, walk_budget) if m_size > SHUFFLE_LIMIT else (p[sign < 0][x], 1)
+        f = p[decrypting].__getitem__ if m_size <= SHUFFLE_LIMIT else p.apply[decrypting]
+        y, steps = f(x), 1
+        while y >= m_size:  # a shuffle always lands
+            if steps == walk_budget:
+                raise WalkBudgetExceeded(
+                    f"no landing in [0, {m_size}) within {walk_budget} applications")
+            y, steps = f(y), steps + 1
     if recorder is not None:
         recorder.record(m_size, steps)
     return y
@@ -354,13 +372,13 @@ def cycle_walk_encrypt(
     key, tweak: bytes, m_size: int, x: int, walk_budget: int = 10**6, recorder=None
 ) -> int:
     """Permute [0, m_size): shuffle it, or walk the Feistel pass back into it."""
-    return _cycle_walk(key, tweak, m_size, x, walk_budget, recorder, 1)
+    return _cycle_walk(key, tweak, m_size, x, walk_budget, recorder, False)
 
 
 def cycle_walk_decrypt(
     key, tweak: bytes, m_size: int, x: int, walk_budget: int = 10**6, recorder=None
 ) -> int:
-    return _cycle_walk(key, tweak, m_size, x, walk_budget, recorder, -1)
+    return _cycle_walk(key, tweak, m_size, x, walk_budget, recorder, True)
 
 
 def slot_tweak(fingerprint: bytes, index: int, tweak: bytes) -> bytes:
@@ -371,24 +389,25 @@ def slot_permutation(key, fingerprint: bytes, tweak: bytes, decrypting: bool,
                      walk_budget: int, recorder=None):
     """perm(x, n) for one record: what cycle_walk_encrypt (or decrypt) gives
     its next slot, of rank x and size n, under its slot_tweak. The key keeps a
-    slot's permutation under (fingerprint, tweak, index, size), so the slot
-    tweak is built only to build the permutation."""
-    store, sign, index = key._permutations, -1 if decrypting else 1, count()
+    slot's permutation under (fingerprint, tweak, index, size), so a built one
+    is found without the slot tweak: one list index, or one call of its
+    direction's function. A first use, a walk past one step, a slot of one
+    value or a recorder takes the cycle walk's own path."""
+    store, d, index = key._permutations, int(decrypting), count()
 
     def perm(x, n):
         i = next(index)
         if not 0 <= x < n:
             raise InputOutOfDomain(f"slot {i}: {outside(x, n)}")
-        y, steps = x, 0
-        if n > 1:
-            p = store.get((fingerprint, tweak, i, n))
-            if p is None:
-                p = _keyed(key, _shuffle if n <= SHUFFLE_LIMIT else _FeistelPass,
-                           slot_tweak(fingerprint, i, tweak), n, (fingerprint, tweak, i, n))
-            y, steps = p.walk(x, n, sign, walk_budget) if n > SHUFFLE_LIMIT else (p[decrypting][x], 1)
-        if recorder is not None:
-            recorder.record(n, steps)
-        return y
+        p = store.get((fingerprint, tweak, i, n)) if recorder is None else None
+        if p is not None:
+            if n <= SHUFFLE_LIMIT:
+                return p[d][x]
+            y = p.apply[d](x)
+            if y < n:
+                return y
+        return _cycle_walk(key, slot_tweak(fingerprint, i, tweak), n, x, walk_budget, recorder,
+                           decrypting)
 
     return perm
 

@@ -437,3 +437,17 @@ def test_rank_functions_hold_no_table_that_grows_with_length_times_alphabet():
     finally:
         tracemalloc.stop()
     assert peak < 100_000, peak
+
+
+def test_a_range_rank_function_holds_no_power_of_each_repetition():
+    spec = Range(VarString(1, 10, string.ascii_letters), " ", 1, 1000)
+    size(spec)  # the start rank of every count is built here
+    member = "Elm Street Dover "
+    tracemalloc.start()
+    try:
+        rank = spec.rank(member)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000, peak
+    assert spec.unrank(rank) == member

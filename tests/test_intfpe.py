@@ -1,5 +1,6 @@
 """Integer range permutations: factoring, Feistel passes, shuffles, cycle walking."""
 
+import gc
 import random
 import sys
 import threading
@@ -398,12 +399,22 @@ def test_keys_compare_and_hash_on_secret_and_rounds_only():
 
 
 def test_a_dropped_key_is_freed_with_its_permutations():
+    # by reference counts alone: a pass and its functions make no cycle
     key = IntFpeKey(bytes(range(1, 33)))
     feistel_encrypt(key, b"w", 5000, 3)
+    feistel_encrypt(key, b"w", 2**100, 3)
     cycle_walk_encrypt(key, b"w", 50, 3)
+    passes = [weakref.ref(p) for p in key._permutations.values()
+              if isinstance(p, intfpe._FeistelPass)]
+    _pass(key, b"w", 5000)._tabulate()
     ref = weakref.ref(key)
-    del key
-    assert ref() is None
+    gc.disable()
+    try:
+        del key
+        assert ref() is None
+        assert len(passes) == 2 and [p() for p in passes] == [None, None]
+    finally:
+        gc.enable()
 
 
 def _base_states_of_50_round_trips(monkeypatch, key, cfg):
@@ -622,6 +633,52 @@ def test_a_tabulated_vector_call_gives_the_xof_outputs(rounds, monkeypatch):
         assert dec == [intfpe.crypt_slots(fresh, fp, tweak, v, True, 10**6) for v in sample]
     assert all(p.table is None for p in fresh._permutations.values()
                if isinstance(p, intfpe._FeistelPass))
+
+
+@pytest.mark.parametrize("rounds", [3, 12])
+def test_the_fast_recorded_and_per_slot_paths_agree(rounds):
+    # slot_permutation without a recorder, with one, and a cycle walk per
+    # slot under its slot_tweak: equal outputs and equal steps, before the
+    # tables exist, across their build points and after them
+    sizes = (2, SHUFFLE_LIMIT, SHUFFLE_LIMIT + 1, 17_576, _largest_tabulated(rounds) + 1)
+    fp, tweak = bytes(range(32)), b"agree"
+    key = IntFpeKey(bytes(range(6, 38)), rounds=rounds)
+    rng = random.Random(rounds)
+
+    def agree(count):
+        for _ in range(count):
+            for decrypting in (False, True):
+                v = [(rng.randrange(n), n) for n in sizes]
+                fast = intfpe.crypt_slots(key, fp, tweak, v, decrypting, 10**6)
+                recorded, per_slot = WalkRecorder(), WalkRecorder()
+                walk = cycle_walk_decrypt if decrypting else cycle_walk_encrypt
+                assert intfpe.crypt_slots(key, fp, tweak, v, decrypting, 10**6, recorded) == fast
+                assert [walk(key, intfpe.slot_tweak(fp, i, tweak), n, x, recorder=per_slot)
+                        for i, (x, n) in enumerate(v)] == fast
+                assert recorded.events == per_slot.events
+                assert [n for n, _ in recorded.events] == list(sizes)
+
+    def tables():
+        return [p.table is not None for p in key._permutations.values()
+                if isinstance(p, intfpe._FeistelPass)]
+
+    agree(1)
+    assert tables() == [False] * 3
+    agree(max(_entries(n, rounds) // rounds for n in sizes[2:4]) // 6 + 1)
+    assert tables() == [True, True, False]
+    agree(20)
+    # a budget of one fails wherever the inverse walks, on a tabulated pass
+    n, i = sizes[3], 3
+    walked = WalkRecorder()
+    for y in range(n):
+        cycle_walk_decrypt(key, intfpe.slot_tweak(fp, i, tweak), n, y, recorder=walked)
+    long = [y for y, (_, steps) in enumerate(walked.events) if steps > 1]
+    assert long
+    for y in long:
+        with pytest.raises(WalkBudgetExceeded):
+            intfpe.crypt_slots(key, fp, tweak, [(0, 2), (0, 2), (0, 2), (y, n)], True, 1)
+        with pytest.raises(WalkBudgetExceeded):
+            cycle_walk_decrypt(key, intfpe.slot_tweak(fp, i, tweak), n, y, walk_budget=1)
 
 
 def test_the_build_point_is_the_apply_count_not_the_inputs():

@@ -243,6 +243,27 @@ def test_encrypt_and_decrypt_cut_each_input_once(cuts):
     assert count[0] == ranked
 
 
+@pytest.mark.parametrize("bound, cuts_per_walk", [(2**16, 7), (5, 7), (None, 9)])
+def test_every_walk_of_the_record_makes_its_pinned_number_of_cuts(cuts, bound, cuts_per_walk):
+    # one cut each: unbounded, the root, the three word ranges and the five
+    # words; under these bounds, the root, one word range and the five words.
+    # Decrypt walks the ciphertext, whose path is the record's under a bound.
+    count, address = cuts
+    cfg, key = CipherConfig(max_size=bound), IntFpeKey(bytes(32))
+    vec, c = rank_multi(address, bound, RECORD), encrypt(cfg, key, address, RECORD)
+    walks = [lambda: rank_multi(address, bound, RECORD),
+             lambda: unrank_multi(address, bound, vec, RECORD),
+             lambda: encrypt(cfg, key, address, RECORD)]
+    if bound is not None:
+        walks.append(lambda: decrypt(cfg, key, address, c))
+    counts = []
+    for walk in walks:
+        count[0] = 0
+        walk()
+        counts.append(count[0])
+    assert counts == [cuts_per_walk] * len(walks)
+
+
 class _SizeBackend:
     """An integer backend that answers n, one past the last rank, for every
     slot of size n, and keeps the ranks it was handed."""
