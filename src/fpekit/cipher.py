@@ -92,7 +92,7 @@ def _crypt(cfg: CipherConfig, key: IntFpeKey, spec, text: str, tweak, backend,
             if not 0 <= y < n:
                 raise VectorShapeMismatch(f"slot {i}: {outside(y, n)}")
             return y
-    return walk(plan, text, perm)
+    return walk(plan, text, perm, None)
 
 
 def encrypt(cfg: CipherConfig, key: IntFpeKey, spec, message: str, tweak=b"", backend=None) -> str:

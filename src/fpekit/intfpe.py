@@ -55,7 +55,6 @@ __all__ = [
     "cycle_walk_encrypt",
     "cycle_walk_decrypt",
     "slot_permutation",
-    "crypt_slots",
     "WalkRecorder",
     "Fe1Backend",
     "read_key_file",
@@ -410,13 +409,6 @@ def slot_permutation(key, fingerprint: bytes, tweak: bytes, decrypting: bool,
                            decrypting)
 
     return perm
-
-
-def crypt_slots(key, fingerprint: bytes, tweak: bytes, slots, decrypting: bool,
-                walk_budget: int, recorder=None) -> list:
-    """The new ranks of a record's (rank, size) slots, one slot_permutation call each."""
-    perm = slot_permutation(key, fingerprint, tweak, decrypting, walk_budget, recorder)
-    return [perm(x, n) for x, n in slots]
 
 
 # ---------------------------------------------------------------------------

@@ -8,17 +8,19 @@ together while the aggregate stays within the bound, which uses the fewest
 groups possible for a left-to-right partition.
 
 One walk takes a member apart and spells its image. Each plan node builds
-its walk function, `crypt(s, out, perm)`, once, on the first walk that
-reaches it, binding its constants, its spec's rank, unrank and cut
+its walk function, `crypt(s, out, perm, path)`, once, on the first walk
+that reaches it, binding its constants, its spec's rank, unrank and cut
 functions, and the walk functions of the children it always visits. At
 each slot the walk ranks the piece, calls `perm(rank, size)`, in slot
 order and with every size at most the bound, and appends the piece
 spelled from perm's answer to `out`; literal delimiters are appended where
-they stand. Every choice the ranks do not encode (union branch, length
+they stand. Every choice the ranks do not encode (union group, length
 band, rank window) is read off the input and kept, so the output has its
-path. Ranking is the membership check: every rank and walk function raises
-ParseFailure for a string that is no member, so each entry point walks its
-input once and reports a plain NotInFormat.
+path; when `path` is a list rather than None, each choice is also
+appended to it as a tagged tuple, in walk order, and that sequence is the
+member's path signature. Ranking is the membership check: every rank and
+walk function raises ParseFailure for a string that is no member, so each
+entry point walks its input once and reports a plain NotInFormat.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, chain
-from operator import getitem, itemgetter, mul
+from operator import getitem, mul
 
 from . import formats
 from .errors import (
@@ -123,11 +125,14 @@ def radix_blocks(sizes, max_size) -> tuple:
                  for lo, hi in greedy_groups(sizes, max_size, mul))
 
 
-def _windowed(perm, r, n, window):
+def _windowed(perm, r, n, window, path):
     """perm of rank r in [0, n), or, with a window width, of r within the
-    window of that width that holds it, which stays where it is."""
+    window of that width that holds it, which stays where it is and joins
+    the path."""
     if window is None:
         return perm(r, n)
+    if path is not None:
+        path.append(("w", r // window))
     base = r - r % window
     return base + perm(r - base, min(window, n - base))
 
@@ -154,7 +159,9 @@ def _grouped(cut, groups, between):
 
 class _Plan:
     """Base class of the plan node types. Each builds its walk function,
-    `crypt(s, out, perm)`, in `_make_crypt`; `crypt` holds it once built."""
+    `crypt(s, out, perm, path)`, in `_make_crypt`; `crypt` holds it once
+    built. A node that makes a choice the ranks do not encode appends it to
+    `path` unless that is None."""
 
     @cached_property
     def crypt(self):
@@ -171,13 +178,10 @@ class WholeSlot(_Plan):
     def _make_crypt(self):
         rank, unrank, n = self.spec.ranker, self.spec.unranker, self.spec.size
 
-        def crypt(s, out, perm):
+        def crypt(s, out, perm, path):
             out.append(unrank(perm(rank(s), n)))
 
         return crypt
-
-    def path_signature(self, s):
-        return ()
 
 
 @dataclass(frozen=True)
@@ -191,25 +195,21 @@ class UnionGroups(_Plan):
     spec: object
     groups: tuple
 
-    def _group_of(self, s):
-        part_idx = self.spec.part_of(s)
-        return next(gi for gi, (lo, hi, _) in enumerate(self.groups) if lo <= part_idx < hi)
-
     def _make_crypt(self):
-        plan_of_part = [sub for lo, hi, sub in self.groups for _ in range(lo, hi)]
-        plan_of_lead = {c: plan_of_part[i] for c, i in self.spec._part_of_lead.items()}
+        group_of_part = [(("u", gi), sub) for gi, (lo, hi, sub) in enumerate(self.groups)
+                         for _ in range(lo, hi)]
+        group_of_lead = {c: group_of_part[i] for c, i in self.spec._part_of_lead.items()}
 
-        def crypt(s, out, perm):
-            sub = plan_of_lead.get(s[:1])
-            if sub is None:
+        def crypt(s, out, perm, path):
+            group = group_of_lead.get(s[:1])
+            if group is None:
                 raise ParseFailure(f"a string of length {len(s)} starts outside every part")
-            sub.crypt(s, out, perm)
+            choice, sub = group
+            if path is not None:
+                path.append(choice)
+            sub.crypt(s, out, perm, path)
 
         return crypt
-
-    def path_signature(self, s):
-        gi = self._group_of(s)
-        return (("u", gi),) + self.groups[gi][2].path_signature(s)
 
 
 @dataclass(frozen=True)
@@ -223,20 +223,6 @@ class ConcatGroups(_Plan):
     spec: object
     groups: tuple
 
-    def _group_texts(self, s):
-        pieces = self.spec.cut(s)
-        if len(pieces) == len(self.groups):  # one part per group
-            return pieces
-        texts = []
-        for lo, hi, _ in self.groups:
-            chunk = []
-            for i in range(lo, hi):
-                if i > lo and self.spec.delims is not None:
-                    chunk.append(self.spec.delims[i - 1])
-                chunk.append(pieces[i])
-            texts.append("".join(chunk))
-        return texts
-
     def _make_crypt(self):
         spec, delims = self.spec, self.spec.delims
         cut = _grouped(spec._cut_rule, self.groups, delims or ("",) * (len(spec.parts) - 1))
@@ -244,21 +230,13 @@ class ConcatGroups(_Plan):
         steps = tuple((delims[lo - 1] if lo and delims else "", sub.crypt)
                       for lo, _, sub in self.groups)
 
-        def crypt(s, out, perm):
+        def crypt(s, out, perm, path):
             for text, (border, sub) in zip(cut(s), steps):
                 if border:
                     out.append(border)
-                sub(text, out, perm)
+                sub(text, out, perm, path)
 
         return crypt
-
-    def path_signature(self, s):
-        return tuple(
-            ("g", gi, sub.path_signature(text))
-            for gi, ((_, _, sub), text) in enumerate(
-                zip(self.groups, self._group_texts(s))
-            )
-        )
 
 
 @dataclass(frozen=True)
@@ -268,29 +246,20 @@ class LengthBands(_Plan):
     spec: object
     bands: tuple
 
-    def _band_of(self, s):
-        m = self.spec.length_of(s)
-        bi = bisect_right(self.bands, m, key=itemgetter(0)) - 1
-        if bi < 0 or m > self.bands[bi][1]:
-            raise ParseFailure(f"length {m} is in no band")
-        return bi
-
     def _make_crypt(self):
         length_of = self.spec.length_of
         starts, ends, plans = zip(*self.bands)
 
-        def crypt(s, out, perm):
+        def crypt(s, out, perm, path):
             m = length_of(s)
             bi = bisect_right(starts, m) - 1
             if bi < 0 or m > ends[bi]:
                 raise ParseFailure(f"length {m} is in no band")
-            plans[bi].crypt(s, out, perm)
+            if path is not None:
+                path.append(("len", bi))
+            plans[bi].crypt(s, out, perm, path)
 
         return crypt
-
-    def path_signature(self, s):
-        bi = self._band_of(s)
-        return (("len", bi),) + self.bands[bi][2].path_signature(s)
 
 
 @dataclass(frozen=True)
@@ -305,11 +274,6 @@ class RepeatGroups(_Plan):
     spec: object
     groups: tuple
 
-    def _group_texts(self, s):
-        texts, delim = self.spec.cut(s), self.spec.delim
-        return [texts[lo] if hi - lo == 1 else delim.join(texts[lo:hi])
-                for lo, hi, _ in self.groups]
-
     def _make_crypt(self):
         sp = self.spec
         cut = _grouped(sp._cut_rule, self.groups, (sp.delim,) * (sp.min - 1))
@@ -317,19 +281,13 @@ class RepeatGroups(_Plan):
         steps = tuple((sub.crypt, sp.delim if hi < sp.min or sp.last_delimited else "")
                       for _, hi, sub in self.groups)
 
-        def crypt(s, out, perm):
+        def crypt(s, out, perm, path):
             for text, (sub, delim) in zip(cut(s), steps):
-                sub(text, out, perm)
+                sub(text, out, perm, path)
                 if delim:
                     out.append(delim)
 
         return crypt
-
-    def path_signature(self, s):
-        return tuple(
-            ("g", gi, sub.path_signature(text))
-            for gi, ((_, _, sub), text) in enumerate(zip(self.groups, self._group_texts(s)))
-        )
 
 
 @dataclass(frozen=True)
@@ -360,7 +318,7 @@ class CharBlocks(_Plan):
                            tuple((len(cs), cs) for cs in charsets[lo:hi])))
         tables = tuple(tables)
 
-        def crypt(s, out, perm):
+        def crypt(s, out, perm, path):
             if len(s) != width:
                 raise ParseFailure(f"length {len(s)}, expected {width}")
             for lo, hi, window, n, weighted, spell in tables:
@@ -368,23 +326,12 @@ class CharBlocks(_Plan):
                     r = sum(map(getitem, weighted, s[lo:hi]))
                 except KeyError:
                     raise ParseFailure(f"offsets {lo}..{hi - 1}: a character outside its set") from None
-                if window is None:
-                    r = perm(r, n)
-                else:  # the rank window holding r stays where it is
-                    base = r - r % window
-                    r = base + perm(r - base, min(window, n - base))
+                r = perm(r, n) if window is None else _windowed(perm, r, n, window, path)
                 for radix, cs in spell:
                     r, d = divmod(r, radix)
                     out.append(cs[d])
 
         return crypt
-
-    def path_signature(self, s):
-        index = self.spec._index
-        return tuple(
-            ("g", bi, () if window is None else (("w", index[lo][s[lo]] // window),))
-            for bi, (lo, _, window) in enumerate(self.blocks)
-        )
 
 
 @dataclass(frozen=True)
@@ -397,16 +344,13 @@ class TrailingDelim(_Plan):
     def _make_crypt(self):
         sub, delim = self.sub.crypt, self.delim
 
-        def crypt(s, out, perm):
+        def crypt(s, out, perm, path):
             if not s.endswith(delim):
                 raise ParseFailure(f"a string of length {len(s)} lacks the final delimiter")
-            sub(s[:-1], out, perm)
+            sub(s[:-1], out, perm, path)
             out.append(delim)
 
         return crypt
-
-    def path_signature(self, s):
-        return self.sub.path_signature(s[:-1])
 
 
 @dataclass(frozen=True)
@@ -423,15 +367,10 @@ class RankWindow(_Plan):
     def _make_crypt(self):
         rank, unrank, n, width = self.spec.ranker, self.spec.unranker, self.spec.size, self.width
 
-        def crypt(s, out, perm):
-            r = rank(s)
-            base = r - r % width
-            out.append(unrank(base + perm(r - base, min(width, n - base))))
+        def crypt(s, out, perm, path):
+            out.append(unrank(_windowed(perm, rank(s), n, width, path)))
 
         return crypt
-
-    def path_signature(self, s):
-        return (("w", self.spec.rank(s) // self.width),)
 
 
 @dataclass(frozen=True)
@@ -454,23 +393,15 @@ class SsnComponents(_Plan):
             groups.append((lo, hi, window, n, tuple(weights), sizes))
         groups = tuple(groups)
 
-        def crypt(s, out, perm):
+        def crypt(s, out, perm, path):
             comp = list(components(s))
             for lo, hi, window, n, weights, sizes in groups:
-                v = _windowed(perm, sum(map(mul, comp[lo:hi], weights)), n, window)
+                v = _windowed(perm, sum(map(mul, comp[lo:hi], weights)), n, window, path)
                 for i, size in enumerate(sizes, lo):
                     v, comp[i] = divmod(v, size)
             out.append(spell(comp))
 
         return crypt
-
-    def path_signature(self, s):
-        comp = formats.ssn_components(s)
-        return tuple(
-            ("w", lo, comp[lo] // width)
-            for lo, _, width in self.groups
-            if width is not None
-        )
 
 
 @dataclass(frozen=True)
@@ -485,20 +416,13 @@ class CcnBlocks(_Plan):
         blocks = tuple((lo, hi, window, 10 ** (hi - lo), f"0{hi - lo}d")
                        for lo, hi, window in self.blocks)
 
-        def crypt(s, out, perm):
+        def crypt(s, out, perm, path):
             payload = payload_of(s)
-            body = "".join(format(_windowed(perm, int(payload[lo:hi]), n, window), spelled)
+            body = "".join(format(_windowed(perm, int(payload[lo:hi]), n, window, path), spelled)
                            for lo, hi, window, n, spelled in blocks)
             out.append(body + luhn(body))
 
         return crypt
-
-    def path_signature(self, s):
-        return tuple(
-            ("w", lo, int(s[lo:hi]) // width)
-            for lo, hi, width in self.blocks
-            if width is not None
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -513,13 +437,14 @@ def build_plan(spec, max_size):
     return spec.plan(max_size)
 
 
-def walk(plan, s: str, perm) -> str:
+def walk(plan, s: str, perm, path) -> str:
     """s with each slot's rank r, of size n, replaced by perm(r, n), from one
     checked walk of the plan; NotInFormat unless s is a member. perm sees the
-    slots in plan order and must answer a rank below n."""
+    slots in plan order and must answer a rank below n. A path list, unless
+    None, gets the walk's choices appended."""
     out: list = []
     try:
-        plan.crypt(s, out, perm)
+        plan.crypt(s, out, perm, path)
     except ParseFailure:
         raise NotInFormat.of(s) from None
     return "".join(out)
@@ -528,7 +453,7 @@ def walk(plan, s: str, perm) -> str:
 def rank_multi(spec, max_size, s: str) -> RankVector:
     """Rank s into bounded slots. With max_size None this is plain ranking."""
     slots: list = []
-    walk(build_plan(spec, max_size), s, lambda r, n: slots.append((r, n)) or r)
+    walk(build_plan(spec, max_size), s, lambda r, n: slots.append((r, n)) or r, None)
     ranks, sizes = zip(*slots)
     return RankVector(ranks, sizes)
 
@@ -546,7 +471,7 @@ def unrank_multi(spec, max_size, vector: RankVector, example: str) -> str:
         return vector.ranks[i] if i < len(vector) and vector.sizes[i] == n else 0
 
     try:
-        out = walk(plan, example, replay)
+        out = walk(plan, example, replay, None)
     except NotInFormat:
         raise ExampleFormatMismatch(
             f"the example (length {len(example)}) is not in the format"
@@ -560,9 +485,11 @@ def unrank_multi(spec, max_size, vector: RankVector, example: str) -> str:
     return out
 
 
-def path_signature(spec, max_size, s: str):
-    """The variant path a member takes through the plan; hashable."""
-    plan = build_plan(spec, max_size)
-    if not spec.contains(s):
-        raise NotInFormat.of(s)
-    return plan.path_signature(s)
+def path_signature(spec, max_size, s: str) -> tuple:
+    """The choices the ranks do not encode (union group, length band, rank
+    window) that one checked walk of a member makes, in walk order: members
+    share a signature exactly when they take the same path. NotInFormat
+    unless s is a member."""
+    path: list = []
+    walk(build_plan(spec, max_size), s, lambda r, n: r, path)
+    return tuple(path)

@@ -27,6 +27,7 @@ from fpekit import (
     enumerate_members,
     format_fingerprint,
     keygen,
+    path_signature,
     size,
     unrank,
     validate,
@@ -149,7 +150,9 @@ def test_walk_functions_are_built_once_per_plan_node(monkeypatch):
     record = "Elm Street Ave,Dover,42,12345,France"
     cfg = CipherConfig(max_size=2**16)
     for _ in range(50):
-        assert decrypt(cfg, KEY_A, spec, encrypt(cfg, KEY_A, spec, record)) == record
+        c = encrypt(cfg, KEY_A, spec, record)
+        assert decrypt(cfg, KEY_A, spec, c) == record
+        assert path_signature(spec, cfg.max_size, c) == path_signature(spec, cfg.max_size, record)
     cfg = CipherConfig(max_size=5)
     for name, corpus_spec in SMALL_SPECS + PREFIX_SPECS:
         fresh = dsl.parse_spec(dsl.serialize_spec(corpus_spec))  # plans no test has walked
@@ -162,6 +165,7 @@ def test_walk_functions_are_built_once_per_plan_node(monkeypatch):
                 except UnsplittableAtom:
                     break
                 assert decrypt(cfg, KEY_A, fresh, c) == m, name
+                assert path_signature(fresh, 5, c) == path_signature(fresh, 5, m), name
     assert {count for _, count in built.values()} == {1}
     assert {type(node) for node, _ in built.values()} == set(PLAN_TYPES)
     built.clear()

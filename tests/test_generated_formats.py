@@ -201,10 +201,12 @@ CORPUS = SMALL_SPECS + PREFIX_SPECS + [("address", ADDRESS)]
 
 def _refused_without_echo(spec, data):
     """Non-members near the format's first and last members are refused by
-    spec.rank (ParseFailure), rank and encrypt at bounds None and 5
-    (NotInFormat), with a text that holds neither the input, when it has
-    four characters or more, nor any six characters of it in a row."""
-    checks = [(ParseFailure, spec.rank), (NotInFormat, lambda s: rank(spec, s))]
+    spec.rank (ParseFailure), rank and encrypt at bounds None and 5 and
+    path_signature at bound 5 (NotInFormat), with a text that holds neither
+    the input, when it has four characters or more, nor any six characters
+    of it in a row."""
+    checks = [(ParseFailure, spec.rank), (NotInFormat, lambda s: rank(spec, s)),
+              (NotInFormat, lambda s: path_signature(spec, 5, s))]
     for bound in (None, 5):
         cfg = CipherConfig(max_size=bound)
         checks.append((NotInFormat, lambda s, cfg=cfg: encrypt(cfg, KEY, spec, s)))

@@ -599,6 +599,12 @@ def test_a_tabulated_apply_makes_no_xof_call(monkeypatch):
         assert calls == [], n
 
 
+def _crypt_slots(key, fp, tweak, slots, decrypting, walk_budget, recorder=None):
+    """The new ranks of a record's (rank, size) slots, one slot_permutation call each."""
+    perm = intfpe.slot_permutation(key, fp, tweak, decrypting, walk_budget, recorder)
+    return [perm(x, n) for x, n in slots]
+
+
 @pytest.mark.parametrize("rounds", [3, 12])
 def test_a_tabulated_vector_call_gives_the_xof_outputs(rounds, monkeypatch):
     # one record of slots, shuffled, one-valued and Feistel, every Feistel
@@ -616,21 +622,21 @@ def test_a_tabulated_vector_call_gives_the_xof_outputs(rounds, monkeypatch):
     monkeypatch.setattr(intfpe, "_base_state", lambda *args: _CountingState(real(*args), calls))
     key = IntFpeKey(secret, rounds=rounds)
     for v in vectors(max(_entries(n, rounds) // rounds for n in sizes[3:])):
-        intfpe.crypt_slots(key, fp, tweak, v, False, 10**6)
+        _crypt_slots(key, fp, tweak, v, False, 10**6)
     passes = [p for p in key._permutations.values() if isinstance(p, intfpe._FeistelPass)]
     assert len(passes) == 4 and all(p.table is not None for p in passes)
     sample = vectors(200)
     calls.clear()
-    enc = [intfpe.crypt_slots(key, fp, tweak, v, False, 10**6) for v in sample]
-    dec = [intfpe.crypt_slots(key, fp, tweak, v, True, 10**6) for v in sample]
-    back = [intfpe.crypt_slots(key, fp, tweak, list(zip(e, sizes)), True, 10**6) for e in enc]
+    enc = [_crypt_slots(key, fp, tweak, v, False, 10**6) for v in sample]
+    dec = [_crypt_slots(key, fp, tweak, v, True, 10**6) for v in sample]
+    back = [_crypt_slots(key, fp, tweak, list(zip(e, sizes)), True, 10**6) for e in enc]
     assert calls == []
     assert back == [[x for x, _ in v] for v in sample]
     with monkeypatch.context() as m:
         m.setattr(intfpe, "TABLE_LIMIT", 0)
         fresh = IntFpeKey(secret, rounds=rounds)
-        assert enc == [intfpe.crypt_slots(fresh, fp, tweak, v, False, 10**6) for v in sample]
-        assert dec == [intfpe.crypt_slots(fresh, fp, tweak, v, True, 10**6) for v in sample]
+        assert enc == [_crypt_slots(fresh, fp, tweak, v, False, 10**6) for v in sample]
+        assert dec == [_crypt_slots(fresh, fp, tweak, v, True, 10**6) for v in sample]
     assert all(p.table is None for p in fresh._permutations.values()
                if isinstance(p, intfpe._FeistelPass))
 
@@ -649,10 +655,10 @@ def test_the_fast_recorded_and_per_slot_paths_agree(rounds):
         for _ in range(count):
             for decrypting in (False, True):
                 v = [(rng.randrange(n), n) for n in sizes]
-                fast = intfpe.crypt_slots(key, fp, tweak, v, decrypting, 10**6)
+                fast = _crypt_slots(key, fp, tweak, v, decrypting, 10**6)
                 recorded, per_slot = WalkRecorder(), WalkRecorder()
                 walk = cycle_walk_decrypt if decrypting else cycle_walk_encrypt
-                assert intfpe.crypt_slots(key, fp, tweak, v, decrypting, 10**6, recorded) == fast
+                assert _crypt_slots(key, fp, tweak, v, decrypting, 10**6, recorded) == fast
                 assert [walk(key, intfpe.slot_tweak(fp, i, tweak), n, x, recorder=per_slot)
                         for i, (x, n) in enumerate(v)] == fast
                 assert recorded.events == per_slot.events
@@ -676,7 +682,7 @@ def test_the_fast_recorded_and_per_slot_paths_agree(rounds):
     assert long
     for y in long:
         with pytest.raises(WalkBudgetExceeded):
-            intfpe.crypt_slots(key, fp, tweak, [(0, 2), (0, 2), (0, 2), (y, n)], True, 1)
+            _crypt_slots(key, fp, tweak, [(0, 2), (0, 2), (0, 2), (y, n)], True, 1)
         with pytest.raises(WalkBudgetExceeded):
             cycle_walk_decrypt(key, intfpe.slot_tweak(fp, i, tweak), n, y, walk_budget=1)
 
