@@ -1,5 +1,6 @@
 """Slot plans: bounded domains, exhaustive round trips, path signatures."""
 
+import tracemalloc
 from datetime import datetime
 from operator import mul
 
@@ -38,6 +39,7 @@ from fpekit import (
     unrank_multi,
 )
 from fpekit.errors import NotInFormat
+from fpekit.formats import ssn_components
 from fpekit.splitting import (
     CcnBlocks,
     CharBlocks,
@@ -346,6 +348,24 @@ def test_ssn_components_compose_to_the_closed_form_rank(rng):
         assert vec.sizes == (898, 99, 9999)
         a, g, r = vec.ranks
         assert rank(Ssn(), s).value == r + g * 9999 + a * 9999 * 99
+        # inside a block of several components the leftmost is least
+        # significant, and a windowed component keeps its window in the path
+        a, g, serial = ssn_components(s)
+        assert rank_multi(Ssn(), 10**6, s).ranks == (a + 898 * g, serial)
+        assert rank_multi(Ssn(), 100, s).ranks == (a % 100, g, serial % 100)
+        assert path_signature(Ssn(), 100, s) == (("w", a // 100), ("w", serial // 100))
+
+
+@pytest.mark.parametrize("bound", [10**4, 10**6])
+def test_a_split_ssn_holds_no_table_per_serial(bound):
+    spec = Ssn()  # a fresh node, so its plan and walk are built below
+    tracemalloc.start()
+    try:
+        rank_multi(spec, bound, "123456789")
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 100_000, held
 
 
 def test_ssn_split_round_trip(rng):
@@ -368,6 +388,8 @@ def test_ccn_plan_shape_and_round_trip(rng):
         s = unrank(Ccn(), rng.randrange(10**15))
         vec = rank_multi(Ccn(), 10**6, s)
         assert vec.sizes == (10**6, 10**6, 10**3)
+        # a payload block ranks as the number its digits spell
+        assert vec.ranks == (int(s[0:6]), int(s[6:12]), int(s[12:15]))
         assert unrank_multi(Ccn(), 10**6, vec, s) == s
         new_ranks = tuple(rng.randrange(n) for n in vec.sizes)
         rebuilt = unrank_multi(Ccn(), 10**6, RankVector(new_ranks, vec.sizes), s)
