@@ -10,8 +10,7 @@ finite set of strings. Each node class defines, for its own type:
   membership check (``contains`` is "rank does not raise");
 - ``_make_unranker``: its unrank function, which gives the member at an
   in-range rank, unchecked;
-- ``take`` for the rigid (prefix-parsable) primitives, and ``parse`` and
-  ``reassemble``, which the compound nodes override;
+- ``take`` for the rigid (prefix-parsable) primitives;
 - ``members``: generative enumeration in rank order;
 - ``_split``: its slot plan under a bound, from ``splitting``'s plan nodes;
 - ``to_json`` and ``from_json``: its canonical JSON form, read through
@@ -62,18 +61,6 @@ class Violation:
     path: str
     code: str
     message: str
-
-
-@dataclass(frozen=True)
-class ParsePieces:
-    """The substrings of one member, each tagged with its sub-format index.
-
-    For Range, `repetitions` carries the piece count; delimiters are not
-    included in the pieces and are re-attached by `reassemble`.
-    """
-
-    pieces: tuple
-    repetitions: int | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +183,10 @@ def luhn_digit(digits: str) -> str:
     b = digits.encode("ascii")  # each byte is its digit plus 48
     total = sum(b[0::2].translate(_LUHN_DOUBLED)) + sum(b[1::2]) - 48 * 15
     return str(-total % 10)
+
+
+def _with_luhn_digit(digits: str) -> str:
+    return digits + luhn_digit(digits)
 
 
 def _all_decimal(s: str) -> bool:
@@ -326,16 +317,6 @@ class Node:
         pos, found from its boundary alone: `rank` checks the piece."""
         raise ParseFailure(f"{type(self).__name__} is not prefix-parsable")
 
-    def parse(self, s: str) -> ParsePieces:
-        """Split a member into pieces; raises ParseFailure when s is no member."""
-        if not self.contains(s):
-            raise ParseFailure.of(s)
-        return ParsePieces(((s, 0),))
-
-    def reassemble(self, pp: ParsePieces) -> str:
-        """Invert parse: stitch pieces (and delimiters) back together."""
-        return pp.pieces[0][0]
-
     def members(self):
         """Stream members generatively, in rank order (never via unrank)."""
         raise NotImplementedError
@@ -419,19 +400,27 @@ class _FixedWidth(Node):
             raise ParseFailure(f"no {type(self).__name__} member at offset {pos}")
         return end
 
+    def _split(self, max_size):
+        """Blocks of `positions` (every subclass but Date describes them)."""
+        radices = [len(sp) for sp in self.positions.spellings]
+        return splitting.RadixBlocks(self, splitting.radix_blocks(radices, max_size))
+
 
 @dataclass(frozen=True)
 class Ssn(_FixedWidth):
     """Nine decimal digits under the area/group/serial exclusion rules.
 
     Rank order is numeric order: mixed radix over the (area, group, serial)
-    component indices, serial fastest, which the split plan shares.
+    component indices, serial fastest. The split plan reads the same
+    components as positions, area least significant.
     """
 
     kind = "ssn"
     width = 9
     size = SSN_SIZE
     chars = frozenset(DIGITS)
+    positions = splitting.Positions(ssn_components, tuple(map(range, SSN_COMPONENT_SIZES)),
+                                    ssn_from_components)
 
     def members(self):
         for area in itertools.chain(range(1, 666), range(667, 900)):
@@ -449,9 +438,6 @@ class Ssn(_FixedWidth):
     def _make_unranker(self):
         return lambda v: ssn_from_components((*divmod(v // 9999, 99), v % 9999))
 
-    def _split(self, max_size):
-        return splitting.SsnComponents(splitting.radix_blocks(SSN_COMPONENT_SIZES, max_size))
-
 
 @dataclass(frozen=True)
 class Ccn(_FixedWidth):
@@ -461,24 +447,18 @@ class Ccn(_FixedWidth):
     width = 16
     size = CCN_SIZE
     chars = frozenset(DIGITS)
+    # a block of payload digits ranks as the number they spell
+    positions = splitting.Positions(ccn_payload, (DIGITS,) * 15,
+                                    lambda digits: _with_luhn_digit("".join(digits)), True)
 
     def members(self):
-        for payload in range(CCN_SIZE):
-            body = f"{payload:015d}"
-            yield body + luhn_digit(body)
+        return (_with_luhn_digit(f"{payload:015d}") for payload in range(CCN_SIZE))
 
     def _make_ranker(self):
         return lambda s: int(ccn_payload(s))
 
     def _make_unranker(self):
-        def unrank(v):
-            body = f"{v:015d}"
-            return body + luhn_digit(body)
-
-        return unrank
-
-    def _split(self, max_size):
-        return splitting.CcnBlocks(splitting.radix_blocks((10,) * 15, max_size))
+        return lambda v: _with_luhn_digit(f"{v:015d}")
 
 
 @dataclass(frozen=True)
@@ -614,6 +594,17 @@ class FixedString(_FixedWidth):
         maps = {cs: {c: i for i, c in enumerate(cs)} for cs in set(self.charsets)}
         return tuple(maps[cs] for cs in self.charsets)
 
+    @cached_property
+    def positions(self):
+        width = self.width
+
+        def read(s):
+            if len(s) != width:
+                raise ParseFailure(f"length {len(s)}, expected {width}")
+            return s
+
+        return splitting.Positions(read, self.charsets)
+
     def _make_ranker(self):
         if len(self.charsets) == 1:
             return _lookup(self._index[0])
@@ -647,12 +638,6 @@ class FixedString(_FixedWidth):
             return "".join(chars)
 
         return unrank
-
-    def _split(self, max_size):
-        if len(self.charsets) == 1:
-            return splitting.RankWindow(self, max_size)
-        sizes = [len(cs) for cs in self.charsets]
-        return splitting.CharBlocks(self, splitting.radix_blocks(sizes, max_size))
 
     def to_json(self):
         return {"type": self.kind, "charsets": [serialize_charset(cs) for cs in self.charsets]}
@@ -1034,25 +1019,13 @@ class Union(Node):
         # rank offset of each part: the summed sizes of the parts before it
         return tuple(itertools.accumulate((p.size for p in self.parts), initial=0))
 
-    def parse(self, s):
-        i = self.part_of(s)
-        if not self.parts[i].contains(s):
-            raise ParseFailure.of(s)
-        return ParsePieces(((s, i),))
-
     @cached_property
     def _part_of_lead(self) -> dict:
+        """The only part a member can belong to, by its first character (""
+        for the empty string): validation makes part alphabets disjoint and
+        lets at most one part contain ""."""
         return {c: i for i, p in enumerate(self.parts)
                 for c in (p.chars | {""} if p.contains("") else p.chars)}
-
-    def part_of(self, s: str) -> int:
-        """The only part s can belong to, by its first character ("" for the
-        empty string): validation makes part alphabets disjoint and lets at
-        most one part contain "". ParseFailure when no part can hold s."""
-        i = self._part_of_lead.get(s[:1])
-        if i is None:
-            raise ParseFailure(f"a string of length {len(s)} starts outside every part")
-        return i
 
     def members(self):
         return itertools.chain.from_iterable(p.members() for p in self.parts)
@@ -1159,17 +1132,13 @@ class Concat(Node):
     def chars(self):
         return frozenset().union(*(p.chars for p in self.parts), self.delims or ())
 
-    def cut(self, s: str):
-        """One text per part, by the rule `_cut_rule` chose; the texts
-        themselves are not checked."""
-        return self._cut_rule(s)
-
     @cached_property
     def _cut_rule(self):
-        """The function `cut` applies, chosen once. With one delimiter
-        character it splits on it, which gives the pieces of reading the
-        delimiters in order; with no delimiters and a width for every part
-        but the last it slices at fixed offsets; else it reads in order."""
+        """The function giving one text per part, chosen once; the texts
+        themselves are not checked. With one delimiter character it splits
+        on it, which gives the pieces of reading the delimiters in order;
+        with no delimiters and a width for every part but the last it
+        slices at fixed offsets; else it reads in order."""
         parts, delims = self.parts, self.delims
         last = len(parts) - 1
         if delims and len(set(delims)) == 1:
@@ -1215,16 +1184,6 @@ class Concat(Node):
             texts.append(s[pos:end])
             pos = nxt
         return texts
-
-    def parse(self, s):
-        texts = self.cut(s)
-        for i, (text, part) in enumerate(zip(texts, self.parts)):
-            if not part.contains(text):
-                raise ParseFailure(f"piece {i} (length {len(text)}) fails its sub-format")
-        return ParsePieces(tuple((t, i) for i, t in enumerate(texts)))
-
-    def reassemble(self, pp):
-        return self._join([p for p, _ in pp.pieces])
 
     @cached_property
     def _join(self):
@@ -1333,15 +1292,11 @@ class Range(Node):
         delim, extra = self.delim, 0 if self.last_delimited else 1
         return lambda s: s.count(delim) + extra
 
-    def cut(self, s: str) -> list:
-        """The repetition texts of s, split on the delimiter; ParseFailure
-        without the final delimiter (if one is due) or min..max texts. The
-        texts themselves are not checked."""
-        return self._cut_rule(s)
-
     @cached_property
     def _cut_rule(self):
-        """The function `cut` applies, built once."""
+        """The function giving the repetition texts of s, split on the
+        delimiter, built once; ParseFailure without the final delimiter (if
+        one is due) or min..max texts. The texts themselves are not checked."""
         delim, last, lo, hi = self.delim, self.last_delimited, self.min, self.max
 
         def cut(s):
@@ -1355,16 +1310,6 @@ class Range(Node):
             return texts
 
         return cut
-
-    def parse(self, s):
-        texts = self.cut(s)
-        for i, t in enumerate(texts):
-            if not self.inner.contains(t):
-                raise ParseFailure(f"piece {i} (length {len(t)}) fails the inner format")
-        return ParsePieces(tuple((t, 0) for t in texts), repetitions=len(texts))
-
-    def reassemble(self, pp):
-        return self._join([p for p, _ in pp.pieces])
 
     def _join(self, texts) -> str:
         body = self.delim.join(texts)
@@ -1491,16 +1436,6 @@ def alphabet(spec) -> frozenset:
 def contains(spec, s: str) -> bool:
     """True iff s is a member of the format."""
     return spec.contains(s)
-
-
-def parse(spec, s: str) -> ParsePieces:
-    """Split a member into pieces; raises ParseFailure when s is no member."""
-    return spec.parse(s)
-
-
-def reassemble(spec, pp: ParsePieces) -> str:
-    """Invert parse: stitch pieces (and the spec's delimiters) back together."""
-    return spec.reassemble(pp)
 
 
 def enumerate_members(spec, limit: int | None = None):

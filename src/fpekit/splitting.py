@@ -27,8 +27,9 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from itertools import chain
 from operator import getitem, mul
+from typing import NamedTuple
 
 from . import formats
 from .errors import (
@@ -268,7 +269,7 @@ class RepeatGroups(_Plan):
 
     A group's sub-plan covers its pieces joined by the delimiter, without a
     delimiter after the last; the walk writes that one when it is due. The
-    spec's `cut` checks the count and the final delimiter.
+    spec's `_cut_rule` checks the count and the final delimiter.
     """
 
     spec: object
@@ -286,50 +287,6 @@ class RepeatGroups(_Plan):
                 sub(text, out, perm, path)
                 if delim:
                     out.append(delim)
-
-        return crypt
-
-
-@dataclass(frozen=True)
-class CharBlocks(_Plan):
-    """A fixed-length body cut into positional blocks `(lo, hi, window)`.
-
-    A block is one slot over its positions, mixed radix with the leftmost
-    least significant. A block whose one position has more characters than
-    the bound has its window set, and its slot is the rank window of that
-    width holding the character, as RankWindow cuts a primitive.
-    """
-
-    spec: object
-    blocks: tuple
-
-    def _make_crypt(self):
-        width, charsets = self.spec.width, self.spec.charsets
-        # per block: its bounds, window and size, a map per position from a
-        # character to its digit times the position's weight, and the
-        # position's base and characters, to spell the permuted rank
-        tables = []
-        for lo, hi, window in self.blocks:
-            weighted, n = [], 1
-            for cs in charsets[lo:hi]:
-                weighted.append({c: d * n for d, c in enumerate(cs)})
-                n *= len(cs)
-            tables.append((lo, hi, window, n, tuple(weighted),
-                           tuple((len(cs), cs) for cs in charsets[lo:hi])))
-        tables = tuple(tables)
-
-        def crypt(s, out, perm, path):
-            if len(s) != width:
-                raise ParseFailure(f"length {len(s)}, expected {width}")
-            for lo, hi, window, n, weighted, spell in tables:
-                try:
-                    r = sum(map(getitem, weighted, s[lo:hi]))
-                except KeyError:
-                    raise ParseFailure(f"offsets {lo}..{hi - 1}: a character outside its set") from None
-                r = perm(r, n) if window is None else _windowed(perm, r, n, window, path)
-                for radix, cs in spell:
-                    r, d = divmod(r, radix)
-                    out.append(cs[d])
 
         return crypt
 
@@ -358,7 +315,7 @@ class RankWindow(_Plan):
     """Contiguous windows of the rank space; the walk keeps the window.
 
     The fallback for primitives with no positional structure to cut:
-    integer ranges, dates, single oversized character positions.
+    integer ranges and dates.
     """
 
     spec: object
@@ -373,54 +330,68 @@ class RankWindow(_Plan):
         return crypt
 
 
-@dataclass(frozen=True)
-class SsnComponents(_Plan):
-    """Area, group, and serial as mixed-radix components, grouped greedily.
+class Positions(NamedTuple):
+    """A fixed-width primitive read as one mixed-radix digit per position.
 
-    A component whose own size exceeds the bound degrades to rank windows
-    over that component. The walk permutes every group, then spells the id.
+    `read` checks a string and gives its digits, one per position: the
+    string itself, or a sequence of digit values. `spellings[i]` is what
+    position i spells to, indexed by its digit: a character set, or a range
+    whose entries are the digit values themselves; its length is the
+    position's radix. `finish` turns the spelled positions into the member.
+    A block's leftmost digit is its least significant, unless `msd_first`.
     """
 
-    groups: tuple
-
-    def _make_crypt(self):
-        components, spell = formats.ssn_components, formats.ssn_from_components
-        # per group: its bounds and window, and its components' weights and sizes
-        groups = []
-        for lo, hi, window in self.groups:
-            sizes = formats.SSN_COMPONENT_SIZES[lo:hi]
-            *weights, n = accumulate(sizes, mul, initial=1)
-            groups.append((lo, hi, window, n, tuple(weights), sizes))
-        groups = tuple(groups)
-
-        def crypt(s, out, perm, path):
-            comp = list(components(s))
-            for lo, hi, window, n, weights, sizes in groups:
-                v = _windowed(perm, sum(map(mul, comp[lo:hi], weights)), n, window, path)
-                for i, size in enumerate(sizes, lo):
-                    v, comp[i] = divmod(v, size)
-            out.append(spell(comp))
-
-        return crypt
+    read: object
+    spellings: tuple
+    finish: object = "".join
+    msd_first: bool = False
 
 
 @dataclass(frozen=True)
-class CcnBlocks(_Plan):
-    """Payload digits in positional blocks; the walk permutes every block,
-    then spells the payload and recomputes the check digit."""
+class RadixBlocks(_Plan):
+    """A fixed-width primitive's positions cut into blocks `(lo, hi, window)`.
 
+    A block is one slot, mixed radix over its positions' digits. A block
+    whose one position has more digits than the bound has its window set,
+    and its slot is the rank window of that width holding the digit, as
+    RankWindow cuts a primitive. The walk permutes every block, then the
+    spec's `positions.finish` spells the member.
+    """
+
+    spec: object
     blocks: tuple
 
     def _make_crypt(self):
-        payload_of, luhn = formats.ccn_payload, formats.luhn_digit
-        blocks = tuple((lo, hi, window, 10 ** (hi - lo), f"0{hi - lo}d")
-                       for lo, hi, window in self.blocks)
+        read, spellings, finish, msd_first = self.spec.positions
+        width = len(spellings)
+        # per block: its bounds, window and size, a map per position from
+        # what `read` gives there to its digit times the position's weight
+        # (a range for integer digits, which holds no entry per value), and,
+        # least significant first, each position's index, radix and spelling
+        tables = []
+        for lo, hi, window in self.blocks:
+            weighted, spell, n = [None] * (hi - lo), [], 1
+            for i in (range(hi - 1, lo - 1, -1) if msd_first else range(lo, hi)):
+                sp = spellings[i]
+                weighted[i - lo] = (range(0, len(sp) * n, n) if isinstance(sp, range)
+                                    else {c: d * n for d, c in enumerate(sp)})
+                spell.append((i, len(sp), sp))
+                n *= len(sp)
+            tables.append((lo, hi, window, n, tuple(weighted), tuple(spell)))
+        tables = tuple(tables)
 
         def crypt(s, out, perm, path):
-            payload = payload_of(s)
-            body = "".join(format(_windowed(perm, int(payload[lo:hi]), n, window, path), spelled)
-                           for lo, hi, window, n, spelled in blocks)
-            out.append(body + luhn(body))
+            digits, spelled = read(s), [None] * width
+            for lo, hi, window, n, weighted, spell in tables:
+                try:
+                    r = sum(map(getitem, weighted, digits[lo:hi]))
+                except KeyError:
+                    raise ParseFailure(f"offsets {lo}..{hi - 1}: a character outside its set") from None
+                r = perm(r, n) if window is None else _windowed(perm, r, n, window, path)
+                for i, radix, sp in spell:
+                    r, d = divmod(r, radix)
+                    spelled[i] = sp[d]
+            out.append(finish(spelled))
 
         return crypt
 

@@ -29,8 +29,6 @@ from fpekit import (
     enumerate_members,
     is_rigid,
     luhn_digit,
-    parse,
-    reassemble,
     size,
     validate,
 )
@@ -365,32 +363,16 @@ def test_decimal_check_takes_ascii_digits_only():
 # parsing
 
 
-def test_parse_reassemble_round_trip():
-    for name, spec in SMALL_SPECS:
-        for s in enumerate_members(spec, limit=300):
-            assert reassemble(spec, parse(spec, s)) == s, (name, s)
-
-
 def test_parse_failures():
     spec = Concat((VarString(1, 2, "ab"), VarString(1, 2, "cd")), ("-",))
     with pytest.raises(ParseFailure):
-        parse(spec, "ab_cd")
+        spec.rank("ab_cd")
     with pytest.raises(ParseFailure):
-        parse(spec, "abc-cd")
+        spec.rank("abc-cd")
     with pytest.raises(ParseFailure):
-        parse(Union((FixedString(("ab",)),)), "z")
+        Union((FixedString(("ab",)),)).rank("z")
     with pytest.raises(ParseFailure):
-        parse(Range(FixedString(("ab",)), "-", 2, 3), "a-")
-
-
-def test_parse_tags_union_branch():
-    u = Union((FixedString(("ab",)), FixedString(("01",))))
-    assert parse(u, "1").pieces == (("1", 1),)
-
-
-def test_parse_range_counts_pieces():
-    r = Range(FixedString(("ab",)), "-", 1, 3)
-    assert parse(r, "a-b-a-").repetitions == 3
+        Range(FixedString(("ab",)), "-", 2, 3).rank("a-")
 
 
 # ---------------------------------------------------------------------------

@@ -41,11 +41,9 @@ from fpekit import (
 from fpekit.errors import NotInFormat
 from fpekit.formats import ssn_components
 from fpekit.splitting import (
-    CcnBlocks,
-    CharBlocks,
     LengthBands,
+    RadixBlocks,
     RankWindow,
-    SsnComponents,
     WholeSlot,
     greedy_groups,
 )
@@ -329,14 +327,14 @@ def test_example_must_be_a_member():
 
 def test_ssn_plan_shapes():
     plan = build_plan(Ssn(), 10**4)
-    assert isinstance(plan, SsnComponents)
-    assert plan.groups == ((0, 1, None), (1, 2, None), (2, 3, None))
+    assert isinstance(plan, RadixBlocks)
+    assert plan.blocks == ((0, 1, None), (1, 2, None), (2, 3, None))
 
     plan = build_plan(Ssn(), 10**6)
-    assert plan.groups == ((0, 2, None), (2, 3, None))
+    assert plan.blocks == ((0, 2, None), (2, 3, None))
 
     plan = build_plan(Ssn(), 100)
-    assert plan.groups == ((0, 1, 100), (1, 2, None), (2, 3, 100))
+    assert plan.blocks == ((0, 1, 100), (1, 2, None), (2, 3, 100))
 
 
 def test_ssn_components_compose_to_the_closed_form_rank(rng):
@@ -382,7 +380,7 @@ def test_ssn_split_round_trip(rng):
 
 def test_ccn_plan_shape_and_round_trip(rng):
     plan = build_plan(Ccn(), 10**6)
-    assert isinstance(plan, CcnBlocks)
+    assert isinstance(plan, RadixBlocks)
     assert [(lo, hi) for lo, hi, _ in plan.blocks] == [(0, 6), (6, 12), (12, 15)]
     for _ in range(100):
         s = unrank(Ccn(), rng.randrange(10**15))
@@ -411,7 +409,7 @@ def test_date_splits_into_rank_windows():
 def test_fixed_string_splits_positionally():
     spec = FixedString((DIGITS,) * 6)
     plan = build_plan(spec, 10**2)
-    assert isinstance(plan, CharBlocks)
+    assert isinstance(plan, RadixBlocks)
     assert [(lo, hi) for lo, hi, _ in plan.blocks] == [(0, 2), (2, 4), (4, 6)]
     vec = rank_multi(spec, 10**2, "123456")
     assert vec.sizes == (100, 100, 100)
@@ -479,8 +477,8 @@ def test_a_group_of_several_parts_keeps_the_delimiters_between_them():
 def test_an_oversized_position_is_cut_into_the_rank_windows_it_has_alone():
     spec, one = FixedString((ALNUM, ALNUM)), FixedString((ALNUM,))
     plan = build_plan(spec, 50)
-    assert isinstance(plan, CharBlocks) and plan.blocks == ((0, 1, 50), (1, 2, 50))
-    assert isinstance(build_plan(one, 50), RankWindow)
+    assert isinstance(plan, RadixBlocks) and plan.blocks == ((0, 1, 50), (1, 2, 50))
+    assert isinstance(build_plan(one, 50), RadixBlocks)
     members = list(enumerate_members(spec))
     for s in members:
         alone = [rank_multi(one, 50, c) for c in s]
