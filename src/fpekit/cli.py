@@ -54,6 +54,8 @@ _format_option = click.option(
     type=click.Path(exists=True, dir_okay=False),
     help="Format definition file.",
 )
+_max_size_option = click.option("--max-size", "max_size", type=SIZE_BOUND, default=None,
+                                help="Slot bound: decimal, 2^k, or inf.", show_default="inf")
 
 
 def _load_spec(path):
@@ -116,8 +118,7 @@ def _crypt_options(fn):
     for deco in (
         click.option("--value", default=None, help="Input; stdin when omitted."),
         click.option("--tweak", default="", help="Tweak string mixed into the key schedule."),
-        click.option("--max-size", "max_size", type=SIZE_BOUND, default=None,
-                     help="Slot bound: decimal, 2^k, or inf.", show_default="inf"),
+        _max_size_option,
         click.option("--key", "key_path", required=True,
                      type=click.Path(exists=True, dir_okay=False)),
         _format_option,
@@ -195,8 +196,7 @@ def _csv_options(fn):
     for deco in (
         click.option("--column-tweak/--no-column-tweak", default=True, show_default=True,
                      help="Mix each column's name into its tweak."),
-        click.option("--max-size", "max_size", type=SIZE_BOUND, default=None,
-                     help="Slot bound: decimal, 2^k, or inf.", show_default="inf"),
+        _max_size_option,
         click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False)),
         click.option("--in", "in_path", required=True,
                      type=click.Path(exists=True, dir_okay=False)),
@@ -234,7 +234,7 @@ def decrypt_csv(map_path, key_path, in_path, out_path, max_size, column_tweak):
 @click.option("--format", "format_path", default=None,
               type=click.Path(exists=True, dir_okay=False),
               help="Format definition; required for gfpe.")
-@click.option("--max-size", "max_size", type=SIZE_BOUND, default=None, show_default="inf")
+@_max_size_option
 @click.option("--column", default=None, help="Dataset column; first when omitted.")
 @click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
 def analyze(dataset_path, scheme, format_path, max_size, column, out_path):
@@ -251,7 +251,12 @@ def analyze(dataset_path, scheme, format_path, max_size, column, out_path):
             idx = header.index(column)
         else:
             raise BadParameter(f"column {column!r} not in header")
-        records = [row[idx] for row in reader if row]
+        records = []
+        for rownum, row in enumerate(reader, 2):
+            if len(row) > idx:
+                records.append(row[idx])
+            elif row:
+                raise CsvFieldError(rownum, header[idx], BadParameter("row too short"))
     if not records:
         raise BadParameter(f"{dataset_path}: no data rows")
     if scheme == "sgfpe":

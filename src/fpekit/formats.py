@@ -12,7 +12,8 @@ finite set of strings. Each node class defines, for its own type:
   in-range rank, unchecked;
 - ``take`` for the rigid (prefix-parsable) primitives;
 - ``members``: generative enumeration in rank order;
-- ``_split``: its slot plan under a bound, from ``splitting``'s plan nodes;
+- ``positions`` and ``_split``: its mixed-radix digits (by default one, the
+  rank) and its slot plan under a bound, from ``splitting``'s plan nodes;
 - ``to_json`` and ``from_json``: its canonical JSON form, read through
   ``dsl``'s typed reader.
 
@@ -366,9 +367,15 @@ class Node:
             self._plans[max_size] = plan
         return plan
 
+    @cached_property
+    def positions(self):
+        """Mixed-radix digits to split by: by default one, the rank."""
+        rank, unrank = self.ranker, self.unranker
+        return splitting.Positions(lambda s: (rank(s),), (range(self.size),), lambda d: unrank(d[0]))
+
     def _split(self, max_size):
-        """The plan for a bound below this node's size."""
-        raise NotImplementedError
+        """The plan for a bound below this node's size: blocks of `positions`."""
+        return splitting.RadixBlocks(self, splitting.radix_blocks(self.positions.radices, max_size))
 
     def to_json(self) -> dict:
         return {"type": self.kind}
@@ -399,11 +406,6 @@ class _FixedWidth(Node):
         if end > len(s):
             raise ParseFailure(f"no {type(self).__name__} member at offset {pos}")
         return end
-
-    def _split(self, max_size):
-        """Blocks of `positions` (every subclass but Date describes them)."""
-        radices = [len(sp) for sp in self.positions.spellings]
-        return splitting.RadixBlocks(self, splitting.radix_blocks(radices, max_size))
 
 
 @dataclass(frozen=True)
@@ -529,9 +531,6 @@ class Date(_FixedWidth):
         lo, gran = self.min, self.granularity
         return lambda v: format_date_string(offset_to_date(lo, v, gran), gran)
 
-    def _split(self, max_size):
-        return splitting.RankWindow(self, max_size)
-
     def to_json(self):
         def text(dt):
             if self.granularity == "day":
@@ -588,13 +587,6 @@ class FixedString(_FixedWidth):
         return _fixed_stream(self.charsets)
 
     @cached_property
-    def _index(self) -> tuple:
-        """Per position, a map from a character to its digit; positions with
-        the same set share one map."""
-        maps = {cs: {c: i for i, c in enumerate(cs)} for cs in set(self.charsets)}
-        return tuple(maps[cs] for cs in self.charsets)
-
-    @cached_property
     def positions(self):
         width = self.width
 
@@ -605,39 +597,20 @@ class FixedString(_FixedWidth):
 
         return splitting.Positions(read, self.charsets)
 
+    @cached_property
+    def _coder(self):
+        """Rank and unrank, as the one block of all positions; a lone
+        position is one lookup in the table's one map, and one index."""
+        if self.width == 1:
+            return (_lookup(splitting.radix_table(self.positions, 0, 1)[1][0]),
+                    self.charsets[0].__getitem__)
+        return splitting.radix_coder(self.positions)
+
     def _make_ranker(self):
-        if len(self.charsets) == 1:
-            return _lookup(self._index[0])
-        width = self.width
-        # Horner's rule from the last (most significant) position
-        steps = tuple(zip(self._index[::-1], map(len, self.charsets[::-1])))
-
-        def rank(s):
-            if len(s) != width:
-                raise ParseFailure.of(s)
-            r = 0
-            try:
-                for c, (index, base) in zip(reversed(s), steps):
-                    r = r * base + index[c]
-            except KeyError:
-                raise ParseFailure(f"length {width}: a character outside its position's set") from None
-            return r
-
-        return rank
+        return self._coder[0]
 
     def _make_unranker(self):
-        if len(self.charsets) == 1:
-            return self.charsets[0].__getitem__
-        steps = tuple((len(cs), cs) for cs in self.charsets)
-
-        def unrank(v):
-            chars = []
-            for base, cs in steps:
-                v, d = divmod(v, base)
-                chars.append(cs[d])
-            return "".join(chars)
-
-        return unrank
+        return self._coder[1]
 
     def to_json(self):
         return {"type": self.kind, "charsets": [serialize_charset(cs) for cs in self.charsets]}
@@ -963,9 +936,6 @@ class IntegralDomain(Node):
     def _make_unranker(self):
         lo = self.min
         return lambda v: str(lo + v)
-
-    def _split(self, max_size):
-        return splitting.RankWindow(self, max_size)
 
     def to_json(self):
         return {"type": self.kind, "min": self.min, "max": self.max}

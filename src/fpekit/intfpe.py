@@ -96,11 +96,10 @@ def write_key_file(path, key: IntFpeKey, overwrite: bool = False) -> None:
 
 
 def read_key_file(path) -> IntFpeKey:
-    with open(path, "r", encoding="ascii") as fh:
-        text = fh.read().strip()
     try:
-        secret = bytes.fromhex(text)
-    except ValueError:
+        with open(path, encoding="ascii") as fh:
+            secret = bytes.fromhex(fh.read().strip())
+    except ValueError:  # a UnicodeDecodeError too, whose text shows a key byte
         raise BadParameter(f"{path}: not a hex key file") from None
     if len(secret) != 32:
         raise BadParameter(f"{path}: expected 32 key bytes, got {len(secret)}")

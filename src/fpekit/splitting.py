@@ -126,18 +126,6 @@ def radix_blocks(sizes, max_size) -> tuple:
                  for lo, hi in greedy_groups(sizes, max_size, mul))
 
 
-def _windowed(perm, r, n, window, path):
-    """perm of rank r in [0, n), or, with a window width, of r within the
-    window of that width that holds it, which stays where it is and joins
-    the path."""
-    if window is None:
-        return perm(r, n)
-    if path is not None:
-        path.append(("w", r // window))
-    base = r - r % window
-    return base + perm(r - base, min(window, n - base))
-
-
 def _grouped(cut, groups, between):
     """A function giving one text per group from `cut`'s one text per unit:
     the texts of units lo..hi-1 with the strings `between[lo:hi-1]` that
@@ -310,28 +298,8 @@ class TrailingDelim(_Plan):
         return crypt
 
 
-@dataclass(frozen=True)
-class RankWindow(_Plan):
-    """Contiguous windows of the rank space; the walk keeps the window.
-
-    The fallback for primitives with no positional structure to cut:
-    integer ranges and dates.
-    """
-
-    spec: object
-    width: int
-
-    def _make_crypt(self):
-        rank, unrank, n, width = self.spec.ranker, self.spec.unranker, self.spec.size, self.width
-
-        def crypt(s, out, perm, path):
-            out.append(unrank(_windowed(perm, rank(s), n, width, path)))
-
-        return crypt
-
-
 class Positions(NamedTuple):
-    """A fixed-width primitive read as one mixed-radix digit per position.
+    """A primitive read as one mixed-radix digit per position.
 
     `read` checks a string and gives its digits, one per position: the
     string itself, or a sequence of digit values. `spellings[i]` is what
@@ -346,39 +314,71 @@ class Positions(NamedTuple):
     finish: object = "".join
     msd_first: bool = False
 
+    @property
+    def radices(self) -> list:
+        """Each position's radix, not by len(), which refuses a big range."""
+        return [sp.stop if isinstance(sp, range) else len(sp) for sp in self.spellings]
+
+
+def radix_table(positions, lo, hi) -> tuple:
+    """The block of positions lo..hi-1 as `(n, weighted, spell)`: its size;
+    per position, a map from what `read` gives there to its digit times the
+    position's weight (a range for integer digits, which holds no entry per
+    value); and, least significant first, each position's index, radix and
+    spelling."""
+    spellings, radices = positions.spellings, positions.radices
+    weighted, spell, n = [None] * (hi - lo), [], 1
+    for i in (range(hi - 1, lo - 1, -1) if positions.msd_first else range(lo, hi)):
+        sp, radix = spellings[i], radices[i]
+        weighted[i - lo] = (range(0, radix * n, n) if isinstance(sp, range)
+                            else {c: d * n for d, c in enumerate(sp)})
+        spell.append((i, radix, sp))
+        n *= radix
+    return n, tuple(weighted), tuple(spell)
+
+
+def radix_coder(positions) -> tuple:
+    """Rank and unrank functions of the one unwindowed block of all
+    `positions`, read from its `radix_table`."""
+    read, finish, width = positions.read, positions.finish, len(positions.spellings)
+    _, weighted, spell = radix_table(positions, 0, width)
+
+    def rank(s):
+        try:
+            return sum(map(getitem, weighted, read(s)))
+        except KeyError:
+            raise ParseFailure(f"length {width}: a character outside its position's set") from None
+
+    def unrank(r):
+        spelled = [None] * width
+        for i, radix, sp in spell:
+            r, d = divmod(r, radix)
+            spelled[i] = sp[d]
+        return finish(spelled)
+
+    return rank, unrank
+
 
 @dataclass(frozen=True)
 class RadixBlocks(_Plan):
-    """A fixed-width primitive's positions cut into blocks `(lo, hi, window)`.
+    """A primitive's `positions` cut into blocks `(lo, hi, window)`.
 
     A block is one slot, mixed radix over its positions' digits. A block
     whose one position has more digits than the bound has its window set,
-    and its slot is the rank window of that width holding the digit, as
-    RankWindow cuts a primitive. The walk permutes every block, then the
-    spec's `positions.finish` spells the member.
+    and its slot is the rank window of that width holding the digit, which
+    the walk keeps; an integer range or a date is one such position. The
+    walk permutes every block, then the spec's `positions.finish` spells
+    the member.
     """
 
     spec: object
     blocks: tuple
 
     def _make_crypt(self):
-        read, spellings, finish, msd_first = self.spec.positions
+        read, spellings, finish, _ = positions = self.spec.positions
         width = len(spellings)
-        # per block: its bounds, window and size, a map per position from
-        # what `read` gives there to its digit times the position's weight
-        # (a range for integer digits, which holds no entry per value), and,
-        # least significant first, each position's index, radix and spelling
-        tables = []
-        for lo, hi, window in self.blocks:
-            weighted, spell, n = [None] * (hi - lo), [], 1
-            for i in (range(hi - 1, lo - 1, -1) if msd_first else range(lo, hi)):
-                sp = spellings[i]
-                weighted[i - lo] = (range(0, len(sp) * n, n) if isinstance(sp, range)
-                                    else {c: d * n for d, c in enumerate(sp)})
-                spell.append((i, len(sp), sp))
-                n *= len(sp)
-            tables.append((lo, hi, window, n, tuple(weighted), tuple(spell)))
-        tables = tuple(tables)
+        tables = tuple((lo, hi, window, *radix_table(positions, lo, hi))
+                       for lo, hi, window in self.blocks)
 
         def crypt(s, out, perm, path):
             digits, spelled = read(s), [None] * width
@@ -387,7 +387,13 @@ class RadixBlocks(_Plan):
                     r = sum(map(getitem, weighted, digits[lo:hi]))
                 except KeyError:
                     raise ParseFailure(f"offsets {lo}..{hi - 1}: a character outside its set") from None
-                r = perm(r, n) if window is None else _windowed(perm, r, n, window, path)
+                if window is None:
+                    r = perm(r, n)
+                else:  # r's window of that width stays where it is, and joins the path
+                    if path is not None:
+                        path.append(("w", r // window))
+                    base = r - r % window
+                    r = base + perm(r - base, min(window, n - base))
                 for i, radix, sp in spell:
                     r, d = divmod(r, radix)
                     spelled[i] = sp[d]

@@ -34,8 +34,8 @@ from fpekit import (
 )
 from fpekit import dsl
 from fpekit.formats import NODE_TYPES
-from fpekit.splitting import (ConcatGroups, LengthBands, RadixBlocks, RankWindow, RepeatGroups,
-                              TrailingDelim, UnionGroups, WholeSlot)
+from fpekit.splitting import (ConcatGroups, LengthBands, RadixBlocks, RepeatGroups, TrailingDelim,
+                              UnionGroups, WholeSlot)
 
 from corpus import PREFIX_SPECS, SMALL_SPECS, address_format
 
@@ -44,7 +44,7 @@ DIGITS = "0123456789"
 KEY_A = IntFpeKey(bytes(range(32)))
 KEY_B = IntFpeKey(bytes(range(1, 33)))
 PLAN_TYPES = (WholeSlot, UnionGroups, ConcatGroups, LengthBands, RepeatGroups, RadixBlocks,
-              TrailingDelim, RankWindow)
+              TrailingDelim)
 
 SMALL = Union((FixedString(("abc", "01")), VarString(1, 2, "xy")))
 

@@ -176,6 +176,16 @@ def test_size_bound_spellings(pin4, key, run):
     assert code == 2
 
 
+def test_a_non_ascii_key_file_is_a_bad_parameter(pin4, tmp_path, run):
+    path = tmp_path / "k.hex"
+    path.write_bytes(b"\xe9" + b"ab" * 31)
+    code, _, err = run("encrypt", "--format", pin4, "--key", str(path), "--value", "0042")
+    assert code == 1
+    assert err.count("\n") == 1
+    assert "BadParameter" in err and "not a hex key file" in err
+    assert "xe9" not in err and "233" not in err and "\xe9" not in err
+
+
 def test_encrypt_rejects_non_member(pin4, key, run):
     code, _, err = run("encrypt", "--format", pin4, "--key", key, "--value", "12a4")
     assert code == 1
@@ -321,6 +331,15 @@ def test_analyze_gfpe_needs_format(tmp_path, run):
     pts = _read_curve(out)
     fs = [f for _, f in pts]
     assert all(a >= b for a, b in zip(fs, fs[1:]))
+
+
+def test_analyze_names_a_short_row(tmp_path, run):
+    data = tmp_path / "data.csv"
+    data.write_text("id,value\n1,Main St\n2\n")
+    code, _, err = run("analyze", "--dataset", str(data), "--scheme", "sgfpe",
+                       "--column", "value", "--out", str(tmp_path / "c.csv"))
+    assert code == 1
+    assert "row 3, column value" in err and "row too short" in err
 
 
 def test_bench_reports_expansion(tmp_path, run):

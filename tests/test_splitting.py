@@ -43,7 +43,6 @@ from fpekit.formats import ssn_components
 from fpekit.splitting import (
     LengthBands,
     RadixBlocks,
-    RankWindow,
     WholeSlot,
     greedy_groups,
 )
@@ -354,12 +353,19 @@ def test_ssn_components_compose_to_the_closed_form_rank(rng):
         assert path_signature(Ssn(), 100, s) == (("w", a // 100), ("w", serial // 100))
 
 
-@pytest.mark.parametrize("bound", [10**4, 10**6])
-def test_a_split_ssn_holds_no_table_per_serial(bound):
-    spec = Ssn()  # a fresh node, so its plan and walk are built below
+@pytest.mark.parametrize("make, member, bound", [
+    pytest.param(Ssn, "123456789", 10**4, id="10000"),
+    pytest.param(Ssn, "123456789", 10**6, id="1000000"),
+    # one position spelled by a range of the whole rank space
+    pytest.param(lambda: IntegralDomain(0, 10**18), "123456789", 10**6, id="integral"),
+    pytest.param(lambda: Date(datetime(1900, 1, 1), datetime(2000, 1, 1), "second"),
+                 "02.03.1950 04:05:06", 10**6, id="date_seconds"),
+])
+def test_a_split_ssn_holds_no_table_per_serial(make, member, bound):
+    spec = make()  # a fresh node, so its plan and walk are built below
     tracemalloc.start()
     try:
-        rank_multi(spec, bound, "123456789")
+        rank_multi(spec, bound, member)
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
@@ -397,13 +403,23 @@ def test_ccn_plan_shape_and_round_trip(rng):
 def test_date_splits_into_rank_windows():
     spec = Date(datetime(2000, 1, 1), datetime(2000, 4, 9))
     plan = build_plan(spec, 7)
-    assert isinstance(plan, RankWindow)
+    assert isinstance(plan, RadixBlocks)
     sizes = set()
     for s in enumerate_members(spec):
         vec = rank_multi(spec, 7, s)
         sizes.add(vec.sizes[0])
         assert unrank_multi(spec, 7, vec, s) == s
     assert sizes == {7, 100 - 14 * 7}
+
+
+def test_an_integer_range_past_sys_maxsize_splits_into_rank_windows():
+    spec = IntegralDomain(-10**25, 10**30)  # too wide for len() of a range
+    s = "123456789012345678901234567"
+    r, bound = rank(spec, s).value, 2**64
+    vec = rank_multi(spec, bound, s)
+    assert vec.ranks == (r % bound,) and vec.sizes == (bound,)
+    assert path_signature(spec, bound, s) == (("w", r // bound),)
+    assert unrank_multi(spec, bound, vec, s) == s
 
 
 def test_fixed_string_splits_positionally():
