@@ -68,7 +68,14 @@ def format_fingerprint(spec, max_size) -> bytes:
 
 
 def _as_bytes(tweak) -> bytes:
-    return tweak.encode("utf-8") if isinstance(tweak, str) else bytes(tweak)
+    """A text tweak's UTF-8 bytes, or a bytes-like tweak's bytes; anything
+    else, which bytes() would also read (an int as that many zero bytes), is
+    a BadParameter naming its type."""
+    if isinstance(tweak, str):
+        return tweak.encode("utf-8")
+    if isinstance(tweak, (bytes, bytearray, memoryview)):
+        return bytes(tweak)
+    raise BadParameter(f"tweak must be text or bytes, not {type(tweak).__name__}")
 
 
 def _crypt(cfg: CipherConfig, key: IntFpeKey, spec, text: str, tweak, backend,

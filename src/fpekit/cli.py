@@ -27,7 +27,8 @@ from .ranking import rank, unrank
 
 
 class SizeBound(click.ParamType):
-    """Accepts a decimal integer, a 2^k literal, or inf/none for unbounded."""
+    """Accepts a decimal integer or a 2^k literal of at least 2, or inf/none
+    for unbounded."""
 
     name = "size"
 
@@ -38,11 +39,12 @@ class SizeBound(click.ParamType):
         if text in ("", "inf", "none"):
             return None
         try:
-            if text.startswith("2^"):
-                return 2 ** int(text[2:])
-            return int(text)
+            size = 2 ** int(text[2:]) if text.startswith("2^") else int(text)
         except ValueError:
             self.fail(f"{value!r} is not a size (decimal, 2^k, or inf)", param, ctx)
+        if size < 2:
+            self.fail(f"{value!r} is below 2, the least slot bound", param, ctx)
+        return size
 
 
 SIZE_BOUND = SizeBound()

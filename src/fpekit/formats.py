@@ -19,6 +19,10 @@ finite set of strings. Each node class defines, for its own type:
 
 Canonical order is mixed-radix with the first (leftmost) unit least
 significant, and character sets are ordered by ascending code point.
+`VarString` and `DelimVarString` rank a character a step (Horner's rule)
+and unrank k characters a step: one divmod by base**k picks a string from a
+table of every k-character string, k the largest with base**k <= 1,024
+(1 over 32 characters), one table per alphabet in a bounded cache.
 Derived values (violations, size, alphabet, lookup tables, rank and unrank
 functions, plans) are computed on first use and stored on the node itself.
 A node builds its rank and unrank functions once, binding its own
@@ -38,6 +42,7 @@ import operator
 from dataclasses import dataclass, replace
 from datetime import date as _date
 from datetime import datetime, time, timedelta
+from functools import lru_cache
 
 from . import splitting
 from .splitting import cached_property
@@ -134,6 +139,22 @@ def _count_starts(base: int, lo: int, hi: int) -> tuple:
     """The rank at which each piece count lo..hi starts, when members sort by
     count first over `base` choices per piece, followed by the total."""
     return tuple(itertools.accumulate((base**k for k in range(lo, hi + 1)), initial=0))
+
+
+# The most strings in a spelling table: 676 over a-z, 1,000 over 0-9. A
+# table takes at most about 70 kB (1,024 strings of 10 binary digits).
+SPELL_LIMIT = 1024
+
+
+@lru_cache(maxsize=32)  # nodes over one alphabet share it; 32 tables hold under 2.5 MB
+def _spellings(alphabet: str) -> tuple:
+    """(k, every k-character string over the alphabet in rank order, leftmost
+    character least significant), k the largest with len(alphabet)**k <=
+    SPELL_LIMIT, and 1 for an alphabet of one character or over 32."""
+    k, spell = 1, alphabet
+    while len(alphabet) > 1 and len(spell) * len(alphabet) <= SPELL_LIMIT:
+        k, spell = k + 1, [c + s for s in spell for c in alphabet]
+    return k, tuple(spell)
 
 
 def _lookup(index: dict):
@@ -690,17 +711,20 @@ class _Lengths(Node):
         return rank_with_suffix
 
     def _make_unranker(self):
-        alphabet, base, starts = self.alphabet, len(self.alphabet), self._starts
-        lo, suffix = self.min, self.suffix
+        k, spell = _spellings(self.alphabet)
+        step, starts, lo, suffix = len(spell), self._starts, self.min, self.suffix
 
         def unrank(v):
             i = bisect.bisect_right(starts, v) - 1
             v -= starts[i]
-            chars = []
-            for _ in range(lo + i):
-                v, d = divmod(v, base)
-                chars.append(alphabet[d])
-            return "".join(chars) + suffix
+            whole, rest = divmod(lo + i, k)
+            chunks = []
+            for _ in range(whole):  # k characters a step, first ones first
+                v, d = divmod(v, step)
+                chunks.append(spell[d])
+            if rest:  # v < base**rest: its k-string's first `rest` characters
+                chunks.append(spell[v][:rest])
+            return "".join(chunks) + suffix
 
         return unrank
 

@@ -5,6 +5,11 @@ directly. Above it, a near-square Feistel network over [0, a*b), a = isqrt(N),
 is cycle-walked into [0, N). Every SHAKE-256 call binds the key, the tweak, N,
 the round count and a round number (0 for the shuffle); a Feistel round adds
 the other half and reduces an output 8 bytes longer than its modulus needs.
+A pass absorbs everything but the half once, when it is built, into one
+keyed state per round, so a round copies its state and absorbs only the
+half. Where the keyed prefix nearly fills SHAKE-256's 136-byte block (135
+bytes on a 454-bit slot), the round number completes the block in that
+state once, not once per round.
 
 An IntFpeKey builds each permutation once and keeps at most 256
 (_KEY_CACHE_ENTRIES), emptied when it would hold more. An entry is its forward
@@ -25,7 +30,8 @@ function, builds the table and swaps `apply` for two functions that read it in
 (odd, even) round pairs. A pass used fewer times costs one counter decrement
 per apply, one used exactly that often at most about twice its XOF calls. A
 key's 256 passes hold at most 2.4 MB of tables (1.9 MB under a 2^16 bound), and
-tables change no output.
+tables change no output. A tabulated pass holds no round state: only the XOF
+functions held them, and they go with the swap.
 """
 
 from __future__ import annotations
@@ -149,49 +155,62 @@ def _round_constants(a: int, b: int, rounds: int) -> tuple:
 TABLE_LIMIT = 4096
 
 
+class _Rounds(list):
+    """A pass's rounds, each (keyed SHAKE state with the round's number
+    absorbed, modulus, byte width of the half read, digest bytes). A list
+    subclass, so the pass can refer to it weakly."""
+
+
 class _FeistelPass:
     """The permutation over [0, n') for one key, tweak and domain size, as
     `apply`: its forward and inverse functions, each one application to a
     value below n', built once with the split a x b = n', each round's
-    constants and the keyed SHAKE state bound to them.
+    constants and that round's keyed SHAKE state (_base_state with the
+    round's number absorbed), so a round copies one state and absorbs only
+    the other half.
 
     Both count applies; the one that brings the count to 0 builds the table
-    (_tabulate), which swaps `apply` for two functions that read it. Threads
-    need no lock: the swap is one attribute assignment, a lost decrement
-    only delays the build, and two builds publish equal tables."""
+    (_tabulate), which swaps `apply` for two functions that read it. The
+    XOF functions hold the round states and the pass a weak reference to
+    them, so they are freed with those functions. Threads need no lock:
+    the swap is one attribute assignment, a lost decrement only delays the
+    build, and two builds publish equal tables."""
 
     def __init__(self, key: IntFpeKey, tweak: bytes, n: int):
         a, b, self.n2 = balanced_factor(n)
         self.a, self.b = a, b
-        self.base = _base_state(key, tweak, n)
         self.rounds = rounds = key.rounds
         self.table = None
+        base, steps = _base_state(key, tweak, n), _Rounds()
+        for head, constants in _round_constants(a, b, rounds):
+            h = base.copy()
+            h.update(head)
+            steps.append((h, *constants))
+        self.steps = weakref.ref(steps)
         entries = (rounds + 1) // 2 * b + rounds // 2 * a
         # the build costs `entries` XOF calls, as many as this many applies
-        self.apply = self._hashed(entries // rounds if entries <= TABLE_LIMIT else 0)
+        self.apply = self._hashed(steps, entries // rounds if entries <= TABLE_LIMIT else 0)
 
-    def _hashed(self, left: int) -> tuple:
+    def _hashed(self, steps: _Rounds, left: int) -> tuple:
         """(forward, inverse) through the XOF, counting down from `left` > 0 to
-        the table's build. Round i adds, to one half, one SHAKE output over the
-        keyed state, i (2 bytes) and the other half (fixed width), mod the
-        half's modulus; (u, v) are the half it adds to and the half it reads."""
-        a, base, odd = self.a, self.base, self.rounds % 2
-        steps = _round_constants(a, self.b, self.rounds)
-        back = steps[::-1]
+        the table's build. Round i adds, to one half, one SHAKE output over
+        round i's state and the other half (fixed width), mod the half's
+        modulus; (u, v) are the half it adds to and the half it reads."""
+        a, odd, back = self.a, self.rounds % 2, steps[::-1]
 
         def forward(x):
             v, u = divmod(x, a)
-            for head, (m, width, nbytes) in steps:
-                h = base.copy()
-                h.update(head + v.to_bytes(width, "big"))
+            for state, m, width, nbytes in steps:
+                h = state.copy()
+                h.update(v.to_bytes(width, "big"))
                 u, v = v, (u + int.from_bytes(h.digest(nbytes), "big")) % m
             return a * u + v if odd else a * v + u
 
         def inverse(x):
             u, v = divmod(x, a) if odd else divmod(x, a)[::-1]  # as forward leaves them
-            for head, (m, width, nbytes) in back:
-                h = base.copy()
-                h.update(head + u.to_bytes(width, "big"))
+            for state, m, width, nbytes in back:
+                h = state.copy()
+                h.update(u.to_bytes(width, "big"))
                 u, v = (v - int.from_bytes(h.digest(nbytes), "big")) % m, u
             return a * v + u
 
@@ -211,14 +230,17 @@ class _FeistelPass:
         """Every round's XOF output for every value of the other half, reduced
         (the sum mod the modulus is the same), one row of 16-bit values per
         round (a half is below TABLE_LIMIT), kept in `table`. Swaps in, and
-        returns, two functions that read the rows in (odd, even) round pairs."""
+        returns, two functions that read the rows in (odd, even) round pairs.
+        The XOF forward function holds the rounds; once it is freed, so are
+        they, and the table is already in."""
+        steps = self.steps()
+        if steps is None:
+            return self.apply
         a, b, rows, messages = self.a, self.b, [], {}
-        for head, (m, width, nbytes) in _round_constants(a, b, self.rounds):
+        for start, m, width, nbytes in steps:
             other = self.n2 // m
             if other not in messages:
                 messages[other] = [v.to_bytes(width, "big") for v in range(other)]
-            start = self.base.copy()
-            start.update(head)
             row = []
             for message in messages[other]:
                 h = start.copy()

@@ -198,6 +198,19 @@ def test_tweak_separates_and_str_equals_utf8_bytes():
         assert decrypt(cfg, KEY_A, SMALL, encrypt(cfg, KEY_A, SMALL, m, tweak=b"col"), tweak=b"col") == m
 
 
+def test_a_tweak_neither_text_nor_bytes_is_a_bad_parameter_naming_its_type():
+    cfg, m = CipherConfig(), next(iter(enumerate_members(SMALL)))
+    c = encrypt(cfg, KEY_A, SMALL, m, tweak=b"\x01\x02")
+    assert encrypt(cfg, KEY_A, SMALL, m, tweak=bytearray(b"\x01\x02")) == c
+    assert encrypt(cfg, KEY_A, SMALL, m, tweak=memoryview(b"\x01\x02")) == c
+    # bytes() would read 3 as three zero bytes and [1, 2] as b"\x01\x02"
+    for tweak in (3, [1, 2], None, 2.5, (1, 2)):
+        for crypt in (encrypt, decrypt):
+            with pytest.raises(BadParameter) as e:
+                crypt(cfg, KEY_A, SMALL, m, tweak=tweak)
+            assert str(e.value) == f"tweak must be text or bytes, not {type(tweak).__name__}"
+
+
 def test_round_count_changes_the_mapping():
     members = list(enumerate_members(SMALL))
     base = [encrypt(CipherConfig(), KEY_A, SMALL, m) for m in members]

@@ -176,6 +176,21 @@ def test_size_bound_spellings(pin4, key, run):
     assert code == 2
 
 
+def test_a_size_bound_below_2_is_a_usage_error(pin4, key, tmp_path, run):
+    src = _csv_setup(tmp_path)
+    for spelling in ("2^-1", "0", "1", "2^0", "-5"):
+        code, out, err = run("encrypt", "--format", pin4, "--key", key,
+                             "--value", "0042", "--max-size", spelling)
+        assert (code, out) == (2, ""), spelling
+        assert "below 2" in err
+        code, _, err = run("encrypt-csv", "--format-map", str(tmp_path / "map.tsv"),
+                           "--key", key, "--in", str(src), "--out", str(tmp_path / "o.csv"),
+                           "--max-size", spelling)
+        assert code == 2 and "below 2" in err, spelling
+    assert run("encrypt", "--format", pin4, "--key", key, "--value", "0042",
+               "--max-size", "2^1")[0] == 0
+
+
 def test_a_non_ascii_key_file_is_a_bad_parameter(pin4, tmp_path, run):
     path = tmp_path / "k.hex"
     path.write_bytes(b"\xe9" + b"ab" * 31)

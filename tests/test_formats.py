@@ -33,6 +33,7 @@ from fpekit import (
     validate,
 )
 from fpekit.errors import BadLength, NonDigit, ParseFailure
+from fpekit import formats
 from fpekit.formats import DIGITS, _all_decimal
 
 from corpus import PREFIX_SPECS, SMALL_SPECS
@@ -433,3 +434,35 @@ def test_a_range_rank_function_holds_no_power_of_each_repetition():
         tracemalloc.stop()
     assert peak < 100_000, peak
     assert spec.unrank(rank) == member
+
+
+def _spelled_a_character_at_a_time(spec, v):
+    """The reference unrank of a VarString or DelimVarString: one divmod a character."""
+    base, length = len(spec.alphabet), spec.min
+    while v >= base**length:
+        v, length = v - base**length, length + 1
+    chars = []
+    for _ in range(length):
+        v, d = divmod(v, base)
+        chars.append(spec.alphabet[d])
+    return "".join(chars) + spec.suffix
+
+
+@pytest.mark.parametrize("alphabet", [(string.digits + string.ascii_letters)[:n]
+                                      for n in (1, 2, 10, 26, 31, 32, 33, 62)], ids=len)
+def test_one_alphabet_strings_are_spelled_k_characters_a_step(alphabet):
+    base = len(alphabet)
+    k = formats._spellings(alphabet)[0]
+    assert base ** k <= formats.SPELL_LIMIT and (base == 1 or base ** (k + 1) > formats.SPELL_LIMIT)
+    rng = random.Random(base)
+    top = 2 * k + 1
+    for make in (lambda lo: VarString(lo, top, alphabet),
+                 lambda lo: DelimVarString(lo, top, alphabet, ",")):
+        for lo in range(top + 1):  # from the first member of each length on
+            spec = make(lo)
+            for i, m in enumerate(enumerate_members(spec, 64)):
+                assert spec.unrank(i) == m and spec.rank(m) == i, (lo, i)
+        spec = make(0)
+        for i in [rng.randrange(size(spec)) for _ in range(200)] + [size(spec) - 1]:
+            m = spec.unrank(i)
+            assert m == _spelled_a_character_at_a_time(spec, i) and spec.rank(m) == i, i

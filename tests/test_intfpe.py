@@ -1,10 +1,12 @@
 """Integer range permutations: factoring, Feistel passes, shuffles, cycle walking."""
 
 import gc
+import hashlib
 import random
 import sys
 import threading
 import tracemalloc
+import types
 import weakref
 from collections import Counter
 from itertools import permutations
@@ -599,6 +601,57 @@ def test_a_tabulated_apply_makes_no_xof_call(monkeypatch):
         assert calls == [], n
 
 
+def _reference_pass(key, tweak, n, x, decrypting):
+    """One Feistel pass, every round's XOF built afresh from _base_state:
+    a copy, one update with the round number and the other half, a digest."""
+    a, b, _ = balanced_factor(n)
+    base, odd = intfpe._base_state(key, tweak, n), key.rounds % 2
+
+    def f(head, width, nbytes, half):
+        h = base.copy()
+        h.update(head + half.to_bytes(width, "big"))
+        return int.from_bytes(h.digest(nbytes), "big")
+
+    steps = intfpe._round_constants(a, b, key.rounds)
+    if not decrypting:
+        v, u = divmod(x, a)
+        for head, (m, width, nbytes) in steps:
+            u, v = v, (u + f(head, width, nbytes, v)) % m
+        return a * u + v if odd else a * v + u
+    u, v = divmod(x, a) if odd else divmod(x, a)[::-1]
+    for head, (m, width, nbytes) in reversed(steps):
+        u, v = (v - f(head, width, nbytes, u)) % m, u
+    return a * v + u
+
+
+@pytest.mark.parametrize("rounds", [3, 12])
+def test_round_states_across_the_shake_rate_give_the_fresh_round_outputs(rounds):
+    # SHAKE-256 absorbs 136 bytes a permutation: _base_state's input of
+    # 133 to 139 bytes puts the rate boundary before, inside and after the
+    # 2-byte round number that a pass absorbs once per round state
+    rng = random.Random(rounds)
+    for n, tabulated in ((2**40 + 3, False), (17_576, True)):
+        assert (_entries(n, rounds) <= intfpe.TABLE_LIMIT) == tabulated
+        n2, size_bytes = balanced_factor(n)[2], (n.bit_length() + 7) // 8
+        for prefix in range(133, 140):
+            tweak = bytes(prefix - (32 + 4 + 4 + size_bytes + 2))
+            key = IntFpeKey(bytes(range(7, 39)), rounds=rounds)
+            p = _pass(key, tweak, n)
+
+            def agree(count):
+                for x in rng.sample(range(n2), count):
+                    y = _reference_pass(key, tweak, n, x, False)
+                    assert p.apply[0](x) == y and _reference_pass(key, tweak, n, y, True) == x
+                    assert p.apply[1](y) == x, (n, prefix)
+
+            agree(2)
+            if tabulated:
+                assert p.table is None
+                while p.table is None:  # on to the build point
+                    p.apply[0](0)
+                agree(3)
+
+
 def _crypt_slots(key, fp, tweak, slots, decrypting, walk_budget, recorder=None):
     """The new ranks of a record's (rank, size) slots, one slot_permutation call each."""
     perm = intfpe.slot_permutation(key, fp, tweak, decrypting, walk_budget, recorder)
@@ -702,6 +755,34 @@ def test_an_untabulated_pass_never_builds_a_table():
     for x in range(2 * intfpe.TABLE_LIMIT // 12):
         feistel_encrypt(key, b"never", n, x)
     assert _pass(key, b"never", n).table is None
+
+
+def _xof_states_held(obj):
+    """How many SHAKE states obj's attributes reach through tuples, lists
+    and functions' closures."""
+    xof, seen, todo = type(hashlib.shake_256()), {}, list(vars(obj).values())
+    while todo:
+        o = todo.pop()
+        if id(o) not in seen:
+            seen[id(o)] = o
+            if isinstance(o, (tuple, list)):
+                todo.extend(o)
+            elif isinstance(o, types.FunctionType):
+                todo.extend(c.cell_contents for c in o.__closure__ or ())
+    return sum(isinstance(o, xof) for o in seen.values())
+
+
+def test_a_pass_holds_its_round_states_until_it_has_built_its_table():
+    key, n = IntFpeKey(bytes(range(32))), 17_576
+    p = _pass(key, b"held", n)
+    assert _xof_states_held(p) == 12 and p.steps() is not None
+    for x in range(_entries(n, 12) // 12):
+        feistel_encrypt(key, b"held", n, x)
+    assert p.table is not None
+    assert _xof_states_held(p) == 0 and p.steps() is None
+    untabulated = _pass(key, b"held", 2**40)
+    feistel_encrypt(key, b"held", 2**40, 5)
+    assert _xof_states_held(untabulated) == 12
 
 
 def test_threads_racing_across_the_build_point_give_the_serial_ciphertexts():
