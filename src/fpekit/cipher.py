@@ -18,8 +18,8 @@ from itertools import count
 
 from . import dsl
 from .errors import BadParameter, EntropyUnavailable, VectorShapeMismatch, outside
-from .intfpe import (Fe1Backend, IntFpeKey, check_rounds, check_walk_budget, slot_permutation,
-                     slot_tweak, with_rounds)
+from .intfpe import (Fe1Backend, IntFpeKey, check_bound, check_rounds, check_walk_budget,
+                     slot_permutation, slot_tweak, with_rounds)
 from .splitting import build_plan, walk
 
 __all__ = ["CipherConfig", "keygen", "format_fingerprint", "encrypt", "decrypt"]
@@ -34,8 +34,7 @@ class CipherConfig:
     walk_budget: int = 10**6
 
     def __post_init__(self):
-        if self.max_size is not None and self.max_size < 2:
-            raise BadParameter("max_size must be at least 2, or None for unbounded")
+        check_bound(self.max_size)
         check_rounds(self.rounds)
         check_walk_budget(self.walk_budget)
 

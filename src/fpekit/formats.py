@@ -14,6 +14,9 @@ finite set of strings. Each node class defines, for its own type:
 - ``members``: generative enumeration in rank order;
 - ``positions`` and ``_split``: its mixed-radix digits (by default one, the
   rank) and its slot plan under a bound, from ``splitting``'s plan nodes;
+  a node planned as a ``splitting.Route`` gives the key it is routed by
+  (``route_key``: a union's lead character, a length or repetition count),
+  and one planned as a ``splitting.Cut`` gives its pieces (``_cut_rule``);
 - ``to_json`` and ``from_json``: its canonical JSON form, read through
   ``dsl``'s typed reader.
 
@@ -39,7 +42,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import date as _date
 from datetime import datetime, time, timedelta
 from functools import lru_cache
@@ -670,8 +673,8 @@ class _Lengths(Node):
         return frozenset(self.alphabet + self.suffix)
 
     @cached_property
-    def length_of(self):
-        """The function giving the body length a member's band is chosen by."""
+    def route_key(self):
+        """The function giving the body length a member's branch is chosen by."""
         k = len(self.suffix)
         return (lambda s: len(s) - k) if k else len
 
@@ -729,16 +732,10 @@ class _Lengths(Node):
         return unrank
 
     def _split(self, max_size):
-        if self.min == self.max:
-            sub = FixedString((self.alphabet,) * self.min).plan(max_size)
-            return splitting.TrailingDelim(sub, self.suffix) if self.suffix else sub
-        base = len(self.alphabet)
-        sizes = [base**L for L in range(self.min, self.max + 1)]
-        bands = []
-        for lo, hi in splitting.greedy_groups(sizes, max_size, operator.add):
-            llo, lhi = self.min + lo, self.min + hi - 1
-            bands.append((llo, lhi, replace(self, min=llo, max=lhi).plan(max_size)))
-        return splitting.LengthBands(self, tuple(bands))
+        if self.min < self.max:
+            return splitting.count_route(self, len(self.alphabet), max_size)
+        sub = FixedString((self.alphabet,) * self.min).plan(max_size)
+        return splitting.Cut(self, ((0, 1, sub),), (self.suffix,)) if self.suffix else sub
 
     def to_json(self):
         return {"type": self.kind, "min": self.min, "max": self.max,
@@ -790,6 +787,19 @@ class DelimVarString(_Lengths):
         if idx < 0:
             raise ParseFailure(f"no delimited string at offset {pos}")
         return idx + 1
+
+    @cached_property
+    def _cut_rule(self):
+        """The function giving a member's one piece, its body; ParseFailure
+        without the final delimiter. The body itself is not checked."""
+        delim = self.delim
+
+        def cut(s):
+            if not s.endswith(delim):
+                raise ParseFailure(f"a string of length {len(s)} lacks the final delimiter")
+            return (s[:-1],)
+
+        return cut
 
     def to_json(self):
         return {**super().to_json(), "delim": self.delim}
@@ -1021,6 +1031,8 @@ class Union(Node):
         return {c: i for i, p in enumerate(self.parts)
                 for c in (p.chars | {""} if p.contains("") else p.chars)}
 
+    route_key = operator.itemgetter(slice(None, 1))  # a member's lead character, "" for ""
+
     def members(self):
         return itertools.chain.from_iterable(p.members() for p in self.parts)
 
@@ -1047,12 +1059,11 @@ class Union(Node):
         return unrank
 
     def _split(self, max_size):
-        sizes = [p.size for p in self.parts]
-        groups = []
-        for lo, hi in splitting.greedy_groups(sizes, max_size, operator.add):
+        lead, branches = self._part_of_lead, []
+        for lo, hi in splitting.greedy_groups([p.size for p in self.parts], max_size, operator.add):
             sub = self.parts[lo] if hi - lo == 1 else Union(self.parts[lo:hi])
-            groups.append((lo, hi, sub.plan(max_size)))
-        return splitting.UnionGroups(self, tuple(groups))
+            branches.append((tuple(c for c, i in lead.items() if lo <= i < hi), sub.plan(max_size)))
+        return splitting.Route(self, "u", tuple(branches))
 
     def to_json(self):
         return {"type": self.kind, "parts": [p.to_json() for p in self.parts]}
@@ -1222,6 +1233,7 @@ class Concat(Node):
 
     def _split(self, max_size):
         sizes = [p.size for p in self.parts]
+        seams = (self.delims or ("",) * (len(sizes) - 1)) + ("",)
         groups = []
         for lo, hi in splitting.greedy_groups(sizes, max_size, operator.mul):
             if hi - lo == 1:
@@ -1230,7 +1242,7 @@ class Concat(Node):
                 delims = self.delims[lo : hi - 1] if self.delims is not None else None
                 sub = Concat(self.parts[lo:hi], delims)
             groups.append((lo, hi, sub.plan(max_size)))
-        return splitting.ConcatGroups(self, tuple(groups))
+        return splitting.Cut(self, tuple(groups), seams)
 
     def to_json(self):
         out = {"type": self.kind, "parts": [p.to_json() for p in self.parts]}
@@ -1281,8 +1293,8 @@ class Range(Node):
         return self.inner.chars | {self.delim}
 
     @cached_property
-    def length_of(self):
-        """The function giving the repetition count a member's band is chosen by."""
+    def route_key(self):
+        """The function giving the repetition count a member's branch is chosen by."""
         delim, extra = self.delim, 0 if self.last_delimited else 1
         return lambda s: s.count(delim) + extra
 
@@ -1341,27 +1353,18 @@ class Range(Node):
         return unrank
 
     def _split(self, max_size):
-        if self.min == self.max:
-            return self._split_fixed_count(max_size)
-        inner_n = self.inner.size
-        sizes = [inner_n**k for k in range(self.min, self.max + 1)]
-        bands = []
-        for lo, hi in splitting.greedy_groups(sizes, max_size, operator.add):
-            klo, khi = self.min + lo, self.min + hi - 1
-            bands.append((klo, khi, replace(self, min=klo, max=khi).plan(max_size)))
-        return splitting.LengthBands(self, tuple(bands))
-
-    def _split_fixed_count(self, max_size):
         k = self.min
-        if k == 1:
-            sub = self.inner.plan(max_size)
-            return splitting.TrailingDelim(sub, self.delim) if self.last_delimited else sub
+        if k < self.max:
+            return splitting.count_route(self, self.inner.size, max_size)
+        if k == 1 and not self.last_delimited:  # the one repetition is the member
+            return self.inner.plan(max_size)
         groups = []
         for lo, hi in splitting.greedy_groups([self.inner.size] * k, max_size, operator.mul):
             cnt = hi - lo
             group = self.inner if cnt == 1 else Range(self.inner, self.delim, cnt, cnt, False)
             groups.append((lo, hi, group.plan(max_size)))
-        return splitting.RepeatGroups(self, tuple(groups))
+        seams = (self.delim,) * (k - 1) + (self.delim if self.last_delimited else "",)
+        return splitting.Cut(self, tuple(groups), seams)
 
     def to_json(self):
         out = {"type": self.kind, "inner": self.inner.to_json(), "delim": self.delim,

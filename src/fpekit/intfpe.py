@@ -68,13 +68,21 @@ __all__ = [
 ]
 
 def check_rounds(rounds: int) -> None:
-    if not 3 <= rounds < 2**16:  # every XOF call binds it in 2 bytes
-        raise BadParameter("need from 3 to 65535 rounds")
+    if type(rounds) is not int or not 3 <= rounds < 2**16:  # every XOF call binds it in 2 bytes
+        raise BadParameter("need an integer from 3 to 65535 rounds")
 
 
 def check_walk_budget(walk_budget: int) -> None:
-    if walk_budget < 1:
-        raise BadParameter("walk_budget must be at least 1")
+    if type(walk_budget) is not int or walk_budget < 1:
+        raise BadParameter("walk_budget must be an integer of at least 1")
+
+
+def check_bound(max_size) -> None:
+    """A slot bound is None (unbounded) or an integer of at least 2: the
+    format fingerprint binds its repr, so 65536.0 would split as 65536 does
+    and yet encipher otherwise."""
+    if max_size is not None and (type(max_size) is not int or max_size < 2):
+        raise BadParameter("max_size must be an integer of at least 2, or None for unbounded")
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,14 @@ vector, and the public entry points. Greedy grouping keeps adjacent units
 together while the aggregate stays within the bound, which uses the fewest
 groups possible for a left-to-right partition.
 
+There are four plan node types. `WholeSlot` is a format that fits one
+slot. `Route` takes one branch by its spec's `route_key`: a union's part
+group by lead character, or a band of lengths or repetition counts, which
+`count_route` plans for `_Lengths` and `Range` alike. `Cut` cuts a member
+into pieces by its spec's `_cut_rule` (concat parts, a fixed number of
+repetitions, a body before its final delimiter) and plans runs of them.
+`RadixBlocks` cuts a primitive's `positions` into mixed-radix blocks.
+
 One walk takes a member apart and spells its image. Each plan node builds
 its walk function, `crypt(s, out, perm, path)`, once, on the first walk
 that reaches it, binding its constants, its spec's rank, unrank and cut
@@ -14,8 +22,8 @@ functions, and the walk functions of the children it always visits. At
 each slot the walk ranks the piece, calls `perm(rank, size)`, in slot
 order and with every size at most the bound, and appends the piece
 spelled from perm's answer to `out`; literal delimiters are appended where
-they stand. Every choice the ranks do not encode (union group, length
-band, rank window) is read off the input and kept, so the output has its
+they stand. Every choice the ranks do not encode (a route's branch, a
+rank window) is read off the input and kept, so the output has its
 path; when `path` is a list rather than None, each choice is also
 appended to it as a tagged tuple, in walk order, and that sequence is the
 member's path signature. Ranking is the membership check: every rank and
@@ -25,21 +33,20 @@ entry point walks its input once and reports a plain NotInFormat.
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain
-from operator import getitem, mul
+from operator import add, getitem, mul
 from typing import NamedTuple
 
 from . import formats
 from .errors import (
-    BadParameter,
     ExampleFormatMismatch,
     NotInFormat,
     ParseFailure,
     VectorShapeMismatch,
     outside,
 )
+from .intfpe import check_bound
 
 __all__ = ["RankVector", "build_plan", "rank_multi", "unrank_multi", "path_signature"]
 
@@ -126,14 +133,26 @@ def radix_blocks(sizes, max_size) -> tuple:
                  for lo, hi in greedy_groups(sizes, max_size, mul))
 
 
-def _grouped(cut, groups, between):
+def count_route(spec, unit: int, max_size) -> Route:
+    """The route by count of a spec of spec.min..spec.max units of `unit`
+    values each (a string's characters, a range's repetitions): greedy sum
+    groups of adjacent counts, each a branch planning the spec narrowed to
+    its counts."""
+    lo = spec.min
+    sizes = [unit**k for k in range(lo, spec.max + 1)]
+    return Route(spec, "len", tuple(
+        (range(lo + i, lo + j), replace(spec, min=lo + i, max=lo + j - 1).plan(max_size))
+        for i, j in greedy_groups(sizes, max_size, add)))
+
+
+def _grouped(cut, groups, seams):
     """A function giving one text per group from `cut`'s one text per unit:
-    the texts of units lo..hi-1 with the strings `between[lo:hi-1]` that
-    stand between them. It is `cut` itself when every group holds one unit."""
+    the texts of units lo..hi-1 with the seams `seams[lo:hi-1]` that stand
+    between them. It is `cut` itself when every group holds one unit."""
     if all(hi - lo == 1 for lo, hi, _ in groups):
         return cut
     # per group: its bounds, and the string after each of its units
-    afters = tuple((lo, hi, between[lo:hi - 1] + ("",)) for lo, hi, _ in groups)
+    afters = tuple((lo, hi, seams[lo:hi - 1] + ("",)) for lo, hi, _ in groups)
 
     def grouped(s):
         texts = cut(s)
@@ -174,26 +193,28 @@ class WholeSlot(_Plan):
 
 
 @dataclass(frozen=True)
-class UnionGroups(_Plan):
-    """Consecutive union parts grouped by summed size.
+class Route(_Plan):
+    """Members routed into branches `(keys, plan)` by the spec's `route_key`
+    (a union's lead character, a length or a repetition count).
 
-    A member is ranked within its group only; the walk keeps the group, so
-    the slot never encodes it.
+    The walk takes the one branch whose keys hold a member's key and keeps
+    it, appending `(tag, branch index)` to the path, so no slot encodes it.
     """
 
     spec: object
-    groups: tuple
+    tag: str
+    branches: tuple
 
     def _make_crypt(self):
-        group_of_part = [(("u", gi), sub) for gi, (lo, hi, sub) in enumerate(self.groups)
-                         for _ in range(lo, hi)]
-        group_of_lead = {c: group_of_part[i] for c, i in self.spec._part_of_lead.items()}
+        route_key, tag = self.spec.route_key, self.tag
+        branch_of = {key: ((tag, bi), plan)
+                     for bi, (keys, plan) in enumerate(self.branches) for key in keys}
 
         def crypt(s, out, perm, path):
-            group = group_of_lead.get(s[:1])
-            if group is None:
-                raise ParseFailure(f"a string of length {len(s)} starts outside every part")
-            choice, sub = group
+            branch = branch_of.get(route_key(s))
+            if branch is None:
+                raise ParseFailure(f"a string of length {len(s)} is on no branch")
+            choice, sub = branch
             if path is not None:
                 path.append(choice)
             sub.crypt(s, out, perm, path)
@@ -202,98 +223,29 @@ class UnionGroups(_Plan):
 
 
 @dataclass(frozen=True)
-class ConcatGroups(_Plan):
-    """Consecutive concat parts grouped by multiplied size.
+class Cut(_Plan):
+    """A member cut into pieces by the spec's `_cut_rule`, planned in runs
+    `(lo, hi, plan)` of adjacent pieces (concat parts, repetitions, a body).
 
-    Delimiters inside a group stay part of the group's sub-format; the walk
-    writes the border delimiters between groups.
+    `seams[i]` is the literal after piece i: inside a group it is part of
+    the group's text, and the walk writes it after the group that ends with
+    piece i.
     """
 
     spec: object
     groups: tuple
+    seams: tuple
 
     def _make_crypt(self):
-        spec, delims = self.spec, self.spec.delims
-        cut = _grouped(spec._cut_rule, self.groups, delims or ("",) * (len(spec.parts) - 1))
-        # each group's walk, after the delimiter that ends the part before it
-        steps = tuple((delims[lo - 1] if lo and delims else "", sub.crypt)
-                      for lo, _, sub in self.groups)
+        seams = self.seams
+        cut = _grouped(self.spec._cut_rule, self.groups, seams)
+        steps = tuple((sub.crypt, seams[hi - 1]) for _, hi, sub in self.groups)
 
         def crypt(s, out, perm, path):
-            for text, (border, sub) in zip(cut(s), steps):
-                if border:
-                    out.append(border)
+            for text, (sub, seam) in zip(cut(s), steps):
                 sub(text, out, perm, path)
-
-        return crypt
-
-
-@dataclass(frozen=True)
-class LengthBands(_Plan):
-    """Members routed by length (or repetition count) into sub-format bands."""
-
-    spec: object
-    bands: tuple
-
-    def _make_crypt(self):
-        length_of = self.spec.length_of
-        starts, ends, plans = zip(*self.bands)
-
-        def crypt(s, out, perm, path):
-            m = length_of(s)
-            bi = bisect_right(starts, m) - 1
-            if bi < 0 or m > ends[bi]:
-                raise ParseFailure(f"length {m} is in no band")
-            if path is not None:
-                path.append(("len", bi))
-            plans[bi].crypt(s, out, perm, path)
-
-        return crypt
-
-
-@dataclass(frozen=True)
-class RepeatGroups(_Plan):
-    """A fixed repetition count split into runs of adjacent pieces.
-
-    A group's sub-plan covers its pieces joined by the delimiter, without a
-    delimiter after the last; the walk writes that one when it is due. The
-    spec's `_cut_rule` checks the count and the final delimiter.
-    """
-
-    spec: object
-    groups: tuple
-
-    def _make_crypt(self):
-        sp = self.spec
-        cut = _grouped(sp._cut_rule, self.groups, (sp.delim,) * (sp.min - 1))
-        # each group's walk and the delimiter written after it, if one is due
-        steps = tuple((sub.crypt, sp.delim if hi < sp.min or sp.last_delimited else "")
-                      for _, hi, sub in self.groups)
-
-        def crypt(s, out, perm, path):
-            for text, (sub, delim) in zip(cut(s), steps):
-                sub(text, out, perm, path)
-                if delim:
-                    out.append(delim)
-
-        return crypt
-
-
-@dataclass(frozen=True)
-class TrailingDelim(_Plan):
-    """Strip a trailing delimiter before the sub-plan; the walk writes it back."""
-
-    sub: object
-    delim: str
-
-    def _make_crypt(self):
-        sub, delim = self.sub.crypt, self.delim
-
-        def crypt(s, out, perm, path):
-            if not s.endswith(delim):
-                raise ParseFailure(f"a string of length {len(s)} lacks the final delimiter")
-            sub(s[:-1], out, perm, path)
-            out.append(delim)
+                if seam:
+                    out.append(seam)
 
         return crypt
 
@@ -409,8 +361,7 @@ class RadixBlocks(_Plan):
 def build_plan(spec, max_size):
     """The slot plan for a format under a slot-size bound (None = unbounded)."""
     formats.ensure_valid(spec)
-    if max_size is not None and max_size < 2:
-        raise BadParameter(f"slot bound must be at least 2, got {max_size}")
+    check_bound(max_size)
     return spec.plan(max_size)
 
 

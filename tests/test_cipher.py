@@ -21,6 +21,7 @@ from fpekit import (
     WalkBudgetExceeded,
     WalkRecorder,
     balanced_factor,
+    build_plan,
     contains,
     decrypt,
     encrypt,
@@ -28,14 +29,14 @@ from fpekit import (
     format_fingerprint,
     keygen,
     path_signature,
+    rank_multi,
     size,
     unrank,
     validate,
 )
 from fpekit import dsl
 from fpekit.formats import NODE_TYPES
-from fpekit.splitting import (ConcatGroups, LengthBands, RadixBlocks, RepeatGroups, TrailingDelim,
-                              UnionGroups, WholeSlot)
+from fpekit.splitting import _Plan
 
 from corpus import PREFIX_SPECS, SMALL_SPECS, address_format
 
@@ -43,8 +44,6 @@ DIGITS = "0123456789"
 
 KEY_A = IntFpeKey(bytes(range(32)))
 KEY_B = IntFpeKey(bytes(range(1, 33)))
-PLAN_TYPES = (WholeSlot, UnionGroups, ConcatGroups, LengthBands, RepeatGroups, RadixBlocks,
-              TrailingDelim)
 
 SMALL = Union((FixedString(("abc", "01")), VarString(1, 2, "xy")))
 
@@ -140,7 +139,8 @@ def test_rank_functions_are_built_once_per_node(monkeypatch):
 
 def test_walk_functions_are_built_once_per_plan_node(monkeypatch):
     built = {}  # id -> [plan node, count]; holding the node keeps its id unique
-    for cls in PLAN_TYPES:
+    plan_types = _Plan.__subclasses__()
+    for cls in plan_types:
         def counting(self, real=cls._make_crypt):
             built.setdefault(id(self), [self, 0])[1] += 1
             return real(self)
@@ -167,7 +167,7 @@ def test_walk_functions_are_built_once_per_plan_node(monkeypatch):
                 assert decrypt(cfg, KEY_A, fresh, c) == m, name
                 assert path_signature(fresh, 5, c) == path_signature(fresh, 5, m), name
     assert {count for _, count in built.values()} == {1}
-    assert {type(node) for node, _ in built.values()} == set(PLAN_TYPES)
+    assert {type(node) for node, _ in built.values()} == set(plan_types)
     built.clear()
     ref = weakref.ref(spec)
     del spec
@@ -290,6 +290,29 @@ def test_config_validation():
     with pytest.raises(BadParameter):
         CipherConfig(rounds=70_000)
     CipherConfig(rounds=2**16 - 1)
+
+
+NOT_INTEGERS = (65536.0, "65536", 1.5, True)
+
+
+def test_a_slot_bound_must_be_an_integer():
+    # the fingerprint binds repr(max_size), so a float bound would split like
+    # 65536 and yet encipher under another fingerprint
+    spec = VarString(1, 9, "abcdefghijklmnopqrstuvwxyz")
+    assert encrypt(CipherConfig(max_size=65536), IntFpeKey(bytes(32)), spec, "hello") == "malsb"
+    for value in NOT_INTEGERS:
+        for call in (lambda: CipherConfig(max_size=value), lambda: build_plan(spec, value),
+                     lambda: rank_multi(spec, value, "hello")):
+            with pytest.raises(BadParameter):
+                call()
+
+
+def test_round_counts_and_walk_budgets_must_be_integers():
+    for value in NOT_INTEGERS + (12.0,):
+        for call in (lambda: CipherConfig(rounds=value), lambda: IntFpeKey(bytes(32), rounds=value),
+                     lambda: CipherConfig(walk_budget=value), lambda: Fe1Backend(walk_budget=value)):
+            with pytest.raises(BadParameter):
+                call()
 
 
 def test_keygen_shapes():

@@ -41,8 +41,8 @@ from fpekit import (
 from fpekit.errors import NotInFormat
 from fpekit.formats import ssn_components
 from fpekit.splitting import (
-    LengthBands,
     RadixBlocks,
+    Route,
     WholeSlot,
     greedy_groups,
 )
@@ -436,7 +436,7 @@ def test_fixed_string_splits_positionally():
 def test_var_string_bands_split_by_length():
     spec = VarString(1, 40, "ab")
     plan = build_plan(spec, 2**10)
-    assert isinstance(plan, LengthBands)
+    assert isinstance(plan, Route) and plan.tag == "len"
     s = "ab" * 12
     vec = rank_multi(spec, 2**10, s)
     assert all(n <= 2**10 for n in vec.sizes)
@@ -515,21 +515,27 @@ def test_an_oversized_position_is_cut_into_the_rank_windows_it_has_alone():
         (DelimVarString(2, 9, "ab", ";"), 2**5, lambda k: "b" * k + ";"),
         (Range(FixedString(("ab",)), ",", 2, 7, False), 8, lambda k: ",".join("b" * k)),
         (Range(FixedString(("ab",)), ",", 2, 7, True), 8, lambda k: "b," * k),
+        # parts of 4, 4, 4 and 6 members route by lead character in 3 branches at 8
+        (Union((FixedString(("ab", "ab")), FixedString(("cd", "cd")), FixedString(("ef", "ef")),
+                VarString(1, 2, "gh"))), 8, lambda c: c * 2),
     ],
 )
 def test_band_edges_round_trip_and_lengths_past_the_bands_are_refused(spec, bound, member):
+    # a union routes by lead character, the others by length or count
+    tag, past = (("u", ("z", "")) if isinstance(spec, Union)
+                 else ("len", (spec.min - 1, spec.max + 1)))
     plan = build_plan(spec, bound)
-    assert isinstance(plan, LengthBands) and len(plan.bands) > 2
+    assert isinstance(plan, Route) and plan.tag == tag and len(plan.branches) > 2
     cfg, key = CipherConfig(max_size=bound), IntFpeKey(bytes(32))
-    for bi, (lo, hi, _) in enumerate(plan.bands):
-        for k in (lo, hi):
+    for bi, (keys, _) in enumerate(plan.branches):
+        for k in (keys[0], keys[-1]):
             s = member(k)
-            assert path_signature(spec, bound, s)[0] == ("len", bi)
+            assert path_signature(spec, bound, s)[0] == (tag, bi)
             assert unrank_multi(spec, bound, rank_multi(spec, bound, s), s) == s
             c = encrypt(cfg, key, spec, s)
-            assert path_signature(spec, bound, c)[0] == ("len", bi)
+            assert path_signature(spec, bound, c)[0] == (tag, bi)
             assert decrypt(cfg, key, spec, c) == s
-    for k in (spec.min - 1, spec.max + 1):
+    for k in past:
         for call in (rank_multi, lambda spec, bound, s: encrypt(cfg, key, spec, s)):
             with pytest.raises(NotInFormat):
                 call(spec, bound, member(k))
