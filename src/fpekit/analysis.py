@@ -31,7 +31,7 @@ from .formats import (
     DIGITS,
     ensure_valid,
 )
-from .intfpe import IntFpeKey, cycle_walk_decrypt, cycle_walk_encrypt, feistel_encrypt
+from .intfpe import WALK_BUDGET, IntFpeKey, cycle_walk_decrypt, cycle_walk_encrypt, feistel_encrypt
 from .ranking import rank, unrank
 from .splitting import path_signature
 
@@ -105,13 +105,13 @@ def _sgfpe_walk(walk, key: IntFpeKey, s: str, sig, f, walk_budget: int) -> str:
     return unrank(f, walk(key, _sig_tweak(sig), f.size, r, walk_budget))
 
 
-def sgfpe_encrypt(key: IntFpeKey, s: str, walk_budget: int = 10**6) -> str:
+def sgfpe_encrypt(key: IntFpeKey, s: str, walk_budget: int = WALK_BUDGET) -> str:
     """Encipher within the signature pattern; the pattern itself is exposed."""
     sig = sgfpe_signature(s)
     return _sgfpe_walk(cycle_walk_encrypt, key, s, sig, signature_format(sig), walk_budget)
 
 
-def sgfpe_decrypt(key: IntFpeKey, s: str, walk_budget: int = 10**6) -> str:
+def sgfpe_decrypt(key: IntFpeKey, s: str, walk_budget: int = WALK_BUDGET) -> str:
     sig = sgfpe_signature(s)
     return _sgfpe_walk(cycle_walk_decrypt, key, s, sig, signature_format(sig), walk_budget)
 
@@ -206,7 +206,7 @@ def mr_advantage_sparse(k: int, trials: int, seed: int = 0) -> MrEstimate:
     for _ in range(trials):
         key = IntFpeKey(rng.randbytes(32))
         m = messages[rng.randrange(k)]
-        c = _sgfpe_walk(cycle_walk_encrypt, key, m, *shapes[m], 10**6)
+        c = _sgfpe_walk(cycle_walk_encrypt, key, m, *shapes[m], WALK_BUDGET)
         if by_len.get(len(c)) == m:
             wins_attack += 1
         if messages[rng.randrange(k)] == m:

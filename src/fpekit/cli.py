@@ -22,7 +22,7 @@ from .analysis import (
 from .dsl import parse_spec
 from .errors import BadParameter, CsvFieldError, FpeError, InvalidFormat
 from .formats import validate
-from .intfpe import read_key_file, write_key_file
+from .intfpe import BOUND_LIMIT, read_key_file, write_key_file
 from .ranking import rank, unrank
 
 
@@ -38,12 +38,17 @@ class SizeBound(click.ParamType):
         text = value.strip().lower()
         if text in ("", "inf", "none"):
             return None
+        power = text.startswith("2^")
         try:
-            size = 2 ** int(text[2:]) if text.startswith("2^") else int(text)
+            size = int(text[2:] if power else text)
         except ValueError:
             self.fail(f"{value!r} is not a size (decimal, 2^k, or inf)", param, ctx)
+        if power:  # every k from BOUND_LIMIT's bit length on is past it: build none of them
+            size = 2 ** min(size, BOUND_LIMIT.bit_length())
         if size < 2:
             self.fail(f"{value!r} is below 2, the least slot bound", param, ctx)
+        if size >= BOUND_LIMIT:
+            self.fail(f"{value!r} is not below 10^4300, the largest slot bound", param, ctx)
         return size
 
 

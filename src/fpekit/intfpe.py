@@ -41,7 +41,7 @@ import os
 import struct
 import weakref
 from array import array
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import count
 from math import isqrt
@@ -67,9 +67,9 @@ __all__ = [
     "write_key_file",
 ]
 
-def check_rounds(rounds: int) -> None:
-    if type(rounds) is not int or not 3 <= rounds < 2**16:  # every XOF call binds it in 2 bytes
-        raise BadParameter("need an integer from 3 to 65535 rounds")
+WALK_BUDGET = 10**6  # the default most applications of a cycle walk
+# the least slot bound too large: a fingerprint binds repr(max_size), at most 4,300 digits
+BOUND_LIMIT = 10**4300
 
 
 def check_walk_budget(walk_budget: int) -> None:
@@ -78,11 +78,11 @@ def check_walk_budget(walk_budget: int) -> None:
 
 
 def check_bound(max_size) -> None:
-    """A slot bound is None (unbounded) or an integer of at least 2: the
-    format fingerprint binds its repr, so 65536.0 would split as 65536 does
-    and yet encipher otherwise."""
-    if max_size is not None and (type(max_size) is not int or max_size < 2):
-        raise BadParameter("max_size must be an integer of at least 2, or None for unbounded")
+    """A slot bound is None (unbounded) or an integer from 2 to below
+    BOUND_LIMIT: the format fingerprint binds its repr, so 65536.0 would
+    split as 65536 does and yet encipher otherwise."""
+    if max_size is not None and (type(max_size) is not int or not 2 <= max_size < BOUND_LIMIT):
+        raise BadParameter("max_size must be None (unbounded) or an integer in [2, 10**4300)")
 
 
 @dataclass(frozen=True)
@@ -97,7 +97,8 @@ class IntFpeKey:
     def __post_init__(self):
         if not isinstance(self.secret, bytes) or len(self.secret) != 32:
             raise BadParameter("secret must be exactly 32 bytes")
-        check_rounds(self.rounds)
+        if type(self.rounds) is not int or not 3 <= self.rounds < 2**16:  # 2 bytes in every XOF
+            raise BadParameter("need an integer from 3 to 65535 rounds")
 
 
 def write_key_file(path, key: IntFpeKey, overwrite: bool = False) -> None:
@@ -297,16 +298,6 @@ def _keyed(key: IntFpeKey, build, tweak: bytes, n: int, k=None):
     return p
 
 
-def _set_rounds(key: IntFpeKey, _tweak: bytes, rounds: int) -> IntFpeKey:
-    return replace(key, rounds=rounds)
-
-
-def with_rounds(key: IntFpeKey, rounds: int) -> IntFpeKey:
-    """The key with another round count, built once and kept in the key's
-    store (under no tweak), so its own permutations are reused across calls."""
-    return key if key.rounds == rounds else _keyed(key, _set_rounds, b"", rounds)
-
-
 def _one_pass(key: IntFpeKey, tweak: bytes, n: int, x: int, decrypting: bool) -> int:
     fp = _keyed(key, _FeistelPass, tweak, n)
     if not 0 <= x < fp.n2:
@@ -396,16 +387,16 @@ def _cycle_walk(key, tweak: bytes, m_size: int, x: int, walk_budget: int, record
     return y
 
 
-def cycle_walk_encrypt(
-    key, tweak: bytes, m_size: int, x: int, walk_budget: int = 10**6, recorder=None
-) -> int:
+def cycle_walk_encrypt(key, tweak: bytes, m_size: int, x: int, walk_budget: int = WALK_BUDGET,
+                       recorder=None) -> int:
     """Permute [0, m_size): shuffle it, or walk the Feistel pass back into it."""
+    check_walk_budget(walk_budget)
     return _cycle_walk(key, tweak, m_size, x, walk_budget, recorder, False)
 
 
-def cycle_walk_decrypt(
-    key, tweak: bytes, m_size: int, x: int, walk_budget: int = 10**6, recorder=None
-) -> int:
+def cycle_walk_decrypt(key, tweak: bytes, m_size: int, x: int, walk_budget: int = WALK_BUDGET,
+                       recorder=None) -> int:
+    check_walk_budget(walk_budget)
     return _cycle_walk(key, tweak, m_size, x, walk_budget, recorder, True)
 
 
@@ -447,13 +438,13 @@ def slot_permutation(key, fingerprint: bytes, tweak: bytes, decrypting: bool,
 class Fe1Backend:
     """Feistel-then-walk (or shuffle) enciphering of integer ranges."""
 
-    def __init__(self, walk_budget: int = 10**6, recorder=None):
+    def __init__(self, walk_budget: int = WALK_BUDGET, recorder=None):
         check_walk_budget(walk_budget)
         self.walk_budget = walk_budget
         self.recorder = recorder
 
     def encrypt(self, key, tweak: bytes, domain: int, x: int) -> int:
-        return cycle_walk_encrypt(key, tweak, domain, x, self.walk_budget, self.recorder)
+        return _cycle_walk(key, tweak, domain, x, self.walk_budget, self.recorder, False)
 
     def decrypt(self, key, tweak: bytes, domain: int, x: int) -> int:
-        return cycle_walk_decrypt(key, tweak, domain, x, self.walk_budget, self.recorder)
+        return _cycle_walk(key, tweak, domain, x, self.walk_budget, self.recorder, True)

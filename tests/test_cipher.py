@@ -1,5 +1,6 @@
 """Whole-string encryption: permutation property, config knobs, tweaks."""
 
+import dataclasses
 import gc
 import weakref
 
@@ -212,13 +213,24 @@ def test_a_tweak_neither_text_nor_bytes_is_a_bad_parameter_naming_its_type():
 
 
 def test_round_count_changes_the_mapping():
-    members = list(enumerate_members(SMALL))
+    members, six = list(enumerate_members(SMALL)), IntFpeKey(KEY_A.secret, rounds=6)
     base = [encrypt(CipherConfig(), KEY_A, SMALL, m) for m in members]
-    short = [encrypt(CipherConfig(rounds=6), KEY_A, SMALL, m) for m in members]
+    short = [encrypt(CipherConfig(), six, SMALL, m) for m in members]
     assert base != short
     for m in members:
-        c = encrypt(CipherConfig(rounds=6), KEY_A, SMALL, m)
-        assert decrypt(CipherConfig(rounds=6), KEY_A, SMALL, c) == m
+        c = encrypt(CipherConfig(), six, SMALL, m)
+        assert decrypt(CipherConfig(), six, SMALL, c) == m
+
+
+def test_the_round_count_is_the_keys_alone():
+    # a default config once overrode an 8-round key with its own 12 rounds,
+    # giving "hmkrbmaqg"
+    spec, key = VarString(1, 9, "abcdefghijklmnopqrstuvwxyz"), IntFpeKey(bytes(32), rounds=8)
+    assert encrypt(CipherConfig(), key, spec, "hello") == "bfpzoekjk"
+    assert decrypt(CipherConfig(), key, spec, "bfpzoekjk") == "hello"
+    with pytest.raises(TypeError):
+        CipherConfig(rounds=8)
+    assert {f.name for f in dataclasses.fields(CipherConfig)} == {"max_size", "walk_budget"}
 
 
 def test_slot_bound_changes_the_mapping_but_not_the_format():
@@ -241,6 +253,21 @@ def test_fingerprint_binds_format_and_bound():
     assert format_fingerprint(spec, None) != format_fingerprint(other, None)
     assert len(format_fingerprint(spec, None)) == 32
     assert format_fingerprint(spec, 100) == format_fingerprint(FixedString((DIGITS,) * 4), 100)
+
+
+def test_a_backend_other_than_fe1backend_is_a_bad_parameter_naming_its_type():
+    class PerSlot:
+        def encrypt(self, key, tweak, n, x):
+            return x
+
+        decrypt = encrypt
+
+    for backend in (PerSlot(), Fe1Backend, "fe1"):
+        for crypt in (encrypt, decrypt):
+            with pytest.raises(BadParameter) as e:
+                crypt(CipherConfig(), KEY_A, SMALL, "xy", backend=backend)
+            assert str(e.value) == (
+                f"backend must be an Fe1Backend or None, not {type(backend).__name__}")
 
 
 def test_injected_backend_sees_only_bounded_domains():
@@ -267,11 +294,11 @@ def test_compound_round_trip_under_every_bound(rng):
     members = list(enumerate_members(spec))
     sample = [members[rng.randrange(len(members))] for _ in range(30)]
     for bound in (3, 26, None):
-        cfg = CipherConfig(max_size=bound, rounds=8)
+        cfg, key = CipherConfig(max_size=bound), IntFpeKey(KEY_A.secret, rounds=8)
         for m in sample:
-            c = encrypt(cfg, KEY_A, spec, m)
+            c = encrypt(cfg, key, spec, m)
             assert contains(spec, c)
-            assert decrypt(cfg, KEY_A, spec, c) == m
+            assert decrypt(cfg, key, spec, c) == m
 
 
 def test_rejects_non_members():
@@ -285,11 +312,11 @@ def test_config_validation():
     with pytest.raises(BadParameter):
         CipherConfig(max_size=1)
     with pytest.raises(BadParameter):
-        CipherConfig(rounds=2)
-    # the key binds the round count in 2 bytes, so the config checks the same range
+        IntFpeKey(bytes(32), rounds=2)
+    # every XOF call binds the round count in 2 bytes
     with pytest.raises(BadParameter):
-        CipherConfig(rounds=70_000)
-    CipherConfig(rounds=2**16 - 1)
+        IntFpeKey(bytes(32), rounds=70_000)
+    IntFpeKey(bytes(32), rounds=2**16 - 1)
 
 
 NOT_INTEGERS = (65536.0, "65536", 1.5, True)
@@ -307,9 +334,21 @@ def test_a_slot_bound_must_be_an_integer():
                 call()
 
 
+def test_a_slot_bound_must_be_below_the_longest_repr():
+    # the fingerprint binds repr(max_size), which CPython refuses past 4,300 digits
+    spec = VarString(1, 9, "abcdefghijklmnopqrstuvwxyz")
+    key, below = IntFpeKey(bytes(32)), 10**4300 - 1
+    c = encrypt(CipherConfig(max_size=below), key, spec, "hello")
+    assert decrypt(CipherConfig(max_size=below), key, spec, c) == "hello"
+    for value in (10**4300, 2**15000):
+        for call in (lambda: CipherConfig(max_size=value), lambda: build_plan(spec, value)):
+            with pytest.raises(BadParameter):
+                call()
+
+
 def test_round_counts_and_walk_budgets_must_be_integers():
     for value in NOT_INTEGERS + (12.0,):
-        for call in (lambda: CipherConfig(rounds=value), lambda: IntFpeKey(bytes(32), rounds=value),
+        for call in (lambda: IntFpeKey(bytes(32), rounds=value),
                      lambda: CipherConfig(walk_budget=value), lambda: Fe1Backend(walk_budget=value)):
             with pytest.raises(BadParameter):
                 call()

@@ -191,6 +191,18 @@ def test_a_size_bound_below_2_is_a_usage_error(pin4, key, tmp_path, run):
                "--max-size", "2^1")[0] == 0
 
 
+def test_a_size_bound_past_the_longest_repr_is_a_usage_error(pin4, key, run):
+    # the fingerprint binds repr(max_size), which CPython refuses past 4,300
+    # digits; 2^14285 is the least power of two past 10^4300
+    for spelling in ("2^14285", "2^15000", "2^1000000000000"):
+        code, out, err = run("encrypt", "--format", pin4, "--key", key,
+                             "--value", "0042", "--max-size", spelling)
+        assert (code, out) == (2, ""), spelling
+        assert "not below 10^4300" in err and "Traceback" not in err
+    assert run("encrypt", "--format", pin4, "--key", key, "--value", "0042",
+               "--max-size", "2^14284")[0] == 0
+
+
 def test_a_non_ascii_key_file_is_a_bad_parameter(pin4, tmp_path, run):
     path = tmp_path / "k.hex"
     path.write_bytes(b"\xe9" + b"ab" * 31)

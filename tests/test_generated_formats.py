@@ -28,6 +28,7 @@ from fpekit import (
     IntegralDomain,
     IntFpeKey,
     Range,
+    RankVector,
     Ssn,
     StringSet,
     Union,
@@ -35,9 +36,12 @@ from fpekit import (
     VarString,
     WalkRecorder,
     contains,
+    cycle_walk_decrypt,
+    cycle_walk_encrypt,
     decrypt,
     encrypt,
     enumerate_members,
+    format_fingerprint,
     path_signature,
     rank,
     rank_multi,
@@ -47,6 +51,7 @@ from fpekit import (
     validate,
 )
 from fpekit.errors import NotInFormat, ParseFailure
+from fpekit.intfpe import slot_tweak
 
 from corpus import ADDRESS, PREFIX_SPECS, SMALL_SPECS
 
@@ -292,25 +297,20 @@ def test_each_output_slot_depends_only_on_its_index_size_and_input_rank(spec):
                 assert seen.setdefault((i, n, r), out) == out, (spec, bound, m, i)
 
 
-class _PerSlotBackend:
-    """Forwards every slot to an Fe1Backend, one call a slot: a backend that
-    is not an Fe1Backend, so cipher takes its per-slot loop."""
-
-    def __init__(self, recorder):
-        self.inner = Fe1Backend(recorder=recorder)
-
-    def encrypt(self, key, tweak, n, x):
-        return self.inner.encrypt(key, tweak, n, x)
-
-    def decrypt(self, key, tweak, n, x):
-        return self.inner.decrypt(key, tweak, n, x)
+def _per_slot(spec, bound, text, walk, recorder) -> str:
+    """text mapped one slot at a time: rank_multi, then one cycle walk a slot
+    under that slot's slot_tweak, then unrank_multi."""
+    fp, v = format_fingerprint(spec, bound), rank_multi(spec, bound, text)
+    ranks = tuple(walk(KEY, slot_tweak(fp, i, b""), n, r, recorder=recorder)
+                  for i, (r, n) in enumerate(zip(v.ranks, v.sizes)))
+    return unrank_multi(spec, bound, RankVector(ranks, v.sizes), text)
 
 
 def _routes_agree(spec, bound, members) -> list:
     """Encrypt and decrypt each member by the default path, an injected
-    Fe1Backend (one call a record) and a per-slot stub forwarding to
-    Fe1Backend; all three must give the same outputs, and the two recorders
-    the same events, one per slot in slot order. Returns the slot sizes seen."""
+    Fe1Backend (one call a record) and a per-slot rebuild from the public
+    calls; all three must give the same outputs, and the two recorders the
+    same events, one per slot in slot order. Returns the slot sizes seen."""
     cfg = CipherConfig(max_size=bound)
     vector, per_slot = WalkRecorder(), WalkRecorder()
     seen = []
@@ -318,10 +318,10 @@ def _routes_agree(spec, bound, members) -> list:
         sizes = list(rank_multi(spec, bound, m).sizes)
         c = encrypt(cfg, KEY, spec, m)
         assert encrypt(cfg, KEY, spec, m, backend=Fe1Backend(recorder=vector)) == c
-        assert encrypt(cfg, KEY, spec, m, backend=_PerSlotBackend(per_slot)) == c
+        assert _per_slot(spec, bound, m, cycle_walk_encrypt, per_slot) == c
         assert decrypt(cfg, KEY, spec, c) == m
         assert decrypt(cfg, KEY, spec, c, backend=Fe1Backend(recorder=vector)) == m
-        assert decrypt(cfg, KEY, spec, c, backend=_PerSlotBackend(per_slot)) == m
+        assert _per_slot(spec, bound, c, cycle_walk_decrypt, per_slot) == m
         assert [n for n, _ in vector.events] == sizes * 2, (spec, bound, m)
         assert vector.events == per_slot.events, (spec, bound, m)
         vector.events.clear()

@@ -39,6 +39,7 @@ from fpekit import (
     write_key_file,
 )
 from fpekit import intfpe
+from fpekit.analysis import sgfpe_decrypt, sgfpe_encrypt
 from fpekit.intfpe import SHUFFLE_LIMIT
 
 from corpus import ADDRESS
@@ -363,6 +364,18 @@ def test_backend_and_config_reject_a_walk_budget_below_one():
     CipherConfig(walk_budget=1)
 
 
+def test_the_public_cycle_walks_check_their_walk_budget():
+    # unchecked, 1.5 and 0 are never equal to a step count, and so no budget
+    walks = (lambda b: cycle_walk_encrypt(KEY, b"t", 1000, 7, b),
+             lambda b: cycle_walk_decrypt(KEY, b"t", 1000, 7, b),
+             lambda b: sgfpe_encrypt(KEY, "Hello", b), lambda b: sgfpe_decrypt(KEY, "Hello", b))
+    for walk in walks:
+        for budget in (1.5, 0, True, "1"):
+            with pytest.raises(BadParameter):
+                walk(budget)
+        walk(intfpe.WALK_BUDGET)
+
+
 # ---------------------------------------------------------------------------
 # the permutations a key keeps
 
@@ -436,7 +449,7 @@ def _base_states_of_50_round_trips(monkeypatch, key, cfg):
         assert decrypt(cfg, key, ADDRESS, encrypt(cfg, key, ADDRESS, record)) == record
     fp = format_fingerprint(ADDRESS, cfg.max_size)
     sizes = rank_multi(ADDRESS, cfg.max_size, record).sizes
-    return calls, Counter((fp + i.to_bytes(4, "big"), n, cfg.rounds) for i, n in enumerate(sizes))
+    return calls, Counter((fp + i.to_bytes(4, "big"), n, key.rounds) for i, n in enumerate(sizes))
 
 
 def test_each_slot_permutation_is_built_once_per_key(monkeypatch):
@@ -445,16 +458,12 @@ def test_each_slot_permutation_is_built_once_per_key(monkeypatch):
     assert calls == once_each
 
 
-def test_a_config_round_count_builds_each_slot_permutation_once(monkeypatch):
-    # a 12-round key under an 8-round config: the 8-round key is derived
-    # once and kept in the key's store, with its own permutations
-    key = IntFpeKey(bytes(range(2, 34)))
-    cfg = CipherConfig(max_size=2**16, rounds=8)
+def test_an_8_round_key_builds_each_slot_permutation_once(monkeypatch):
+    key = IntFpeKey(bytes(range(2, 34)), rounds=8)
+    cfg = CipherConfig(max_size=2**16)
     calls, once_each = _base_states_of_50_round_trips(monkeypatch, key, cfg)
     assert calls == once_each
-    record = "Elm Street,Dover,42,12345,France"
-    assert encrypt(cfg, key, ADDRESS, record) == encrypt(
-        cfg, IntFpeKey(key.secret, rounds=8), ADDRESS, record)
+    assert {r for _, _, r in calls} == {8}
 
 
 def test_a_slot_permutation_is_stored_once_whichever_path_asks(monkeypatch):

@@ -265,53 +265,6 @@ def test_every_walk_of_the_record_makes_its_pinned_number_of_cuts(cuts, bound, c
     assert counts == [cuts_per_walk] * len(walks)
 
 
-class _SizeBackend:
-    """An integer backend that answers n, one past the last rank, for every
-    slot of size n, and keeps the ranks it was handed."""
-
-    def __init__(self):
-        self.ranks = []
-
-    def encrypt(self, key, tweak, n, r):
-        self.ranks.append(r)
-        return n
-
-    decrypt = encrypt
-
-
-@pytest.mark.parametrize("bound", [None, 2**16])
-def test_backend_ranks_are_checked_before_the_fill(bound):
-    backend = _SizeBackend()
-    with pytest.raises(VectorShapeMismatch) as e:
-        encrypt(CipherConfig(max_size=bound), IntFpeKey(bytes(32)), ADDRESS, RECORD,
-                backend=backend)
-    text = str(e.value)
-    assert text.startswith("slot 0: ") and "-bit value is not in [0, " in text
-    # the words only: the digits of a slot size may hold "42" by chance
-    for piece in (RECORD, "Elm", "Street", "Ave", "Dover", "France"):
-        assert piece not in text
-    if bound is None:  # one slot, whose plaintext rank has about 136 digits
-        assert str(backend.ranks[0]) not in text
-
-
-class _NegativeBackend:
-    """An integer backend that answers -1 for every slot."""
-
-    def encrypt(self, key, tweak, n, r):
-        return -1
-
-    decrypt = encrypt
-
-
-@pytest.mark.parametrize("bound", [None, 2**16])
-def test_a_negative_backend_rank_is_refused(bound):
-    for crypt in (encrypt, decrypt):
-        with pytest.raises(VectorShapeMismatch) as e:
-            crypt(CipherConfig(max_size=bound), IntFpeKey(bytes(32)), ADDRESS, RECORD,
-                  backend=_NegativeBackend())
-        assert str(e.value).startswith("slot 0: ") and "-bit value is not in [0, " in str(e.value)
-
-
 def test_example_must_be_a_member():
     spec = FixedString(("ab",))
     with pytest.raises(ExampleFormatMismatch):
