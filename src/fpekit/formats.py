@@ -31,10 +31,10 @@ functions, plans) are computed on first use and stored on the node itself.
 A node builds its rank and unrank functions once, binding its own
 constants, its children's functions and, for `Concat` and `Range`, its
 cut rule, so ranking a member runs one function per node it passes and
-calls no method. A malformed tree can still be built and reported by
-validate(), and a format nobody references is freed together with
-everything derived from it. The module functions are the public entry
-points.
+calls no method. No value a node derives refers back to it, so a format
+nobody references is freed at once, by reference counting, with all
+derived from it. A malformed tree can still be built and reported by
+validate(). The module functions are the public entry points.
 """
 
 from __future__ import annotations
@@ -385,7 +385,7 @@ class Node:
         plan = self._plans.get(max_size)
         if plan is None:
             if max_size is None or self.size <= max_size:
-                plan = splitting.WholeSlot(self)
+                plan = splitting.WholeSlot(self.ranker, self.unranker, self.size)
             else:
                 plan = self._split(max_size)
             self._plans[max_size] = plan
@@ -399,7 +399,8 @@ class Node:
 
     def _split(self, max_size):
         """The plan for a bound below this node's size: blocks of `positions`."""
-        return splitting.RadixBlocks(self, splitting.radix_blocks(self.positions.radices, max_size))
+        positions = self.positions
+        return splitting.RadixBlocks(positions, splitting.radix_blocks(positions.radices, max_size))
 
     def to_json(self) -> dict:
         return {"type": self.kind}
@@ -735,7 +736,7 @@ class _Lengths(Node):
         if self.min < self.max:
             return splitting.count_route(self, len(self.alphabet), max_size)
         sub = FixedString((self.alphabet,) * self.min).plan(max_size)
-        return splitting.Cut(self, ((0, 1, sub),), (self.suffix,)) if self.suffix else sub
+        return splitting.Cut(self._cut_rule, ((0, 1, sub),), (self.suffix,)) if self.suffix else sub
 
     def to_json(self):
         return {"type": self.kind, "min": self.min, "max": self.max,
@@ -1063,7 +1064,7 @@ class Union(Node):
         for lo, hi in splitting.greedy_groups([p.size for p in self.parts], max_size, operator.add):
             sub = self.parts[lo] if hi - lo == 1 else Union(self.parts[lo:hi])
             branches.append((tuple(c for c, i in lead.items() if lo <= i < hi), sub.plan(max_size)))
-        return splitting.Route(self, "u", tuple(branches))
+        return splitting.Route(self.route_key, "u", tuple(branches))
 
     def to_json(self):
         return {"type": self.kind, "parts": [p.to_json() for p in self.parts]}
@@ -1143,7 +1144,8 @@ class Concat(Node):
         themselves are not checked. With one delimiter character it splits
         on it, which gives the pieces of reading the delimiters in order;
         with no delimiters and a width for every part but the last it
-        slices at fixed offsets; else it reads in order."""
+        slices at fixed offsets; else it reads in order, by the delimiters,
+        the rigid parts' `take` and the other parts' alphabets."""
         parts, delims = self.parts, self.delims
         last = len(parts) - 1
         if delims and len(set(delims)) == 1:
@@ -1162,33 +1164,31 @@ class Concat(Node):
                 return lambda s: (s,)
             ends = tuple(itertools.accumulate(p.width for p in parts[:last]))
             return operator.itemgetter(*map(slice, (0,) + ends, ends + (None,)))
-        return self._cut_in_order
+        # per part but the last, held in place of this node: delimiter, rigid take, alphabet
+        steps = tuple((delims[i] if delims else None, p.take if p.rigid else None, p.chars)
+                      for i, p in enumerate(parts[:last]))
 
-    def _cut_in_order(self, s: str) -> list:
-        """One text per part, from the delimiters, the rigid parts' `take` and
-        the other parts' alphabets."""
-        texts = []
-        pos = 0
-        last = len(self.parts) - 1
-        for i, part in enumerate(self.parts):
-            if i == last:
-                end = nxt = len(s)
-            elif self.delims is not None:
-                end = s.find(self.delims[i], pos)
-                if end < 0:
-                    raise ParseFailure(f"missing delimiter {i} after offset {pos}")
-                nxt = end + 1
-            elif part.rigid:
-                end = nxt = part.take(s, pos)
-            else:
-                alpha = part.chars
-                end = pos
-                while end < len(s) and s[end] in alpha:
-                    end += 1
-                nxt = end
-            texts.append(s[pos:end])
-            pos = nxt
-        return texts
+        def cut_in_order(s):
+            texts, pos = [], 0
+            for i, (delim, take, alpha) in enumerate(steps):
+                if delim is not None:
+                    end = s.find(delim, pos)
+                    if end < 0:
+                        raise ParseFailure(f"missing delimiter {i} after offset {pos}")
+                    nxt = end + 1
+                elif take is not None:
+                    end = nxt = take(s, pos)
+                else:
+                    end = pos
+                    while end < len(s) and s[end] in alpha:
+                        end += 1
+                    nxt = end
+                texts.append(s[pos:end])
+                pos = nxt
+            texts.append(s[pos:])
+            return texts
+
+        return cut_in_order
 
     @cached_property
     def _join(self):
@@ -1242,7 +1242,7 @@ class Concat(Node):
                 delims = self.delims[lo : hi - 1] if self.delims is not None else None
                 sub = Concat(self.parts[lo:hi], delims)
             groups.append((lo, hi, sub.plan(max_size)))
-        return splitting.Cut(self, tuple(groups), seams)
+        return splitting.Cut(self._cut_rule, tuple(groups), seams)
 
     def to_json(self):
         out = {"type": self.kind, "parts": [p.to_json() for p in self.parts]}
@@ -1364,7 +1364,7 @@ class Range(Node):
             group = self.inner if cnt == 1 else Range(self.inner, self.delim, cnt, cnt, False)
             groups.append((lo, hi, group.plan(max_size)))
         seams = (self.delim,) * (k - 1) + (self.delim if self.last_delimited else "",)
-        return splitting.Cut(self, tuple(groups), seams)
+        return splitting.Cut(self._cut_rule, tuple(groups), seams)
 
     def to_json(self):
         out = {"type": self.kind, "inner": self.inner.to_json(), "delim": self.delim,

@@ -18,7 +18,8 @@ with it. A record's walk permutes its slots through one slot_permutation, which
 finds each by index and size under the record's fingerprint and tweak; a cycle
 walk under a slot_tweak reads the same four fields from the tweak, so either
 way a slot permutation is built once. The store dies with the key, and every
-output is the same as when built afresh.
+output is the same as when built afresh. No module cache holds anything per
+split or round count: a pass works out its rounds' constants when it is built.
 
 A Feistel pass whose round function has at most TABLE_LIMIT distinct outputs
 tabulates it, in 16-bit rows, on the apply whose count matches the table's
@@ -42,7 +43,6 @@ import struct
 import weakref
 from array import array
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import count
 from math import isqrt
 
@@ -148,16 +148,6 @@ def _base_state(key: IntFpeKey, tweak: bytes, n: int):
     return h
 
 
-@lru_cache(maxsize=64)  # passes of one split share them; at most 64 splits kept
-def _round_constants(a: int, b: int, rounds: int) -> tuple:
-    # per round: its number (2 bytes), then the modulus of the half it adds to
-    # (odd rounds r mod a, even q mod b), the byte width of the half it reads,
-    # and a digest 8 bytes over the modulus's, so reducing it is biased by < 2**-64
-    wa, wb = ((a - 1).bit_length() + 7) // 8, ((b - 1).bit_length() + 7) // 8
-    halves = ((a, wb, wa + 8), (b, wa, wb + 8)) * (rounds // 2 + 1)
-    return tuple(zip((i.to_bytes(2, "big") for i in range(1, rounds + 1)), halves))
-
-
 # A pass tabulates its round function when the table has at most this many
 # entries: every slot of a 2^16 bound at 12 rounds (at most 3,072). Every
 # half is then below it, so a row of 16-bit values holds any round output.
@@ -191,10 +181,15 @@ class _FeistelPass:
         self.rounds = rounds = key.rounds
         self.table = None
         base, steps = _base_state(key, tweak, n), _Rounds()
-        for head, constants in _round_constants(a, b, rounds):
+        # for odd rounds, then even ones: the modulus of the half a round adds to
+        # (odd rounds r mod a, even q mod b), the byte width of the half it reads,
+        # and a digest 8 bytes over the modulus's, so reducing it is biased by < 2**-64
+        wa, wb = ((a - 1).bit_length() + 7) // 8, ((b - 1).bit_length() + 7) // 8
+        halves = (a, wb, wa + 8), (b, wa, wb + 8)
+        for i in range(1, rounds + 1):
             h = base.copy()
-            h.update(head)
-            steps.append((h, *constants))
+            h.update(i.to_bytes(2, "big"))
+            steps.append((h, *halves[1 - i % 2]))
         self.steps = weakref.ref(steps)
         entries = (rounds + 1) // 2 * b + rounds // 2 * a
         # the build costs `entries` XOF calls, as many as this many applies

@@ -14,8 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotInFormat, OutOfRange, ParseFailure, RankOutOfRange
+from .errors import BadParameter, NotInFormat, OutOfRange, ParseFailure, RankOutOfRange
 from .formats import SSN_SIZE, date_offset, ensure_valid, luhn_digit, offset_to_date
+from .splitting import check_text
 
 __all__ = [
     "Rank",
@@ -45,6 +46,7 @@ class Rank:
 def rank(spec, s: str) -> Rank:
     """Position of s in the format's canonical order."""
     ensure_valid(spec)
+    check_text(s)
     try:
         value = spec.rank(s)
     except ParseFailure:
@@ -53,9 +55,12 @@ def rank(spec, s: str) -> Rank:
 
 
 def unrank(spec, r) -> str:
-    """The member at position r; accepts a Rank or a plain integer."""
+    """The member at position r; accepts a Rank or an int, nothing that
+    int() would read as one (a float, a digit string, a bool)."""
     ensure_valid(spec)
-    value = r.value if isinstance(r, Rank) else int(r)
+    value = r.value if isinstance(r, Rank) else r
+    if type(value) is not int:
+        raise BadParameter(f"a rank must be a Rank or an int, not {type(value).__name__}")
     if not 0 <= value < spec.size:
         raise RankOutOfRange(f"rank {value} not in [0, {spec.size})")
     return spec.unrank(value)

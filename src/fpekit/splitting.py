@@ -15,20 +15,27 @@ into pieces by its spec's `_cut_rule` (concat parts, a fixed number of
 repetitions, a body before its final delimiter) and plans runs of them.
 `RadixBlocks` cuts a primitive's `positions` into mixed-radix blocks.
 
+Plan nodes hold the functions they walk with, from the moment they are
+built, and never their format node: `WholeSlot` its rank and unrank
+functions and size, `Route` its `route_key`, `Cut` its cut rule,
+`RadixBlocks` its `positions`. A node a `_split` creates lives on only
+through those functions, and a format with its plans makes no reference
+cycle, so a dropped format is freed at once by reference counting.
+
 One walk takes a member apart and spells its image. Each plan node builds
 its walk function, `crypt(s, out, perm, path)`, once, on the first walk
-that reaches it, binding its constants, its spec's rank, unrank and cut
-functions, and the walk functions of the children it always visits. At
-each slot the walk ranks the piece, calls `perm(rank, size)`, in slot
-order and with every size at most the bound, and appends the piece
-spelled from perm's answer to `out`; literal delimiters are appended where
-they stand. Every choice the ranks do not encode (a route's branch, a
-rank window) is read off the input and kept, so the output has its
-path; when `path` is a list rather than None, each choice is also
-appended to it as a tagged tuple, in walk order, and that sequence is the
-member's path signature. Ranking is the membership check: every rank and
-walk function raises ParseFailure for a string that is no member, so each
-entry point walks its input once and reports a plain NotInFormat.
+that reaches it, binding its constants, the functions it holds, and the
+walk functions of the children it always visits. At each slot the walk
+ranks the piece, calls `perm(rank, size)`, in slot order and with every
+size at most the bound, and appends the piece spelled from perm's answer
+to `out`; literal delimiters are appended where they stand. Every choice
+the ranks do not encode (a route's branch, a rank window) is read off the
+input and kept, so the output has its path; when `path` is a list rather
+than None, each choice is also appended to it as a tagged tuple, in walk
+order, and that sequence is the member's path signature. Ranking is the
+membership check: every rank and walk function raises ParseFailure for a
+string that is no member, so each entry point walks its input once and
+reports a plain NotInFormat; an input that is not text is a BadParameter.
 """
 
 from __future__ import annotations
@@ -40,6 +47,7 @@ from typing import NamedTuple
 
 from . import formats
 from .errors import (
+    BadParameter,
     ExampleFormatMismatch,
     NotInFormat,
     ParseFailure,
@@ -140,7 +148,7 @@ def count_route(spec, unit: int, max_size) -> Route:
     its counts."""
     lo = spec.min
     sizes = [unit**k for k in range(lo, spec.max + 1)]
-    return Route(spec, "len", tuple(
+    return Route(spec.route_key, "len", tuple(
         (range(lo + i, lo + j), replace(spec, min=lo + i, max=lo + j - 1).plan(max_size))
         for i, j in greedy_groups(sizes, max_size, add)))
 
@@ -179,12 +187,15 @@ class _Plan:
 
 @dataclass(frozen=True)
 class WholeSlot(_Plan):
-    """The whole format fits in one slot."""
+    """The whole format fits in one slot: its rank and unrank functions and
+    its size."""
 
-    spec: object
+    rank: object
+    unrank: object
+    size: int
 
     def _make_crypt(self):
-        rank, unrank, n = self.spec.ranker, self.spec.unranker, self.spec.size
+        rank, unrank, n = self.rank, self.unrank, self.size
 
         def crypt(s, out, perm, path):
             out.append(unrank(perm(rank(s), n)))
@@ -194,19 +205,20 @@ class WholeSlot(_Plan):
 
 @dataclass(frozen=True)
 class Route(_Plan):
-    """Members routed into branches `(keys, plan)` by the spec's `route_key`
-    (a union's lead character, a length or a repetition count).
+    """Members routed into branches `(keys, plan)` by `route_key`, the
+    spec's function giving a member's key (a union's lead character, a
+    length or a repetition count).
 
     The walk takes the one branch whose keys hold a member's key and keeps
     it, appending `(tag, branch index)` to the path, so no slot encodes it.
     """
 
-    spec: object
+    route_key: object
     tag: str
     branches: tuple
 
     def _make_crypt(self):
-        route_key, tag = self.spec.route_key, self.tag
+        route_key, tag = self.route_key, self.tag
         branch_of = {key: ((tag, bi), plan)
                      for bi, (keys, plan) in enumerate(self.branches) for key in keys}
 
@@ -224,21 +236,22 @@ class Route(_Plan):
 
 @dataclass(frozen=True)
 class Cut(_Plan):
-    """A member cut into pieces by the spec's `_cut_rule`, planned in runs
-    `(lo, hi, plan)` of adjacent pieces (concat parts, repetitions, a body).
+    """A member cut into pieces by `cut`, the spec's `_cut_rule`, planned in
+    runs `(lo, hi, plan)` of adjacent pieces (concat parts, repetitions, a
+    body).
 
     `seams[i]` is the literal after piece i: inside a group it is part of
     the group's text, and the walk writes it after the group that ends with
     piece i.
     """
 
-    spec: object
+    cut: object
     groups: tuple
     seams: tuple
 
     def _make_crypt(self):
         seams = self.seams
-        cut = _grouped(self.spec._cut_rule, self.groups, seams)
+        cut = _grouped(self.cut, self.groups, seams)
         steps = tuple((sub.crypt, seams[hi - 1]) for _, hi, sub in self.groups)
 
         def crypt(s, out, perm, path):
@@ -319,15 +332,14 @@ class RadixBlocks(_Plan):
     whose one position has more digits than the bound has its window set,
     and its slot is the rank window of that width holding the digit, which
     the walk keeps; an integer range or a date is one such position. The
-    walk permutes every block, then the spec's `positions.finish` spells
-    the member.
+    walk permutes every block, then `positions.finish` spells the member.
     """
 
-    spec: object
+    positions: Positions
     blocks: tuple
 
     def _make_crypt(self):
-        read, spellings, finish, _ = positions = self.spec.positions
+        read, spellings, finish, _ = positions = self.positions
         width = len(spellings)
         tables = tuple((lo, hi, window, *radix_table(positions, lo, hi))
                        for lo, hi, window in self.blocks)
@@ -365,11 +377,18 @@ def build_plan(spec, max_size):
     return spec.plan(max_size)
 
 
+def check_text(s) -> None:
+    """A member is text: anything else is a BadParameter naming its type."""
+    if not isinstance(s, str):
+        raise BadParameter(f"a member must be text, not {type(s).__name__}")
+
+
 def walk(plan, s: str, perm, path) -> str:
     """s with each slot's rank r, of size n, replaced by perm(r, n), from one
     checked walk of the plan; NotInFormat unless s is a member. perm sees the
     slots in plan order and must answer a rank below n. A path list, unless
     None, gets the walk's choices appended."""
+    check_text(s)
     out: list = []
     try:
         plan.crypt(s, out, perm, path)

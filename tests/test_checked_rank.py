@@ -27,10 +27,12 @@ from fpekit import (
     contains,
     decrypt,
     encrypt,
+    path_signature,
     rank_multi,
     ranking,
+    unrank_multi,
 )
-from fpekit.errors import NotInFormat
+from fpekit.errors import BadParameter, NotInFormat
 
 from corpus import ADDRESS
 
@@ -102,3 +104,21 @@ def test_an_address_record_is_walked_without_a_membership_pass(bound, monkeypatc
     c = encrypt(cfg, KEY, ADDRESS, record)
     assert decrypt(cfg, KEY, ADDRESS, c) == record
     assert calls == []
+
+
+@pytest.mark.parametrize("value", [5, b"123456789", None, ["1"]])
+@pytest.mark.parametrize("bound", [None, 100])
+def test_a_member_that_is_not_text_is_a_bad_parameter(value, bound):
+    cfg = CipherConfig(max_size=bound)
+    ssn_vector = rank_multi(Ssn(), bound, "123456789")
+    for call in (
+        lambda: encrypt(cfg, KEY, Ssn(), value),
+        lambda: decrypt(cfg, KEY, Ssn(), value),
+        lambda: encrypt(cfg, KEY, ADDRESS, value),
+        lambda: rank_multi(Ssn(), bound, value),
+        lambda: unrank_multi(Ssn(), bound, ssn_vector, value),
+        lambda: path_signature(Ssn(), bound, value),
+        lambda: ranking.rank(Ssn(), value),
+    ):
+        with pytest.raises(BadParameter, match=f"not {type(value).__name__}$"):
+            call()

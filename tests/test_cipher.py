@@ -83,6 +83,42 @@ def test_formats_are_not_kept_alive_after_use():
     assert ref() is None
 
 
+def _freed_without_the_collector(spec, bound, member):
+    """Encrypt, decrypt and path-sign a member with the cyclic collector off,
+    drop the format, and give (whether it was freed at once, what a
+    collection then finds). None when the format cannot be split that fine."""
+    gc.collect()
+    gc.disable()
+    try:
+        cfg = CipherConfig(max_size=bound)
+        try:
+            c = encrypt(cfg, KEY_A, spec, member)
+        except UnsplittableAtom:
+            return None
+        assert decrypt(cfg, KEY_A, spec, c) == member
+        assert path_signature(spec, bound, c) == path_signature(spec, bound, member)
+        ref = weakref.ref(spec)
+        del spec
+        return ref() is None, gc.collect()
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("bound", [None, 5, 2**16])
+def test_a_dropped_format_is_freed_by_reference_counting(bound):
+    # a format, its plans and everything derived from either make no cycle
+    checked = 0
+    for name, corpus_spec in SMALL_SPECS + PREFIX_SPECS + [("address", address_format())]:
+        member = unrank(corpus_spec, size(corpus_spec) // 3)
+        # a fresh tree, which only the helper holds
+        outcome = _freed_without_the_collector(
+            dsl.parse_spec(dsl.serialize_spec(corpus_spec)), bound, member)
+        if outcome is not None:
+            assert outcome == (True, 0), name
+            checked += 1
+    assert checked >= 40
+
+
 def test_fingerprint_is_computed_once_per_format_and_bound(monkeypatch):
     serialized = 0
     real = dsl.serialize_spec

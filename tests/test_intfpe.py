@@ -621,7 +621,12 @@ def _reference_pass(key, tweak, n, x, decrypting):
         h.update(head + half.to_bytes(width, "big"))
         return int.from_bytes(h.digest(nbytes), "big")
 
-    steps = intfpe._round_constants(a, b, key.rounds)
+    # round i, from 1: odd rounds add to the low half mod a, reading the high
+    # half at its byte width; even rounds the other way round; 8 digest bytes
+    # over the modulus's own
+    wa, wb = ((a - 1).bit_length() + 7) // 8, ((b - 1).bit_length() + 7) // 8
+    steps = [(i.to_bytes(2, "big"), (a, wb, wa + 8) if i % 2 else (b, wa, wb + 8))
+             for i in range(1, key.rounds + 1)]
     if not decrypting:
         v, u = divmod(x, a)
         for head, (m, width, nbytes) in steps:
@@ -863,3 +868,20 @@ def test_a_key_of_256_largest_tables_stays_under_3_mb(monkeypatch):
     assert len(key._permutations) == intfpe._KEY_CACHE_ENTRIES
     assert all(sum(map(len, p.table)) == _entries(n, 12) for p in key._permutations.values())
     assert held < 3 * 2**20, held
+
+
+def test_a_dropped_many_round_key_leaves_no_per_round_state():
+    # a pass keeps one entry per round while its key holds it; nothing keyed
+    # by the split and round count outlives the key
+    tracemalloc.start()
+    try:
+        key = IntFpeKey(bytes(range(32)), rounds=10_000)
+        for n in (2**40 + 3, 2**64 + 13, 2**100 + 7):
+            x = feistel_encrypt(key, b"", n, 5)
+            assert feistel_decrypt(key, b"", n, x) == 5
+        del key
+        gc.collect()  # a full collection also empties CPython's free lists of tuples
+        left, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert left < 100_000, left

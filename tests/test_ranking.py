@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fpekit import (
+    BadParameter,
     Ccn,
     Concat,
     Date,
@@ -125,6 +126,13 @@ def test_unrank_bounds():
         unrank(spec, -1)
     with pytest.raises(RankOutOfRange):
         Rank(5, 5)
+
+
+@pytest.mark.parametrize("r", [2.7, 2.0, "5", True, None])
+def test_unrank_takes_only_a_rank_or_an_int(r):
+    with pytest.raises(BadParameter, match=f"not {type(r).__name__}$"):
+        unrank(Ssn(), r)
+    assert unrank(Ssn(), 5) == unrank(Ssn(), Rank(5, size(Ssn()))) == "001010006"
 
 
 # ---------------------------------------------------------------------------
