@@ -169,19 +169,26 @@ def _load_format_map(path):
     return mapping
 
 
+def _read_header(reader, path, columns):
+    """The header row of a CSV reader; BadParameter if the file has none or
+    the header lacks one of `columns`."""
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise BadParameter(f"{path}: missing header row") from None
+    for name in columns:
+        if name not in header:
+            raise BadParameter(f"column {name!r} not in header")
+    return header
+
+
 def _transform_csv(map_path, key_path, in_path, out_path, max_size, column_tweak, op):
     specs = _load_format_map(map_path)
     key = read_key_file(key_path)
     cfg = cipher.CipherConfig(max_size=max_size)
     with open(in_path, newline="", encoding="utf-8") as fin:
         reader = csv.reader(fin)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise BadParameter(f"{in_path}: missing header row")
-        for name in specs:
-            if name not in header:
-                raise BadParameter(f"column {name!r} not in header")
+        header = _read_header(reader, in_path, specs)
         targets = [(header.index(name), name, specs[name]) for name in specs]
         with open(out_path, "w", newline="", encoding="utf-8") as fout:
             writer = csv.writer(fout, lineterminator="\n")
@@ -248,16 +255,8 @@ def analyze(dataset_path, scheme, format_path, max_size, column, out_path):
     """Write the identification curve of a dataset under a scheme."""
     with open(dataset_path, newline="", encoding="utf-8") as f:
         reader = csv.reader(f)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise BadParameter(f"{dataset_path}: missing header row")
-        if column is None:
-            idx = 0
-        elif column in header:
-            idx = header.index(column)
-        else:
-            raise BadParameter(f"column {column!r} not in header")
+        header = _read_header(reader, dataset_path, () if column is None else (column,))
+        idx = 0 if column is None else header.index(column)
         records = []
         for rownum, row in enumerate(reader, 2):
             if len(row) > idx:

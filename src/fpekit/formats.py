@@ -22,10 +22,13 @@ finite set of strings. Each node class defines, for its own type:
 
 Canonical order is mixed-radix with the first (leftmost) unit least
 significant, and character sets are ordered by ascending code point.
-`VarString` and `DelimVarString` rank a character a step (Horner's rule)
-and unrank k characters a step: one divmod by base**k picks a string from a
-table of every k-character string, k the largest with base**k <= 1,024
-(1 over 32 characters), one table per alphabet in a bounded cache.
+`VarString`, `DelimVarString` and `Range` count in bijective numeration
+(digits 1..base), so fewer pieces come first, a piece is ranked a step
+(Horner's rule) and unranked a divmod, and `VarString` and `DelimVarString`
+unrank k characters a step while k remain: one divmod by base**k picks a
+string from a table of every k-character string, k the largest with
+base**k <= 1,024 (1 over 32 characters), one table per alphabet in a
+bounded cache.
 Derived values (violations, size, alphabet, lookup tables, rank and unrank
 functions, plans) are computed on first use and stored on the node itself.
 A node builds its rank and unrank functions once, binding its own
@@ -138,18 +141,20 @@ def serialize_charset(chars: str) -> str:
 # counting and enumeration helpers
 
 
-def _count_starts(base: int, lo: int, hi: int) -> tuple:
-    """The rank at which each piece count lo..hi starts, when members sort by
-    count first over `base` choices per piece, followed by the total."""
-    return tuple(itertools.accumulate((base**k for k in range(lo, hi + 1)), initial=0))
+def _repunit(base: int, n: int) -> int:
+    """1 + base + ... + base**(n-1): the number of the first n-piece member,
+    when pieces of ranks d0..d(n-1), the first least significant, make the
+    number sum((di + 1) * base**i), which is bijective numeration."""
+    return (base**n - 1) // (base - 1) if base != 1 else n
 
 
-# The most strings in a spelling table: 676 over a-z, 1,000 over 0-9. A
-# table takes at most about 70 kB (1,024 strings of 10 binary digits).
+# The most strings in a spelling table: 676 over a-z, 1,000 over 0-9. The largest,
+# 1,024 ten-character strings over two, take 69 kB over ASCII, 105 kB over CJK and
+# 127 kB over astral-plane characters (tracemalloc, CPython 3.11): 32 take 4.1 MB.
 SPELL_LIMIT = 1024
 
 
-@lru_cache(maxsize=32)  # nodes over one alphabet share it; 32 tables hold under 2.5 MB
+@lru_cache(maxsize=32)  # nodes over one alphabet share it
 def _spellings(alphabet: str) -> tuple:
     """(k, every k-character string over the alphabet in rank order, leftmost
     character least significant), k the largest with len(alphabet)**k <=
@@ -662,12 +667,9 @@ class _Lengths(Node):
             out.append(Violation(path, "EmptyAlphabet", "empty alphabet"))
 
     @cached_property
-    def _starts(self) -> tuple:
-        return _count_starts(len(self.alphabet), self.min, self.max)
-
-    @cached_property
     def size(self):
-        return self._starts[-1]
+        base = len(self.alphabet)
+        return _repunit(base, self.max + 1) - _repunit(base, self.min)
 
     @cached_property
     def chars(self):
@@ -684,13 +686,10 @@ class _Lengths(Node):
             for body in _fixed_stream((self.alphabet,) * length):
                 yield body + self.suffix
 
-    @cached_property
-    def _index(self) -> dict:
-        return {c: i for i, c in enumerate(self.alphabet)}
-
     def _make_ranker(self):
-        index, base, starts = self._index, len(self.alphabet), self._starts
-        lo, hi, suffix = self.min, self.max, self.suffix
+        index = {c: d for d, c in enumerate(self.alphabet, 1)}  # bijective digits 1..base
+        base, lo, hi, suffix = len(self.alphabet), self.min, self.max, self.suffix
+        offset = _repunit(base, lo)
 
         def rank(s):  # a body, without the suffix
             n = len(s)
@@ -702,7 +701,7 @@ class _Lengths(Node):
                     r = r * base + index[c]
             except KeyError:
                 raise ParseFailure(f"length {n}: a character outside the alphabet") from None
-            return starts[n - lo] + r
+            return r - offset
 
         if not suffix:
             return rank
@@ -716,18 +715,18 @@ class _Lengths(Node):
 
     def _make_unranker(self):
         k, spell = _spellings(self.alphabet)
-        step, starts, lo, suffix = len(spell), self._starts, self.min, self.suffix
+        alphabet, base, step, suffix = self.alphabet, len(self.alphabet), len(spell), self.suffix
+        offset, k_long = _repunit(base, self.min), _repunit(base, k)
 
         def unrank(v):
-            i = bisect.bisect_right(starts, v) - 1
-            v -= starts[i]
-            whole, rest = divmod(lo + i, k)
+            v += offset  # the number the characters spell in bijective base `base`
             chunks = []
-            for _ in range(whole):  # k characters a step, first ones first
-                v, d = divmod(v, step)
+            while v >= k_long:  # k characters or more left: k a step, first ones first
+                v, d = divmod(v - k_long, step)
                 chunks.append(spell[d])
-            if rest:  # v < base**rest: its k-string's first `rest` characters
-                chunks.append(spell[v][:rest])
+            while v:  # the fewer than k left, one a step
+                v, d = divmod(v - 1, base)
+                chunks.append(alphabet[d])
             return "".join(chunks) + suffix
 
         return unrank
@@ -1281,12 +1280,9 @@ class Range(Node):
                                  f"delimiter {self.delim!r} appears in the inner alphabet"))
 
     @cached_property
-    def _starts(self) -> tuple:
-        return _count_starts(self.inner.size, self.min, self.max)
-
-    @cached_property
     def size(self):
-        return self._starts[-1]
+        base = self.inner.size
+        return _repunit(base, self.max + 1) - _repunit(base, self.min)
 
     @cached_property
     def chars(self):
@@ -1326,27 +1322,26 @@ class Range(Node):
             yield from map(self._join, _tuple_stream([self.inner.members] * k))
 
     def _make_ranker(self):
-        inner, base, starts, lo = self.inner.ranker, self.inner.size, self._starts, self.min
-        cut = self._cut_rule
+        inner, base, cut = self.inner.ranker, self.inner.size, self._cut_rule
+        offset = _repunit(base, self.min)
 
         def rank(s):
-            texts, v = cut(s), 0
-            for t in reversed(texts):  # Horner's rule: repetition j weighs base**j
-                v = v * base + inner(t)
-            return starts[len(texts) - lo] + v
+            v = 0
+            for t in reversed(cut(s)):  # Horner's rule over bijective digits 1..base
+                v = v * base + inner(t) + 1
+            return v - offset
 
         return rank
 
     def _make_unranker(self):
-        inner, base, starts, lo = self.inner.unranker, self.inner.size, self._starts, self.min
-        delim, tail = self.delim, self.delim if self.last_delimited else ""
+        inner, base, delim = self.inner.unranker, self.inner.size, self.delim
+        offset, tail = _repunit(base, self.min), delim if self.last_delimited else ""
 
         def unrank(v):
-            i = bisect.bisect_right(starts, v) - 1
-            v -= starts[i]
+            v += offset  # never 0: there is at least one repetition
             texts = []
-            for _ in range(lo + i):
-                v, r = divmod(v, base)
+            while v:  # one repetition a step, first ones first
+                v, r = divmod(v - 1, base)
                 texts.append(inner(r))
             return delim.join(texts) + tail
 
@@ -1431,7 +1426,8 @@ def alphabet(spec) -> frozenset:
 
 
 def contains(spec, s: str) -> bool:
-    """True iff s is a member of the format."""
+    """True iff s is a member of the format; BadParameter unless s is text."""
+    splitting.check_text(s)
     return spec.contains(s)
 
 

@@ -1,8 +1,8 @@
 """Rank and unrank: bijections between format members and 0..size-1.
 
 Ranking is mixed-radix with the first (leftmost) unit least significant.
-For variable-length and repeated shapes, the count of all shorter members
-is added in front, so members sort by length first. Each format node
+Variable-length and repeated shapes count in bijective numeration (digits
+1..base), so fewer pieces come first. Each format node
 builds its own rank and unrank functions once (`_make_ranker` and
 `_make_unranker` in `formats`, behind `Node.rank` and `Node.unrank`); this
 module holds the checked public entry points, the `Rank` value they

@@ -122,3 +122,9 @@ def test_a_member_that_is_not_text_is_a_bad_parameter(value, bound):
     ):
         with pytest.raises(BadParameter, match=f"not {type(value).__name__}$"):
             call()
+
+
+@pytest.mark.parametrize("spec, value", [(Ssn(), b"123456789"), (VarString(1, 3, "ab"), 5)])
+def test_contains_is_a_bad_parameter_for_a_value_that_is_not_text(spec, value):
+    with pytest.raises(BadParameter, match=f"not {type(value).__name__}$"):
+        contains(spec, value)

@@ -281,6 +281,26 @@ def test_csv_missing_column(tmp_path, key, run):
     assert "BadParameter" in err
 
 
+def test_an_empty_csv_has_no_header_row(tmp_path, key, run):
+    _csv_setup(tmp_path)
+    (tmp_path / "empty.csv").write_text("")
+    empty = str(tmp_path / "empty.csv")
+    for args in (("encrypt-csv", "--format-map", str(tmp_path / "map.tsv"), "--key", key,
+                  "--in", empty),
+                 ("analyze", "--scheme", "sgfpe", "--dataset", empty)):
+        code, _, err = run(*args, "--out", str(tmp_path / "o.csv"))
+        assert code == 1
+        assert "BadParameter" in err and "missing header row" in err
+
+
+def test_analyze_missing_column(tmp_path, run):
+    data = _write_dataset(tmp_path, n=5)
+    code, _, err = run("analyze", "--dataset", str(data), "--scheme", "sgfpe",
+                       "--column", "nosuch", "--out", str(tmp_path / "c.csv"))
+    assert code == 1
+    assert "BadParameter" in err and "'nosuch' not in header" in err
+
+
 def test_bad_format_map(tmp_path, key, run):
     src = _csv_setup(tmp_path)
     (tmp_path / "map.tsv").write_text("ssn ssn.json\n")

@@ -411,7 +411,6 @@ def test_enumeration_respects_limit():
 
 def test_rank_functions_hold_no_table_that_grows_with_length_times_alphabet():
     spec = VarString(0, 3000, string.ascii_letters + string.digits)
-    size(spec)  # the start rank of every length is built here
     member = "Zz9" * 1000
     tracemalloc.start()
     try:
@@ -422,18 +421,58 @@ def test_rank_functions_hold_no_table_that_grows_with_length_times_alphabet():
     assert peak < 100_000, peak
 
 
+def test_sizing_and_ranking_a_long_string_holds_no_table_of_lengths():
+    spec = VarString(0, 10_000, string.ascii_letters + string.digits)
+    tracemalloc.start()
+    try:
+        n = size(spec)
+        member = spec.unrank(n // 3)
+        assert spec.rank(member) == n // 3
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, peak
+
+
 def test_a_range_rank_function_holds_no_power_of_each_repetition():
     spec = Range(VarString(1, 10, string.ascii_letters), " ", 1, 1000)
-    size(spec)  # the start rank of every count is built here
     member = "Elm Street Dover "
     tracemalloc.start()
     try:
+        size(spec)
         rank = spec.rank(member)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 100_000, peak
     assert spec.unrank(rank) == member
+
+
+def _repeated_a_divmod_at_a_time(spec, v):
+    """The reference unrank of a Range: the repetition count by subtraction,
+    then one divmod a repetition."""
+    base, count = spec.inner.size, spec.min
+    while v >= base**count:
+        v, count = v - base**count, count + 1
+    texts = []
+    for _ in range(count):
+        v, r = divmod(v, base)
+        texts.append(spec.inner.unrank(r))
+    return spec.delim.join(texts) + (spec.delim if spec.last_delimited else "")
+
+
+@pytest.mark.parametrize("inner", [StringSet(("x",)), VarString(1, 1, "ab"), IntegralDomain(0, 6)],
+                         ids=lambda inner: str(inner.size))
+@pytest.mark.parametrize("last_delimited", [True, False])
+def test_repetitions_match_a_reference_that_counts_them_first(inner, last_delimited):
+    rng = random.Random(inner.size)
+    for lo in range(1, 5):
+        spec = Range(inner, ",", lo, lo + 3, last_delimited)
+        for i, m in enumerate(enumerate_members(spec, 64)):
+            assert spec.unrank(i) == m and spec.rank(m) == i, (lo, i)
+        for i in [rng.randrange(size(spec)) for _ in range(200)] + [size(spec) - 1]:
+            m = spec.unrank(i)
+            assert m == _repeated_a_divmod_at_a_time(spec, i) and spec.rank(m) == i, (lo, i)
 
 
 def _spelled_a_character_at_a_time(spec, v):
