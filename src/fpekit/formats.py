@@ -587,9 +587,8 @@ class FixedString(_FixedWidth):
     kind = "fixed"
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "charsets", tuple(_charset(cs) for cs in self.charsets)
-        )
+        normal = {cs: _charset(cs) for cs in set(self.charsets)}  # once, shared by positions
+        object.__setattr__(self, "charsets", tuple(map(normal.__getitem__, self.charsets)))
 
     def validate_into(self, path, out):
         if not self.charsets:
@@ -632,7 +631,7 @@ class FixedString(_FixedWidth):
         """Rank and unrank, as the one block of all positions; a lone
         position is one lookup in the table's one map, and one index."""
         if self.width == 1:
-            return (_lookup(splitting.radix_table(self.positions, 0, 1)[1][0]),
+            return (_lookup(splitting.radix_table(self.positions, 0, 1, {})[1][0]),
                     self.charsets[0].__getitem__)
         return splitting.radix_coder(self.positions)
 
@@ -1063,7 +1062,8 @@ class Union(Node):
         for lo, hi in splitting.greedy_groups([p.size for p in self.parts], max_size, operator.add):
             sub = self.parts[lo] if hi - lo == 1 else Union(self.parts[lo:hi])
             branches.append((tuple(c for c, i in lead.items() if lo <= i < hi), sub.plan(max_size)))
-        return splitting.Route(self.route_key, "u", tuple(branches))
+        find = {c: bi for bi, (keys, _) in enumerate(branches) for c in keys}.get
+        return splitting.Route(self.route_key, "u", tuple(branches), find)
 
     def to_json(self):
         return {"type": self.kind, "parts": [p.to_json() for p in self.parts]}
@@ -1350,6 +1350,7 @@ class Range(Node):
     def _split(self, max_size):
         k = self.min
         if k < self.max:
+            self.inner.plan(max_size)  # refuses now what a band would: its inner refuses
             return splitting.count_route(self, self.inner.size, max_size)
         if k == 1 and not self.last_delimited:  # the one repetition is the member
             return self.inner.plan(max_size)

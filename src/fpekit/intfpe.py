@@ -12,9 +12,12 @@ bytes on a 454-bit slot), the round number completes the block in that
 state once, not once per round.
 
 An IntFpeKey builds each permutation once and keeps at most 256
-(_KEY_CACHE_ENTRIES), emptied when it would hold more. An entry is its forward
-and inverse: a shuffle's two lists, or a Feistel pass's two functions, built
-with it. A record's walk permutes its slots through one slot_permutation, which
+(_KEY_CACHE_ENTRIES) between records. A full store drops its oldest entries
+that the record asking has not used, so one record's slots never evict each
+other: a record of more slots makes it grow, up to 1,024 (_KEY_CACHE_MOST),
+past which it keeps no new entry. An entry is its forward and inverse: a
+shuffle's two lists, or a Feistel pass's two functions, built with it. A
+record's walk permutes its slots through one slot_permutation, which
 finds each by index and size under the record's fingerprint and tweak; a cycle
 walk under a slot_tweak reads the same four fields from the tweak, so either
 way a slot permutation is built once. The store dies with the key, and every
@@ -30,9 +33,10 @@ time does not show which halves were seen before. That apply, in either
 function, builds the table and swaps `apply` for two functions that read it in
 (odd, even) round pairs. A pass used fewer times costs one counter decrement
 per apply, one used exactly that often at most about twice its XOF calls. A
-key's 256 passes hold at most 2.4 MB of tables (1.9 MB under a 2^16 bound), and
-tables change no output. A tabulated pass holds no round state: only the XOF
-functions held them, and they go with the swap.
+key's 256 passes hold at most 2.4 MB of tables (1.9 MB under a 2^16 bound),
+the 1,024 of one long record four times that, and tables change no output.
+A tabulated pass holds no round state: only the XOF functions held them,
+and they go with the swap.
 """
 
 from __future__ import annotations
@@ -275,21 +279,36 @@ class _FeistelPass:
         return self.apply
 
 
-# The most permutations a key keeps; 210 address records at 2^16 use 52.
+# The most permutations a key keeps between records; 210 address records at
+# 2^16 use 52. One record's slots may keep up to _KEY_CACHE_MOST.
 _KEY_CACHE_ENTRIES = 256
+_KEY_CACHE_MOST = 1024
 
 
 def _keyed(key: IntFpeKey, build, tweak: bytes, n: int, k=None):
     """build(key, tweak, n), built once per key and kept under k, by default
-    (build, tweak, n). A store past the bound is emptied, one dict call, so
-    threads sharing a key need no lock."""
+    (build, tweak, n). A full store drops its oldest entries that k's record
+    has not used: under a slot's key (fingerprint, tweak, index, size), those
+    of the same fingerprint and tweak at a lower index may be its record's.
+    When all are, the store grows, to _KEY_CACHE_MOST, and past that keeps
+    nothing new. Threads sharing a key need no lock: a dropped entry is
+    built again, and every build is equal."""
     store = key._permutations
     k = k or (build, tweak, n)
     p = store.get(k)
     if p is None:
-        p = store[k] = build(key, tweak, n)
-        if len(store) > _KEY_CACHE_ENTRIES:
-            store.clear()
+        p = build(key, tweak, n)
+        excess = len(store) + 1 - _KEY_CACHE_ENTRIES
+        if excess > 0:
+            mine, index = (k[:2], k[2]) if len(k) == 4 else (None, None)
+            for old in tuple(store):
+                if old[:2] != mine or old[2] >= index:
+                    store.pop(old, None)
+                    excess -= 1
+                    if not excess:
+                        break
+        if len(store) < _KEY_CACHE_MOST:
+            store[k] = p
     return p
 
 

@@ -15,18 +15,28 @@ into pieces by its spec's `_cut_rule` (concat parts, a fixed number of
 repetitions, a body before its final delimiter) and plans runs of them.
 `RadixBlocks` cuts a primitive's `positions` into mixed-radix blocks.
 
+A route by count plans a band when a walk first takes it, or a read of
+its `branches` first asks for it, and holds nothing for any other band;
+past the greedy head, where every count is its own band, a count's band is
+found by arithmetic. So a member of `VarString(1, 1000)` at 2^16 plans the
+one of 998 bands it takes. Refusal stays eager: `Range` plans its inner
+before its route, and a band refuses a bound exactly when that inner does,
+so whether a member can be enciphered never depends on its band.
+
 Plan nodes hold the functions they walk with, from the moment they are
 built, and never their format node: `WholeSlot` its rank and unrank
 functions and size, `Route` its `route_key`, `Cut` its cut rule,
-`RadixBlocks` its `positions`. A node a `_split` creates lives on only
-through those functions, and a format with its plans makes no reference
-cycle, so a dropped format is freed at once by reference counting.
+`RadixBlocks` its `positions`, and a route by count a copy of the spec
+that only its bands are narrowed from. A node a `_split` creates lives on
+only through those, and a format with its plans makes no reference cycle,
+so a dropped format is freed at once by reference counting.
 
 One walk takes a member apart and spells its image. Each plan node builds
 its walk function, `crypt(s, out, perm, path)`, once, on the first walk
 that reaches it, binding its constants, the functions it holds, and the
-walk functions of the children it always visits. At each slot the walk
-ranks the piece, calls `perm(rank, size)`, in slot order and with every
+walk functions of the children it always visits; the blocks of a
+`RadixBlocks` with the same spellings share one rank map. At each slot the
+walk ranks the piece, calls `perm(rank, size)`, in slot order and with every
 size at most the bound, and appends the piece spelled from perm's answer
 to `out`; literal delimiters are appended where they stand. Every choice
 the ranks do not encode (a route's branch, a rank window) is read off the
@@ -40,9 +50,10 @@ reports a plain NotInFormat; an input that is not text is a BadParameter.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from itertools import chain
-from operator import add, getitem, mul
+from operator import getitem, mul
 from typing import NamedTuple
 
 from . import formats
@@ -145,12 +156,61 @@ def count_route(spec, unit: int, max_size) -> Route:
     """The route by count of a spec of spec.min..spec.max units of `unit`
     values each (a string's characters, a range's repetitions): greedy sum
     groups of adjacent counts, each a branch planning the spec narrowed to
-    its counts."""
-    lo = spec.min
-    sizes = [unit**k for k in range(lo, spec.max + 1)]
-    return Route(spec.route_key, "len", tuple(
-        (range(lo + i, lo + j), replace(spec, min=lo + i, max=lo + j - 1).plan(max_size))
-        for i, j in greedy_groups(sizes, max_size, add)))
+    its counts, on the first walk that takes it, from a copy of the spec.
+
+    A count is no smaller than the one before it, so once a group holds one
+    count, so does every group after it: only that greedy head is worked
+    out, and a later count's group is found by arithmetic (with one value a
+    unit, every group holds max_size counts and there is no head)."""
+    lo, hi, band = spec.min, spec.max, replace(spec)
+    starts, k, n = [], lo, unit**lo  # n: the size of count k
+    while unit > 1 and k <= hi:
+        j, total, n = k + 1, n, n * unit
+        while j <= hi and total + n <= max_size:
+            j, total, n = j + 1, total + n, n * unit
+        if j == k + 1:
+            break
+        starts.append(k)
+        k = j
+    head, tail, width = len(starts), k, max_size if unit == 1 else 1
+    starts.append(tail)
+
+    def find(c):
+        if not lo <= c <= hi:
+            return None
+        return head + (c - tail) // width if c >= tail else bisect_right(starts, c) - 1
+
+    def counts(bi):
+        if bi < head:
+            return range(starts[bi], starts[bi + 1])
+        first = tail + (bi - head) * width
+        return range(first, min(hi + 1, first + width))
+
+    def plan(keys):
+        return replace(band, min=keys[0], max=keys[-1]).plan(max_size)
+
+    return Route(spec.route_key, "len", Bands(head - (tail - hi - 1) // width, counts, plan), find)
+
+
+class Bands:
+    """A route's branches, `n` of them, as a sequence of `(keys, plan)`:
+    `keys(bi)` gives branch bi's keys, and `plan(keys)` plans it on its first
+    use. A branch nobody asks for holds nothing. Two threads may plan one
+    branch at once; the first plan stored is the one both go on with."""
+
+    def __init__(self, n: int, keys, plan):
+        self.n, self.keys, self.plan, self.built = n, keys, plan, {}
+
+    def __len__(self):
+        return self.n
+
+    def __getitem__(self, bi):
+        if not 0 <= bi < self.n:
+            raise IndexError(bi)
+        keys, plan = self.keys(bi), self.built.get(bi)
+        if plan is None:
+            plan = self.built.setdefault(bi, self.plan(keys))
+        return keys, plan
 
 
 def _grouped(cut, groups, seams):
@@ -205,31 +265,37 @@ class WholeSlot(_Plan):
 
 @dataclass(frozen=True)
 class Route(_Plan):
-    """Members routed into branches `(keys, plan)` by `route_key`, the
-    spec's function giving a member's key (a union's lead character, a
-    length or a repetition count).
+    """Members routed into `branches` by `route_key`, the spec's function
+    giving a member's key (a union's lead character, a length or a
+    repetition count). `branches` is a sequence of `(keys, plan)`: a tuple,
+    or a route by count's `Bands`. `find` gives the index of the branch
+    whose keys hold a key, None for a key on no branch.
 
-    The walk takes the one branch whose keys hold a member's key and keeps
-    it, appending `(tag, branch index)` to the path, so no slot encodes it.
+    The walk takes that branch and keeps it, appending `(tag, branch index)`
+    to the path, so no slot encodes it. It looks a key's branch up once.
     """
 
     route_key: object
     tag: str
-    branches: tuple
+    branches: object
+    find: object
 
     def _make_crypt(self):
-        route_key, tag = self.route_key, self.tag
-        branch_of = {key: ((tag, bi), plan)
-                     for bi, (keys, plan) in enumerate(self.branches) for key in keys}
+        route_key, tag, branches, find = self.route_key, self.tag, self.branches, self.find
+        taken = {}  # per key walked: (its path choice, its branch's walk)
 
         def crypt(s, out, perm, path):
-            branch = branch_of.get(route_key(s))
+            key = route_key(s)
+            branch = taken.get(key)
             if branch is None:
-                raise ParseFailure(f"a string of length {len(s)} is on no branch")
+                bi = find(key)
+                if bi is None:
+                    raise ParseFailure(f"a string of length {len(s)} is on no branch")
+                branch = taken[key] = (tag, bi), branches[bi][1].crypt
             choice, sub = branch
             if path is not None:
                 path.append(choice)
-            sub.crypt(s, out, perm, path)
+            sub(s, out, perm, path)
 
         return crypt
 
@@ -285,28 +351,33 @@ class Positions(NamedTuple):
         return [sp.stop if isinstance(sp, range) else len(sp) for sp in self.spellings]
 
 
-def radix_table(positions, lo, hi) -> tuple:
+def radix_table(positions, lo, hi, maps: dict) -> tuple:
     """The block of positions lo..hi-1 as `(n, weighted, spell)`: its size;
     per position, a map from what `read` gives there to its digit times the
     position's weight (a range for integer digits, which holds no entry per
     value); and, least significant first, each position's index, radix and
-    spelling."""
-    spellings, radices = positions.spellings, positions.radices
-    weighted, spell, n = [None] * (hi - lo), [], 1
+    spelling. Blocks of the same spellings share one size and one tuple of
+    maps, kept in `maps` by their spellings."""
+    spellings, spell = positions.spellings, []
     for i in (range(hi - 1, lo - 1, -1) if positions.msd_first else range(lo, hi)):
-        sp, radix = spellings[i], radices[i]
-        weighted[i - lo] = (range(0, radix * n, n) if isinstance(sp, range)
-                            else {c: d * n for d, c in enumerate(sp)})
-        spell.append((i, radix, sp))
-        n *= radix
-    return n, tuple(weighted), tuple(spell)
+        sp = spellings[i]
+        spell.append((i, sp.stop if isinstance(sp, range) else len(sp), sp))
+    shared = maps.get(spellings[lo:hi])
+    if shared is None:
+        weighted, n = [None] * (hi - lo), 1
+        for i, radix, sp in spell:
+            weighted[i - lo] = (range(0, radix * n, n) if isinstance(sp, range)
+                                else {c: d * n for d, c in enumerate(sp)})
+            n *= radix
+        shared = maps[spellings[lo:hi]] = n, tuple(weighted)
+    return (*shared, tuple(spell))
 
 
 def radix_coder(positions) -> tuple:
     """Rank and unrank functions of the one unwindowed block of all
     `positions`, read from its `radix_table`."""
     read, finish, width = positions.read, positions.finish, len(positions.spellings)
-    _, weighted, spell = radix_table(positions, 0, width)
+    _, weighted, spell = radix_table(positions, 0, width, {})
 
     def rank(s):
         try:
@@ -340,8 +411,8 @@ class RadixBlocks(_Plan):
 
     def _make_crypt(self):
         read, spellings, finish, _ = positions = self.positions
-        width = len(spellings)
-        tables = tuple((lo, hi, window, *radix_table(positions, lo, hi))
+        width, maps = len(spellings), {}
+        tables = tuple((lo, hi, window, *radix_table(positions, lo, hi, maps))
                        for lo, hi, window in self.blocks)
 
         def crypt(s, out, perm, path):

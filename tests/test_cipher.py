@@ -2,6 +2,9 @@
 
 import dataclasses
 import gc
+import random
+import sys
+import threading
 import weakref
 
 import pytest
@@ -210,6 +213,37 @@ def test_walk_functions_are_built_once_per_plan_node(monkeypatch):
     del spec
     gc.collect()
     assert ref() is None
+
+
+def _encrypt_all(spec, records, start, results, k):
+    start.wait()
+    results[k] = [encrypt(CipherConfig(max_size=2**16), KEY_A, spec, m) for m in records]
+
+
+def test_threads_racing_to_plan_the_same_bands_give_the_serial_ciphertexts():
+    # each trial parses the address format afresh, so the threads' first
+    # walks race to plan the same length and repetition count bands; ranks
+    # of every magnitude give words of every length
+    text, rng = dsl.serialize_spec(address_format()), random.Random(23)
+    spec = dsl.parse_spec(text)
+    jobs = [[unrank(spec, rng.randrange(size(spec) >> rng.randrange(400))) for _ in range(5)]
+            for _ in range(4)]
+    serial = [[encrypt(CipherConfig(max_size=2**16), KEY_A, spec, m) for m in job] for job in jobs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            fresh, start, results = dsl.parse_spec(text), threading.Barrier(4), [None] * 4
+            threads = [threading.Thread(target=_encrypt_all, args=(fresh, job, start, results, k))
+                       for k, job in enumerate(jobs)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+            assert results == serial
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_determinism_and_key_separation():

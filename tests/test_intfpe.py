@@ -19,6 +19,7 @@ from fpekit import (
     BadParameter,
     CipherConfig,
     Fe1Backend,
+    FixedString,
     InputOutOfDomain,
     IntFpeKey,
     RankVector,
@@ -42,7 +43,7 @@ from fpekit import intfpe
 from fpekit.analysis import sgfpe_decrypt, sgfpe_encrypt
 from fpekit.intfpe import SHUFFLE_LIMIT
 
-from corpus import ADDRESS
+from corpus import ADDRESS, LOWER
 
 KEY = IntFpeKey(bytes(range(32)))
 
@@ -490,6 +491,37 @@ def test_a_slot_permutation_is_stored_once_whichever_path_asks(monkeypatch):
             assert unrank_multi(ADDRESS, cfg.max_size, RankVector(ranks, v.sizes), text) == want
     assert calls == []
     assert len(key._permutations) == 52
+
+
+def test_one_records_slots_never_evict_each_other(monkeypatch):
+    # 780 letters are 260 slots at 2^16, more than the key keeps between
+    # records: the store grows for them, and the next encrypt builds nothing
+    spec, record = FixedString((LOWER,) * 780), (LOWER * 30)[:780]
+    cfg, key = CipherConfig(max_size=2**16), IntFpeKey(bytes(range(32)))
+    assert len(rank_multi(spec, cfg.max_size, record)) == 260 > intfpe._KEY_CACHE_ENTRIES
+    image = encrypt(cfg, key, spec, record)
+    calls = []
+    real = intfpe._base_state
+    monkeypatch.setattr(intfpe, "_base_state", lambda *args: calls.append(args) or real(*args))
+    assert encrypt(cfg, key, spec, record) == image
+    assert decrypt(cfg, key, spec, image) == record
+    assert calls == [] and len(key._permutations) == 260
+
+
+def test_the_store_of_a_key_stays_bounded_past_one_records_slots(monkeypatch):
+    monkeypatch.setattr(intfpe, "_KEY_CACHE_ENTRIES", 8)
+    monkeypatch.setattr(intfpe, "_KEY_CACHE_MOST", 16)
+    cfg, key = CipherConfig(max_size=2**16), IntFpeKey(bytes(range(32)))
+    fresh = lambda: IntFpeKey(key.secret)  # noqa: E731
+    long, record = FixedString((LOWER,) * 60), (LOWER * 3)[:60]  # 20 slots
+    image = encrypt(cfg, key, long, record)
+    assert image == encrypt(cfg, fresh(), long, record)
+    assert len(key._permutations) == 16  # its first 16 slots
+    short = FixedString((LOWER,) * 6)  # 2 slots, under another fingerprint
+    assert encrypt(cfg, key, short, "zyxwvu") == encrypt(cfg, fresh(), short, "zyxwvu")
+    assert len(key._permutations) == 8
+    assert decrypt(cfg, key, long, image) == record
+    assert len(key._permutations) == 16
 
 
 def test_threads_sharing_a_key_give_the_serial_ciphertexts():

@@ -2,7 +2,7 @@
 
 import tracemalloc
 from datetime import datetime
-from operator import mul
+from operator import add, mul
 
 import pytest
 
@@ -492,6 +492,73 @@ def test_band_edges_round_trip_and_lengths_past_the_bands_are_refused(spec, boun
         for call in (rank_multi, lambda spec, bound, s: encrypt(cfg, key, spec, s)):
             with pytest.raises(NotInFormat):
                 call(spec, bound, member(k))
+
+
+@pytest.mark.parametrize("alphabet", ["a", "ab", "abc", LOWER])
+def test_count_bands_are_the_greedy_groups_of_the_count_sizes(alphabet):
+    # past the greedy head each count is its own band (every max_size counts
+    # over one character), found by arithmetic; the indices are the groups'
+    unit = len(alphabet)
+    for lo, hi, bound in ((0, 40, 2), (1, 30, 7), (2, 25, 2**10), (3, 12, 2**16), (0, 9, 10**6)):
+        spec = VarString(lo, hi, alphabet)
+        if size(spec) <= bound:
+            continue
+        groups = greedy_groups([unit**k for k in range(lo, hi + 1)], bound, add)
+        plan = build_plan(spec, bound)
+        assert [tuple(keys) for keys, _ in plan.branches] == [
+            tuple(range(lo + i, lo + j)) for i, j in groups]
+        for bi, (i, j) in enumerate(groups):
+            for k in (lo + i, lo + j - 1):
+                assert path_signature(spec, bound, alphabet[-1] * k)[0] == ("len", bi)
+
+
+TABLE_OF_500 = DelimStringSet(tuple(f"w{i:03d}." for i in range(500)), ".")
+
+
+def test_a_route_by_count_refuses_a_bound_before_any_band_is_walked():
+    # a band is planned on its first walk, but whether a member can be
+    # enciphered never depends on the band it is in
+    words = Range(TABLE_OF_500, ";", 1, 3)
+    either = Union((VarString(1, 2, "ab"), words))
+    with pytest.raises(UnsplittableAtom):
+        build_plan(words, 5)
+    with pytest.raises(UnsplittableAtom):
+        encrypt(CipherConfig(max_size=5), IntFpeKey(bytes(32)), either, "ab")
+    cfg, key = CipherConfig(max_size=600), IntFpeKey(bytes(32))
+    for spec, member in ((words, "w007.;w499.;"), (either, "ab"), (either, "w123.;")):
+        assert decrypt(cfg, key, spec, encrypt(cfg, key, spec, member)) == member
+
+
+def test_a_long_string_plans_only_the_band_it_walks():
+    spec = VarString(1, 1000, LOWER)  # 998 length bands at 2^16
+    member = (LOWER * 39)[:1000]
+    tracemalloc.start()
+    try:
+        build_plan(spec, 2**16)
+        vec = rank_multi(spec, 2**16, member)
+        assert unrank_multi(spec, 2**16, vec, member) == member
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+
+
+def test_identical_blocks_share_one_rank_map():
+    # the key already holds the member's permutations, so what the first
+    # encrypt under a new copy of the format leaves is the format's own:
+    # one band's plan and walk, 234 blocks of three positions or fewer;
+    # a rank map per block held about 1.1 MB
+    cfg, key = CipherConfig(max_size=2**16), IntFpeKey(bytes(32))
+    member = (LOWER * 27)[:700]
+    image = encrypt(cfg, key, VarString(1, 1000, LOWER), member)
+    spec = VarString(1, 1000, LOWER)
+    tracemalloc.start()
+    try:
+        assert encrypt(cfg, key, spec, member) == image
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 2**19, held
 
 
 # ---------------------------------------------------------------------------
