@@ -31,7 +31,7 @@ from .formats import (
     DIGITS,
     ensure_valid,
 )
-from .intfpe import WALK_BUDGET, IntFpeKey, cycle_walk_decrypt, cycle_walk_encrypt, feistel_encrypt
+from .intfpe import WALK_BUDGET, IntFpeKey, WalkRecorder, cycle_walk_decrypt, cycle_walk_encrypt
 from .ranking import rank, unrank
 from .splitting import path_signature
 
@@ -251,7 +251,8 @@ def expansion_and_cycles(
     subset_samples: int = 256,
 ) -> BenchReport:
     """Encrypt members of `original` inside the rank space of `simplified`
-    and count how many permutation applications each encryption walks.
+    with the cipher's cycle walk, walked on until the image is in `original`,
+    and count how many permutation applications each encryption makes.
 
     Per-application time includes the landing test (unrank plus membership),
     so mean encryption time decomposes as rank + walk * per-application +
@@ -269,34 +270,32 @@ def expansion_and_cycles(
     key = IntFpeKey(rng.randbytes(32), rounds=rounds)
     tweak = b"bench"
     hist: dict[int, int] = {}
-    total_steps = 0
     t_rank = t_walk = t_unrank = 0.0
     for _ in range(trials):
         m = unrank(original, rng.randrange(n_orig))
         t0 = perf_counter()
         y = rank(simplified, m).value
         t1 = perf_counter()
-        steps = 0
-        while True:
-            y = feistel_encrypt(key, tweak, n_simp, y)
-            steps += 1
-            if y < n_simp and original.contains(unrank(simplified, y)):
-                break
+        walked = WalkRecorder()
+        y = cycle_walk_encrypt(key, tweak, n_simp, y, recorder=walked)
+        while not original.contains(unrank(simplified, y)):
+            y = cycle_walk_encrypt(key, tweak, n_simp, y, recorder=walked)
         t2 = perf_counter()
+        steps = sum(s for _, s in walked.events)
         unrank(simplified, y)
         t3 = perf_counter()
         t_rank += t1 - t0
         t_walk += t2 - t1
         t_unrank += t3 - t2
-        total_steps += steps
         hist[steps] = hist.get(steps, 0) + 1
 
+    total_steps = sum(s * c for s, c in hist.items())
     return BenchReport(
         trials=trials,
         al_cy=total_steps / trials,
         expansion=Fraction(n_simp, n_orig),
         t_rank=t_rank / trials,
-        t_int_enc=t_walk / total_steps,
+        t_int_enc=t_walk / max(total_steps, 1),
         t_unrank=t_unrank / trials,
         t_enc=(t_rank + t_walk + t_unrank) / trials,
         walk_histogram=hist,

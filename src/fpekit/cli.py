@@ -183,6 +183,8 @@ def _read_header(reader, path, columns):
 
 
 def _transform_csv(map_path, key_path, in_path, out_path, max_size, column_tweak, op):
+    if Path(out_path).exists() and Path(out_path).samefile(in_path):
+        raise BadParameter(f"--out {out_path} is the --in file, which writing would truncate")
     specs = _load_format_map(map_path)
     key = read_key_file(key_path)
     cfg = cipher.CipherConfig(max_size=max_size)
@@ -194,7 +196,6 @@ def _transform_csv(map_path, key_path, in_path, out_path, max_size, column_tweak
             writer = csv.writer(fout, lineterminator="\n")
             writer.writerow(header)
             for rownum, row in enumerate(reader, 2):
-                row = list(row)
                 for idx, name, spec in targets:
                     if idx >= len(row):
                         raise CsvFieldError(rownum, name, BadParameter("row too short"))

@@ -11,18 +11,15 @@ half. Where the keyed prefix nearly fills SHAKE-256's 136-byte block (135
 bytes on a 454-bit slot), the round number completes the block in that
 state once, not once per round.
 
-An IntFpeKey builds each permutation once and keeps at most 256
-(_KEY_CACHE_ENTRIES) between records. A full store drops its oldest entries
-that the record asking has not used, so one record's slots never evict each
-other: a record of more slots makes it grow, up to 1,024 (_KEY_CACHE_MOST),
-past which it keeps no new entry. An entry is its forward and inverse: a
-shuffle's two lists, or a Feistel pass's two functions, built with it. A
-record's walk permutes its slots through one slot_permutation, which
-finds each by index and size under the record's fingerprint and tweak; a cycle
-walk under a slot_tweak reads the same four fields from the tweak, so either
-way a slot permutation is built once. The store dies with the key, and every
-output is the same as when built afresh. No module cache holds anything per
-split or round count: a pass works out its rounds' constants when it is built.
+An IntFpeKey builds each permutation once, kept under the key its caller
+names: a slot's (fingerprint, tweak, index, size), or a public call's
+(build, tweak, N). Every entry's `apply` is its forward and inverse: a
+shuffle's two lists' __getitem__, or a Feistel pass's two functions. Before
+a record's first slot, a store of 256 or more (_KEY_CACHE_ENTRIES) drops
+every entry of other records; a public call is a record of its own, and no
+entry is stored past 1,024 (_KEY_CACHE_MOST). The store dies with the key,
+every output is the same as when built afresh, and no module cache holds
+anything per split or round count.
 
 A Feistel pass whose round function has at most TABLE_LIMIT distinct outputs
 tabulates it, in 16-bit rows, on the apply whose count matches the table's
@@ -35,8 +32,6 @@ function, builds the table and swaps `apply` for two functions that read it in
 per apply, one used exactly that often at most about twice its XOF calls. A
 key's 256 passes hold at most 2.4 MB of tables (1.9 MB under a 2^16 bound),
 the 1,024 of one long record four times that, and tables change no output.
-A tabulated pass holds no round state: only the XOF functions held them,
-and they go with the swap.
 """
 
 from __future__ import annotations
@@ -44,6 +39,7 @@ from __future__ import annotations
 import hashlib
 import os
 import struct
+import tempfile
 import weakref
 from array import array
 from dataclasses import dataclass, field
@@ -106,12 +102,21 @@ class IntFpeKey:
 
 
 def write_key_file(path, key: IntFpeKey, overwrite: bool = False) -> None:
-    """Store the secret as one hex line in a file only its owner can read.
-    An existing file raises FileExistsError unless overwrite is set."""
-    flags = os.O_WRONLY | os.O_CREAT | (os.O_TRUNC if overwrite else os.O_EXCL)
-    with open(os.open(path, flags, 0o600), "w", encoding="ascii") as fh:
-        os.fchmod(fh.fileno(), 0o600)
-        fh.write(key.secret.hex() + "\n")
+    """Store the secret as one hex line in a new file only its owner can read.
+    An existing file raises FileExistsError unless overwrite is set; then a
+    new file beside it replaces the path, so a symlink there is not followed."""
+    if overwrite:
+        fd, new = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)))
+    else:
+        fd, new = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600), path
+    try:
+        with open(fd, "w", encoding="ascii") as fh:
+            os.fchmod(fh.fileno(), 0o600)
+            fh.write(key.secret.hex() + "\n")
+        os.replace(new, path)
+    except BaseException:
+        os.unlink(new)
+        raise
 
 
 def read_key_file(path) -> IntFpeKey:
@@ -279,40 +284,36 @@ class _FeistelPass:
         return self.apply
 
 
-# The most permutations a key keeps between records; 210 address records at
-# 2^16 use 52. One record's slots may keep up to _KEY_CACHE_MOST.
+# A record meeting a store this full drops the others' entries (210 address
+# records at 2^16 use 52); no entry is stored past _KEY_CACHE_MOST.
 _KEY_CACHE_ENTRIES = 256
 _KEY_CACHE_MOST = 1024
 
 
 def _keyed(key: IntFpeKey, build, tweak: bytes, n: int, k=None):
     """build(key, tweak, n), built once per key and kept under k, by default
-    (build, tweak, n). A full store drops its oldest entries that k's record
-    has not used: under a slot's key (fingerprint, tweak, index, size), those
-    of the same fingerprint and tweak at a lower index may be its record's.
-    When all are, the store grows, to _KEY_CACHE_MOST, and past that keeps
-    nothing new. Threads sharing a key need no lock: a dropped entry is
-    built again, and every build is equal."""
+    (build, tweak, n), while the store holds fewer than _KEY_CACHE_MOST."""
     store = key._permutations
     k = k or (build, tweak, n)
     p = store.get(k)
     if p is None:
         p = build(key, tweak, n)
-        excess = len(store) + 1 - _KEY_CACHE_ENTRIES
-        if excess > 0:
-            mine, index = (k[:2], k[2]) if len(k) == 4 else (None, None)
-            for old in tuple(store):
-                if old[:2] != mine or old[2] >= index:
-                    store.pop(old, None)
-                    excess -= 1
-                    if not excess:
-                        break
         if len(store) < _KEY_CACHE_MOST:
             store[k] = p
     return p
 
 
+def _trim(store: dict, record: tuple) -> None:
+    """Before a record's first slot, a store of _KEY_CACHE_ENTRIES or more keeps
+    only the record's entries. Threads need no lock: the keys are snapshotted."""
+    if len(store) >= _KEY_CACHE_ENTRIES:
+        for k in tuple(store):
+            if k[:2] != record:
+                store.pop(k, None)
+
+
 def _one_pass(key: IntFpeKey, tweak: bytes, n: int, x: int, decrypting: bool) -> int:
+    _trim(key._permutations, (_FeistelPass, tweak))
     fp = _keyed(key, _FeistelPass, tweak, n)
     if not 0 <= x < fp.n2:
         raise InputOutOfDomain(outside(x, fp.n2))
@@ -332,26 +333,26 @@ def feistel_decrypt(key: IntFpeKey, tweak: bytes, n: int, x: int) -> int:
 # the keyed shuffle on [0, n) for tiny n
 
 # Domains up to this size are shuffled, not walked. The value is part of the
-# ciphertext: changing it re-enciphers every domain between the old and the
-# new limit, a versioned break. With both built once per key, the shuffle is
-# still the cheaper at this size: at n = 128 its first call (the whole table)
-# takes about 28 us and a value 0.5 us after it, where at n = 129 a tabulated
-# 12-round pass takes 1.9 us a value, after a first call of 21 us and a table
-# of 138 XOF calls (CPython 3.11, 2-vCPU x86-64 Xeon VM).
+# ciphertext: changing it is a versioned break. Both built once per key, the
+# shuffle is the cheaper here: at n = 128 its build takes about 28 us and a
+# value 0.5 us, where at n = 129 a tabulated 12-round pass takes 1.9 us a
+# value after a build of 21 us (CPython 3.11, 2-vCPU x86-64 Xeon VM).
 SHUFFLE_LIMIT = 128
 
 
-def _shuffle(key: IntFpeKey, tweak: bytes, n: int) -> tuple:
-    """The keyed permutation of [0, n) and its inverse, as two lists: a
-    Fisher-Yates shuffle whose n - 1 draws of 8 bytes come from one SHAKE
-    output over the keyed state and round number 0, which no Feistel round uses."""
-    h = _base_state(key, tweak, n)
-    h.update(bytes(2))
-    perm = list(range(n))
-    for i, d in zip(range(n - 1, 0, -1), struct.unpack(f">{n - 1}Q", h.digest(8 * (n - 1)))):
-        j = d % (i + 1)
-        perm[i], perm[j] = perm[j], perm[i]
-    return perm, sorted(range(n), key=perm.__getitem__)
+class _Shuffle:
+    """The keyed permutation of [0, n) as `apply`, its table's and inverse
+    table's __getitem__: a Fisher-Yates shuffle whose n - 1 draws of 8 bytes
+    come from one SHAKE output over the keyed state and round number 0."""
+
+    def __init__(self, key: IntFpeKey, tweak: bytes, n: int):
+        h = _base_state(key, tweak, n)
+        h.update(bytes(2))
+        perm = list(range(n))
+        for i, d in zip(range(n - 1, 0, -1), struct.unpack(f">{n - 1}Q", h.digest(8 * (n - 1)))):
+            j = d % (i + 1)
+            perm[i], perm[j] = perm[j], perm[i]
+        self.apply = perm.__getitem__, sorted(range(n), key=perm.__getitem__).__getitem__
 
 
 # ---------------------------------------------------------------------------
@@ -375,23 +376,22 @@ class WalkRecorder:
 
 
 def _cycle_walk(key, tweak: bytes, m_size: int, x: int, walk_budget: int, recorder,
-                decrypting: bool) -> int:
-    """Walk the key's Feistel pass, or its inverse, until it lands inside
-    [0, m_size); a domain up to SHUFFLE_LIMIT is shuffled instead, which
-    counts as one step. A tweak of 36 or more bytes is a slot_tweak to the
-    key's store, which slot_permutation's entries share."""
+                decrypting: bool, k=None) -> int:
+    """Walk the key's permutation of [0, m_size), or its inverse, until it
+    lands inside (a shuffle always does, in one step). The entry is kept
+    under k, a slot's key; without one, the call is a record of its own."""
     if m_size < 1:
         raise BadParameter(f"empty domain {m_size}")
     if not 0 <= x < m_size:
         raise InputOutOfDomain(outside(x, m_size))
     y, steps = x, 0
     if m_size > 1:
-        k = ((tweak[:32], tweak[36:], int.from_bytes(tweak[32:36], "big"), m_size)
-             if len(tweak) >= 36 else None)
-        p = _keyed(key, _shuffle if m_size <= SHUFFLE_LIMIT else _FeistelPass, tweak, m_size, k)
-        f = p[decrypting].__getitem__ if m_size <= SHUFFLE_LIMIT else p.apply[decrypting]
+        build = _Shuffle if m_size <= SHUFFLE_LIMIT else _FeistelPass
+        if k is None:
+            _trim(key._permutations, (build, tweak))
+        f = _keyed(key, build, tweak, m_size, k).apply[decrypting]
         y, steps = f(x), 1
-        while y >= m_size:  # a shuffle always lands
+        while y >= m_size:
             if steps == walk_budget:
                 raise WalkBudgetExceeded(
                     f"no landing in [0, {m_size}) within {walk_budget} applications")
@@ -421,26 +421,25 @@ def slot_tweak(fingerprint: bytes, index: int, tweak: bytes) -> bytes:
 def slot_permutation(key, fingerprint: bytes, tweak: bytes, decrypting: bool,
                      walk_budget: int, recorder=None):
     """perm(x, n) for one record: what cycle_walk_encrypt (or decrypt) gives
-    its next slot, of rank x and size n, under its slot_tweak. The key keeps a
-    slot's permutation under (fingerprint, tweak, index, size), so a built one
-    is found without the slot tweak: one list index, or one call of its
-    direction's function. A first use, a walk past one step, a slot of one
-    value or a recorder takes the cycle walk's own path."""
+    its next slot, of rank x and size n, under its slot_tweak, from the entry
+    kept under (fingerprint, tweak, index, size) in a store trimmed for this
+    record. A first use, a walk past one step, a slot of one value or a
+    recorder takes the cycle walk."""
     store, d, index = key._permutations, int(decrypting), count()
+    _trim(store, (fingerprint, tweak))
 
     def perm(x, n):
         i = next(index)
         if not 0 <= x < n:
             raise InputOutOfDomain(f"slot {i}: {outside(x, n)}")
-        p = store.get((fingerprint, tweak, i, n)) if recorder is None else None
+        k = fingerprint, tweak, i, n
+        p = store.get(k) if recorder is None else None
         if p is not None:
-            if n <= SHUFFLE_LIMIT:
-                return p[d][x]
             y = p.apply[d](x)
             if y < n:
                 return y
         return _cycle_walk(key, slot_tweak(fingerprint, i, tweak), n, x, walk_budget, recorder,
-                           decrypting)
+                           decrypting, k)
 
     return perm
 

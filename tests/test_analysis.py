@@ -1,13 +1,16 @@
 """Leakage grouping, sparse-set advantage, expansion measurements."""
 
+import random
 import re
+from collections import Counter
 from datetime import date
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
-from fpekit import IntegralDomain, IntFpeKey, VarString, contains, size
+from fpekit import (IntegralDomain, IntFpeKey, VarString, contains, feistel_encrypt, rank, size,
+                    unrank)
 from fpekit.analysis import (
     GfpeScheme,
     IdentificationCurve,
@@ -112,6 +115,26 @@ def test_expansion_and_cycles_on_a_tight_pair():
     )
     assert rep.t_rank >= 0 and rep.t_int_enc > 0 and rep.t_unrank >= 0
     assert rep.t_enc > 0
+
+
+def test_expansion_and_cycles_walks_the_feistel_pass_above_the_shuffle():
+    # above SHUFFLE_LIMIT the cipher's cycle walk applies the same Feistel
+    # passes as a loop over feistel_encrypt that walks on until it lands
+    # inside the original: same key, same samples, same histogram
+    original, simplified, trials, seed = IntegralDomain(0, 99), IntegralDomain(0, 999), 300, 3
+    rep = expansion_and_cycles(original, simplified, trials=trials, seed=seed)
+    rng = random.Random(seed)
+    for _ in range(256):  # the subset samples
+        rng.randrange(100)
+    key, hist = IntFpeKey(rng.randbytes(32), rounds=6), Counter()
+    for _ in range(trials):
+        y, steps = rank(simplified, unrank(original, rng.randrange(100))).value, 0
+        while True:
+            y, steps = feistel_encrypt(key, b"bench", 1000, y), steps + 1
+            if y < 100:
+                break
+        hist[steps] += 1
+    assert rep.walk_histogram == dict(hist) and max(hist) > 1
 
 
 def test_simplified_format_must_cover_the_original():

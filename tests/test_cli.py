@@ -77,6 +77,20 @@ def test_keygen_never_overwrites_silently_and_is_owner_only(tmp_path, run):
     assert stat.S_IMODE(path.stat().st_mode) == 0o600
 
 
+def test_keygen_force_replaces_a_symlink_and_leaves_its_target(tmp_path, run):
+    target, path = tmp_path / "target.txt", tmp_path / "key.hex"
+    target.write_text("not a key\n")
+    target.chmod(0o644)
+    path.symlink_to(target)
+    assert run("keygen", "--force", "--out", str(path))[0] == 0
+    assert target.read_text() == "not a key\n"
+    assert stat.S_IMODE(target.stat().st_mode) == 0o644
+    assert not path.is_symlink() and path.is_file()
+    assert stat.S_IMODE(path.stat().st_mode) == 0o600
+    assert len(bytes.fromhex(path.read_text().strip())) == 32
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["key.hex", "target.txt"]
+
+
 def test_keygen_rejects_other_sizes(tmp_path, run):
     code, _, err = run("keygen", "--bits", "192", "--out", str(tmp_path / "k"))
     assert code == 2
@@ -247,6 +261,20 @@ def test_csv_round_trip_is_byte_exact(tmp_path, key, run):
                      "--key", key, "--in", str(enc), "--out", str(dec))
     assert code == 0
     assert dec.read_bytes() == src.read_bytes()
+
+
+def test_csv_out_naming_the_in_file_is_refused(tmp_path, key, run):
+    src = _csv_setup(tmp_path)
+    src.write_text("name,ssn\n" + "".join(f"n{i},{i:09d}\n" for i in range(2000)))
+    before = src.read_bytes()
+    link = tmp_path / "link.csv"
+    link.symlink_to(src)
+    for command in ("encrypt-csv", "decrypt-csv"):
+        for out in (src, link):
+            code, _, err = run(command, "--format-map", str(tmp_path / "map.tsv"),
+                               "--key", key, "--in", str(src), "--out", str(out))
+            assert code == 1 and "--in file" in err, (command, out)
+            assert src.read_bytes() == before
 
 
 def test_csv_errors_name_the_cell(tmp_path, key, run):

@@ -467,10 +467,11 @@ def test_an_8_round_key_builds_each_slot_permutation_once(monkeypatch):
     assert {r for _, _, r in calls} == {8}
 
 
-def test_a_slot_permutation_is_stored_once_whichever_path_asks(monkeypatch):
+def test_each_path_stores_a_slot_permutation_once(monkeypatch):
     # encrypt keeps a slot's permutation under (fingerprint, tweak, index,
-    # size); a per-slot Fe1Backend call under that slot's slot_tweak must
-    # find the same entry, as the benchmark's traced rebuild does
+    # size); a per-slot Fe1Backend call under that slot's slot_tweak, as the
+    # benchmark's traced rebuild makes, keeps its own under (build, slot
+    # tweak, size): built on the first per-slot pass, found on the next
     rng = random.Random(2)
     records = [unrank(ADDRESS, rng.randrange(ADDRESS.size)) for _ in range(210)]
     cfg = CipherConfig(max_size=2**16)
@@ -483,14 +484,21 @@ def test_a_slot_permutation_is_stored_once_whichever_path_asks(monkeypatch):
     real = intfpe._base_state
     monkeypatch.setattr(intfpe, "_base_state", lambda *args: calls.append(args) or real(*args))
     fp, backend = format_fingerprint(ADDRESS, cfg.max_size), Fe1Backend()
-    for m, c in zip(records, images):
-        for text, slot_fn, want in ((m, backend.encrypt, c), (c, backend.decrypt, m)):
-            v = rank_multi(ADDRESS, cfg.max_size, text)
-            ranks = [slot_fn(key, intfpe.slot_tweak(fp, i, b""), n, r)
-                     for i, (r, n) in enumerate(zip(v.ranks, v.sizes))]
-            assert unrank_multi(ADDRESS, cfg.max_size, RankVector(ranks, v.sizes), text) == want
+
+    def per_slot_pass():
+        for m, c in zip(records, images):
+            for text, slot_fn, want in ((m, backend.encrypt, c), (c, backend.decrypt, m)):
+                v = rank_multi(ADDRESS, cfg.max_size, text)
+                ranks = [slot_fn(key, intfpe.slot_tweak(fp, i, b""), n, r)
+                         for i, (r, n) in enumerate(zip(v.ranks, v.sizes))]
+                assert unrank_multi(ADDRESS, cfg.max_size, RankVector(ranks, v.sizes), text) == want
+
+    per_slot_pass()
+    assert len(calls) == 52
+    calls.clear()
+    per_slot_pass()
     assert calls == []
-    assert len(key._permutations) == 52
+    assert len(key._permutations) == 104
 
 
 def test_one_records_slots_never_evict_each_other(monkeypatch):
@@ -518,10 +526,42 @@ def test_the_store_of_a_key_stays_bounded_past_one_records_slots(monkeypatch):
     assert image == encrypt(cfg, fresh(), long, record)
     assert len(key._permutations) == 16  # its first 16 slots
     short = FixedString((LOWER,) * 6)  # 2 slots, under another fingerprint
+    # the short record meets a store over the bound and drops the long one's
     assert encrypt(cfg, key, short, "zyxwvu") == encrypt(cfg, fresh(), short, "zyxwvu")
-    assert len(key._permutations) == 8
+    assert len(key._permutations) == 2
+    # under the bound, the long record stores beside it up to _KEY_CACHE_MOST
     assert decrypt(cfg, key, long, image) == record
     assert len(key._permutations) == 16
+
+
+def _small_store_and_a_20_slot_record(monkeypatch):
+    monkeypatch.setattr(intfpe, "_KEY_CACHE_ENTRIES", 8)
+    monkeypatch.setattr(intfpe, "_KEY_CACHE_MOST", 16)
+    spec, record = FixedString((LOWER,) * 60), (LOWER * 3)[:60]
+    assert len(rank_multi(spec, 2**16, record)) == 20
+    return CipherConfig(max_size=2**16), IntFpeKey(bytes(range(32))), spec, record
+
+
+def test_a_warm_record_rebuilds_only_its_slots_past_the_store(monkeypatch):
+    cfg, key, spec, record = _small_store_and_a_20_slot_record(monkeypatch)
+    image = encrypt(cfg, key, spec, record)
+    calls = []
+    real = intfpe._base_state
+    monkeypatch.setattr(intfpe, "_base_state", lambda *args: calls.append(args) or real(*args))
+    assert encrypt(cfg, key, spec, record) == image
+    fp = format_fingerprint(spec, cfg.max_size)
+    assert [tweak for _, tweak, _ in calls] == [intfpe.slot_tweak(fp, i, b"") for i in range(16, 20)]
+    assert len(key._permutations) == 16
+
+
+def test_a_record_over_the_bound_leaves_only_its_own_entries(monkeypatch):
+    cfg, key, spec, record = _small_store_and_a_20_slot_record(monkeypatch)
+    encrypt(cfg, key, spec, record)
+    assert len(key._permutations) == 16
+    other = FixedString((LOWER,) * 9)  # 3 slots
+    encrypt(cfg, key, other, "abcdefghi", b"t")
+    mine = (format_fingerprint(other, cfg.max_size), b"t")
+    assert len(key._permutations) == 3 and {k[:2] for k in key._permutations} == {mine}
 
 
 def test_threads_sharing_a_key_give_the_serial_ciphertexts():
@@ -743,8 +783,8 @@ def test_a_tabulated_vector_call_gives_the_xof_outputs(rounds, monkeypatch):
 @pytest.mark.parametrize("rounds", [3, 12])
 def test_the_fast_recorded_and_per_slot_paths_agree(rounds):
     # slot_permutation without a recorder, with one, and a cycle walk per
-    # slot under its slot_tweak: equal outputs and equal steps, before the
-    # tables exist, across their build points and after them
+    # slot under its slot_tweak, whose entries are its own: equal outputs and
+    # equal steps, before the tables exist, across their build points and after
     sizes = (2, SHUFFLE_LIMIT, SHUFFLE_LIMIT + 1, 17_576, _largest_tabulated(rounds) + 1)
     fp, tweak = bytes(range(32)), b"agree"
     key = IntFpeKey(bytes(range(6, 38)), rounds=rounds)
@@ -767,10 +807,12 @@ def test_the_fast_recorded_and_per_slot_paths_agree(rounds):
         return [p.table is not None for p in key._permutations.values()
                 if isinstance(p, intfpe._FeistelPass)]
 
+    # each round applies the slot entries twice a direction (fast and
+    # recorded) and the per-slot entries once, in both directions
     agree(1)
-    assert tables() == [False] * 3
-    agree(max(_entries(n, rounds) // rounds for n in sizes[2:4]) // 6 + 1)
-    assert tables() == [True, True, False]
+    assert tables() == [False] * 6
+    agree(max(_entries(n, rounds) // rounds for n in sizes[2:4]) // 2 + 1)
+    assert tables() == [True, True, False] * 2
     agree(20)
     # a budget of one fails wherever the inverse walks, on a tabulated pass
     n, i = sizes[3], 3
