@@ -13,6 +13,7 @@ from __future__ import annotations
 import bisect
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime
 from fractions import Fraction
@@ -145,6 +146,13 @@ class IdentificationCurve:
 
     probs: tuple
 
+    @classmethod
+    def of_groups(cls, keys):
+        """The curve of records whose group keys are `keys`: an adversary
+        seeing only the grouping guesses uniformly inside each group."""
+        counts = Counter(keys)
+        return cls(tuple(sorted(Fraction(1, counts[k]) for k in keys)))
+
     def fraction_at(self, p) -> Fraction:
         """Share of records identified with probability at least p."""
         i = bisect.bisect_left(self.probs, p)
@@ -162,12 +170,7 @@ class IdentificationCurve:
 def identification_curve(records, scheme) -> IdentificationCurve:
     """An adversary seeing only the scheme's grouping guesses uniformly
     inside each group; the curve is that success probability's tail."""
-    keys = [scheme.group_key(r) for r in records]
-    counts: dict = {}
-    for k in keys:
-        counts[k] = counts.get(k, 0) + 1
-    probs = sorted(Fraction(1, counts[k]) for k in keys)
-    return IdentificationCurve(tuple(probs))
+    return IdentificationCurve.of_groups([scheme.group_key(r) for r in records])
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +233,14 @@ def attribute_class_count(max_words: int, letters_per_word: int) -> int:
 # expansion and cycle-walk cost
 
 
+# The walk's key has 6 rounds, not the shipped 12: the expected walk length
+# depends on the two sizes only, and a 6-round pass makes half the XOF calls.
+BENCH_ROUNDS = 6
+# Random members of the original checked to lie in the simplified format
+# before any timing: the worked formats are too large to check every member.
+SUBSET_SAMPLES = 256
+
+
 @dataclass(frozen=True)
 class BenchReport:
     trials: int
@@ -247,8 +258,6 @@ def expansion_and_cycles(
     simplified,
     trials: int = 1000,
     seed: int = 0,
-    rounds: int = 6,
-    subset_samples: int = 256,
 ) -> BenchReport:
     """Encrypt members of `original` inside the rank space of `simplified`
     with the cipher's cycle walk, walked on until the image is in `original`,
@@ -262,12 +271,12 @@ def expansion_and_cycles(
     ensure_valid(simplified)
     n_orig, n_simp = original.size, simplified.size
     rng = random.Random(seed)
-    for i in range(subset_samples):
+    for i in range(SUBSET_SAMPLES):
         s = unrank(original, rng.randrange(n_orig))
         if not simplified.contains(s):
             raise NotSubset(f"sample {i} (length {len(s)}) is outside the simplified format")
 
-    key = IntFpeKey(rng.randbytes(32), rounds=rounds)
+    key = IntFpeKey(rng.randbytes(32), rounds=BENCH_ROUNDS)
     tweak = b"bench"
     hist: dict[int, int] = {}
     t_rank = t_walk = t_unrank = 0.0

@@ -2,12 +2,12 @@
 
 Encrypt walks the message's slot plan once (`splitting.walk`). Where the
 walk meets a slot, it ranks the piece, enciphers the rank with the key's
-slot_permutation at the key's round count (a backend, if given, is an
-Fe1Backend and sets only the walk budget and recorder), and spells the new
-rank in its place. The walk keeps every value-dependent choice of the
-message (union branch, length band, rank window) and its literal
-delimiters, so the ciphertext is `unrank(pi(ranks), path(message))` and
-the input is walked only once. Decrypt is the mirror image on the
+slot_permutation at the key's round count and the config's walk budget (a
+backend, if given, is an Fe1Backend and lends only its recorder), and
+spells the new rank in its place. The walk keeps every value-dependent
+choice of the message (union branch, length band, rank window) and its
+literal delimiters, so the ciphertext is `unrank(pi(ranks), path(message))`
+and the input is walked only once. Decrypt is the mirror image on the
 ciphertext, whose path is the message's.
 """
 
@@ -84,13 +84,12 @@ def _crypt(cfg: CipherConfig, key: IntFpeKey, spec, text: str, tweak, backend,
     plan = build_plan(spec, cfg.max_size)
     fp = format_fingerprint(spec, cfg.max_size)
     extra = _as_bytes(tweak)
-    if backend is None:  # the config has checked its walk budget
-        budget, recorder = cfg.walk_budget, None
-    elif isinstance(backend, Fe1Backend):
-        budget, recorder = backend.walk_budget, backend.recorder
-    else:
+    if backend is not None and not isinstance(backend, Fe1Backend):
         raise BadParameter(f"backend must be an Fe1Backend or None, not {type(backend).__name__}")
-    return walk(plan, text, slot_permutation(key, fp, extra, decrypting, budget, recorder), None)
+    # the config has checked its walk budget; a backend's governs its own calls only
+    perm = slot_permutation(key, fp, extra, decrypting, cfg.walk_budget,
+                            backend.recorder if backend else None)
+    return walk(plan, text, perm, None)
 
 
 def encrypt(cfg: CipherConfig, key: IntFpeKey, spec, message: str, tweak=b"", backend=None) -> str:

@@ -13,12 +13,7 @@ from pathlib import Path
 import click
 
 from . import cipher
-from .analysis import (
-    GfpeScheme,
-    SgfpeScheme,
-    expansion_and_cycles,
-    identification_curve,
-)
+from .analysis import GfpeScheme, IdentificationCurve, SgfpeScheme, expansion_and_cycles
 from .dsl import parse_spec
 from .errors import BadParameter, CsvFieldError, FpeError, InvalidFormat
 from .formats import validate
@@ -254,25 +249,28 @@ def decrypt_csv(map_path, key_path, in_path, out_path, max_size, column_tweak):
 @click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
 def analyze(dataset_path, scheme, format_path, max_size, column, out_path):
     """Write the identification curve of a dataset under a scheme."""
+    if scheme == "sgfpe":
+        grouping = SgfpeScheme()
+    elif format_path is None:
+        raise click.UsageError("--scheme gfpe requires --format")
+    else:
+        grouping = GfpeScheme(_load_spec(format_path), max_size)
     with open(dataset_path, newline="", encoding="utf-8") as f:
         reader = csv.reader(f)
         header = _read_header(reader, dataset_path, () if column is None else (column,))
         idx = 0 if column is None else header.index(column)
-        records = []
+        keys = []
         for rownum, row in enumerate(reader, 2):
             if len(row) > idx:
-                records.append(row[idx])
+                try:
+                    keys.append(grouping.group_key(row[idx]))
+                except FpeError as e:
+                    raise CsvFieldError(rownum, header[idx], e) from e
             elif row:
                 raise CsvFieldError(rownum, header[idx], BadParameter("row too short"))
-    if not records:
+    if not keys:
         raise BadParameter(f"{dataset_path}: no data rows")
-    if scheme == "sgfpe":
-        grouping = SgfpeScheme()
-    else:
-        if format_path is None:
-            raise click.UsageError("--scheme gfpe requires --format")
-        grouping = GfpeScheme(_load_spec(format_path), max_size)
-    curve = identification_curve(records, grouping)
+    curve = IdentificationCurve.of_groups(keys)
     with open(out_path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(["threshold", "fraction"])

@@ -1,5 +1,9 @@
 """Keyed permutations of integer ranges [0, N).
 
+The public permutation is the cycle walk (cycle_walk_* and Fe1Backend),
+whose every call checks its arguments; `cipher` reaches the same
+permutations through slot_permutation, which checks the key once a record.
+
 Up to SHUFFLE_LIMIT values, a keyed Fisher-Yates shuffle permutes [0, N)
 directly. Above it, a near-square Feistel network over [0, a*b), a = isqrt(N),
 is cycle-walked into [0, N). Every SHAKE-256 call binds the key, the tweak, N,
@@ -27,9 +31,10 @@ cost: the table takes E = ceil(r/2)*b + floor(r/2)*a XOF calls for r rounds,
 as many as E // r applies, so a pass used that often has paid for it. The
 point depends on the apply count only, never on the inputs, so an apply's
 time does not show which halves were seen before. That apply, in either
-function, builds the table and swaps `apply` for two functions that read it in
-(odd, even) round pairs. A pass used fewer times costs one counter decrement
-per apply, one used exactly that often at most about twice its XOF calls. A
+function, builds the table, swaps `apply` for two functions that read it in
+(odd, even) round pairs, and drops the round states. A pass used fewer
+times costs one counter decrement per apply, one used exactly that often at
+most about twice its XOF calls. A
 key's 256 passes hold at most 2.4 MB of tables (1.9 MB under a 2^16 bound),
 the 1,024 of one long record four times that, and tables change no output.
 """
@@ -56,8 +61,6 @@ from .errors import (
 __all__ = [
     "IntFpeKey",
     "balanced_factor",
-    "feistel_encrypt",
-    "feistel_decrypt",
     "cycle_walk_encrypt",
     "cycle_walk_decrypt",
     "slot_permutation",
@@ -163,12 +166,6 @@ def _base_state(key: IntFpeKey, tweak: bytes, n: int):
 TABLE_LIMIT = 4096
 
 
-class _Rounds(list):
-    """A pass's rounds, each (keyed SHAKE state with the round's number
-    absorbed, modulus, byte width of the half read, digest bytes). A list
-    subclass, so the pass can refer to it weakly."""
-
-
 class _FeistelPass:
     """The permutation over [0, n') for one key, tweak and domain size, as
     `apply`: its forward and inverse functions, each one application to a
@@ -178,18 +175,17 @@ class _FeistelPass:
     the other half.
 
     Both count applies; the one that brings the count to 0 builds the table
-    (_tabulate), which swaps `apply` for two functions that read it. The
-    XOF functions hold the round states and the pass a weak reference to
-    them, so they are freed with those functions. Threads need no lock:
+    (_tabulate), which takes the round states (`steps`) from the pass and
+    swaps `apply` for two functions that read it. Threads need no lock:
     the swap is one attribute assignment, a lost decrement only delays the
-    build, and two builds publish equal tables."""
+    build, and a build that finds `steps` taken leaves it to the first."""
 
     def __init__(self, key: IntFpeKey, tweak: bytes, n: int):
         a, b, self.n2 = balanced_factor(n)
         self.a, self.b = a, b
         self.rounds = rounds = key.rounds
         self.table = None
-        base, steps = _base_state(key, tweak, n), _Rounds()
+        base, self.steps = _base_state(key, tweak, n), []
         # for odd rounds, then even ones: the modulus of the half a round adds to
         # (odd rounds r mod a, even q mod b), the byte width of the half it reads,
         # and a digest 8 bytes over the modulus's, so reducing it is biased by < 2**-64
@@ -198,13 +194,12 @@ class _FeistelPass:
         for i in range(1, rounds + 1):
             h = base.copy()
             h.update(i.to_bytes(2, "big"))
-            steps.append((h, *halves[1 - i % 2]))
-        self.steps = weakref.ref(steps)
+            self.steps.append((h, *halves[1 - i % 2]))
         entries = (rounds + 1) // 2 * b + rounds // 2 * a
         # the build costs `entries` XOF calls, as many as this many applies
-        self.apply = self._hashed(steps, entries // rounds if entries <= TABLE_LIMIT else 0)
+        self.apply = self._hashed(self.steps, entries // rounds if entries <= TABLE_LIMIT else 0)
 
-    def _hashed(self, steps: _Rounds, left: int) -> tuple:
+    def _hashed(self, steps: list, left: int) -> tuple:
         """(forward, inverse) through the XOF, counting down from `left` > 0 to
         the table's build. Round i adds, to one half, one SHAKE output over
         round i's state and the other half (fixed width), mod the half's
@@ -244,10 +239,9 @@ class _FeistelPass:
         (the sum mod the modulus is the same), one row of 16-bit values per
         round (a half is below TABLE_LIMIT), kept in `table`. Swaps in, and
         returns, two functions that read the rows in (odd, even) round pairs.
-        The XOF forward function holds the rounds; once it is freed, so are
-        they, and the table is already in."""
-        steps = self.steps()
-        if steps is None:
+        The round states are freed with the XOF functions."""
+        steps, self.steps = self.steps, None
+        if steps is None:  # another thread's build is under way
             return self.apply
         a, b, rows, messages = self.a, self.b, [], {}
         for start, m, width, nbytes in steps:
@@ -290,11 +284,10 @@ _KEY_CACHE_ENTRIES = 256
 _KEY_CACHE_MOST = 1024
 
 
-def _keyed(key: IntFpeKey, build, tweak: bytes, n: int, k=None):
-    """build(key, tweak, n), built once per key and kept under k, by default
-    (build, tweak, n), while the store holds fewer than _KEY_CACHE_MOST."""
+def _keyed(key: IntFpeKey, build, tweak: bytes, n: int, k: tuple):
+    """build(key, tweak, n), built once per key and kept under k while the
+    store holds fewer than _KEY_CACHE_MOST."""
     store = key._permutations
-    k = k or (build, tweak, n)
     p = store.get(k)
     if p is None:
         p = build(key, tweak, n)
@@ -312,21 +305,11 @@ def _trim(store: dict, record: tuple) -> None:
                 store.pop(k, None)
 
 
-def _one_pass(key: IntFpeKey, tweak: bytes, n: int, x: int, decrypting: bool) -> int:
-    _trim(key._permutations, (_FeistelPass, tweak))
-    fp = _keyed(key, _FeistelPass, tweak, n)
-    if not 0 <= x < fp.n2:
-        raise InputOutOfDomain(outside(x, fp.n2))
-    return fp.apply[decrypting](x)
-
-
-def feistel_encrypt(key: IntFpeKey, tweak: bytes, n: int, x: int) -> int:
-    """One pass of the permutation over [0, n') where n' >= n."""
-    return _one_pass(key, tweak, n, x, False)
-
-
-def feistel_decrypt(key: IntFpeKey, tweak: bytes, n: int, x: int) -> int:
-    return _one_pass(key, tweak, n, x, True)
+def _store(key) -> dict:
+    """The key's permutations; a BadParameter for anything but an IntFpeKey."""
+    if not isinstance(key, IntFpeKey):
+        raise BadParameter(f"key must be an IntFpeKey, not {type(key).__name__}")
+    return key._permutations
 
 
 # ---------------------------------------------------------------------------
@@ -368,27 +351,15 @@ class WalkRecorder:
     def record(self, domain: int, steps: int) -> None:
         self.events.append((domain, steps))
 
-    def steps_histogram(self) -> dict:
-        out: dict[int, int] = {}
-        for _, steps in self.events:
-            out[steps] = out.get(steps, 0) + 1
-        return out
-
 
 def _cycle_walk(key, tweak: bytes, m_size: int, x: int, walk_budget: int, recorder,
-                decrypting: bool, k=None) -> int:
-    """Walk the key's permutation of [0, m_size), or its inverse, until it
-    lands inside (a shuffle always does, in one step). The entry is kept
-    under k, a slot's key; without one, the call is a record of its own."""
-    if m_size < 1:
-        raise BadParameter(f"empty domain {m_size}")
-    if not 0 <= x < m_size:
-        raise InputOutOfDomain(outside(x, m_size))
+                decrypting: bool, k: tuple) -> int:
+    """Walk the key's permutation of [0, m_size), kept under k, or its
+    inverse, from x in [0, m_size) until it lands inside (a shuffle always
+    does, in one step)."""
     y, steps = x, 0
     if m_size > 1:
         build = _Shuffle if m_size <= SHUFFLE_LIMIT else _FeistelPass
-        if k is None:
-            _trim(key._permutations, (build, tweak))
         f = _keyed(key, build, tweak, m_size, k).apply[decrypting]
         y, steps = f(x), 1
         while y >= m_size:
@@ -401,17 +372,37 @@ def _cycle_walk(key, tweak: bytes, m_size: int, x: int, walk_budget: int, record
     return y
 
 
+def _public_walk(key, tweak: bytes, m_size: int, x: int, walk_budget: int, recorder,
+                 decrypting: bool) -> int:
+    """The one public entry, behind cycle_walk_* and Fe1Backend: a wrong
+    argument is a BadParameter naming its type (an InputOutOfDomain for x
+    outside [0, m_size)), never its value. The call is a record of its own,
+    whose entry is kept under (build, tweak, m_size)."""
+    store = _store(key)
+    if not isinstance(tweak, bytes):
+        raise BadParameter(f"tweak must be bytes, not {type(tweak).__name__}")
+    for name, value in (("domain size", m_size), ("x", x)):
+        if type(value) is not int:
+            raise BadParameter(f"{name} must be an int, not {type(value).__name__}")
+    check_walk_budget(walk_budget)
+    if m_size < 1:
+        raise BadParameter(f"empty domain {m_size}")
+    if not 0 <= x < m_size:
+        raise InputOutOfDomain(outside(x, m_size))
+    k = _Shuffle if m_size <= SHUFFLE_LIMIT else _FeistelPass, tweak, m_size
+    _trim(store, k[:2])
+    return _cycle_walk(key, tweak, m_size, x, walk_budget, recorder, decrypting, k)
+
+
 def cycle_walk_encrypt(key, tweak: bytes, m_size: int, x: int, walk_budget: int = WALK_BUDGET,
                        recorder=None) -> int:
     """Permute [0, m_size): shuffle it, or walk the Feistel pass back into it."""
-    check_walk_budget(walk_budget)
-    return _cycle_walk(key, tweak, m_size, x, walk_budget, recorder, False)
+    return _public_walk(key, tweak, m_size, x, walk_budget, recorder, False)
 
 
 def cycle_walk_decrypt(key, tweak: bytes, m_size: int, x: int, walk_budget: int = WALK_BUDGET,
                        recorder=None) -> int:
-    check_walk_budget(walk_budget)
-    return _cycle_walk(key, tweak, m_size, x, walk_budget, recorder, True)
+    return _public_walk(key, tweak, m_size, x, walk_budget, recorder, True)
 
 
 def slot_tweak(fingerprint: bytes, index: int, tweak: bytes) -> bytes:
@@ -425,7 +416,7 @@ def slot_permutation(key, fingerprint: bytes, tweak: bytes, decrypting: bool,
     kept under (fingerprint, tweak, index, size) in a store trimmed for this
     record. A first use, a walk past one step, a slot of one value or a
     recorder takes the cycle walk."""
-    store, d, index = key._permutations, int(decrypting), count()
+    store, d, index = _store(key), int(decrypting), count()
     _trim(store, (fingerprint, tweak))
 
     def perm(x, n):
@@ -449,7 +440,7 @@ def slot_permutation(key, fingerprint: bytes, tweak: bytes, decrypting: bool,
 
 
 class Fe1Backend:
-    """Feistel-then-walk (or shuffle) enciphering of integer ranges."""
+    """The public cycle walk under one walk budget and recorder."""
 
     def __init__(self, walk_budget: int = WALK_BUDGET, recorder=None):
         check_walk_budget(walk_budget)
@@ -457,7 +448,7 @@ class Fe1Backend:
         self.recorder = recorder
 
     def encrypt(self, key, tweak: bytes, domain: int, x: int) -> int:
-        return _cycle_walk(key, tweak, domain, x, self.walk_budget, self.recorder, False)
+        return _public_walk(key, tweak, domain, x, self.walk_budget, self.recorder, False)
 
     def decrypt(self, key, tweak: bytes, domain: int, x: int) -> int:
-        return _cycle_walk(key, tweak, domain, x, self.walk_budget, self.recorder, True)
+        return _public_walk(key, tweak, domain, x, self.walk_budget, self.recorder, True)

@@ -106,6 +106,9 @@ class RankVector:
         if len(self.ranks) != len(self.sizes):
             raise VectorShapeMismatch(f"{len(self.ranks)} ranks against {len(self.sizes)} sizes")
         for i, (r, n) in enumerate(zip(self.ranks, self.sizes)):
+            if type(r) is not int or type(n) is not int:
+                raise BadParameter(f"slot {i}: ranks and sizes must be ints, "
+                                   f"not {type(r).__name__} and {type(n).__name__}")
             if not 0 <= r < n:
                 raise VectorShapeMismatch(f"slot {i}: {outside(r, n)}")
 

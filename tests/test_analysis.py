@@ -9,8 +9,7 @@ from itertools import product
 
 import pytest
 
-from fpekit import (IntegralDomain, IntFpeKey, VarString, contains, feistel_encrypt, rank, size,
-                    unrank)
+from fpekit import IntegralDomain, IntFpeKey, VarString, contains, intfpe, rank, size, unrank
 from fpekit.analysis import (
     GfpeScheme,
     IdentificationCurve,
@@ -119,7 +118,7 @@ def test_expansion_and_cycles_on_a_tight_pair():
 
 def test_expansion_and_cycles_walks_the_feistel_pass_above_the_shuffle():
     # above SHUFFLE_LIMIT the cipher's cycle walk applies the same Feistel
-    # passes as a loop over feistel_encrypt that walks on until it lands
+    # passes as a loop over the key's pass that walks on until it lands
     # inside the original: same key, same samples, same histogram
     original, simplified, trials, seed = IntegralDomain(0, 99), IntegralDomain(0, 999), 300, 3
     rep = expansion_and_cycles(original, simplified, trials=trials, seed=seed)
@@ -127,10 +126,11 @@ def test_expansion_and_cycles_walks_the_feistel_pass_above_the_shuffle():
     for _ in range(256):  # the subset samples
         rng.randrange(100)
     key, hist = IntFpeKey(rng.randbytes(32), rounds=6), Counter()
+    k = intfpe._FeistelPass, b"bench", 1000
     for _ in range(trials):
         y, steps = rank(simplified, unrank(original, rng.randrange(100))).value, 0
         while True:
-            y, steps = feistel_encrypt(key, b"bench", 1000, y), steps + 1
+            y, steps = intfpe._keyed(key, *k, k).apply[0](y), steps + 1
             if y < 100:
                 break
         hist[steps] += 1

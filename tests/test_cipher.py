@@ -16,6 +16,7 @@ from fpekit import (
     DelimStringSet,
     Fe1Backend,
     FixedString,
+    IntegralDomain,
     IntFpeKey,
     NotInFormat,
     Ssn,
@@ -33,6 +34,7 @@ from fpekit import (
     format_fingerprint,
     keygen,
     path_signature,
+    rank,
     rank_multi,
     size,
     unrank,
@@ -73,6 +75,25 @@ def test_empty_prefix_free_entry_is_a_member_piece():
     images = [encrypt(CipherConfig(), KEY_A, spec, m) for m in members]
     assert sorted(images) == members
     assert [decrypt(CipherConfig(), KEY_A, spec, c) for c in images] == members
+
+
+@pytest.mark.parametrize("bound, images", [
+    (None, "bba aaa aab baa bbb a ba aba bab ab abb bb b aa"),
+    (2, "b a bb ab ba aa bba aba baa aaa bbb abb bab aab"),
+    (5, "a b ba aa bb ab bab aab bbb abb baa aaa bba aba"),
+])
+def test_a_one_part_concat_ranks_and_enciphers_as_its_part(bound, images):
+    # its cut gives the whole text as the one piece
+    part = VarString(1, 3, "ab")
+    spec = Concat((part,))
+    members = list(enumerate_members(spec))
+    assert members == list(enumerate_members(part)) and len(members) == 14
+    assert [rank(spec, m).value for m in members] == list(range(14))
+    assert [rank_multi(spec, bound, m).sizes for m in members] == [
+        rank_multi(part, bound, m).sizes for m in members]
+    cfg = CipherConfig(max_size=bound)
+    assert [encrypt(cfg, KEY_A, spec, m) for m in members] == images.split()
+    assert [decrypt(cfg, KEY_A, spec, c) for c in images.split()] == members
 
 
 def test_formats_are_not_kept_alive_after_use():
@@ -456,3 +477,23 @@ def test_a_walk_past_the_budget_fails_on_the_default_path():
             m = unrank(spec, r)
             assert encrypt(CipherConfig(walk_budget=1), KEY_A, spec, m) == encrypt(
                 CipherConfig(), KEY_A, spec, m)
+
+
+def test_the_walk_budget_is_the_configs_with_or_without_a_backend():
+    # 200 values walk a 14 x 15 Feistel range; a backend lends only its recorder
+    key, spec = IntFpeKey(bytes(32)), IntegralDomain(0, 199)
+
+    def refused(cfg, backend=None):
+        out = set()
+        for r in range(spec.size):
+            m = unrank(spec, r)
+            try:
+                encrypt(cfg, key, spec, m, backend=backend)
+            except WalkBudgetExceeded:
+                out.add(m)
+        return out
+
+    tight = refused(CipherConfig(walk_budget=1))
+    assert len(tight) == 9
+    assert refused(CipherConfig(walk_budget=1), Fe1Backend()) == tight
+    assert refused(CipherConfig(), Fe1Backend(walk_budget=1)) == set()

@@ -417,6 +417,23 @@ def test_analyze_names_a_short_row(tmp_path, run):
     assert "row 3, column value" in err and "row too short" in err
 
 
+@pytest.mark.parametrize("scheme, cell, error", [
+    ("gfpe", "Ann Lee,Par1s", "NotInFormat: a string of length 13 is not in the format"),
+    ("sgfpe", "", "BadParameter: empty string has no signature"),
+])
+def test_analyze_names_the_row_and_column_of_a_refused_record(tmp_path, run, scheme, cell, error):
+    fmt, data = tmp_path / "records.json", tmp_path / "data.csv"
+    fmt.write_text(RECORDS)
+    with open(data, "w", newline="", encoding="utf-8") as f:
+        csv.writer(f, lineterminator="\n").writerows(
+            [["id", "value"], ["1", "Ann Lee,Paris"], ["2", cell], ["3", "Bo,Rome"]])
+    code, _, err = run("analyze", "--dataset", str(data), "--scheme", scheme, "--format", str(fmt),
+                       "--column", "value", "--out", str(tmp_path / "c.csv"))
+    assert code == 1
+    assert f"row 3, column value: {error}" in err
+    assert "Par1s" not in err
+
+
 def test_bench_reports_expansion(tmp_path, run):
     (tmp_path / "orig.json").write_text('{"type":"integral","min":0,"max":6}')
     (tmp_path / "simp.json").write_text('{"type":"integral","min":0,"max":7}')

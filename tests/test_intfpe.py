@@ -23,6 +23,7 @@ from fpekit import (
     InputOutOfDomain,
     IntFpeKey,
     RankVector,
+    VarString,
     WalkBudgetExceeded,
     WalkRecorder,
     balanced_factor,
@@ -30,8 +31,6 @@ from fpekit import (
     cycle_walk_encrypt,
     decrypt,
     encrypt,
-    feistel_decrypt,
-    feistel_encrypt,
     format_fingerprint,
     rank_multi,
     read_key_file,
@@ -97,59 +96,66 @@ def test_balanced_factor_small_path_properties(n):
 # the Feistel pass
 
 
+def _pass(key, tweak, n):
+    """The key's Feistel pass over [0, n'), n' >= n, kept as a public call of
+    size n keeps it."""
+    return intfpe._keyed(key, intfpe._FeistelPass, tweak, n, (intfpe._FeistelPass, tweak, n))
+
+
+def _pass_forward(key, tweak, n, x):
+    return _pass(key, tweak, n).apply[0](x)
+
+
+def _pass_inverse(key, tweak, n, x):
+    return _pass(key, tweak, n).apply[1](x)
+
+
 def test_feistel_is_a_bijection_on_the_working_range():
     for n in (6, 7, 20, 97):
         _, _, n2 = balanced_factor(n)
-        images = {feistel_encrypt(KEY, b"t", n, x) for x in range(n2)}
+        images = {_pass_forward(KEY, b"t", n, x) for x in range(n2)}
         assert images == set(range(n2)), n
         for x in range(n2):
-            assert feistel_decrypt(KEY, b"t", n, feistel_encrypt(KEY, b"t", n, x)) == x
-
-
-def test_feistel_rejects_out_of_range():
-    with pytest.raises(InputOutOfDomain):
-        feistel_encrypt(KEY, b"", 20, 20)
-    with pytest.raises(InputOutOfDomain):
-        feistel_decrypt(KEY, b"", 20, -1)
+            assert _pass_inverse(KEY, b"t", n, _pass_forward(KEY, b"t", n, x)) == x
 
 
 def test_feistel_depends_on_tweak_and_key():
     n = 1000
-    base = [feistel_encrypt(KEY, b"a", n, x) for x in range(50)]
-    assert base != [feistel_encrypt(KEY, b"b", n, x) for x in range(50)]
+    base = [_pass_forward(KEY, b"a", n, x) for x in range(50)]
+    assert base != [_pass_forward(KEY, b"b", n, x) for x in range(50)]
     other = IntFpeKey(bytes(32))
-    assert base != [feistel_encrypt(other, b"a", n, x) for x in range(50)]
+    assert base != [_pass_forward(other, b"a", n, x) for x in range(50)]
 
 
 def test_feistel_binds_the_domain_size():
     # 20000 and 20001 share the split 141 x 142, but not the round function
     assert balanced_factor(20000) == balanced_factor(20001)
     xs = range(0, 20000, 997)
-    assert [feistel_encrypt(KEY, b"n", 20000, x) for x in xs] != [
-        feistel_encrypt(KEY, b"n", 20001, x) for x in xs]
+    assert [_pass_forward(KEY, b"n", 20000, x) for x in xs] != [
+        _pass_forward(KEY, b"n", 20001, x) for x in xs]
 
 
 def test_feistel_deterministic():
-    xs = [feistel_encrypt(KEY, b"tweak", 12345, 77) for _ in range(3)]
+    xs = [_pass_forward(KEY, b"tweak", 12345, 77) for _ in range(3)]
     assert xs[0] == xs[1] == xs[2]
 
 
 def test_feistel_handles_huge_domains():
     n = 2**256
     x = 123456789 << 128
-    y = feistel_encrypt(KEY, b"big", n, x)
+    y = _pass_forward(KEY, b"big", n, x)
     assert 0 <= y < balanced_factor(n)[2]
-    assert feistel_decrypt(KEY, b"big", n, y) == x
+    assert _pass_inverse(KEY, b"big", n, y) == x
 
 
 def test_feistel_round_trips_on_a_2000_bit_domain():
     # each half is 1,000 bits, so every round draws a 133-byte XOF output
     n = 2**2000
     for x in (0, 3**1200, n - 1):
-        y = feistel_encrypt(KEY, b"huge", n, x)
+        y = _pass_forward(KEY, b"huge", n, x)
         assert 0 <= y < n
         assert y != x
-        assert feistel_decrypt(KEY, b"huge", n, y) == x
+        assert _pass_inverse(KEY, b"huge", n, y) == x
 
 
 def test_feistel_round_makes_one_xof_call(monkeypatch):
@@ -176,7 +182,7 @@ def test_feistel_round_makes_one_xof_call(monkeypatch):
     for n in (SHUFFLE_LIMIT + 1, 17_576, 2**40 + 3):
         for x in (0, 1, n // 3):
             calls.clear()
-            feistel_encrypt(KEY, b"count", n, x)
+            _pass_forward(KEY, b"count", n, x)
             assert len(calls) == KEY.rounds, n
     calls.clear()
     cycle_walk_encrypt(KEY, b"count", SHUFFLE_LIMIT, 5)
@@ -257,11 +263,27 @@ def test_cycle_walk_rejects_bad_inputs():
 
 def test_out_of_domain_errors_give_the_bit_length_not_the_value():
     x = 987654321
-    for call in (feistel_encrypt, feistel_decrypt, cycle_walk_encrypt, cycle_walk_decrypt):
+    for call in (cycle_walk_encrypt, cycle_walk_decrypt, Fe1Backend().encrypt, Fe1Backend().decrypt):
         with pytest.raises(InputOutOfDomain) as e:
             call(KEY, b"", 1024, x)
         assert str(x) not in str(e.value)
         assert "30-bit" in str(e.value) and "[0, 1024)" in str(e.value)
+
+
+@pytest.mark.parametrize("call, kind, value", [
+    (lambda: cycle_walk_encrypt(KEY, "tweak-text", 1000, 5), "str", "tweak-text"),
+    (lambda: cycle_walk_decrypt(KEY, b"t", 1000, 5.25), "float", "5.25"),
+    (lambda: Fe1Backend().encrypt(KEY, b"t", 1000.5, 5), "float", "1000.5"),
+    (lambda: Fe1Backend().decrypt(KEY, b"t", 10**6, True), "bool", "True"),
+    (lambda: cycle_walk_encrypt(KEY.secret, b"t", 1000, 5), "bytes", repr(KEY.secret)[2:10]),
+    (lambda: encrypt(CipherConfig(), KEY.secret, VarString(1, 3, "ab"), "ab"), "bytes",
+     repr(KEY.secret)[2:10]),
+    (lambda: decrypt(CipherConfig(), 98765, VarString(1, 3, "ab"), "ab"), "int", "98765"),
+])
+def test_a_wrong_type_at_the_public_boundary_is_a_bad_parameter_naming_the_type(call, kind, value):
+    with pytest.raises(BadParameter) as e:
+        call()
+    assert str(e.value).endswith(f"not {kind}") and value not in str(e.value)
 
 
 # ---------------------------------------------------------------------------
@@ -302,14 +324,6 @@ def test_shuffle_spreads_over_all_permutations():
     counts = Counter(tuple(_table(KEY, b"dist%d" % i, 3)) for i in range(1200))
     assert set(counts) == set(permutations(range(3)))
     assert all(140 <= c <= 260 for c in counts.values()), counts
-
-
-def test_recorder_histogram():
-    rec = WalkRecorder()
-    rec.record(10, 1)
-    rec.record(12, 1)
-    rec.record(9, 3)
-    assert rec.steps_histogram() == {1: 2, 3: 1}
 
 
 @given(
@@ -406,7 +420,7 @@ def test_key_keeps_at_most_the_bound_of_permutations():
 
 def test_keys_compare_and_hash_on_secret_and_rounds_only():
     used, fresh = IntFpeKey(bytes(range(32))), IntFpeKey(bytes(range(32)))
-    feistel_encrypt(used, b"h", 5000, 3)
+    cycle_walk_encrypt(used, b"h", 5000, 3)
     cycle_walk_encrypt(used, b"h", 50, 3)
     assert used._permutations and not fresh._permutations
     assert used == fresh and hash(used) == hash(fresh)
@@ -417,8 +431,8 @@ def test_keys_compare_and_hash_on_secret_and_rounds_only():
 def test_a_dropped_key_is_freed_with_its_permutations():
     # by reference counts alone: a pass and its functions make no cycle
     key = IntFpeKey(bytes(range(1, 33)))
-    feistel_encrypt(key, b"w", 5000, 3)
-    feistel_encrypt(key, b"w", 2**100, 3)
+    cycle_walk_encrypt(key, b"w", 5000, 3)
+    cycle_walk_encrypt(key, b"w", 2**100, 3)
     cycle_walk_encrypt(key, b"w", 50, 3)
     passes = [weakref.ref(p) for p in key._permutations.values()
               if isinstance(p, intfpe._FeistelPass)]
@@ -624,16 +638,12 @@ def _largest_tabulated(rounds):
     return n
 
 
-def _pass(key, tweak, n):
-    return intfpe._keyed(key, intfpe._FeistelPass, tweak, n)
-
-
 def _applies_to_build(key, tweak, n, xs):
     """Encrypt and decrypt, alternately, the values xs under the key's pass
     until it has built its table; the number of applies that took."""
     p = _pass(key, tweak, n)
     for count, x in enumerate(xs, 1):
-        (feistel_encrypt if count % 2 else feistel_decrypt)(key, tweak, n, x)
+        p.apply[1 - count % 2](x)
         if p.table is not None:
             return count
     pytest.fail("the pass never built its table")
@@ -655,15 +665,15 @@ def test_a_tabulated_pass_gives_the_untabulated_outputs(rounds, monkeypatch):
         xs = range(n2) if n2 <= 20_000 else random.Random(n).sample(range(n2), 20_000)
         key = IntFpeKey(secret, rounds=rounds)
         _applies_to_build(key, b"tab", n, range(n2))
-        ys = [feistel_encrypt(key, b"tab", n, x) for x in xs]
-        back = [feistel_decrypt(key, b"tab", n, y) for y in ys]
+        ys = [_pass_forward(key, b"tab", n, x) for x in xs]
+        back = [_pass_inverse(key, b"tab", n, y) for y in ys]
         assert back == list(xs), n
         with monkeypatch.context() as m:
             m.setattr(intfpe, "TABLE_LIMIT", 0)
             fresh = IntFpeKey(secret, rounds=rounds)
-            assert ys == [feistel_encrypt(fresh, b"tab", n, x) for x in xs], n
+            assert ys == [_pass_forward(fresh, b"tab", n, x) for x in xs], n
             # decrypt undoes encrypt on both sides, so a sample suffices
-            assert back[::10] == [feistel_decrypt(fresh, b"tab", n, y) for y in ys[::10]], n
+            assert back[::10] == [_pass_inverse(fresh, b"tab", n, y) for y in ys[::10]], n
         assert _pass(fresh, b"tab", n).table is None
 
 
@@ -676,8 +686,8 @@ def test_a_tabulated_apply_makes_no_xof_call(monkeypatch):
         for x in range(400):
             cycle_walk_encrypt(key, b"zero", n, x % n)
         calls.clear()
-        y = feistel_encrypt(key, b"zero", n, 5)
-        assert feistel_decrypt(key, b"zero", n, y) == 5
+        y = _pass_forward(key, b"zero", n, 5)
+        assert _pass_inverse(key, b"zero", n, y) == 5
         assert cycle_walk_decrypt(key, b"zero", n, cycle_walk_encrypt(key, b"zero", n, 7)) == 7
         assert calls == [], n
 
@@ -841,7 +851,7 @@ def test_an_untabulated_pass_never_builds_a_table():
     n = _largest_tabulated(12) + 1
     key = IntFpeKey(bytes(range(32)))
     for x in range(2 * intfpe.TABLE_LIMIT // 12):
-        feistel_encrypt(key, b"never", n, x)
+        _pass_forward(key, b"never", n, x)
     assert _pass(key, b"never", n).table is None
 
 
@@ -863,13 +873,13 @@ def _xof_states_held(obj):
 def test_a_pass_holds_its_round_states_until_it_has_built_its_table():
     key, n = IntFpeKey(bytes(range(32))), 17_576
     p = _pass(key, b"held", n)
-    assert _xof_states_held(p) == 12 and p.steps() is not None
+    assert _xof_states_held(p) == 12 and p.steps is not None
     for x in range(_entries(n, 12) // 12):
-        feistel_encrypt(key, b"held", n, x)
+        _pass_forward(key, b"held", n, x)
     assert p.table is not None
-    assert _xof_states_held(p) == 0 and p.steps() is None
+    assert _xof_states_held(p) == 0 and p.steps is None
     untabulated = _pass(key, b"held", 2**40)
-    feistel_encrypt(key, b"held", 2**40, 5)
+    _pass_forward(key, b"held", 2**40, 5)
     assert _xof_states_held(untabulated) == 12
 
 
@@ -951,8 +961,8 @@ def test_a_dropped_many_round_key_leaves_no_per_round_state():
     try:
         key = IntFpeKey(bytes(range(32)), rounds=10_000)
         for n in (2**40 + 3, 2**64 + 13, 2**100 + 7):
-            x = feistel_encrypt(key, b"", n, 5)
-            assert feistel_decrypt(key, b"", n, x) == 5
+            x = _pass_forward(key, b"", n, 5)
+            assert _pass_inverse(key, b"", n, x) == 5
         del key
         gc.collect()  # a full collection also empties CPython's free lists of tuples
         left, _ = tracemalloc.get_traced_memory()

@@ -154,6 +154,18 @@ def test_rank_vector_error_gives_the_bit_length_not_the_rank():
     assert "slot 1" in str(e.value) and "30-bit" in str(e.value) and "1000" in str(e.value)
 
 
+@pytest.mark.parametrize("value", [3.0, True, 3])
+def test_a_rank_vector_holds_only_int_ranks_and_sizes(value):
+    # unchecked, a rank of 3.0 would unrank to "3.0", which is not a member
+    if type(value) is int:
+        assert unrank_multi(IntegralDomain(0, 9), None, RankVector((value,), (10,)), "1") == "3"
+        return
+    for ranks, sizes in (((value,), (10,)), ((0,), (value,))):
+        with pytest.raises(BadParameter) as e:
+            RankVector(ranks, sizes)
+        assert type(value).__name__ in str(e.value) and str(value) not in str(e.value)
+
+
 def test_vector_must_match_plan():
     spec = FixedString(("ab", "01", "xy"))
     s = "a0x"
