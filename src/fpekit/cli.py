@@ -15,7 +15,7 @@ import click
 from . import cipher
 from .analysis import GfpeScheme, IdentificationCurve, SgfpeScheme, expansion_and_cycles
 from .dsl import parse_spec
-from .errors import BadParameter, CsvFieldError, FpeError, InvalidFormat
+from .errors import BadParameter, CsvFieldError, FpeError, InvalidFormat, decimal_text
 from .formats import validate
 from .intfpe import BOUND_LIMIT, read_key_file, write_key_file
 from .ranking import rank, unrank
@@ -92,12 +92,13 @@ def keygen(bits, out_path, force):
 @cli.command(name="validate")
 @_format_option
 def validate_cmd(format_path):
-    """Check a format definition; print its size if valid."""
+    """Check a format definition; print its size if valid (by its bit length
+    past the 4,300 digits CPython writes)."""
     spec = _load_spec(format_path)
     problems = validate(spec)
     if problems:
         raise InvalidFormat(problems)
-    click.echo(str(spec.size))
+    click.echo(decimal_text(spec.size))
 
 
 @cli.command(name="rank")
@@ -105,7 +106,12 @@ def validate_cmd(format_path):
 @click.option("--value", default=None, help="Member string; stdin when omitted.")
 def rank_cmd(format_path, value):
     """Print the rank of a format member."""
-    click.echo(str(rank(_load_spec(format_path), _read_value(value)).value))
+    r = rank(_load_spec(format_path), _read_value(value)).value
+    try:
+        text = str(r)
+    except ValueError:  # past the 4,300 digits CPython writes
+        raise BadParameter(f"the rank, {decimal_text(r)}, has too many digits to print") from None
+    click.echo(text)
 
 
 @cli.command(name="unrank")
@@ -157,6 +163,8 @@ def _load_format_map(path):
         column, sep, spec_path = line.partition("\t")
         if not sep or not column or not spec_path.strip():
             raise BadParameter(f"{path}:{lineno}: expected column<TAB>path")
+        if column in mapping:
+            raise BadParameter(f"{path}:{lineno}: column {column!r} is mapped twice")
         p = Path(spec_path.strip())
         mapping[column] = _load_spec(p if p.is_absolute() else base / p)
     if not mapping:

@@ -35,6 +35,8 @@ def parse_spec(text: str):
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise SpecSyntaxError(f"line {e.lineno} column {e.colno}: {e.msg}") from None
+    except ValueError:  # an integer past the digits CPython reads (4,300 by default)
+        raise SpecSyntaxError("an integer has too many digits") from None
     return _build(doc, "$", {})
 
 

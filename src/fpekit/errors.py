@@ -1,9 +1,19 @@
 """Exception types shared across the toolkit."""
 
 
+def decimal_text(n: int) -> str:
+    """n in decimal, or by its bit length where CPython writes no decimal
+    (past 4,300 digits by default), so that no message fails to form."""
+    try:
+        return str(n)
+    except ValueError:
+        return f"a {n.bit_length()}-bit number"
+
+
 def outside(x: int, bound: int) -> str:
     """x is not in [0, bound), told by its bit length: a rank encodes a plaintext."""
-    return f"a {'negative ' * (x < 0)}{x.bit_length()}-bit value is not in [0, {bound})"
+    sign = "negative " * (x < 0)
+    return f"a {sign}{x.bit_length()}-bit value is not in [0, {decimal_text(bound)})"
 
 
 class FpeError(Exception):

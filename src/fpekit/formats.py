@@ -51,6 +51,7 @@ from datetime import datetime, time, timedelta
 from functools import lru_cache
 
 from . import splitting
+from .intfpe import BOUND_LIMIT
 from .splitting import cached_property
 from .errors import (
     BadLength,
@@ -514,7 +515,9 @@ class Date(_FixedWidth):
                 object.__setattr__(self, name, datetime(v.year, v.month, v.day))
 
     def validate_into(self, path, out):
-        if self.granularity not in ("day", "second"):
+        if any(b.tzinfo is not None for b in (self.min, self.max)):
+            out.append(Violation(path, "BadParameter", "bounds must not carry a UTC offset"))
+        elif self.granularity not in ("day", "second"):
             out.append(Violation(path, "BadParameter", f"unknown granularity {self.granularity!r}"))
         elif self.min > self.max:
             out.append(Violation(path, "BadBounds", "min date is after max date"))
@@ -940,6 +943,8 @@ class IntegralDomain(Node):
     def validate_into(self, path, out):
         if self.min > self.max:
             out.append(Violation(path, "BadBounds", "min exceeds max"))
+        if any(abs(b) >= BOUND_LIMIT for b in (self.min, self.max)):  # past what CPython writes
+            out.append(Violation(path, "BadBounds", "a bound has more than 4,300 digits"))
 
     @property
     def size(self):
@@ -1409,11 +1414,6 @@ def ensure_valid(spec) -> None:
     violations = spec.violations if isinstance(spec, Node) else validate(spec)
     if violations:
         raise InvalidFormat(violations)
-
-
-def is_rigid(spec) -> bool:
-    """Prefix-parsable primitives. Compound formats are treated as non-rigid."""
-    return isinstance(spec, Node) and spec.rigid
 
 
 def size(spec) -> int:

@@ -60,7 +60,6 @@ from .errors import (
 
 __all__ = [
     "IntFpeKey",
-    "balanced_factor",
     "cycle_walk_encrypt",
     "cycle_walk_decrypt",
     "slot_permutation",

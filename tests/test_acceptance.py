@@ -45,18 +45,20 @@ from fpekit import (
 )
 from fpekit.analysis import (
     GfpeScheme,
+    IdentificationCurve,
     SgfpeScheme,
-    attribute_class_count,
     expansion_and_cycles,
-    identification_curve,
-    mr_advantage_sparse,
     records_format,
+)
+
+from corpus import PREFIX_SPECS, SMALL_SPECS
+from experiments import (
+    attribute_class_count,
+    mr_advantage_sparse,
     synthetic_records,
     transaction_format,
     transaction_simplified,
 )
-
-from corpus import PREFIX_SPECS, SMALL_SPECS
 
 DIGITS = "0123456789"
 UPPER = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
@@ -346,13 +348,17 @@ def test_criterion_09_leakage_dominance(capsys):
     with criterion(capsys, 9):
         records = synthetic_records(10_000, seed=9)
         spec = records_format()
-        sg = identification_curve(records, SgfpeScheme())
 
-        flat = identification_curve(records, GfpeScheme(spec, None))
+        def curve(scheme):
+            return IdentificationCurve.of_groups([scheme.group_key(r) for r in records])
+
+        sg = curve(SgfpeScheme())
+
+        flat = curve(GfpeScheme(spec, None))
         assert flat.probs == (Fraction(1, 10_000),) * 10_000
 
         for bound in (2**16, 2**32, 2**64):
-            gf = identification_curve(records, GfpeScheme(spec, bound))
+            gf = curve(GfpeScheme(spec, bound))
             thresholds = {t for t, _ in sg.points} | {t for t, _ in gf.points}
             assert any(sg.fraction_at(t) > gf.fraction_at(t) for t in thresholds)
             for t in thresholds:

@@ -9,25 +9,37 @@ from itertools import product
 
 import pytest
 
-from fpekit import IntegralDomain, IntFpeKey, VarString, contains, intfpe, rank, size, unrank
+from fpekit import (
+    CipherConfig,
+    IntegralDomain,
+    IntFpeKey,
+    VarString,
+    contains,
+    decrypt,
+    encrypt,
+    intfpe,
+    rank,
+    size,
+    unrank,
+)
 from fpekit.analysis import (
     GfpeScheme,
     IdentificationCurve,
     SgfpeScheme,
-    attribute_class_count,
     expansion_and_cycles,
-    identification_curve,
-    mr_advantage_sparse,
     records_format,
-    sgfpe_decrypt,
-    sgfpe_encrypt,
     sgfpe_signature,
+)
+from fpekit.errors import BadParameter, NotSubset
+
+from experiments import (
+    attribute_class_count,
+    mr_advantage_sparse,
     signature_format,
     synthetic_records,
     transaction_format,
     transaction_simplified,
 )
-from fpekit.errors import BadParameter, NotSubset
 
 KEY = IntFpeKey(bytes(range(32)))
 
@@ -48,18 +60,26 @@ def test_signature_format_charsets():
     assert size(f) == 26 * 10
 
 
+def _curve(records, scheme):
+    return IdentificationCurve.of_groups([scheme.group_key(r) for r in records])
+
+
 def test_sgfpe_round_trip_preserves_signature():
+    # the baseline is the cipher on the signature's format, whose
+    # fingerprint binds the signature
+    cfg = CipherConfig()
     for s in ("Hello World", "a1-B2", "Xyz 99", "@@@", "m"):
-        c = sgfpe_encrypt(KEY, s)
+        f = signature_format(sgfpe_signature(s))
+        c = encrypt(cfg, KEY, f, s)
         assert sgfpe_signature(c) == sgfpe_signature(s)
-        assert sgfpe_decrypt(KEY, c) == s
+        assert decrypt(cfg, KEY, f, c) == s
     # literals have singleton classes, so they are immovable
-    assert sgfpe_encrypt(KEY, "@@@") == "@@@"
+    assert encrypt(cfg, KEY, signature_format(sgfpe_signature("@@@")), "@@@") == "@@@"
 
 
 def test_identification_curve_exact_fractions():
     records = ["Aa", "Bb", "Cc", "A1"]
-    curve = identification_curve(records, SgfpeScheme())
+    curve = _curve(records, SgfpeScheme())
     third = Fraction(1, 3)
     assert curve.probs == (third, third, third, Fraction(1))
     assert curve.fraction_at(Fraction(1)) == Fraction(1, 4)
@@ -70,14 +90,14 @@ def test_identification_curve_exact_fractions():
 
 def test_unbounded_grouping_is_flat():
     records = synthetic_records(200, seed=3)
-    curve = identification_curve(records, GfpeScheme(records_format(), None))
+    curve = _curve(records, GfpeScheme(records_format(), None))
     assert curve.probs == (Fraction(1, 200),) * 200
 
 
 def test_pattern_grouping_dominates_path_grouping():
     records = synthetic_records(300, seed=1)
-    sg = identification_curve(records, SgfpeScheme())
-    gf = identification_curve(records, GfpeScheme(records_format(), 2**16))
+    sg = _curve(records, SgfpeScheme())
+    gf = _curve(records, GfpeScheme(records_format(), 2**16))
     thresholds = {t for t, _ in sg.points} | {t for t, _ in gf.points}
     assert any(sg.fraction_at(t) > gf.fraction_at(t) for t in thresholds)
     for t in thresholds:

@@ -25,7 +25,6 @@ from fpekit import (
     VarString,
     WalkBudgetExceeded,
     WalkRecorder,
-    balanced_factor,
     build_plan,
     contains,
     decrypt,
@@ -42,6 +41,7 @@ from fpekit import (
 )
 from fpekit import dsl
 from fpekit.formats import NODE_TYPES
+from fpekit.intfpe import balanced_factor
 from fpekit.splitting import _Plan
 
 from corpus import PREFIX_SPECS, SMALL_SPECS, address_format

@@ -8,8 +8,9 @@ import sys
 import pytest
 
 from fpekit import Ssn, contains
-from fpekit.analysis import synthetic_records
 from fpekit.cli import main
+
+from experiments import synthetic_records
 
 PIN4 = '{"type":"fixed","charsets":["0-9","0-9","0-9","0-9"]}'
 SSN = '{"type":"ssn"}'
@@ -108,6 +109,37 @@ def test_validate_reports_problems(tmp_path, run):
     code, _, err = run("validate", "--format", str(p))
     assert code == 1
     assert "error: InvalidFormat" in err
+
+
+def test_validate_gives_a_size_past_the_decimal_limit_by_its_bit_length(tmp_path, run):
+    # 26 + 26**2 + ... + 26**4000 members: more digits than CPython writes
+    p = tmp_path / "long.json"
+    p.write_text('{"type":"var","min":1,"max":4000,"alphabet":"a-z"}')
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run("validate", "--format", str(p))
+    assert (code, out, err) == (0, "a 18802-bit number\n", "")
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_a_rank_past_the_decimal_limit_is_a_bad_parameter(tmp_path, run):
+    p = tmp_path / "long.json"
+    p.write_text('{"type":"var","min":1,"max":4000,"alphabet":"a-z"}')
+    code, out, err = run("rank", "--format", str(p), "--value", "z" * 4000)
+    assert code == 1 and out == ""
+    assert err.splitlines() == [
+        "error: BadParameter: the rank, a 18802-bit number, has too many digits to print"]
+
+
+def test_date_bounds_with_a_utc_offset_are_an_invalid_format(tmp_path, key, run):
+    p = tmp_path / "date.json"
+    p.write_text('{"type":"date","min":"2020-01-01T00:00:00+05:00",'
+                 '"max":"2020-02-01T00:00:00+05:00"}')
+    for args in (("validate",), ("encrypt", "--key", key, "--value", "02.01.2020"),
+                 ("rank", "--value", "02.01.2020")):
+        code, out, err = run(*args, "--format", str(p))
+        assert code == 1 and out == "", args
+        assert len(err.splitlines()) == 1 and err.startswith("error: InvalidFormat: "), args
+        assert "UTC offset" in err
 
 
 def test_missing_format_file_is_a_usage_error(run, tmp_path):
@@ -337,6 +369,19 @@ def test_bad_format_map(tmp_path, key, run):
                        "--out", str(tmp_path / "o.csv"))
     assert code == 1
     assert "BadParameter" in err
+
+
+def test_a_format_map_naming_a_column_twice_is_refused(tmp_path, key, run):
+    src = _csv_setup(tmp_path)
+    (tmp_path / "pin4.json").write_text(PIN4)
+    map_path = tmp_path / "map.tsv"
+    map_path.write_text("ssn\tssn.json\n\nssn\tpin4.json\n")
+    code, _, err = run("encrypt-csv", "--format-map", str(map_path),
+                       "--key", key, "--in", str(src), "--out", str(tmp_path / "o.csv"))
+    assert code == 1
+    assert err.splitlines() == [
+        f"error: BadParameter: {map_path}:3: column 'ssn' is mapped twice"]
+    assert not (tmp_path / "o.csv").exists()
 
 
 def test_column_tweak_separates_identical_columns(tmp_path, key, run):

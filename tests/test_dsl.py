@@ -127,6 +127,14 @@ def test_bad_json_reports_position():
     assert "line 1 column" in str(e.value)
 
 
+def test_an_integer_past_the_decimal_limit_is_a_syntax_error():
+    # json reads integers through int(), which refuses more than 4,300 digits
+    for digits in ("9" * 4301, "-" + "9" * 5000):
+        with pytest.raises(SpecSyntaxError, match="too many digits"):
+            parse_spec('{"type":"integral","min":0,"max":%s}' % digits)
+    assert parse_spec('{"type":"integral","min":0,"max":%s}' % ("9" * 4300)).max == 10**4300 - 1
+
+
 def test_unknown_type_and_bad_shapes():
     with pytest.raises(UnknownNodeType):
         parse_spec('{"type":"zebra"}')

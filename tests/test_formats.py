@@ -3,7 +3,7 @@
 import random
 import string
 import tracemalloc
-from datetime import datetime
+from datetime import datetime, timedelta, timezone
 
 import pytest
 from hypothesis import given
@@ -11,12 +11,14 @@ from hypothesis import strategies as st
 
 from fpekit import (
     Ccn,
+    CipherConfig,
     Concat,
     Date,
     DelimStringSet,
     DelimVarString,
     FixedString,
     IntegralDomain,
+    IntFpeKey,
     InvalidFormat,
     Range,
     Ssn,
@@ -24,12 +26,17 @@ from fpekit import (
     Union,
     VarString,
     alphabet,
+    build_plan,
     contains,
+    encrypt,
     ensure_valid,
     enumerate_members,
-    is_rigid,
     luhn_digit,
+    parse_spec,
+    rank,
+    serialize_spec,
     size,
+    unrank,
     validate,
 )
 from fpekit.errors import BadLength, NonDigit, ParseFailure
@@ -37,6 +44,8 @@ from fpekit import formats
 from fpekit.formats import DIGITS, _all_decimal
 
 from corpus import PREFIX_SPECS, SMALL_SPECS
+
+KEY = IntFpeKey(bytes(range(32)))
 
 
 def codes(spec):
@@ -144,6 +153,38 @@ def test_date_rules():
     assert validate(Date(datetime(2000, 1, 1, 12), datetime(2000, 1, 2), "second")) == []
 
 
+def test_date_bounds_with_a_utc_offset_are_refused():
+    # a member is read as a naive datetime, which no aware bound can be compared with
+    plus5 = timezone(timedelta(hours=5))
+    aware = datetime(2020, 1, 1, tzinfo=plus5), datetime(2020, 2, 1, tzinfo=plus5)
+    naive = datetime(2020, 1, 1), datetime(2020, 2, 1)
+    for lo, hi in (aware, (naive[0], aware[1]), (aware[0], naive[1])):
+        for gran in ("day", "second"):
+            spec = Date(lo, hi, gran)
+            assert [(v.code, v.message) for v in validate(spec)] == [
+                ("BadParameter", "bounds must not carry a UTC offset")]
+            for call in (lambda: encrypt(CipherConfig(), KEY, spec, "02.01.2020"),
+                         lambda: rank(spec, "02.01.2020"), lambda: build_plan(spec, None)):
+                with pytest.raises(InvalidFormat):
+                    call()
+    spec = parse_spec('{"type":"date","min":"2020-01-01T00:00:00Z","max":"2020-02-01"}')
+    assert codes(spec) == {"BadParameter"}
+
+
+def test_integral_bounds_stop_below_the_decimal_limit():
+    # CPython writes and reads at most 4,300 digits (BOUND_LIMIT = 10**4300)
+    edge = 10**4300 - 1
+    spec = IntegralDomain(-edge, edge)
+    assert validate(spec) == []
+    assert unrank(spec, 0) == str(-edge) and unrank(spec, spec.size - 1) == str(edge)
+    assert parse_spec(serialize_spec(spec)) == spec
+    assert contains(spec, str(edge)) and not contains(spec, "1" + "0" * 4300)
+    for lo, hi in ((0, edge + 1), (-edge - 1, 0), (0, 10**5000), (-(10**5000), 10**5000)):
+        assert codes(IntegralDomain(lo, hi)) == {"BadBounds"}, (lo, hi)
+        with pytest.raises(InvalidFormat):
+            encrypt(CipherConfig(), KEY, IntegralDomain(lo, hi), "0")
+
+
 def test_violation_paths_point_at_subtrees():
     spec = Concat((FixedString(("ab",)), Union((VarString(2, 1, "xy"),))))
     paths = {v.path for v in validate(spec)}
@@ -165,18 +206,18 @@ def test_non_node_rejected():
 
 
 def test_rigid_table():
-    assert is_rigid(Ssn())
-    assert is_rigid(Ccn())
-    assert is_rigid(Date(datetime(2000, 1, 1), datetime(2000, 1, 2)))
-    assert is_rigid(FixedString(("ab",)))
-    assert is_rigid(DelimVarString(1, 2, "ab", "-"))
-    assert is_rigid(DelimStringSet(("a|",), "|"))
-    assert not is_rigid(VarString(2, 2, "ab"))
-    assert not is_rigid(StringSet(("a",)))
-    assert not is_rigid(IntegralDomain(0, 9))
-    assert not is_rigid(Union((FixedString(("ab",)),)))
-    assert not is_rigid(Concat((FixedString(("ab",)),)))
-    assert not is_rigid(Range(FixedString(("ab",)), "-", 1, 2))
+    assert Ssn().rigid
+    assert Ccn().rigid
+    assert Date(datetime(2000, 1, 1), datetime(2000, 1, 2)).rigid
+    assert FixedString(("ab",)).rigid
+    assert DelimVarString(1, 2, "ab", "-").rigid
+    assert DelimStringSet(("a|",), "|").rigid
+    assert not VarString(2, 2, "ab").rigid
+    assert not StringSet(("a",)).rigid
+    assert not IntegralDomain(0, 9).rigid
+    assert not Union((FixedString(("ab",)),)).rigid
+    assert not Concat((FixedString(("ab",)),)).rigid
+    assert not Range(FixedString(("ab",)), "-", 1, 2).rigid
 
 
 def test_size_matches_enumeration():

@@ -20,7 +20,6 @@ from fpekit import (
     Union,
     VarString,
     contains,
-    count_invalid_ssn_below,
     date_offset,
     enumerate_members,
     offset_to_date,
@@ -28,10 +27,11 @@ from fpekit import (
     size,
     unrank,
 )
-from fpekit.errors import OutOfRange
-from fpekit.ranking import Rank, _ssn_valid_below
+from fpekit.errors import OutOfRange, outside
+from fpekit.ranking import Rank
 
 from corpus import PREFIX_SPECS, SMALL_SPECS
+from oracles import _ssn_valid_below, count_invalid_ssn_below
 
 DIGITS = "0123456789"
 
@@ -126,6 +126,18 @@ def test_unrank_bounds():
         unrank(spec, -1)
     with pytest.raises(RankOutOfRange):
         Rank(5, 5)
+
+
+def test_a_rank_outside_a_bound_past_the_decimal_limit_is_told_by_bit_lengths():
+    # 26 + 26**2 + ... + 26**4000 members: more digits than CPython writes
+    spec = VarString(1, 4000, "abcdefghijklmnopqrstuvwxyz")
+    for r in (-1, spec.size, 10**6000):
+        with pytest.raises(RankOutOfRange) as e:
+            unrank(spec, r)
+        assert str(e.value).endswith("-bit value is not in [0, a 18802-bit number)")
+    with pytest.raises(RankOutOfRange, match=r"^a negative 1-bit value is not in \[0, 3\)$"):
+        Rank(-1, 3)
+    assert outside(-1, 10**5000) == "a negative 1-bit value is not in [0, a 16610-bit number)"
 
 
 @pytest.mark.parametrize("r", [2.7, 2.0, "5", True, None])
