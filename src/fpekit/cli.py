@@ -15,8 +15,8 @@ import click
 from . import cipher
 from .analysis import GfpeScheme, IdentificationCurve, SgfpeScheme, expansion_and_cycles
 from .dsl import parse_spec
-from .errors import BadParameter, CsvFieldError, FpeError, InvalidFormat, decimal_text
-from .formats import validate
+from .errors import BadParameter, CsvFieldError, FpeError, decimal_text
+from .formats import ensure_valid
 from .intfpe import BOUND_LIMIT, read_key_file, write_key_file
 from .ranking import rank, unrank
 
@@ -60,8 +60,19 @@ _max_size_option = click.option("--max-size", "max_size", type=SIZE_BOUND, defau
                                 help="Slot bound: decimal, 2^k, or inf.", show_default="inf")
 
 
+def _read_text(path) -> str:
+    """The text of a UTF-8 file; where it is not UTF-8, BadParameter naming
+    the line of its first bad byte, but never the byte."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        line = data.count(b"\n", 0, e.start) + 1
+        raise BadParameter(f"{path}: line {line} is not valid UTF-8") from None
+
+
 def _load_spec(path):
-    return parse_spec(Path(path).read_text(encoding="utf-8"))
+    return parse_spec(_read_text(path))
 
 
 def _read_value(value):
@@ -95,9 +106,7 @@ def validate_cmd(format_path):
     """Check a format definition; print its size if valid (by its bit length
     past the 4,300 digits CPython writes)."""
     spec = _load_spec(format_path)
-    problems = validate(spec)
-    if problems:
-        raise InvalidFormat(problems)
+    ensure_valid(spec)
     click.echo(decimal_text(spec.size))
 
 
@@ -157,7 +166,7 @@ def _load_format_map(path):
     """Lines of `column<TAB>spec-path`; paths resolve relative to the map file."""
     mapping = {}
     base = Path(path).parent
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(_read_text(path).splitlines(), 1):
         if not line.strip():
             continue
         column, sep, spec_path = line.partition("\t")
@@ -170,6 +179,15 @@ def _load_format_map(path):
     if not mapping:
         raise BadParameter(f"{path}: empty format map")
     return mapping
+
+
+def _csv_rows(f, path):
+    """The rows of f, a CSV file read as UTF-8; `_read_text`'s error where it is not."""
+    try:
+        yield from csv.reader(f)
+    except UnicodeDecodeError:
+        _read_text(path)
+        raise BadParameter(f"{path} is not valid UTF-8") from None  # it changed while read
 
 
 def _read_header(reader, path, columns):
@@ -192,7 +210,7 @@ def _transform_csv(map_path, key_path, in_path, out_path, max_size, column_tweak
     key = read_key_file(key_path)
     cfg = cipher.CipherConfig(max_size=max_size)
     with open(in_path, newline="", encoding="utf-8") as fin:
-        reader = csv.reader(fin)
+        reader = _csv_rows(fin, in_path)
         header = _read_header(reader, in_path, specs)
         targets = [(header.index(name), name, specs[name]) for name in specs]
         with open(out_path, "w", newline="", encoding="utf-8") as fout:
@@ -264,7 +282,7 @@ def analyze(dataset_path, scheme, format_path, max_size, column, out_path):
     else:
         grouping = GfpeScheme(_load_spec(format_path), max_size)
     with open(dataset_path, newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
+        reader = _csv_rows(f, dataset_path)
         header = _read_header(reader, dataset_path, () if column is None else (column,))
         idx = 0 if column is None else header.index(column)
         keys = []

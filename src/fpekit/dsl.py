@@ -32,12 +32,13 @@ _REQUIRED = object()
 def parse_spec(text: str):
     """Build a format tree from its JSON definition."""
     try:
-        doc = json.loads(text)
+        return _build(json.loads(text), "$", {})
     except json.JSONDecodeError as e:
         raise SpecSyntaxError(f"line {e.lineno} column {e.colno}: {e.msg}") from None
-    except ValueError:  # an integer past the digits CPython reads (4,300 by default)
+    except ValueError:  # from json.loads: an integer past the digits CPython reads (4,300 by default)
         raise SpecSyntaxError("an integer has too many digits") from None
-    return _build(doc, "$", {})
+    except RecursionError:  # from json.loads or _build
+        raise SpecSyntaxError("nested too deeply") from None
 
 
 def serialize_spec(spec) -> str:

@@ -48,18 +48,6 @@ class RankOutOfRange(FpeError):
     """A rank fell outside [0, format size)."""
 
 
-class BadLength(FpeError):
-    """A digit string has the wrong length."""
-
-
-class NonDigit(FpeError):
-    """A digit string contains a character outside 0-9."""
-
-
-class OutOfRange(FpeError):
-    """A date or offset fell outside the allowed interval."""
-
-
 class InputOutOfDomain(FpeError):
     """An integer input fell outside the permutation's domain."""
 

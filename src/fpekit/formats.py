@@ -53,15 +53,7 @@ from functools import lru_cache
 from . import splitting
 from .intfpe import BOUND_LIMIT
 from .splitting import cached_property
-from .errors import (
-    BadLength,
-    BadParameter,
-    InvalidFormat,
-    NonDigit,
-    OutOfRange,
-    ParseFailure,
-    UnsplittableAtom,
-)
+from .errors import BadParameter, InvalidFormat, ParseFailure, UnsplittableAtom
 
 DIGITS = "0123456789"
 
@@ -205,19 +197,12 @@ def _tuple_stream(factories):
 _LUHN_DOUBLED = bytes.maketrans(b"0123456789", b"0246813579")  # the digit of 2d's digit sum
 
 
-def luhn_digit(digits: str) -> str:
-    """The check digit that makes digits + check Luhn-valid (16 total)."""
-    if len(digits) != 15:
-        raise BadLength(f"expected 15 digits, got {len(digits)}")
-    if not _all_decimal(digits):
-        raise NonDigit(f"not a decimal digit: {next(c for c in digits if not _all_decimal(c))!r}")
-    b = digits.encode("ascii")  # each byte is its digit plus 48
+def _with_luhn_digit(payload: str) -> str:
+    """Fifteen ASCII digits followed by the check digit that makes the
+    sixteen Luhn-valid; every caller has already checked the payload."""
+    b = payload.encode("ascii")  # each byte is its digit plus 48
     total = sum(b[0::2].translate(_LUHN_DOUBLED)) + sum(b[1::2]) - 48 * 15
-    return str(-total % 10)
-
-
-def _with_luhn_digit(digits: str) -> str:
-    return digits + luhn_digit(digits)
+    return payload + str(-total % 10)
 
 
 def _all_decimal(s: str) -> bool:
@@ -247,7 +232,7 @@ def ssn_components(s: str) -> tuple:
 def ccn_payload(s: str) -> str:
     """The fifteen payload digits of a Luhn-valid card number; ParseFailure
     for anything else."""
-    if not (len(s) == 16 and _all_decimal(s) and luhn_digit(s[:15]) == s[15]):
+    if not (len(s) == 16 and _all_decimal(s) and _with_luhn_digit(s[:15]) == s):
         raise ParseFailure.of(s)
     return s[:15]
 
@@ -281,28 +266,6 @@ def format_date_string(dt: datetime, granularity: str) -> str:
     if granularity == "second":
         out += f" {dt.hour:02d}:{dt.minute:02d}:{dt.second:02d}"
     return out
-
-
-def date_offset(min_date: datetime, d: datetime, granularity: str) -> int:
-    """Days or seconds from the lower bound to d."""
-    if d is None or d < min_date:
-        raise OutOfRange(f"{d} is before {min_date}")
-    if granularity == "day":
-        return d.toordinal() - min_date.toordinal()
-    delta = d - min_date
-    return delta.days * 86400 + delta.seconds
-
-
-def offset_to_date(min_date: datetime, r: int, granularity: str) -> datetime:
-    """Inverse of date_offset."""
-    if r < 0:
-        raise OutOfRange(f"negative offset {r}")
-    try:
-        if granularity == "day":
-            return min_date + timedelta(days=r)
-        return min_date + timedelta(seconds=r)
-    except OverflowError:
-        raise OutOfRange(f"offset {r} leaves the calendar range") from None
 
 
 # ---------------------------------------------------------------------------
@@ -531,38 +494,40 @@ class Date(_FixedWidth):
     def width(self):
         return 10 if self.granularity == "day" else 19
 
+    @property
+    def _step(self):
+        return timedelta(days=1) if self.granularity == "day" else timedelta(seconds=1)
+
     @cached_property
     def size(self):
-        if self.granularity == "day":
-            return self.max.toordinal() - self.min.toordinal() + 1
-        delta = self.max - self.min
-        return delta.days * 86400 + delta.seconds + 1
+        return (self.max - self.min) // self._step + 1
 
     @cached_property
     def chars(self):
         return frozenset(DIGITS + "." + (" :" if self.granularity == "second" else ""))
 
     def members(self):
-        step = timedelta(days=1) if self.granularity == "day" else timedelta(seconds=1)
-        cur = self.min
+        step, cur = self._step, self.min
         for _ in range(self.size):
             yield format_date_string(cur, self.granularity)
             cur += step
 
     def _make_ranker(self):
         lo, hi, gran = self.min, self.max, self.granularity
+        per_day = 1 if gran == "day" else 86400  # a day's members sit at midnight
 
         def rank(s):
             dt = _parse_date_string(s, gran)
             if dt is None or not lo <= dt <= hi:
                 raise ParseFailure.of(s)
-            return date_offset(lo, dt, gran)
+            d = dt - lo
+            return d.days * per_day + d.seconds
 
         return rank
 
     def _make_unranker(self):
-        lo, gran = self.min, self.granularity
-        return lambda v: format_date_string(offset_to_date(lo, v, gran), gran)
+        lo, step, gran = self.min, self._step, self.granularity
+        return lambda v: format_date_string(lo + v * step, gran)
 
     def to_json(self):
         def text(dt):
@@ -1427,7 +1392,8 @@ def alphabet(spec) -> frozenset:
 
 
 def contains(spec, s: str) -> bool:
-    """True iff s is a member of the format; BadParameter unless s is text."""
+    """True iff s is a member; InvalidFormat unless spec is valid, BadParameter unless s is text."""
+    ensure_valid(spec)
     splitting.check_text(s)
     return spec.contains(s)
 

@@ -5,26 +5,19 @@ Variable-length and repeated shapes count in bijective numeration (digits
 1..base), so fewer pieces come first. Each format node
 builds its own rank and unrank functions once (`_make_ranker` and
 `_make_unranker` in `formats`, behind `Node.rank` and `Node.unrank`); this
-module holds the checked public entry points and the `Rank` value they
-return.
+module holds the checked public entry points, `rank` and `unrank`, and
+the `Rank` value they return.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BadParameter, NotInFormat, ParseFailure, RankOutOfRange, outside
-from .formats import date_offset, ensure_valid, luhn_digit, offset_to_date
+from .errors import BadParameter, NotInFormat, ParseFailure, RankOutOfRange, decimal_text, outside
+from .formats import ensure_valid
 from .splitting import check_text
 
-__all__ = [
-    "Rank",
-    "rank",
-    "unrank",
-    "luhn_digit",
-    "date_offset",
-    "offset_to_date",
-]
+__all__ = ["Rank", "rank", "unrank"]
 
 
 @dataclass(frozen=True)
@@ -37,6 +30,9 @@ class Rank:
     def __post_init__(self):
         if not 0 <= self.value < self.domain_size:
             raise RankOutOfRange(outside(self.value, self.domain_size))
+
+    def __repr__(self):
+        return f"Rank(value={decimal_text(self.value)}, domain_size={decimal_text(self.domain_size)})"
 
 
 def rank(spec, s: str) -> Rank:

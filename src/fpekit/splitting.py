@@ -63,6 +63,7 @@ from .errors import (
     NotInFormat,
     ParseFailure,
     VectorShapeMismatch,
+    decimal_text,
     outside,
 )
 from .intfpe import check_bound
@@ -114,6 +115,11 @@ class RankVector:
 
     def __len__(self):
         return len(self.ranks)
+
+    def __repr__(self):  # each number by decimal_text, so that no repr fails to form
+        ranks, sizes = (", ".join(map(decimal_text, xs)) + "," * (len(xs) == 1)
+                        for xs in (self.ranks, self.sizes))
+        return f"RankVector(ranks=({ranks}), sizes=({sizes}))"
 
 
 def greedy_groups(sizes, max_size, combine):

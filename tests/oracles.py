@@ -4,7 +4,6 @@ The nine-digit counting helpers count the valid SSN values below n in
 closed form, kept as a check on the SSN rank order.
 """
 
-from fpekit.errors import OutOfRange
 from fpekit.formats import SSN_SIZE
 
 
@@ -26,5 +25,5 @@ def _ssn_valid_below(n: int) -> int:
 def count_invalid_ssn_below(n: int) -> int:
     """Nine-digit values below n that break the area/group/serial rules."""
     if not 0 <= n < 10**9:
-        raise OutOfRange(f"{n} not in [0, 10**9)")
+        raise ValueError(f"{n} not in [0, 10**9)")
     return n - _ssn_valid_below(n)

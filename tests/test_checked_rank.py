@@ -5,7 +5,7 @@ rejects a non-member with a plain NotInFormat that gives the length, under
 every slot bound, and no other exception type escapes the walk.
 """
 
-from datetime import datetime
+from datetime import datetime, timedelta, timezone
 
 import pytest
 
@@ -32,7 +32,7 @@ from fpekit import (
     ranking,
     unrank_multi,
 )
-from fpekit.errors import BadParameter, NotInFormat
+from fpekit.errors import BadParameter, InvalidFormat, NotInFormat
 
 from corpus import ADDRESS
 
@@ -68,6 +68,7 @@ NON_MEMBERS = [
     (Concat((FixedString(("ab",)), VarString(1, 2, "01"))), "a"),
     (Concat((VarString(1, 2, "ab"), VarString(1, 2, "cd")), ("-",)), "ab-cd-"),
     (ADDRESS, "Elm Street,Dover,42,012345,France"),
+    (Date(datetime(2000, 1, 1), datetime(2000, 4, 9)), "31.12.1999"),  # before min
 ]
 
 
@@ -128,3 +129,13 @@ def test_a_member_that_is_not_text_is_a_bad_parameter(value, bound):
 def test_contains_is_a_bad_parameter_for_a_value_that_is_not_text(spec, value):
     with pytest.raises(BadParameter, match=f"not {type(value).__name__}$"):
         contains(spec, value)
+
+
+def test_contains_refuses_an_invalid_format_as_rank_does():
+    utc = timezone(timedelta(hours=5))
+    offset_bounds = Date(datetime(2020, 1, 1, tzinfo=utc), datetime(2020, 2, 1, tzinfo=utc))
+    ambiguous = Concat((VarString(0, 2, "a"), VarString(0, 2, "a")))
+    for spec, text in ((offset_bounds, "02.01.2020"), (ambiguous, "aa")):
+        for call in (ranking.rank, contains):
+            with pytest.raises(InvalidFormat):
+                call(spec, text)

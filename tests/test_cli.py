@@ -321,6 +321,52 @@ def test_csv_errors_name_the_cell(tmp_path, key, run):
     assert "000121234" not in err
 
 
+def test_csv_files_that_are_not_utf8_are_a_bad_parameter_naming_the_line(tmp_path, key, run):
+    _csv_setup(tmp_path)
+    src = tmp_path / "in.csv"
+    # past the first chunk the reader decodes
+    src.write_bytes(b"name,ssn\n" + b"Bob,123456789\n" * 3000 + b'Ren\xe9,123456789\n')
+    common = ("--format-map", str(tmp_path / "map.tsv"), "--key", key, "--in", str(src),
+              "--out", str(tmp_path / "o.csv"))
+    for args in (("encrypt-csv", *common), ("decrypt-csv", *common),
+                 ("analyze", "--dataset", str(src), "--scheme", "sgfpe",
+                  "--out", str(tmp_path / "curve.csv"))):
+        code, out, err = run(*args)
+        assert code == 1 and out == "", args[0]
+        assert err.splitlines() == [f"error: BadParameter: {src}: line 3002 is not valid UTF-8"]
+
+
+def test_format_files_that_are_not_utf8_are_a_bad_parameter_naming_the_line(tmp_path, key, run):
+    src = _csv_setup(tmp_path)
+    bad_spec = tmp_path / "bad.json"
+    bad_spec.write_bytes(b'{"type":\n"fixed","charsets":["\xe9"]}')
+    code, out, err = run("validate", "--format", str(bad_spec))
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [f"error: BadParameter: {bad_spec}: line 2 is not valid UTF-8"]
+    bad_map = tmp_path / "map.tsv"
+    bad_map.write_bytes(b"ssn\tssn.json\nR\xe9\tssn.json\n")
+    code, out, err = run("encrypt-csv", "--format-map", str(bad_map), "--key", key,
+                         "--in", str(src), "--out", str(tmp_path / "o.csv"))
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [f"error: BadParameter: {bad_map}: line 2 is not valid UTF-8"]
+
+
+def _nested_ranges(depth):
+    text = '{"type":"fixed","charsets":["a"]}'
+    for _ in range(depth):
+        text = f'{{"type":"range","inner":{text},"min":1,"max":1}}'
+    return text
+
+
+@pytest.mark.parametrize("text", ["[" * 5000, _nested_ranges(400)], ids=["json", "ranges"])
+def test_a_format_nested_too_deeply_is_a_spec_syntax_error(tmp_path, run, text):
+    p = tmp_path / "deep.json"
+    p.write_text(text)
+    code, out, err = run("validate", "--format", str(p))
+    assert (code, out) == (1, "")
+    assert err.splitlines() == ["error: SpecSyntaxError: nested too deeply"]
+
+
 def test_csv_short_row_is_reported(tmp_path, key, run):
     _csv_setup(tmp_path)
     (tmp_path / "in.csv").write_text("note,ssn\nonly-one-field\n")

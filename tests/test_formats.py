@@ -31,7 +31,6 @@ from fpekit import (
     encrypt,
     ensure_valid,
     enumerate_members,
-    luhn_digit,
     parse_spec,
     rank,
     serialize_spec,
@@ -39,7 +38,7 @@ from fpekit import (
     unrank,
     validate,
 )
-from fpekit.errors import BadLength, NonDigit, ParseFailure
+from fpekit.errors import ParseFailure
 from fpekit import formats
 from fpekit.formats import DIGITS, _all_decimal
 
@@ -327,31 +326,20 @@ def independent_luhn_ok(s):
 
 
 def test_luhn_pins():
-    assert luhn_digit("0" * 15) == "0"
-    assert luhn_digit("453201511283036") == "6"
+    assert unrank(Ccn(), int("0" * 15)) == "0" * 16
+    assert unrank(Ccn(), int("453201511283036")) == "4532015112830366"
 
 
 @given(st.text(alphabet="0123456789", min_size=15, max_size=15))
 def test_luhn_agrees_with_independent_validator(payload):
-    assert independent_luhn_ok(payload + luhn_digit(payload))
-
-
-def test_luhn_rejects_bad_input():
-    with pytest.raises(BadLength):
-        luhn_digit("123")
-    with pytest.raises(NonDigit):
-        luhn_digit("12345678901234x")
+    assert independent_luhn_ok(unrank(Ccn(), int(payload)))
 
 
 def loop_luhn_digit(digits):
-    """luhn_digit as a loop over the characters, the reference for the
-    library's slice sums."""
-    if len(digits) != 15:
-        raise BadLength(f"expected 15 digits, got {len(digits)}")
+    """The check digit of fifteen decimal digits as a loop over the
+    characters, the reference for the library's slice sums."""
     total = 0
     for i, ch in enumerate(digits):
-        if not "0" <= ch <= "9":
-            raise NonDigit(f"not a decimal digit: {ch!r}")
         d = ord(ch) - 48
         if i % 2 == 0:
             d *= 2
@@ -365,22 +353,20 @@ def loop_luhn_digit(digits):
 NOT_DECIMAL = "\u00b2\u0663\uff10+- \t.a"
 
 
-def _outcome(f, x):
-    try:
-        return f(x)
-    except (BadLength, NonDigit) as e:
-        return type(e), str(e)
-
-
 def test_luhn_digit_agrees_with_the_character_loop():
     rng = random.Random(12)
     payloads = ["".join(rng.choices(DIGITS, k=15)) for _ in range(2000)]
-    for p in payloads[:300]:
-        i = rng.randrange(15)
-        payloads += [p[:i] + c + p[i + 1:] for c in NOT_DECIMAL]
-    payloads += ["", "1" * 14, "1" * 16, NOT_DECIMAL * 2]
     for p in payloads:
-        assert _outcome(luhn_digit, p) == _outcome(loop_luhn_digit, p), p
+        assert formats._with_luhn_digit(p) == p + loop_luhn_digit(p), p
+    # what the check digit is never computed for: a non-decimal payload
+    # character, another length, a wrong check digit
+    refused = ["", "1" * 15, "1" * 17, NOT_DECIMAL * 2]
+    for p in payloads[:300]:
+        i, check = rng.randrange(15), loop_luhn_digit(p)
+        refused += [p[:i] + c + p[i + 1:] + check for c in NOT_DECIMAL]
+        refused.append(p + str((int(check) + 1) % 10))
+    for s in refused:
+        assert not contains(Ccn(), s), s
 
 
 def test_decimal_check_takes_ascii_digits_only():

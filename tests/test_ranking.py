@@ -20,15 +20,15 @@ from fpekit import (
     Union,
     VarString,
     contains,
-    date_offset,
     enumerate_members,
-    offset_to_date,
     rank,
+    rank_multi,
     size,
     unrank,
 )
-from fpekit.errors import OutOfRange, outside
+from fpekit.errors import outside
 from fpekit.ranking import Rank
+from fpekit.splitting import RankVector
 
 from corpus import PREFIX_SPECS, SMALL_SPECS
 from oracles import _ssn_valid_below, count_invalid_ssn_below
@@ -126,6 +126,10 @@ def test_unrank_bounds():
         unrank(spec, -1)
     with pytest.raises(RankOutOfRange):
         Rank(5, 5)
+    last_year = Date(datetime(9999, 1, 1), datetime(9999, 12, 31))  # 365 would pass the calendar
+    for r in (-1, 365):
+        with pytest.raises(RankOutOfRange):
+            unrank(last_year, r)
 
 
 def test_a_rank_outside_a_bound_past_the_decimal_limit_is_told_by_bit_lengths():
@@ -209,9 +213,9 @@ def test_count_invalid_pins():
     assert count_invalid_ssn_below(0) == 0
     assert count_invalid_ssn_below(1_010_001) == 1_010_001
     assert count_invalid_ssn_below(10**9 - 1) == 10**9 - 1 - 888_931_098
-    with pytest.raises(OutOfRange):
+    with pytest.raises(ValueError):
         count_invalid_ssn_below(10**9)
-    with pytest.raises(OutOfRange):
+    with pytest.raises(ValueError):
         count_invalid_ssn_below(-1)
 
 
@@ -245,20 +249,13 @@ def test_ccn_round_trip_random(rng):
 
 
 def test_date_offset_pins():
-    assert date_offset(datetime(1900, 1, 1), datetime(1901, 1, 1), "day") == 365
-    assert date_offset(datetime(2000, 2, 28), datetime(2000, 3, 1), "day") == 2
-    assert date_offset(datetime(2000, 1, 1), datetime(2000, 1, 2, 0, 0, 1), "second") == 86_401
-
-
-def test_date_offset_bounds():
-    with pytest.raises(OutOfRange):
-        date_offset(datetime(2000, 1, 1), datetime(1999, 12, 31), "day")
-    with pytest.raises(OutOfRange):
-        date_offset(datetime(2000, 1, 1), None, "day")
-    with pytest.raises(OutOfRange):
-        offset_to_date(datetime(2000, 1, 1), -1, "day")
-    with pytest.raises(OutOfRange):
-        offset_to_date(datetime(9999, 1, 1), 10**6, "day")
+    century = Date(datetime(1900, 1, 1), datetime(2013, 9, 23))
+    assert rank(century, "01.01.1901").value == 365
+    assert unrank(century, 365) == "01.01.1901"
+    assert rank(century, "01.03.2000").value - rank(century, "28.02.2000").value == 2
+    seconds = Date(datetime(2000, 1, 1), datetime(2000, 1, 3), "second")
+    assert rank(seconds, "02.01.2000 00:00:01").value == 86_401
+    assert unrank(seconds, 86_401) == "02.01.2000 00:00:01"
 
 
 def test_date_rank_pins():
@@ -319,3 +316,13 @@ def test_corpus_round_trip_property(data):
     name, spec = data.draw(st.sampled_from(SMALL_SPECS))
     r = data.draw(st.integers(min_value=0, max_value=size(spec) - 1))
     assert rank(spec, unrank(spec, r)).value == r, name
+
+
+def test_a_rank_too_long_to_write_in_decimal_still_has_a_repr():
+    spec = VarString(1, 4000, "abcdefghijklmnopqrstuvwxyz")
+    assert repr(rank(spec, "z" * 4000)) == (
+        "Rank(value=a 18802-bit number, domain_size=a 18802-bit number)")
+    assert repr(rank_multi(spec, None, "z" * 4000)) == (
+        "RankVector(ranks=(a 18802-bit number,), sizes=(a 18802-bit number,))")
+    assert repr(Rank(1, 3)) == "Rank(value=1, domain_size=3)"
+    assert repr(RankVector((1, 2), (3, 4))) == "RankVector(ranks=(1, 2), sizes=(3, 4))"
