@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 from . import dsl
 from .errors import BadParameter, EntropyUnavailable
+from .formats import ensure_valid
 from .intfpe import (WALK_BUDGET, Fe1Backend, IntFpeKey, check_bound, check_walk_budget,
                      slot_permutation)
 from .splitting import build_plan, walk
@@ -54,11 +55,16 @@ def keygen(bits: int = 256) -> IntFpeKey:
 
 
 def format_fingerprint(spec, max_size) -> bytes:
-    """32 bytes binding the canonical format text and the slot bound,
-    computed once per format and bound and stored on the format node."""
-    bound = repr(max_size)
-    fp = spec.fingerprints.get(bound)
+    """32 bytes binding the canonical format text and the slot bound, both
+    checked, computed once per format and bound and stored on the format node."""
+    try:
+        bound = repr(max_size)  # ValueError for an int past the digits CPython writes
+        fp = spec.fingerprints.get(bound)
+    except (ValueError, AttributeError):  # check_bound or ensure_valid reports it
+        fp = None
     if fp is None:
+        check_bound(max_size)
+        ensure_valid(spec)
         h = hashlib.sha256()
         h.update(dsl.serialize_spec(spec).encode("utf-8"))
         h.update(b"\x00")

@@ -60,10 +60,11 @@ _max_size_option = click.option("--max-size", "max_size", type=SIZE_BOUND, defau
                                 help="Slot bound: decimal, 2^k, or inf.", show_default="inf")
 
 
-def _read_text(path) -> str:
-    """The text of a UTF-8 file; where it is not UTF-8, BadParameter naming
-    the line of its first bad byte, but never the byte."""
-    data = Path(path).read_bytes()
+def _read_text(path, data=None) -> str:
+    """The text of a UTF-8 file, or of the data read from path; where it is
+    not UTF-8, BadParameter naming the line of its first bad byte, but never
+    the byte."""
+    data = Path(path).read_bytes() if data is None else data
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as e:
@@ -78,8 +79,7 @@ def _load_spec(path):
 def _read_value(value):
     if value is not None:
         return value
-    text = click.get_text_stream("stdin").read()
-    return text[:-1] if text.endswith("\n") else text
+    return _read_text("stdin", click.get_binary_stream("stdin").read()).removesuffix("\n")
 
 
 @click.group()

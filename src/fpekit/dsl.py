@@ -1,10 +1,11 @@
 """Textual format definitions: JSON in, format trees out, and back.
 
-Each node type defines its own JSON form (`to_json` and `from_json` in
-`formats`). This module holds what they share: JSON text in and out, the
-table from "type" tag to node class, and the typed parameter reader that
-reports every error with the path of the object it sits in. The character
-set notation lives in `formats` and is re-exported here.
+A node's JSON object is its "type" tag and its dataclass fields, each under
+its own name and left out at its default; how a field is read and written
+follows from its name (`_PARAMS`). Only `Date` has its own form (`to_json`
+and `from_json`): its bounds are written by granularity, and its
+granularity always. Every error names the path of the object it sits in.
+The character set notation lives in `formats` and is re-exported here.
 
 The serialized form is canonical: keys are sorted, separators are compact,
 defaults are omitted, character sets collapse runs of three or more into
@@ -15,7 +16,7 @@ it can safely feed key derivation.
 from __future__ import annotations
 
 import json
-from dataclasses import fields
+from dataclasses import MISSING, fields
 from datetime import date as _date
 from datetime import datetime
 
@@ -24,8 +25,6 @@ from .formats import NODE_TYPES, parse_charset, serialize_charset
 
 __all__ = ["parse_spec", "serialize_spec", "parse_charset", "serialize_charset"]
 
-# the JSON parameters of a node are exactly its dataclass fields
-_NODE_CLASSES = {cls.kind: (cls, {f.name for f in fields(cls)} | {"type"}) for cls in NODE_TYPES}
 _REQUIRED = object()
 
 
@@ -43,9 +42,7 @@ def parse_spec(text: str):
 
 def serialize_spec(spec) -> str:
     """Canonical JSON text for a format tree."""
-    return json.dumps(
-        spec.to_json(), sort_keys=True, separators=(",", ":"), ensure_ascii=True
-    )
+    return json.dumps(_to_json(spec), sort_keys=True, separators=(",", ":"), ensure_ascii=True)
 
 
 def _build(doc, path, seen):
@@ -57,19 +54,34 @@ def _build(doc, path, seen):
     t = doc.get("type")
     if t is None:
         raise BadParameter(f"{path}: missing 'type'")
-    cls, keys = _NODE_CLASSES.get(t, (None, None)) if isinstance(t, str) else (None, None)
-    if cls is None:
+    if not (isinstance(t, str) and t in _NODE_CLASSES):
         raise UnknownNodeType(f"{path}: unknown node type {t!r}")
-    extra = set(doc) - keys
-    if extra:
-        raise BadParameter(f"{path}: unexpected parameter(s) {sorted(extra)}")
-    node = cls.from_json(_Reader(doc, path, seen))
+    cls, keys, params = _NODE_CLASSES[t]
+    if not keys.issuperset(doc):
+        raise BadParameter(f"{path}: unexpected parameter(s) {sorted(set(doc) - keys)}")
+    r = _Reader(doc, path, seen)
+    node = cls.from_json(r) if params is None else cls(*r.field_values(params))
     return seen.setdefault(node, node)
+
+
+def _to_json(node) -> dict:
+    """A node's JSON object."""
+    params = _NODE_CLASSES[node.kind][2]
+    if params is None:
+        return node.to_json()
+    out = {"type": node.kind}
+    for name, _, _, write, default in params:
+        v = getattr(node, name)
+        if default is _REQUIRED or v != default:
+            out[name] = v if write is None else write(v)
+    return out
 
 
 class _Reader:
     """Typed access to the parameters of one JSON object; every error names
     the object's path."""
+
+    __slots__ = ("doc", "path", "seen")
 
     def __init__(self, doc: dict, path: str, seen: dict):
         self.doc = doc
@@ -92,19 +104,13 @@ class _Reader:
             self.fail(f"{key!r} has the wrong type")
         return v
 
-    def texts(self, key, default=_REQUIRED):
-        """A list of strings, as a tuple."""
-        raw = self.get(key, list, default)
-        if raw is default:
-            return raw
-        for i, v in enumerate(raw):
-            if not isinstance(v, str):
-                self.fail(f"{key}[{i}] must be a string")
-        return tuple(raw)
-
-    def charset(self, text, where):
-        """Expand character set notation found at `where` in this object."""
-        return parse_charset(text, f"{self.path}.{where}")
+    def field_values(self, params) -> list:
+        """A node's fields, in order, each read as `_PARAMS` says."""
+        out = []
+        for name, kind, read, _, default in params:
+            v = self.get(name, kind, default)
+            out.append(v if read is None or v is default else read(self, name, v))
+        return out
 
     def iso_datetime(self, key):
         """An ISO 8601 date or datetime; a bare date means midnight."""
@@ -121,13 +127,47 @@ class _Reader:
             self.fail(f"{key!r} is not an ISO 8601 date: {v!r}")
         return datetime(d.year, d.month, d.day)
 
-    def node(self, key):
-        """A nested node definition."""
-        return _build(self.get(key, object), f"{self.path}.{key}", self.seen)
+    # each reader below makes a field from the JSON value under key
 
-    def nodes(self, key):
-        """A non-empty list of nested node definitions, as a tuple."""
-        raw = self.get(key, list)
+    def charsets(self, key, raw):
+        return tuple(parse_charset(cs, f"{self.path}.{key}[{i}]")
+                     for i, cs in enumerate(self.texts(key, raw)))
+
+    def nodes(self, key, raw):
         if not raw:
             self.fail(f"{key} must not be empty")
         return tuple(_build(p, f"{self.path}.{key}[{i}]", self.seen) for i, p in enumerate(raw))
+
+    def texts(self, key, raw):
+        for i, v in enumerate(raw):
+            if not isinstance(v, str):
+                self.fail(f"{key}[{i}] must be a string")
+        return tuple(raw)
+
+
+# How a parameter is read and written, by name: its JSON type, the reader
+# making the field from the JSON value and the writer making the JSON value
+# from the field (None: the value itself).
+_PARAMS = {
+    "alphabet": (str, lambda r, key, raw: parse_charset(raw, f"{r.path}.{key}"), serialize_charset),
+    "charsets": (list, _Reader.charsets, lambda v: list(map(serialize_charset, v))),
+    "inner": (object, lambda r, key, raw: _build(raw, f"{r.path}.{key}", r.seen), _to_json),
+    "parts": (list, _Reader.nodes, lambda v: list(map(_to_json, v))),
+    "strings": (list, _Reader.texts, list),
+    "delims": (list, _Reader.texts, list),
+    "min": (int, None, None),
+    "max": (int, None, None),
+    "delim": (str, None, None),
+    "prefix_free": (bool, None, bool),
+    "last_delimited": (bool, None, bool),
+}
+
+# by "type" tag: the class, its JSON keys (its fields and "type"), and how
+# each field is read and written, or None where the class has its own form
+_NODE_CLASSES = {
+    cls.kind: (cls, {f.name for f in fields(cls)} | {"type"},
+               None if hasattr(cls, "from_json") else tuple(
+                   (f.name, *_PARAMS[f.name], _REQUIRED if f.default is MISSING else f.default)
+                   for f in fields(cls)))
+    for cls in NODE_TYPES
+}

@@ -16,9 +16,11 @@ finite set of strings. Each node class defines, for its own type:
   rank) and its slot plan under a bound, from ``splitting``'s plan nodes;
   a node planned as a ``splitting.Route`` gives the key it is routed by
   (``route_key``: a union's lead character, a length or repetition count),
-  and one planned as a ``splitting.Cut`` gives its pieces (``_cut_rule``);
-- ``to_json`` and ``from_json``: its canonical JSON form, read through
-  ``dsl``'s typed reader.
+  and one planned as a ``splitting.Cut`` gives its pieces (``_cut_rule``).
+
+A node's JSON parameters are its dataclass fields, which ``dsl`` reads and
+writes by name; only `Date` defines its own form (``to_json`` and
+``from_json``, read through ``dsl``'s typed reader).
 
 Canonical order is mixed-radix with the first (leftmost) unit least
 significant, and character sets are ordered by ascending code point.
@@ -99,7 +101,7 @@ def parse_charset(text: str, path: str = "charset") -> str:
             lo, hi = tokens[j][0], tokens[j + 2][0]
             if ord(lo) > ord(hi):
                 raise BadParameter(f"{path}: descending range {lo!r}-{hi!r}")
-            out.extend(chr(k) for k in range(ord(lo), ord(hi) + 1))
+            out.extend(map(chr, range(ord(lo), ord(hi) + 1)))
             j += 3
         elif tokens[j] == ("-", False):
             raise BadParameter(f"{path}: bare dash must be escaped or form a range")
@@ -115,18 +117,16 @@ def serialize_charset(chars: str) -> str:
     def lit(c):
         return "\\" + c if c in "-\\" else c
 
-    pts = [ord(c) for c in chars]
     out = []
     i = 0
-    while i < len(pts):
-        j = i
-        while j + 1 < len(pts) and pts[j + 1] == pts[j] + 1:
-            j += 1
-        if j - i >= 2:
-            out.append(lit(chr(pts[i])) + "-" + lit(chr(pts[j])))
+    # a run of consecutive code points is a run of equal (code point - index)
+    for _, run in itertools.groupby(map(operator.sub, map(ord, chars), itertools.count())):
+        j = i + len(list(run))
+        if j - i >= 3:
+            out.append(lit(chars[i]) + "-" + lit(chars[j - 1]))
         else:
-            out.extend(lit(chr(pts[k])) for k in range(i, j + 1))
-        i = j + 1
+            out.extend(map(lit, chars[i:j]))
+        i = j
     return "".join(out)
 
 
@@ -371,14 +371,6 @@ class Node:
         positions = self.positions
         return splitting.RadixBlocks(positions, splitting.radix_blocks(positions.radices, max_size))
 
-    def to_json(self) -> dict:
-        return {"type": self.kind}
-
-    @classmethod
-    def from_json(cls, r):
-        """Build a node from its JSON object, read through dsl's reader `r`."""
-        return cls()
-
 
 def _validate(spec, path: str, out: list) -> bool:
     """Append the violations of one subtree; True when it has none."""
@@ -530,13 +522,9 @@ class Date(_FixedWidth):
         return lambda v: format_date_string(lo + v * step, gran)
 
     def to_json(self):
-        def text(dt):
-            if self.granularity == "day":
-                return dt.date().isoformat()
-            return dt.isoformat(sep="T", timespec="seconds")
-
-        return {"type": self.kind, "min": text(self.min), "max": text(self.max),
-                "granularity": self.granularity}
+        lo, hi = (b.date().isoformat() if self.granularity == "day" else b.isoformat(timespec="seconds")
+                  for b in (self.min, self.max))
+        return {"type": self.kind, "min": lo, "max": hi, "granularity": self.granularity}
 
     @classmethod
     def from_json(cls, r):
@@ -608,14 +596,6 @@ class FixedString(_FixedWidth):
 
     def _make_unranker(self):
         return self._coder[1]
-
-    def to_json(self):
-        return {"type": self.kind, "charsets": [serialize_charset(cs) for cs in self.charsets]}
-
-    @classmethod
-    def from_json(cls, r):
-        raw = r.texts("charsets")
-        return cls(tuple(r.charset(cs, f"charsets[{i}]") for i, cs in enumerate(raw)))
 
 
 class _Lengths(Node):
@@ -704,10 +684,6 @@ class _Lengths(Node):
         sub = FixedString((self.alphabet,) * self.min).plan(max_size)
         return splitting.Cut(self._cut_rule, ((0, 1, sub),), (self.suffix,)) if self.suffix else sub
 
-    def to_json(self):
-        return {"type": self.kind, "min": self.min, "max": self.max,
-                "alphabet": serialize_charset(self.alphabet)}
-
 
 @dataclass(frozen=True)
 class VarString(_Lengths):
@@ -718,11 +694,6 @@ class VarString(_Lengths):
     alphabet: str
 
     kind = "var"
-
-    @classmethod
-    def from_json(cls, r):
-        return cls(r.get("min", int), r.get("max", int),
-                   r.charset(r.get("alphabet", str), "alphabet"))
 
 
 @dataclass(frozen=True)
@@ -768,14 +739,6 @@ class DelimVarString(_Lengths):
 
         return cut
 
-    def to_json(self):
-        return {**super().to_json(), "delim": self.delim}
-
-    @classmethod
-    def from_json(cls, r):
-        return cls(r.get("min", int), r.get("max", int),
-                   r.charset(r.get("alphabet", str), "alphabet"), r.get("delim", str))
-
 
 class _Table(Node):
     """An explicit string table; the declared order is the rank order and
@@ -813,13 +776,6 @@ class _Table(Node):
         raise UnsplittableAtom(
             f"a table of {self.size} strings cannot be split below {max_size}"
         )
-
-    def to_json(self):
-        return {"type": self.kind, "strings": list(self.strings)}
-
-    @classmethod
-    def from_json(cls, r):
-        return cls(r.texts("strings"))
 
 
 @dataclass(frozen=True)
@@ -872,19 +828,6 @@ class DelimStringSet(_Table):
             if s.startswith(t, pos):
                 return pos + len(t)
         raise ParseFailure(f"no table entry at offset {pos}")
-
-    def to_json(self):
-        out = super().to_json()
-        if self.delim is not None:
-            out["delim"] = self.delim
-        if self.prefix_free:
-            out["prefix_free"] = True
-        return out
-
-    @classmethod
-    def from_json(cls, r):
-        return cls(r.texts("strings"), r.get("delim", str, None),
-                   r.get("prefix_free", bool, False))
 
 
 @dataclass(frozen=True)
@@ -939,13 +882,6 @@ class IntegralDomain(Node):
     def _make_unranker(self):
         lo = self.min
         return lambda v: str(lo + v)
-
-    def to_json(self):
-        return {"type": self.kind, "min": self.min, "max": self.max}
-
-    @classmethod
-    def from_json(cls, r):
-        return cls(r.get("min", int), r.get("max", int))
 
 
 @dataclass(frozen=True)
@@ -1034,13 +970,6 @@ class Union(Node):
             branches.append((tuple(c for c, i in lead.items() if lo <= i < hi), sub.plan(max_size)))
         find = {c: bi for bi, (keys, _) in enumerate(branches) for c in keys}.get
         return splitting.Route(self.route_key, "u", tuple(branches), find)
-
-    def to_json(self):
-        return {"type": self.kind, "parts": [p.to_json() for p in self.parts]}
-
-    @classmethod
-    def from_json(cls, r):
-        return cls(r.nodes("parts"))
 
 
 @dataclass(frozen=True)
@@ -1213,16 +1142,6 @@ class Concat(Node):
             groups.append((lo, hi, sub.plan(max_size)))
         return splitting.Cut(self._cut_rule, tuple(groups), seams)
 
-    def to_json(self):
-        out = {"type": self.kind, "parts": [p.to_json() for p in self.parts]}
-        if self.delims is not None:
-            out["delims"] = list(self.delims)
-        return out
-
-    @classmethod
-    def from_json(cls, r):
-        return cls(r.nodes("parts"), r.texts("delims", None))
-
 
 @dataclass(frozen=True)
 class Range(Node):
@@ -1332,18 +1251,6 @@ class Range(Node):
         seams = (self.delim,) * (k - 1) + (self.delim if self.last_delimited else "",)
         return splitting.Cut(self._cut_rule, tuple(groups), seams)
 
-    def to_json(self):
-        out = {"type": self.kind, "inner": self.inner.to_json(), "delim": self.delim,
-               "min": self.min, "max": self.max}
-        if not self.last_delimited:
-            out["last_delimited"] = False
-        return out
-
-    @classmethod
-    def from_json(cls, r):
-        return cls(r.node("inner"), r.get("delim", str), r.get("min", int), r.get("max", int),
-                   r.get("last_delimited", bool, True))
-
 
 NODE_TYPES = (
     Ssn,
@@ -1382,12 +1289,15 @@ def ensure_valid(spec) -> None:
 
 
 def size(spec) -> int:
-    """Exact member count. The spec must already be valid."""
+    """Exact member count; InvalidFormat unless spec is valid."""
+    ensure_valid(spec)
     return spec.size
 
 
 def alphabet(spec) -> frozenset:
-    """Characters that can appear in members (a conservative cover)."""
+    """Characters that can appear in members (a conservative cover);
+    InvalidFormat unless spec is valid."""
+    ensure_valid(spec)
     return spec.chars
 
 
@@ -1399,7 +1309,9 @@ def contains(spec, s: str) -> bool:
 
 
 def enumerate_members(spec, limit: int | None = None):
-    """Stream members in rank order: the i-th string yielded has rank i."""
+    """Stream members in rank order: the i-th string yielded has rank i;
+    InvalidFormat, at the call, unless spec is valid."""
+    ensure_valid(spec)
     it = spec.members()
     if limit is not None:
         it = itertools.islice(it, limit)

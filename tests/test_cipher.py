@@ -18,6 +18,7 @@ from fpekit import (
     FixedString,
     IntegralDomain,
     IntFpeKey,
+    InvalidFormat,
     NotInFormat,
     Ssn,
     Union,
@@ -344,6 +345,19 @@ def test_fingerprint_binds_format_and_bound():
     assert format_fingerprint(spec, None) != format_fingerprint(other, None)
     assert len(format_fingerprint(spec, None)) == 32
     assert format_fingerprint(spec, 100) == format_fingerprint(FixedString((DIGITS,) * 4), 100)
+
+
+def test_the_fingerprint_refuses_what_it_would_not_store():
+    # a stored fingerprint is found by repr(bound): 65536.0 and "x" are not 65536
+    spec = Ssn()
+    stored = format_fingerprint(spec, 65536)
+    for bound in NOT_INTEGERS + ("x", 1, 10**4300):
+        with pytest.raises(BadParameter):
+            format_fingerprint(spec, bound)
+    assert format_fingerprint(spec, 65536) is stored
+    for bad in (VarString(3, 1, "a"), Concat((VarString(0, 2, "a"),) * 2), "not a spec"):
+        with pytest.raises(InvalidFormat):
+            format_fingerprint(bad, 65536)
 
 
 def test_a_backend_other_than_fe1backend_is_a_bad_parameter_naming_its_type():

@@ -1,6 +1,7 @@
 """End-to-end command coverage through the real entry point."""
 
 import csv
+import io
 import stat
 import subprocess
 import sys
@@ -257,6 +258,14 @@ def test_a_non_ascii_key_file_is_a_bad_parameter(pin4, tmp_path, run):
     assert err.count("\n") == 1
     assert "BadParameter" in err and "not a hex key file" in err
     assert "xe9" not in err and "233" not in err and "\xe9" not in err
+
+
+def test_a_value_on_stdin_that_is_not_utf8_is_a_bad_parameter(pin4, key, run, monkeypatch):
+    for command in (("rank",), ("encrypt", "--key", key), ("decrypt", "--key", key)):
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"00\n4\xe9")))
+        code, out, err = run(*command, "--format", pin4)
+        assert (code, out) == (1, ""), command
+        assert err.splitlines() == ["error: BadParameter: stdin: line 2 is not valid UTF-8"]
 
 
 def test_encrypt_rejects_non_member(pin4, key, run):

@@ -1,20 +1,27 @@
-"""Text form of format definitions: charset grammar, JSON round trips."""
+"""Text form of format definitions: charset grammar, JSON round trips, and
+a canonical text that changes with every field of every node type."""
 
+import dataclasses
 from datetime import datetime
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fpekit import (
     BadParameter,
+    Ccn,
     Concat,
     Date,
     DelimStringSet,
+    DelimVarString,
     FixedString,
+    IntegralDomain,
     Range,
     SpecSyntaxError,
     Ssn,
+    StringSet,
+    Union,
     UnknownNodeType,
     VarString,
     parse_charset,
@@ -22,8 +29,10 @@ from fpekit import (
     serialize_charset,
     serialize_spec,
 )
+from fpekit.formats import NODE_TYPES
 
 from corpus import PREFIX_SPECS, SMALL_SPECS
+from test_generated_formats import SETTINGS, valid_trees
 
 
 # ---------------------------------------------------------------------------
@@ -78,6 +87,46 @@ def test_corpus_specs_round_trip():
         back = parse_spec(text)
         assert back == spec, name
         assert serialize_spec(back) == text, name
+
+
+@settings(max_examples=150, **SETTINGS)
+@given(valid_trees)
+def test_generated_trees_round_trip(spec):
+    assert parse_spec(serialize_spec(spec)) == spec
+
+
+# one value of each type, and another value for each of its fields
+ALTERED = {
+    Ssn(): {},
+    Ccn(): {},
+    Date(datetime(2000, 1, 1), datetime(2000, 2, 1)): {
+        "min": datetime(1999, 1, 1), "max": datetime(2000, 3, 1), "granularity": "second"},
+    FixedString(("ab", "01")): {"charsets": ("ab", "012")},
+    DelimVarString(1, 3, "ab", ","): {"min": 0, "max": 4, "alphabet": "abc", "delim": ";"},
+    VarString(1, 3, "ab"): {"min": 0, "max": 4, "alphabet": "abc"},
+    DelimStringSet(("a,", "b,"), ","): {"strings": ("b,", "a,"), "delim": None,
+                                        "prefix_free": True},
+    StringSet(("a", "b")): {"strings": ("a", "b", "c")},
+    IntegralDomain(0, 9): {"min": -1, "max": 10},
+    Union((FixedString(("ab",)), FixedString(("01",)))): {"parts": (FixedString(("ab",)),)},
+    Concat((FixedString(("ab",)), FixedString(("01",)))): {
+        "parts": (FixedString(("01",)), FixedString(("ab",))), "delims": (",",)},
+    Range(FixedString(("ab",)), ",", 1, 2): {
+        "inner": FixedString(("abc",)), "delim": ";", "min": 2, "max": 3,
+        "last_delimited": False},
+}
+
+
+def test_the_canonical_text_covers_every_field():
+    assert {type(spec) for spec in ALTERED} == set(NODE_TYPES)
+    for spec, other in ALTERED.items():
+        assert set(other) == {f.name for f in dataclasses.fields(spec)}, type(spec)
+        text = serialize_spec(spec)
+        assert parse_spec(text) == spec
+        for name, value in other.items():
+            changed = dataclasses.replace(spec, **{name: value})
+            assert serialize_spec(changed) != text, (type(spec), name)
+            assert parse_spec(serialize_spec(changed)) == changed, (type(spec), name)
 
 
 def test_canonical_text_is_compact_and_sorted():

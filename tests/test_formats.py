@@ -196,6 +196,14 @@ def test_ensure_valid_raises_with_details():
     assert "BadBounds" in str(exc.value)
 
 
+def test_size_alphabet_and_enumeration_refuse_an_invalid_format():
+    # unchecked, the first counts -1 members and the last yields "a" and "aa" twice
+    for spec in (VarString(3, 1, "a"), Concat((VarString(0, 2, "a"),) * 2), "not a spec"):
+        for call in (size, alphabet, enumerate_members):
+            with pytest.raises(InvalidFormat):
+                call(spec)
+
+
 def test_non_node_rejected():
     assert "BadParameter" in codes("not a spec")
 
