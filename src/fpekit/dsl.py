@@ -61,7 +61,11 @@ def _build(doc, path, seen):
         raise BadParameter(f"{path}: unexpected parameter(s) {sorted(set(doc) - keys)}")
     r = _Reader(doc, path, seen)
     node = cls.from_json(r) if params is None else cls(*r.field_values(params))
-    return seen.setdefault(node, node)
+    # a composite's key names each child by identity, a child being already the
+    # one copy of its subtree: hashing the node would walk the whole subtree again
+    key = node if "inner" not in keys and "parts" not in keys else (cls, *[
+        id(v) if k == "inner" else tuple(map(id, v)) if k == "parts" else v for k, v in vars(node).items()])
+    return seen.setdefault(key, node)
 
 
 def _to_json(node) -> dict:

@@ -51,6 +51,7 @@ from dataclasses import dataclass
 from datetime import date as _date
 from datetime import datetime, time, timedelta
 from functools import lru_cache
+from typing import get_type_hints
 
 from . import splitting
 from .intfpe import BOUND_LIMIT
@@ -75,8 +76,12 @@ class Violation:
 
 
 def _charset(chars) -> str:
-    """Normalize a character collection to a sorted, duplicate-free string."""
-    return "".join(sorted(set(chars)))
+    """Normalize a character collection to a sorted, duplicate-free string;
+    anything else stays as it is, for validate to refuse."""
+    try:
+        return "".join(sorted(set(chars)))
+    except TypeError:
+        return chars
 
 
 def parse_charset(text: str, path: str = "charset") -> str:
@@ -292,7 +297,7 @@ class Node:
     def violations(self) -> tuple:
         """Every invariant violation in this subtree, found once."""
         out: list = []
-        self.validate_into("", out)
+        _validate(self, "", out)
         return tuple(out)
 
     def validate_into(self, path: str, out: list) -> None:
@@ -373,12 +378,18 @@ class Node:
 
 
 def _validate(spec, path: str, out: list) -> bool:
-    """Append the violations of one subtree; True when it has none."""
+    """Append the violations of one subtree; True when it has none. A node's
+    own invariants are checked once every field has the type it declares."""
     n = len(out)
-    if isinstance(spec, Node):
-        spec.validate_into(path, out)
-    else:
+    if not isinstance(spec, Node):
         out.append(Violation(path, "BadParameter", f"not a format node: {type(spec).__name__}"))
+    for name, kind in _FIELD_TYPES.get(type(spec), ()):
+        v = getattr(spec, name)  # a bool is no int, and every tuple but `parts` holds strings
+        if (not isinstance(v, kind) or kind is int and type(v) is bool
+                or type(v) is tuple and name != "parts" and not {str}.issuperset(map(type, v))):
+            out.append(Violation(f"{path}.{name}", "BadParameter", f"{name!r} has the wrong type"))
+    if len(out) == n:
+        spec.validate_into(path, out)
     return len(out) == n
 
 
@@ -587,7 +598,7 @@ class FixedString(_FixedWidth):
         """Rank and unrank, as the one block of all positions; a lone
         position is one lookup in the table's one map, and one index."""
         if self.width == 1:
-            return (_lookup(splitting.radix_table(self.positions, 0, 1, {})[1][0]),
+            return (_lookup(splitting.radix_table(self.positions, 0, 1, {})[1][0][1]),
                     self.charsets[0].__getitem__)
         return splitting.radix_coder(self.positions)
 
@@ -1266,6 +1277,7 @@ NODE_TYPES = (
     Concat,
     Range,
 )
+_FIELD_TYPES = {cls: tuple(get_type_hints(cls).items()) for cls in NODE_TYPES}  # each field's type
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ every output is the same as when built afresh, and no module cache holds
 anything per split or round count.
 
 A Feistel pass whose round function has at most TABLE_LIMIT distinct outputs
-tabulates it, in 16-bit rows, on the apply whose count matches the table's
+tabulates it, one row per round, on the apply whose count matches the table's
 cost: the table takes E = ceil(r/2)*b + floor(r/2)*a XOF calls for r rounds,
 as many as E // r applies, so a pass used that often has paid for it. The
 point depends on the apply count only, never on the inputs, so an apply's
@@ -34,9 +34,10 @@ time does not show which halves were seen before. That apply, in either
 function, builds the table, swaps `apply` for two functions that read it in
 (odd, even) round pairs, and drops the round states. A pass used fewer
 times costs one counter decrement per apply, one used exactly that often at
-most about twice its XOF calls. A
-key's 256 passes hold at most 2.4 MB of tables (1.9 MB under a 2^16 bound),
-the 1,024 of one long record four times that, and tables change no output.
+most about twice its XOF calls. A row is bytes where its modulus is at most
+256, else 16-bit values, so a key's 256 passes hold at most 2.6 MB of tables
+(1.5 MB under a 2^16 bound), the 1,024 of one long record four times that,
+and tables change no output.
 """
 
 from __future__ import annotations
@@ -161,7 +162,8 @@ def _base_state(key: IntFpeKey, tweak: bytes, n: int):
 
 # A pass tabulates its round function when the table has at most this many
 # entries: every slot of a 2^16 bound at 12 rounds (at most 3,072). Every
-# half is then below it, so a row of 16-bit values holds any round output.
+# half is then below it, so a row of 16-bit values holds any round output;
+# a row whose modulus is at most 256 (every odd row under a 2^16 bound) is bytes.
 TABLE_LIMIT = 4096
 
 
@@ -235,8 +237,8 @@ class _FeistelPass:
 
     def _tabulate(self) -> tuple:
         """Every round's XOF output for every value of the other half, reduced
-        (the sum mod the modulus is the same), one row of 16-bit values per
-        round (a half is below TABLE_LIMIT), kept in `table`. Swaps in, and
+        (the sum mod the modulus is the same), one row per round (bytes or
+        16-bit values, as TABLE_LIMIT says), kept in `table`. Swaps in, and
         returns, two functions that read the rows in (odd, even) round pairs.
         The round states are freed with the XOF functions."""
         steps, self.steps = self.steps, None
@@ -252,10 +254,10 @@ class _FeistelPass:
                 h = start.copy()
                 h.update(message)
                 row.append(int.from_bytes(h.digest(nbytes), "big") % m)
-            rows.append(array("H", row))
+            rows.append(bytes(row) if m <= 256 else array("H", row))
         self.table = tuple(rows)
         # after an odd count of rounds, a last even row of zeros adds nothing
-        evens = rows[1::2] + [array("H", bytes(2 * a))] * (len(rows) % 2)
+        evens = rows[1::2] + [bytes(a)] * (len(rows) % 2)
         pairs = tuple(zip(rows[::2], evens))
         back = pairs[::-1]
 

@@ -53,7 +53,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from itertools import chain
-from operator import getitem, mul
+from operator import mul
 from typing import NamedTuple
 
 from . import formats
@@ -361,44 +361,50 @@ class Positions(NamedTuple):
 
 
 def radix_table(positions, lo, hi, maps: dict) -> tuple:
-    """The block of positions lo..hi-1 as `(n, weighted, spell)`: its size;
-    per position, a map from what `read` gives there to its digit times the
-    position's weight (a range for integer digits, which holds no entry per
-    value); and, least significant first, each position's index, radix and
-    spelling. Blocks of the same spellings share one size and one tuple of
-    maps, kept in `maps` by their spellings."""
-    spellings, spell = positions.spellings, []
+    """The block of positions lo..hi-1 as `(n, weighted, steps, top, last)`:
+    its size; `(index, map)` per position, the map taking what `read` gives
+    there to its digit times the position's weight (a range for integer
+    digits, which holds no entry per value); `(index, radix, spelling)` per
+    position but the most significant, least significant first; and that
+    one's index and spelling. Blocks of the same spellings share one size
+    and one tuple of maps, kept in `maps` by their spellings."""
+    spellings, steps = positions.spellings, []
     for i in (range(hi - 1, lo - 1, -1) if positions.msd_first else range(lo, hi)):
         sp = spellings[i]
-        spell.append((i, sp.stop if isinstance(sp, range) else len(sp), sp))
+        steps.append((i, sp.stop if isinstance(sp, range) else len(sp), sp))
     shared = maps.get(spellings[lo:hi])
     if shared is None:
         weighted, n = [None] * (hi - lo), 1
-        for i, radix, sp in spell:
+        for i, radix, sp in steps:
             weighted[i - lo] = (range(0, radix * n, n) if isinstance(sp, range)
                                 else {c: d * n for d, c in enumerate(sp)})
             n *= radix
         shared = maps[spellings[lo:hi]] = n, tuple(weighted)
-    return (*shared, tuple(spell))
+    top, _, last = steps.pop()
+    return shared[0], tuple(zip(range(lo, hi), shared[1])), tuple(steps), top, last
 
 
 def radix_coder(positions) -> tuple:
     """Rank and unrank functions of the one unwindowed block of all
-    `positions`, read from its `radix_table`."""
+    `positions`, read from its `radix_table` entry as the walk reads it."""
     read, finish, width = positions.read, positions.finish, len(positions.spellings)
-    _, weighted, spell = radix_table(positions, 0, width, {})
+    _, weighted, steps, top, last = radix_table(positions, 0, width, {})
 
     def rank(s):
+        digits, r = read(s), 0
         try:
-            return sum(map(getitem, weighted, read(s)))
+            for i, w in weighted:
+                r += w[digits[i]]
         except KeyError:
             raise ParseFailure(f"length {width}: a character outside its position's set") from None
+        return r
 
     def unrank(r):
         spelled = [None] * width
-        for i, radix, sp in spell:
+        for i, radix, sp in steps:
             r, d = divmod(r, radix)
             spelled[i] = sp[d]
+        spelled[top] = last[r]
         return finish(spelled)
 
     return rank, unrank
@@ -412,7 +418,10 @@ class RadixBlocks(_Plan):
     whose one position has more digits than the bound has its window set,
     and its slot is the rank window of that width holding the digit, which
     the walk keeps; an integer range or a date is one such position. The
-    walk permutes every block, then `positions.finish` spells the member.
+    walk reads each block's `radix_table` entry: it ranks the block by one
+    map lookup per position, permutes it, and spells it by one divmod per
+    position but the most significant, whose spelling the rank left over
+    indexes; then `positions.finish` spells the member.
     """
 
     positions: Positions
@@ -426,9 +435,11 @@ class RadixBlocks(_Plan):
 
         def crypt(s, out, perm, path):
             digits, spelled = read(s), [None] * width
-            for lo, hi, window, n, weighted, spell in tables:
+            for lo, hi, window, n, weighted, steps, top, last in tables:
+                r = 0
                 try:
-                    r = sum(map(getitem, weighted, digits[lo:hi]))
+                    for i, w in weighted:
+                        r += w[digits[i]]
                 except KeyError:
                     raise ParseFailure(f"offsets {lo}..{hi - 1}: a character outside its set") from None
                 if window is None:
@@ -438,9 +449,10 @@ class RadixBlocks(_Plan):
                         path.append(("w", r // window))
                     base = r - r % window
                     r = base + perm(r - base, min(window, n - base))
-                for i, radix, sp in spell:
+                for i, radix, sp in steps:
                     r, d = divmod(r, radix)
                     spelled[i] = sp[d]
+                spelled[top] = last[r]
             out.append(finish(spelled))
 
         return crypt

@@ -2,6 +2,7 @@
 a canonical text that changes with every field of every node type."""
 
 import dataclasses
+from collections import Counter
 from datetime import datetime
 
 import pytest
@@ -17,6 +18,7 @@ from fpekit import (
     DelimVarString,
     FixedString,
     IntegralDomain,
+    InvalidFormat,
     Range,
     SpecSyntaxError,
     Ssn,
@@ -24,10 +26,12 @@ from fpekit import (
     Union,
     UnknownNodeType,
     VarString,
+    ensure_valid,
     parse_charset,
     parse_spec,
     serialize_charset,
     serialize_spec,
+    validate,
 )
 from fpekit.formats import NODE_TYPES
 
@@ -216,3 +220,71 @@ def test_nested_error_paths_name_the_subtree():
     with pytest.raises(UnknownNodeType) as e:
         parse_spec('{"type":"union","parts":[{"type":"ssn"},{"type":"nope"}]}')
     assert "$.parts[1]" in str(e.value)
+
+
+# ---------------------------------------------------------------------------
+# field types, and the cost of deduplicating subtrees
+
+
+@pytest.mark.parametrize("make, path", [
+    (lambda: IntegralDomain(True, 5), ".min"),
+    (lambda: VarString(1.0, 3, "ab"), ".min"),
+    (lambda: VarString(1, 3, 5), ".alphabet"),
+    (lambda: FixedString(("ab", 5)), ".charsets"),
+    (lambda: StringSet(("a", 1)), ".strings"),
+    (lambda: DelimStringSet(("a",), prefix_free=1), ".prefix_free"),
+    (lambda: Range(Ssn(), ",", 1, 2, last_delimited=None), ".last_delimited"),
+    (lambda: Concat((Range(FixedString(("ab",)), ",", 1, 2.0),)), ".parts[0].max"),
+], ids=["bool-min", "float-min", "int-alphabet", "int-charset", "int-string", "int-flag",
+        "none-flag", "nested-float"])
+def test_a_field_of_the_wrong_type_is_a_bad_parameter_at_its_path(make, path):
+    with pytest.raises(InvalidFormat) as e:
+        ensure_valid(make())
+    assert [(v.path, v.code) for v in e.value.violations] == [(path, "BadParameter")]
+
+
+def test_every_format_that_validates_round_trips():
+    # every field of every type set to values of other types: whatever
+    # validates has a canonical text that parses back to it
+    others = (True, 0, 1, 2.0, "", "ab", None, ("ab",), (1,), ["a", "b"], b"ab",
+              datetime(2000, 1, 1), Ssn())
+    refused = valid = 0
+    for spec in ALTERED:
+        for f in dataclasses.fields(spec):
+            for value in others:
+                try:
+                    changed = dataclasses.replace(spec, **{f.name: value})
+                except TypeError:  # a constructor that cannot iterate it
+                    continue
+                if validate(changed):
+                    refused += 1
+                else:
+                    valid += 1
+                    assert parse_spec(serialize_spec(changed)) == changed, (type(spec), f.name, value)
+    assert refused > 100 and valid > 10, (refused, valid)
+
+
+def _nested_ranges(depth):
+    text = '{"type":"fixed","charsets":["a-c"]}'
+    for _ in range(depth):
+        text = f'{{"type":"range","inner":{text},"delim":",","min":1,"max":2}}'
+    return text
+
+
+def test_parsing_does_not_hash_a_subtree_again_at_each_level_above_it(monkeypatch):
+    calls = Counter()
+    for cls in NODE_TYPES:
+        def counted(node, fields_hash=cls.__hash__):
+            calls[type(node).__name__] += 1
+            return fields_hash(node)
+
+        monkeypatch.setattr(cls, "__hash__", counted)
+    for depth in (50, 100):
+        calls.clear()
+        spec = parse_spec(_nested_ranges(depth))
+        assert sum(calls.values()) <= 2 * depth, (depth, calls)  # d(d+1)/2 when each level rehashed
+        assert parse_spec(serialize_spec(spec)) == spec
+    # equal subtrees, however written, are still one object
+    spec = parse_spec('{"type":"concat","delims":[";"],"parts":[%s,%s]}'
+                      % (_nested_ranges(3), _nested_ranges(3).replace("a-c", "abc")))
+    assert spec.parts[0] is spec.parts[1]

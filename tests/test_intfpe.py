@@ -674,6 +674,33 @@ def test_a_tabulated_pass_gives_the_untabulated_outputs(rounds, monkeypatch):
         assert _pass(fresh, b"tab", n).table is None
 
 
+@pytest.mark.parametrize("rounds", [3, 12, 13])
+@pytest.mark.parametrize("n, row_types", [
+    (129, {"bytes"}),
+    (17_576, {"bytes"}),
+    # a = 255, b = 257: the odd rows (mod a) are bytes, the even ones (mod b) 16-bit
+    (65_535, {"bytes", "array"}),
+])
+def test_byte_wide_rows_give_the_xof_outputs_on_every_value(n, row_types, rounds, monkeypatch):
+    secret = bytes(range(32))
+    tabulated = _pass(IntFpeKey(secret, rounds=rounds), b"rows", n)
+    tabulated._tabulate()
+    a, b, n2 = balanced_factor(n)
+    assert {type(row).__name__ for row in tabulated.table} == row_types
+    assert all(max(row) < (a, b)[i % 2] for i, row in enumerate(tabulated.table))
+    forward, inverse = tabulated.apply
+    ys = list(map(forward, range(n2)))
+    assert list(map(inverse, ys)) == list(range(n2))
+    with monkeypatch.context() as m:
+        m.setattr(intfpe, "TABLE_LIMIT", 0)
+        hashed = _pass(IntFpeKey(secret, rounds=rounds), b"rows", n)
+    assert hashed.table is None
+    # the XOF forward agrees on every value; its inverse undoes it, as the
+    # table's does, so on every value the inverses agree as well
+    assert list(map(hashed.apply[0], range(n2))) == ys
+    assert [hashed.apply[1](y) for y in ys[::97]] == list(range(0, n2, 97))
+
+
 def test_a_tabulated_apply_makes_no_xof_call(monkeypatch):
     calls = []
     real = intfpe._base_state

@@ -1,6 +1,8 @@
 """Slot plans: bounded domains, exhaustive round trips, path signatures."""
 
+import sys
 import tracemalloc
+from collections import Counter
 from datetime import datetime
 from operator import add, mul
 
@@ -38,13 +40,14 @@ from fpekit import (
     unrank,
     unrank_multi,
 )
-from fpekit.errors import NotInFormat
+from fpekit.errors import NotInFormat, ParseFailure
 from fpekit.formats import ssn_components
 from fpekit.splitting import (
     RadixBlocks,
     Route,
     WholeSlot,
     greedy_groups,
+    walk,
 )
 
 from corpus import ADDRESS, SMALL_SPECS, address_format
@@ -275,6 +278,51 @@ def test_every_walk_of_the_record_makes_its_pinned_number_of_cuts(cuts, bound, c
         walk()
         counts.append(count[0])
     assert counts == [cuts_per_walk] * len(walks)
+
+
+def _c_calls(plan, member) -> Counter:
+    """The C functions, by name, that one warm identity walk of the member
+    calls, as sys.setprofile reports them: a count of work that machine load
+    does not blur."""
+    walk(plan, member, lambda r, n: r, None)  # builds what a first walk builds
+    calls = Counter()
+
+    def profile(frame, event, arg):
+        if event == "c_call":
+            calls[arg.__name__] += 1
+
+    sys.setprofile(profile)
+    try:
+        walk(plan, member, lambda r, n: r, None)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+@pytest.mark.parametrize("spec, member, divmods", [
+    # three blocks of three letters, each spelled in two steps and an index
+    (FixedString(("abcdefghijklmnopqrstuvwxyz",) * 9), "abcdefghi", 6),
+    # the word bodies lm, ve (in one slot of lengths 1..3, one divmod each),
+    # treet and rance (blocks of 3 + 2 letters: 3 each), over (3 + 1: 2), and
+    # the zip's blocks of 4 + 1 digits (3); the house number is one slot
+    (address_format(), RECORD, 13),
+    # one windowed position: its digit is its spelling
+    (IntegralDomain(0, 10**7), "1234567", 0),
+], ids=["nine-letters", "address-record", "integer-window"])
+def test_a_radix_walk_ranks_with_no_sum_and_spells_with_one_divmod_a_position_but_the_last(
+        spec, member, divmods):
+    calls = _c_calls(build_plan(spec, 2**16), member)
+    assert (calls["divmod"], calls["sum"]) == (divmods, 0), calls
+
+
+def test_a_refused_character_names_its_block_and_never_the_value():
+    spec = FixedString(("abcdefghijklmnopqrstuvwxyz",) * 9)
+    with pytest.raises(ParseFailure) as e:
+        build_plan(spec, 2**16).crypt("abcdefgh7", [], lambda r, n: r, None)
+    assert str(e.value) == "offsets 6..8: a character outside its set"
+    with pytest.raises(ParseFailure) as e:
+        spec.rank("abcdefgh7")
+    assert str(e.value) == "length 9: a character outside its position's set"
 
 
 def test_example_must_be_a_member():
