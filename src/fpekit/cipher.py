@@ -56,21 +56,15 @@ def keygen(bits: int = 256) -> IntFpeKey:
 
 def format_fingerprint(spec, max_size) -> bytes:
     """32 bytes binding the canonical format text and the slot bound, both
-    checked, computed once per format and bound and stored on the format node."""
-    try:
-        bound = repr(max_size)  # ValueError for an int past the digits CPython writes
-        fp = spec.fingerprints.get(bound)
-    except (ValueError, AttributeError):  # check_bound or ensure_valid reports it
-        fp = None
-    if fp is None:
-        check_bound(max_size)
-        ensure_valid(spec)
-        h = hashlib.sha256()
-        h.update(dsl.serialize_spec(spec).encode("utf-8"))
-        h.update(b"\x00")
-        h.update(bound.encode("ascii"))
-        fp = spec.fingerprints[bound] = h.digest()
-    return fp
+    checked, computed once per format and bound and kept beside the bound's
+    plan on the format node."""
+    check_bound(max_size)
+    ensure_valid(spec)
+    entry = spec._plans.setdefault(max_size, [None, None])
+    if entry[1] is None:
+        text = dsl.serialize_spec(spec).encode("utf-8") + b"\x00" + repr(max_size).encode("ascii")
+        entry[1] = hashlib.sha256(text).digest()
+    return entry[1]
 
 
 def _as_bytes(tweak) -> bytes:
@@ -87,8 +81,12 @@ def _as_bytes(tweak) -> bytes:
 def _crypt(cfg: CipherConfig, key: IntFpeKey, spec, text: str, tweak, backend,
            decrypting: bool) -> str:
     """Walk text once, mapping each slot through the key's slot_permutation."""
-    plan = build_plan(spec, cfg.max_size)
-    fp = format_fingerprint(spec, cfg.max_size)
+    try:  # a fingerprint is kept once its format and the config's bound are checked
+        plan, fp = spec._plans[cfg.max_size]
+    except (AttributeError, KeyError):  # not a node, or not planned under the bound
+        fp = None
+    if fp is None:
+        plan, fp = build_plan(spec, cfg.max_size), format_fingerprint(spec, cfg.max_size)
     extra = _as_bytes(tweak)
     if backend is not None and not isinstance(backend, Fe1Backend):
         raise BadParameter(f"backend must be an Fe1Backend or None, not {type(backend).__name__}")

@@ -42,7 +42,7 @@ def parse_spec(text: str):
 
 def serialize_spec(spec) -> str:
     """Canonical JSON text for a format tree."""
-    return json.dumps(_to_json(spec), sort_keys=True, separators=(",", ":"), ensure_ascii=True)
+    return json.dumps(_to_json(spec, {}), sort_keys=True, separators=(",", ":"), ensure_ascii=True)
 
 
 def _build(doc, path, seen):
@@ -68,16 +68,16 @@ def _build(doc, path, seen):
     return seen.setdefault(key, node)
 
 
-def _to_json(node) -> dict:
-    """A node's JSON object."""
-    params = _NODE_CLASSES[node.kind][2]
-    if params is None:
-        return node.to_json()
-    out = {"type": node.kind}
-    for name, _, _, write, default in params:
-        v = getattr(node, name)
-        if default is _REQUIRED or v != default:
-            out[name] = v if write is None else write(v)
+def _to_json(node, done: dict) -> dict:
+    """A node's JSON object, built once per node of one tree (`done`, by id)."""
+    out = done.get(id(node))
+    if out is None:
+        params = _NODE_CLASSES[node.kind][2]
+        out = done[id(node)] = node.to_json() if params is None else {"type": node.kind}
+        for name, _, _, write, default in params or ():
+            v = getattr(node, name)
+            if default is _REQUIRED or v != default:
+                out[name] = v if write is None else write(v, done)
     return out
 
 
@@ -151,19 +151,19 @@ class _Reader:
 
 # How a parameter is read and written, by name: its JSON type, the reader
 # making the field from the JSON value and the writer making the JSON value
-# from the field (None: the value itself).
+# from the field and the tree's objects built so far (None: the value itself).
 _PARAMS = {
-    "alphabet": (str, lambda r, key, raw: parse_charset(raw, f"{r.path}.{key}"), serialize_charset),
-    "charsets": (list, _Reader.charsets, lambda v: list(map(serialize_charset, v))),
+    "alphabet": (str, lambda r, key, raw: parse_charset(raw, f"{r.path}.{key}"), lambda v, _: serialize_charset(v)),
+    "charsets": (list, _Reader.charsets, lambda v, _: list(map(serialize_charset, v))),
     "inner": (object, lambda r, key, raw: _build(raw, f"{r.path}.{key}", r.seen), _to_json),
-    "parts": (list, _Reader.nodes, lambda v: list(map(_to_json, v))),
-    "strings": (list, _Reader.texts, list),
-    "delims": (list, _Reader.texts, list),
+    "parts": (list, _Reader.nodes, lambda v, done: [_to_json(p, done) for p in v]),
+    "strings": (list, _Reader.texts, lambda v, _: list(v)),
+    "delims": (list, _Reader.texts, lambda v, _: list(v)),
     "min": (int, None, None),
     "max": (int, None, None),
     "delim": (str, None, None),
-    "prefix_free": (bool, None, bool),
-    "last_delimited": (bool, None, bool),
+    "prefix_free": (bool, None, lambda v, _: bool(v)),
+    "last_delimited": (bool, None, lambda v, _: bool(v)),
 }
 
 # by "type" tag: the class, its JSON keys (its fields and "type"), and how

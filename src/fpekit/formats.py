@@ -347,23 +347,17 @@ class Node:
 
     @cached_property
     def _plans(self) -> dict:
-        return {}
-
-    @cached_property
-    def fingerprints(self) -> dict:
-        """`cipher.format_fingerprint`'s digests of this node, by slot bound."""
+        """By slot bound: [plan, fingerprint], each None until first asked
+        for; the fingerprint is `cipher.format_fingerprint`'s."""
         return {}
 
     def plan(self, max_size):
         """The slot plan under a bound (None = unbounded), built once per bound."""
-        plan = self._plans.get(max_size)
-        if plan is None:
-            if max_size is None or self.size <= max_size:
-                plan = splitting.WholeSlot(self.ranker, self.unranker, self.size)
-            else:
-                plan = self._split(max_size)
-            self._plans[max_size] = plan
-        return plan
+        entry = self._plans.setdefault(max_size, [None, None])
+        if entry[0] is None:
+            whole = max_size is None or self.size <= max_size
+            entry[0] = splitting.WholeSlot(self.ranker, self.unranker, self.size) if whole else self._split(max_size)
+        return entry[0]
 
     @cached_property
     def positions(self):
@@ -383,6 +377,8 @@ def _validate(spec, path: str, out: list) -> bool:
     n = len(out)
     if not isinstance(spec, Node):
         out.append(Violation(path, "BadParameter", f"not a format node: {type(spec).__name__}"))
+    elif spec.__dict__.get("violations") == ():  # clean, as found at another path
+        return True
     for name, kind in _FIELD_TYPES.get(type(spec), ()):
         v = getattr(spec, name)  # a bool is no int, and every tuple but `parts` holds strings
         if (not isinstance(v, kind) or kind is int and type(v) is bool
@@ -390,6 +386,8 @@ def _validate(spec, path: str, out: list) -> bool:
             out.append(Violation(f"{path}.{name}", "BadParameter", f"{name!r} has the wrong type"))
     if len(out) == n:
         spec.validate_into(path, out)
+        if len(out) == n:  # clean at any path: another reference skips it
+            spec.__dict__["violations"] = ()
     return len(out) == n
 
 

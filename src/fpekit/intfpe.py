@@ -15,15 +15,15 @@ half. Where the keyed prefix nearly fills SHAKE-256's 136-byte block (135
 bytes on a 454-bit slot), the round number completes the block in that
 state once, not once per round.
 
-An IntFpeKey builds each permutation once, kept under the key its caller
-names: a slot's (fingerprint, tweak, index, size), or a public call's
-(build, tweak, N). Every entry's `apply` is its forward and inverse: a
-shuffle's two lists' __getitem__, or a Feistel pass's two functions. Before
-a record's first slot, a store of 256 or more (_KEY_CACHE_ENTRIES) drops
-every entry of other records; a public call is a record of its own, and no
-entry is stored past 1,024 (_KEY_CACHE_MOST). The store dies with the key,
-every output is the same as when built afresh, and no module cache holds
-anything per split or round count.
+An IntFpeKey builds each permutation once, in the slot table of its record:
+(fingerprint, tweak) for a record's slots, or (build, tweak) for a public
+call, a record of one slot. Entry i of a table maps a size to slot i's
+permutation, whose `apply` is its forward and inverse: a shuffle's two
+lists' __getitem__, or a Feistel pass's two functions. Before a record's
+first slot, a store holding 256 or more (_KEY_CACHE_ENTRIES) drops the
+other records' tables, and none is stored past 1,024 (_KEY_CACHE_MOST).
+The store dies with the key, every output is the same as when built
+afresh, and no module cache holds anything per split or round count.
 
 A Feistel pass whose round function has at most TABLE_LIMIT distinct outputs
 tabulates it, one row per round, on the apply whose count matches the table's
@@ -49,7 +49,6 @@ import tempfile
 import weakref
 from array import array
 from dataclasses import dataclass, field
-from itertools import count
 from math import isqrt
 
 from .errors import (
@@ -88,6 +87,19 @@ def check_bound(max_size) -> None:
         raise BadParameter("max_size must be None (unbounded) or an integer in [2, 10**4300)")
 
 
+class _Store(dict):
+    """A key's records, each mapped to its slot table: entry i maps a slot size
+    to slot i's permutation. len() and values() are the permutations (`held`)."""
+
+    held = 0
+
+    def __len__(self):
+        return self.held
+
+    def values(self):
+        return [p for table in dict.values(self) for slot in table for p in slot.values()]
+
+
 @dataclass(frozen=True)
 class IntFpeKey:
     """A 32-byte secret plus the Feistel round count, and the permutations
@@ -95,7 +107,7 @@ class IntFpeKey:
 
     secret: bytes = field(repr=False)
     rounds: int = 12
-    _permutations: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _permutations: _Store = field(default_factory=_Store, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.secret, bytes) or len(self.secret) != 32:
@@ -279,34 +291,40 @@ class _FeistelPass:
         return self.apply
 
 
-# A record meeting a store this full drops the others' entries (210 address
-# records at 2^16 use 52); no entry is stored past _KEY_CACHE_MOST.
+# A record meeting a store this full drops the others' tables (210 address
+# records at 2^16 use 52 permutations); none is stored past _KEY_CACHE_MOST.
 _KEY_CACHE_ENTRIES = 256
 _KEY_CACHE_MOST = 1024
 
 
-def _keyed(key: IntFpeKey, build, tweak: bytes, n: int, k: tuple):
-    """build(key, tweak, n), built once per key and kept under k while the
-    store holds fewer than _KEY_CACHE_MOST."""
+def _keyed(key, build, tweak: bytes, n: int, record: tuple, i: int):
+    """build(key, tweak, n), built once per key and kept as record's table[i][n]
+    while the store holds fewer than _KEY_CACHE_MOST. Threads need no lock: a
+    table grows only by appends, and a miscount of `held` lasts until a trim."""
     store = key._permutations
-    p = store.get(k)
-    if p is None:
+    try:
+        return store[record][i][n]
+    except LookupError:
         p = build(key, tweak, n)
-        if len(store) < _KEY_CACHE_MOST:
-            store[k] = p
+    if store.held < _KEY_CACHE_MOST:
+        table = store.setdefault(record, [])
+        table.extend({} for _ in range(len(table), i + 1))
+        table[i][n] = p
+        store.held += 1
     return p
 
 
-def _trim(store: dict, record: tuple) -> None:
+def _trim(store: _Store, record: tuple) -> None:
     """Before a record's first slot, a store of _KEY_CACHE_ENTRIES or more keeps
-    only the record's entries. Threads need no lock: the keys are snapshotted."""
-    if len(store) >= _KEY_CACHE_ENTRIES:
-        for k in tuple(store):
-            if k[:2] != record:
-                store.pop(k, None)
+    only the record's table. Threads need no lock: the records are snapshotted."""
+    if store.held >= _KEY_CACHE_ENTRIES:
+        for r in tuple(store):
+            if r != record:
+                store.pop(r, None)
+        store.held = sum(map(len, store.get(record, ())))
 
 
-def _store(key) -> dict:
+def _store(key) -> _Store:
     """The key's permutations; a BadParameter for anything but an IntFpeKey."""
     if not isinstance(key, IntFpeKey):
         raise BadParameter(f"key must be an IntFpeKey, not {type(key).__name__}")
@@ -354,14 +372,14 @@ class WalkRecorder:
 
 
 def _cycle_walk(key, tweak: bytes, m_size: int, x: int, walk_budget: int, recorder,
-                decrypting: bool, k: tuple) -> int:
-    """Walk the key's permutation of [0, m_size), kept under k, or its
-    inverse, from x in [0, m_size) until it lands inside (a shuffle always
-    does, in one step)."""
+                decrypting: bool, record: tuple, i: int) -> int:
+    """Walk the key's permutation of [0, m_size), kept as slot i of record's
+    table, or its inverse, from x in [0, m_size) until it lands inside (a
+    shuffle always does, in one step)."""
     y, steps = x, 0
     if m_size > 1:
         build = _Shuffle if m_size <= SHUFFLE_LIMIT else _FeistelPass
-        f = _keyed(key, build, tweak, m_size, k).apply[decrypting]
+        f = _keyed(key, build, tweak, m_size, record, i).apply[decrypting]
         y, steps = f(x), 1
         while y >= m_size:
             if steps == walk_budget:
@@ -377,8 +395,8 @@ def _public_walk(key, tweak: bytes, m_size: int, x: int, walk_budget: int, recor
                  decrypting: bool) -> int:
     """The one public entry, behind cycle_walk_* and Fe1Backend: a wrong
     argument is a BadParameter naming its type (an InputOutOfDomain for x
-    outside [0, m_size)), never its value. The call is a record of its own,
-    whose entry is kept under (build, tweak, m_size)."""
+    outside [0, m_size)), never its value. The call is a one-slot record of
+    its own, (build, tweak)."""
     store = _store(key)
     if not isinstance(tweak, bytes):
         raise BadParameter(f"tweak must be bytes, not {type(tweak).__name__}")
@@ -390,9 +408,9 @@ def _public_walk(key, tweak: bytes, m_size: int, x: int, walk_budget: int, recor
         raise BadParameter(f"empty domain {m_size}")
     if not 0 <= x < m_size:
         raise InputOutOfDomain(outside(x, m_size))
-    k = _Shuffle if m_size <= SHUFFLE_LIMIT else _FeistelPass, tweak, m_size
-    _trim(store, k[:2])
-    return _cycle_walk(key, tweak, m_size, x, walk_budget, recorder, decrypting, k)
+    record = _Shuffle if m_size <= SHUFFLE_LIMIT else _FeistelPass, tweak
+    _trim(store, record)
+    return _cycle_walk(key, tweak, m_size, x, walk_budget, recorder, decrypting, record, 0)
 
 
 def cycle_walk_encrypt(key, tweak: bytes, m_size: int, x: int, walk_budget: int = WALK_BUDGET,
@@ -413,25 +431,26 @@ def slot_tweak(fingerprint: bytes, index: int, tweak: bytes) -> bytes:
 def slot_permutation(key, fingerprint: bytes, tweak: bytes, decrypting: bool,
                      walk_budget: int, recorder=None):
     """perm(x, n) for one record: what cycle_walk_encrypt (or decrypt) gives
-    its next slot, of rank x and size n, under its slot_tweak, from the entry
-    kept under (fingerprint, tweak, index, size) in a store trimmed for this
-    record. A first use, a walk past one step, a slot of one value or a
-    recorder takes the cycle walk."""
-    store, d, index = _store(key), int(decrypting), count()
-    _trim(store, (fingerprint, tweak))
+    its next slot, of rank x and size n, under its slot_tweak. The record,
+    (fingerprint, tweak), finds its slot table once, in a store trimmed for
+    it, and slot i's permutation of size n is table[i][n]. A first use, a
+    walk past one step, a slot of one value or a recorder takes the cycle
+    walk."""
+    store, d, record, i = _store(key), int(decrypting), (fingerprint, tweak), -1
+    _trim(store, record)
+    table = store.get(record, ()) if recorder is None else ()
 
     def perm(x, n):
-        i = next(index)
+        nonlocal i
+        i += 1
         if not 0 <= x < n:
             raise InputOutOfDomain(f"slot {i}: {outside(x, n)}")
-        k = fingerprint, tweak, i, n
-        p = store.get(k) if recorder is None else None
-        if p is not None:
-            y = p.apply[d](x)
-            if y < n:
-                return y
-        return _cycle_walk(key, slot_tweak(fingerprint, i, tweak), n, x, walk_budget, recorder,
-                           decrypting, k)
+        try:
+            y = table[i][n].apply[d](x)
+        except LookupError:  # not kept yet
+            y = n
+        return y if y < n else _cycle_walk(key, slot_tweak(fingerprint, i, tweak), n, x,
+                                           walk_budget, recorder, decrypting, record, i)
 
     return perm
 

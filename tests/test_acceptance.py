@@ -5,6 +5,7 @@ lines survive a plain pytest run. A failing body prints FAIL and re-raises.
 """
 
 import random
+import sys
 import time
 from contextlib import contextmanager
 from datetime import date, datetime, timedelta
@@ -35,6 +36,7 @@ from fpekit import (
     decrypt,
     encrypt,
     enumerate_members,
+    format_fingerprint,
     rank,
     rank_multi,
     size,
@@ -42,6 +44,7 @@ from fpekit import (
     unrank_multi,
     validate,
 )
+from fpekit import intfpe
 from fpekit.analysis import (
     GfpeScheme,
     IdentificationCurve,
@@ -402,3 +405,44 @@ def test_criterion_10_timing_shape(capsys):
         )
         assert t_wide < t_narrow, "wide slots should beat narrow slots"
         assert t_wide < t_unsplit, "wide slots should beat the unsplit path"
+
+
+def test_criterion_10_counts_xof_digests_per_untabulated_walk_step(capsys):
+    """The shape criterion 10's timing test describes, counted: a warm key's
+    SHAKE digests for one record are its round count times the walk steps
+    of its slots whose Feistel pass reads no table, so the work grows with
+    the slot count (1, 3 and 10 slots at inf, 2^256 and 2^64), not with the
+    slots' bit length."""
+    with criterion(capsys, 10):
+        addr = _address_format()
+        rng = random.Random(0xCA)
+        key = IntFpeKey(rng.randbytes(32))
+        messages = [unrank(addr, rng.randrange(size(addr))) for _ in range(30)]
+        digests = 0
+
+        def note(frame, event, arg):
+            nonlocal digests
+            if event == "c_call" and arg.__qualname__ == "HASHXOF.digest":
+                digests += 1
+
+        for label, bound, per_record in (("unsplit", None, 12), ("2^256", 2**256, 36),
+                                         ("2^64", 2**64, 120)):
+            cfg = CipherConfig(max_size=bound)
+            for m in messages:  # every slot's permutation is built
+                encrypt(cfg, key, addr, m)
+            table = key._permutations[format_fingerprint(addr, bound), b""]
+            total = 0
+            for m in messages:
+                recorder, digests = WalkRecorder(), 0
+                sys.setprofile(note)
+                try:
+                    encrypt(cfg, key, addr, m, backend=Fe1Backend(recorder=recorder))
+                finally:
+                    sys.setprofile(None)
+                # a shuffle has no `table`, and a tabulated pass reads no XOF
+                untabulated = [steps for i, (n, steps) in enumerate(recorder.events)
+                               if getattr(table[i][n], "table", 0) is None]
+                assert digests == key.rounds * sum(untabulated)
+                total += digests
+            _say(capsys, f"\n[criterion 10] {label}: {total / len(messages):g} XOF digests a record")
+            assert total == per_record * len(messages)

@@ -360,6 +360,34 @@ def test_the_fingerprint_refuses_what_it_would_not_store():
             format_fingerprint(bad, 65536)
 
 
+def test_a_warm_format_and_bound_are_not_planned_or_fingerprinted_again(monkeypatch):
+    # encrypt finds a warm (format, bound)'s plan and fingerprint in one lookup,
+    # and refuses a bad tweak, backend, format or bound as a cold call does
+    from fpekit import cipher
+
+    spec, cfg = FixedString(("ab",)), CipherConfig(max_size=65536)
+    image = encrypt(cfg, KEY_A, spec, "a", "t")
+    calls = []
+    for name in ("build_plan", "format_fingerprint"):
+        monkeypatch.setattr(cipher, name, lambda *a, real=getattr(cipher, name), name=name:
+                            calls.append(name) or real(*a))
+    for _ in range(3):
+        assert encrypt(cfg, KEY_A, spec, "a", "t") == image
+        assert decrypt(cfg, KEY_A, spec, image, b"t") == "a"
+    assert calls == []
+    assert encrypt(cfg, KEY_A, FixedString(("ab",)), "a", "t") == image
+    assert calls == ["build_plan", "format_fingerprint"]
+    for tweak, backend in ((5, None), (b"t", "fe1")):
+        with pytest.raises(BadParameter):
+            encrypt(cfg, KEY_A, spec, "a", tweak, backend)
+    for bad in (VarString(3, 1, "a"), "not a spec"):
+        with pytest.raises(InvalidFormat):
+            encrypt(cfg, KEY_A, bad, "a")
+    for bound in NOT_INTEGERS + ("x", 10**4300):
+        with pytest.raises(BadParameter):
+            encrypt(CipherConfig(max_size=bound), KEY_A, spec, "a")
+
+
 def test_a_backend_other_than_fe1backend_is_a_bad_parameter_naming_its_type():
     class PerSlot:
         def encrypt(self, key, tweak, n, x):

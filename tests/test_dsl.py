@@ -1,6 +1,7 @@
 """Text form of format definitions: charset grammar, JSON round trips, and
 a canonical text that changes with every field of every node type."""
 
+import copy
 import dataclasses
 from collections import Counter
 from datetime import datetime
@@ -33,9 +34,10 @@ from fpekit import (
     serialize_spec,
     validate,
 )
+from fpekit import dsl
 from fpekit.formats import NODE_TYPES
 
-from corpus import PREFIX_SPECS, SMALL_SPECS
+from corpus import PREFIX_SPECS, SMALL_SPECS, address_format
 from test_generated_formats import SETTINGS, valid_trees
 
 
@@ -288,3 +290,22 @@ def test_parsing_does_not_hash_a_subtree_again_at_each_level_above_it(monkeypatc
     spec = parse_spec('{"type":"concat","delims":[";"],"parts":[%s,%s]}'
                       % (_nested_ranges(3), _nested_ranges(3).replace("a-c", "abc")))
     assert spec.parts[0] is spec.parts[1]
+
+
+def test_a_shared_subtree_is_serialized_once_per_call(monkeypatch):
+    # the address tree's three word ranges share one word node, whose JSON
+    # object one serialization builds once: 7 character sets written, not 11
+    written = []
+    real = dsl.serialize_charset
+    monkeypatch.setattr(dsl, "serialize_charset", lambda cs: written.append(cs) or real(cs))
+    shared = address_format()
+    text = serialize_spec(shared)
+    assert len(written) == 7
+    written.clear()
+    assert serialize_spec(shared) == text and len(written) == 7  # nothing kept between calls
+    # the same tree with three separate word nodes has the same text
+    apart = Concat(tuple(dataclasses.replace(p, inner=copy.deepcopy(p.inner)) if p.kind == "range"
+                         else p for p in shared.parts), shared.delims)
+    assert apart.parts[0].inner.parts[0] is not apart.parts[1].inner.parts[0]
+    written.clear()
+    assert serialize_spec(apart) == text and len(written) == 11

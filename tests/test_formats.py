@@ -2,7 +2,9 @@
 
 import random
 import string
+import sys
 import tracemalloc
+from collections import Counter
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -22,6 +24,7 @@ from fpekit import (
     InvalidFormat,
     Range,
     Ssn,
+    SpecSyntaxError,
     StringSet,
     Union,
     VarString,
@@ -42,7 +45,7 @@ from fpekit.errors import ParseFailure
 from fpekit import formats
 from fpekit.formats import DIGITS, _all_decimal
 
-from corpus import PREFIX_SPECS, SMALL_SPECS
+from corpus import PREFIX_SPECS, SMALL_SPECS, address_format
 
 KEY = IntFpeKey(bytes(range(32)))
 
@@ -540,3 +543,54 @@ def test_one_alphabet_strings_are_spelled_k_characters_a_step(alphabet):
         for i in [rng.randrange(size(spec)) for _ in range(200)] + [size(spec) - 1]:
             m = spec.unrank(i)
             assert m == _spelled_a_character_at_a_time(spec, i) and spec.rank(m) == i, i
+
+
+def _validate_into_calls(spec) -> Counter:
+    """validate(spec)'s validate_into calls, by node."""
+    calls = Counter()
+
+    def note(frame, event, arg):
+        if event == "call" and frame.f_code.co_name == "validate_into":
+            calls[id(frame.f_locals["self"])] += 1
+
+    sys.setprofile(note)
+    try:
+        validate(spec)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_a_shared_subtree_is_validated_once():
+    # the address tree's three word ranges share one word node: each of its 9
+    # nodes is checked once, not once per reference (15 checks)
+    spec = address_format()
+    calls = _validate_into_calls(spec)
+    assert len(calls) == 9 and set(calls.values()) == {1}
+    assert validate(spec) == []
+    # a clean subtree adds no violation at any path; a broken one is walked
+    # again, and its violations are reported under each path that reaches it
+    word = Concat((FixedString((",",)), VarString(1, 2, "ab")))
+    broken = Concat((Range(word, ",", 1, 2), Range(word, ";", 1, 2)), (";",))
+    assert [(v.path, v.code) for v in validate(broken)] == [(".parts[0]", "DelimiterInAlphabet")]
+    bad = VarString(3, 1, "a")
+    assert [v.path for v in validate(Concat((bad, Range(bad, ",", 1, 2)), None))] == [
+        ".parts[0]", ".parts[1].inner"]
+
+
+def test_the_deepest_tree_parse_spec_accepts_validates():
+    # skipping a clean subtree adds no Python frame a level: the deepest nest of
+    # ranges that parse_spec accepts here (330 from a bare interpreter)
+    # validates clean, without a RecursionError
+    texts = ['{"type":"fixed","charsets":["a-c"]}']
+    while True:
+        texts.append('{"type":"range","inner":%s,"delim":"\\u%04x","min":1,"max":2}'
+                     % (texts[-1], 0x4e00 + len(texts)))
+        try:
+            parse_spec(texts[-1])
+        except SpecSyntaxError:
+            break
+    spec = parse_spec(texts[-2])
+    assert len(texts) > 200
+    assert validate(spec) == []
+    ensure_valid(spec)

@@ -97,7 +97,7 @@ def test_balanced_factor_small_path_properties(n):
 def _pass(key, tweak, n):
     """The key's Feistel pass over [0, n'), n' >= n, kept as a public call of
     size n keeps it."""
-    return intfpe._keyed(key, intfpe._FeistelPass, tweak, n, (intfpe._FeistelPass, tweak, n))
+    return intfpe._keyed(key, intfpe._FeistelPass, tweak, n, (intfpe._FeistelPass, tweak), 0)
 
 
 def _pass_forward(key, tweak, n, x):
@@ -573,6 +573,67 @@ def test_a_record_over_the_bound_leaves_only_its_own_entries(monkeypatch):
     encrypt(cfg, key, other, "abcdefghi", b"t")
     mine = (format_fingerprint(other, cfg.max_size), b"t")
     assert len(key._permutations) == 3 and {k[:2] for k in key._permutations} == {mine}
+
+
+def _intfpe_c_calls(call) -> Counter:
+    """The C functions that frames of `intfpe` call during call(), by name."""
+    calls = Counter()
+
+    def note(frame, event, arg):
+        if event == "c_call" and frame.f_code.co_filename == intfpe.__file__:
+            calls[arg.__name__] += 1
+
+    sys.setprofile(note)
+    try:
+        call()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_a_warm_record_finds_its_slot_table_once_and_each_slot_by_index():
+    # a warm slot's permutation is table[i][n]: the record's table is looked up
+    # once, and no slot makes a store key, a dict.get or a next() of a counter
+    cfg, key = CipherConfig(max_size=2**16), IntFpeKey(bytes(range(32)))
+    record = "Elm Street,Dover,42,12345,France"
+    slots = len(rank_multi(ADDRESS, cfg.max_size, record))
+    for _ in range(3):
+        image = encrypt(cfg, key, ADDRESS, record)
+    calls = _intfpe_c_calls(lambda: encrypt(cfg, key, ADDRESS, record))
+    assert slots > 10 and encrypt(cfg, key, ADDRESS, record) == image
+    assert calls["get"] == 1 and calls["next"] == calls["setdefault"] == 0, calls
+
+
+def test_threads_extending_one_records_slot_table_agree():
+    # six threads fill one cold record's table at once, switching every
+    # microsecond: each gets the serial ciphertext, and slot i's permutation
+    # sits at index i under its own size, with any surplus entries empty
+    cfg, secret = CipherConfig(max_size=2**16), bytes(range(32))
+    spec, record = FixedString((LOWER,) * 60), (LOWER * 3)[:60]
+    sizes = rank_multi(spec, cfg.max_size, record).sizes
+    serial = encrypt(cfg, IntFpeKey(secret), spec, record)
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            key, start, out = IntFpeKey(secret), threading.Barrier(6), []
+
+            def work():
+                start.wait()
+                out.append(encrypt(cfg, key, spec, record))
+
+            threads = [threading.Thread(target=work) for _ in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert out == [serial] * 6
+            table = key._permutations[format_fingerprint(spec, cfg.max_size), b""]
+            assert [list(slot) for slot in table[:len(sizes)]] == [[n] for n in sizes]
+            assert not any(table[len(sizes):])
+    finally:
+        sys.setswitchinterval(old)
 
 
 def test_threads_sharing_a_key_give_the_serial_ciphertexts():
