@@ -56,15 +56,14 @@ def keygen(bits: int = 256) -> IntFpeKey:
 
 def format_fingerprint(spec, max_size) -> bytes:
     """32 bytes binding the canonical format text and the slot bound, both
-    checked, computed once per format and bound and kept beside the bound's
-    plan on the format node."""
+    checked, computed once per format and bound and stored on the format node."""
     check_bound(max_size)
     ensure_valid(spec)
-    entry = spec._plans.setdefault(max_size, [None, None])
-    if entry[1] is None:
+    fp = spec.fingerprints.get(max_size)
+    if fp is None:
         text = dsl.serialize_spec(spec).encode("utf-8") + b"\x00" + repr(max_size).encode("ascii")
-        entry[1] = hashlib.sha256(text).digest()
-    return entry[1]
+        fp = spec.fingerprints[max_size] = hashlib.sha256(text).digest()
+    return fp
 
 
 def _as_bytes(tweak) -> bytes:
@@ -81,11 +80,9 @@ def _as_bytes(tweak) -> bytes:
 def _crypt(cfg: CipherConfig, key: IntFpeKey, spec, text: str, tweak, backend,
            decrypting: bool) -> str:
     """Walk text once, mapping each slot through the key's slot_permutation."""
-    try:  # a fingerprint is kept once its format and the config's bound are checked
-        plan, fp = spec._plans[cfg.max_size]
-    except (AttributeError, KeyError):  # not a node, or not planned under the bound
-        fp = None
-    if fp is None:
+    try:  # a fingerprint is stored only once its format and bound are checked
+        fp, plan = spec.fingerprints[cfg.max_size], spec.plans[cfg.max_size]
+    except (AttributeError, KeyError):  # not a node, or not fingerprinted and planned yet
         plan, fp = build_plan(spec, cfg.max_size), format_fingerprint(spec, cfg.max_size)
     extra = _as_bytes(tweak)
     if backend is not None and not isinstance(backend, Fe1Backend):

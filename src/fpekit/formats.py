@@ -346,18 +346,25 @@ class Node:
         raise NotImplementedError
 
     @cached_property
-    def _plans(self) -> dict:
-        """By slot bound: [plan, fingerprint], each None until first asked
-        for; the fingerprint is `cipher.format_fingerprint`'s."""
+    def plans(self) -> dict:
+        """`plan`'s slot plans of this node, by slot bound."""
+        return {}
+
+    @cached_property
+    def fingerprints(self) -> dict:
+        """`cipher.format_fingerprint`'s digests of this node, by checked slot bound."""
         return {}
 
     def plan(self, max_size):
         """The slot plan under a bound (None = unbounded), built once per bound."""
-        entry = self._plans.setdefault(max_size, [None, None])
-        if entry[0] is None:
-            whole = max_size is None or self.size <= max_size
-            entry[0] = splitting.WholeSlot(self.ranker, self.unranker, self.size) if whole else self._split(max_size)
-        return entry[0]
+        plan = self.plans.get(max_size)
+        if plan is None:
+            if max_size is None or self.size <= max_size:
+                plan = splitting.WholeSlot(self.ranker, self.unranker, self.size)
+            else:
+                plan = self._split(max_size)
+            self.plans[max_size] = plan
+        return plan
 
     @cached_property
     def positions(self):

@@ -89,15 +89,9 @@ def check_bound(max_size) -> None:
 
 class _Store(dict):
     """A key's records, each mapped to its slot table: entry i maps a slot size
-    to slot i's permutation. len() and values() are the permutations (`held`)."""
+    to slot i's permutation. `held` counts the permutations."""
 
     held = 0
-
-    def __len__(self):
-        return self.held
-
-    def values(self):
-        return [p for table in dict.values(self) for slot in table for p in slot.values()]
 
 
 @dataclass(frozen=True)
@@ -299,8 +293,10 @@ _KEY_CACHE_MOST = 1024
 
 def _keyed(key, build, tweak: bytes, n: int, record: tuple, i: int):
     """build(key, tweak, n), built once per key and kept as record's table[i][n]
-    while the store holds fewer than _KEY_CACHE_MOST. Threads need no lock: a
-    table grows only by appends, and a miscount of `held` lasts until a trim."""
+    while the store counts fewer than _KEY_CACHE_MOST. Threads need no lock: a
+    table grows only by appends. A count of `held` lost to a race lets the
+    store hold that many past the cap, and trim that late, until a trim
+    recounts it."""
     store = key._permutations
     try:
         return store[record][i][n]
@@ -316,7 +312,7 @@ def _keyed(key, build, tweak: bytes, n: int, record: tuple, i: int):
 
 def _trim(store: _Store, record: tuple) -> None:
     """Before a record's first slot, a store of _KEY_CACHE_ENTRIES or more keeps
-    only the record's table. Threads need no lock: the records are snapshotted."""
+    and counts only the record's table; no lock, as the records are snapshotted."""
     if store.held >= _KEY_CACHE_ENTRIES:
         for r in tuple(store):
             if r != record:
@@ -431,11 +427,10 @@ def slot_tweak(fingerprint: bytes, index: int, tweak: bytes) -> bytes:
 def slot_permutation(key, fingerprint: bytes, tweak: bytes, decrypting: bool,
                      walk_budget: int, recorder=None):
     """perm(x, n) for one record: what cycle_walk_encrypt (or decrypt) gives
-    its next slot, of rank x and size n, under its slot_tweak. The record,
-    (fingerprint, tweak), finds its slot table once, in a store trimmed for
-    it, and slot i's permutation of size n is table[i][n]. A first use, a
-    walk past one step, a slot of one value or a recorder takes the cycle
-    walk."""
+    its next slot, of rank x and size n, under its slot_tweak. The record's
+    slot table is found once, in a store trimmed for it: slot i of size n is
+    table[i][n]. A first use, a walk past one step, a slot of one value or a
+    recorder takes the cycle walk."""
     store, d, record, i = _store(key), int(decrypting), (fingerprint, tweak), -1
     _trim(store, record)
     table = store.get(record, ()) if recorder is None else ()

@@ -361,7 +361,7 @@ def test_the_fingerprint_refuses_what_it_would_not_store():
 
 
 def test_a_warm_format_and_bound_are_not_planned_or_fingerprinted_again(monkeypatch):
-    # encrypt finds a warm (format, bound)'s plan and fingerprint in one lookup,
+    # encrypt finds a warm (format, bound)'s fingerprint and plan as stored,
     # and refuses a bad tweak, backend, format or bound as a cold call does
     from fpekit import cipher
 
@@ -386,6 +386,17 @@ def test_a_warm_format_and_bound_are_not_planned_or_fingerprinted_again(monkeypa
     for bound in NOT_INTEGERS + ("x", 10**4300):
         with pytest.raises(BadParameter):
             encrypt(CipherConfig(max_size=bound), KEY_A, spec, "a")
+
+
+def test_a_format_fingerprinted_before_its_first_encrypt_encrypts():
+    # format_fingerprint keeps a fingerprint with no plan; encrypt then plans
+    cfg = CipherConfig(max_size=2**16)
+    spec, fresh = (Concat((FixedString((DIGITS,) * 6), VarString(1, 3, "ab"))) for _ in range(2))
+    fp = format_fingerprint(spec, 2**16)
+    image = encrypt(cfg, KEY_A, spec, "123456ab")
+    assert image == encrypt(cfg, KEY_A, fresh, "123456ab")
+    assert decrypt(cfg, KEY_A, spec, image) == "123456ab"
+    assert format_fingerprint(spec, 2**16) is fp
 
 
 def test_a_backend_other_than_fe1backend_is_a_bad_parameter_naming_its_type():

@@ -100,6 +100,11 @@ def _pass(key, tweak, n):
     return intfpe._keyed(key, intfpe._FeistelPass, tweak, n, (intfpe._FeistelPass, tweak), 0)
 
 
+def _held(key) -> list:
+    """The permutations a key keeps, from every record's slot table."""
+    return [p for table in key._permutations.values() for slot in table for p in slot.values()]
+
+
 def _pass_forward(key, tweak, n, x):
     return _pass(key, tweak, n).apply[0](x)
 
@@ -409,7 +414,7 @@ def test_key_keeps_at_most_the_bound_of_permutations():
         x = t % m
         y = cycle_walk_encrypt(key, b"b%d" % t, m, x)
         assert cycle_walk_decrypt(key, b"b%d" % t, m, y) == x
-        assert len(key._permutations) <= bound
+        assert len(_held(key)) <= bound
     # emptying a full cache changes no output
     assert cycle_walk_encrypt(IntFpeKey(key.secret), b"b1", 1000, 1) == cycle_walk_encrypt(
         key, b"b1", 1000, 1)
@@ -431,7 +436,7 @@ def test_a_dropped_key_is_freed_with_its_permutations():
     cycle_walk_encrypt(key, b"w", 5000, 3)
     cycle_walk_encrypt(key, b"w", 2**100, 3)
     cycle_walk_encrypt(key, b"w", 50, 3)
-    passes = [weakref.ref(p) for p in key._permutations.values()
+    passes = [weakref.ref(p) for p in _held(key)
               if isinstance(p, intfpe._FeistelPass)]
     _pass(key, b"w", 5000)._tabulate()
     ref = weakref.ref(key)
@@ -490,7 +495,7 @@ def test_each_path_stores_a_slot_permutation_once(monkeypatch):
     images = [encrypt(cfg, key, ADDRESS, m) for m in records]
     slots = {(i, n) for m in records
              for i, n in enumerate(rank_multi(ADDRESS, cfg.max_size, m).sizes) if n > 1}
-    assert len(key._permutations) == len(slots) == 52
+    assert len(_held(key)) == len(slots) == key._permutations.held == 52
     calls = []
     real = intfpe._base_state
     monkeypatch.setattr(intfpe, "_base_state", lambda *args: calls.append(args) or real(*args))
@@ -509,7 +514,7 @@ def test_each_path_stores_a_slot_permutation_once(monkeypatch):
     calls.clear()
     per_slot_pass()
     assert calls == []
-    assert len(key._permutations) == 104
+    assert len(_held(key)) == key._permutations.held == 104
 
 
 def test_one_records_slots_never_evict_each_other(monkeypatch):
@@ -524,7 +529,7 @@ def test_one_records_slots_never_evict_each_other(monkeypatch):
     monkeypatch.setattr(intfpe, "_base_state", lambda *args: calls.append(args) or real(*args))
     assert encrypt(cfg, key, spec, record) == image
     assert decrypt(cfg, key, spec, image) == record
-    assert calls == [] and len(key._permutations) == 260
+    assert calls == [] and len(_held(key)) == 260
 
 
 def test_the_store_of_a_key_stays_bounded_past_one_records_slots(monkeypatch):
@@ -535,14 +540,14 @@ def test_the_store_of_a_key_stays_bounded_past_one_records_slots(monkeypatch):
     long, record = FixedString((LOWER,) * 60), (LOWER * 3)[:60]  # 20 slots
     image = encrypt(cfg, key, long, record)
     assert image == encrypt(cfg, fresh(), long, record)
-    assert len(key._permutations) == 16  # its first 16 slots
+    assert len(_held(key)) == 16  # its first 16 slots
     short = FixedString((LOWER,) * 6)  # 2 slots, under another fingerprint
     # the short record meets a store over the bound and drops the long one's
     assert encrypt(cfg, key, short, "zyxwvu") == encrypt(cfg, fresh(), short, "zyxwvu")
-    assert len(key._permutations) == 2
+    assert len(_held(key)) == 2
     # under the bound, the long record stores beside it up to _KEY_CACHE_MOST
     assert decrypt(cfg, key, long, image) == record
-    assert len(key._permutations) == 16
+    assert len(_held(key)) == 16
 
 
 def _small_store_and_a_20_slot_record(monkeypatch):
@@ -562,17 +567,17 @@ def test_a_warm_record_rebuilds_only_its_slots_past_the_store(monkeypatch):
     assert encrypt(cfg, key, spec, record) == image
     fp = format_fingerprint(spec, cfg.max_size)
     assert [tweak for _, tweak, _ in calls] == [intfpe.slot_tweak(fp, i, b"") for i in range(16, 20)]
-    assert len(key._permutations) == 16
+    assert len(_held(key)) == 16
 
 
 def test_a_record_over_the_bound_leaves_only_its_own_entries(monkeypatch):
     cfg, key, spec, record = _small_store_and_a_20_slot_record(monkeypatch)
     encrypt(cfg, key, spec, record)
-    assert len(key._permutations) == 16
+    assert len(_held(key)) == 16
     other = FixedString((LOWER,) * 9)  # 3 slots
     encrypt(cfg, key, other, "abcdefghi", b"t")
     mine = (format_fingerprint(other, cfg.max_size), b"t")
-    assert len(key._permutations) == 3 and {k[:2] for k in key._permutations} == {mine}
+    assert len(_held(key)) == 3 and {k[:2] for k in key._permutations} == {mine}
 
 
 def _intfpe_c_calls(call) -> Counter:
@@ -857,7 +862,7 @@ def test_a_tabulated_vector_call_gives_the_xof_outputs(rounds, monkeypatch):
     key = IntFpeKey(secret, rounds=rounds)
     for v in vectors(max(_entries(n, rounds) // rounds for n in sizes[3:])):
         _crypt_slots(key, fp, tweak, v, False, 10**6)
-    passes = [p for p in key._permutations.values() if isinstance(p, intfpe._FeistelPass)]
+    passes = [p for p in _held(key) if isinstance(p, intfpe._FeistelPass)]
     assert len(passes) == 4 and all(p.table is not None for p in passes)
     sample = vectors(200)
     calls.clear()
@@ -871,7 +876,7 @@ def test_a_tabulated_vector_call_gives_the_xof_outputs(rounds, monkeypatch):
         fresh = IntFpeKey(secret, rounds=rounds)
         assert enc == [_crypt_slots(fresh, fp, tweak, v, False, 10**6) for v in sample]
         assert dec == [_crypt_slots(fresh, fp, tweak, v, True, 10**6) for v in sample]
-    assert all(p.table is None for p in fresh._permutations.values()
+    assert all(p.table is None for p in _held(fresh)
                if isinstance(p, intfpe._FeistelPass))
 
 
@@ -899,7 +904,7 @@ def test_the_fast_recorded_and_per_slot_paths_agree(rounds):
                 assert [n for n, _ in recorded.events] == list(sizes)
 
     def tables():
-        return [p.table is not None for p in key._permutations.values()
+        return [p.table is not None for p in _held(key)
                 if isinstance(p, intfpe._FeistelPass)]
 
     # each round applies the slot entries twice a direction (fast and
@@ -1002,7 +1007,7 @@ def test_threads_racing_across_the_build_point_give_the_serial_ciphertexts():
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in threads)
     assert [[r[i] for i in range(40)] for r in results] == [serial] * 4
-    passes = [p for p in shared._permutations.values() if isinstance(p, intfpe._FeistelPass)]
+    passes = [p for p in _held(shared) if isinstance(p, intfpe._FeistelPass)]
     assert any(p.table is not None for p in passes)
 
 
@@ -1034,8 +1039,8 @@ def test_a_key_of_256_largest_tables_stays_under_3_mb(monkeypatch):
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(key._permutations) == intfpe._KEY_CACHE_ENTRIES
-    assert all(sum(map(len, p.table)) == _entries(n, 12) for p in key._permutations.values())
+    assert len(_held(key)) == intfpe._KEY_CACHE_ENTRIES
+    assert all(sum(map(len, p.table)) == _entries(n, 12) for p in _held(key))
     assert held < 3 * 2**20, held
 
 
