@@ -1,8 +1,10 @@
 """Keyed permutations of integer ranges [0, N).
 
-The public permutation is the cycle walk (cycle_walk_* and Fe1Backend),
-whose every call checks its arguments; `cipher` reaches the same
-permutations through slot_permutation, which checks the key once a record.
+Every keyed permutation goes through one function, _keyed, which gives
+perm(x, n) for a record: slot_permutation's (fingerprint, tweak), for
+`cipher`, which checks the key once a record, or the public cycle walk's
+(None, tweak), a record of one slot, for cycle_walk_* and Fe1Backend,
+whose every call checks its arguments.
 
 Up to SHUFFLE_LIMIT values, a keyed Fisher-Yates shuffle permutes [0, N)
 directly. Above it, a near-square Feistel network over [0, a*b), a = isqrt(N),
@@ -15,15 +17,16 @@ half. Where the keyed prefix nearly fills SHAKE-256's 136-byte block (135
 bytes on a 454-bit slot), the round number completes the block in that
 state once, not once per round.
 
-An IntFpeKey builds each permutation once, in the slot table of its record:
-(fingerprint, tweak) for a record's slots, or (build, tweak) for a public
-call, a record of one slot. Entry i of a table maps a size to slot i's
-permutation, whose `apply` is its forward and inverse: a shuffle's two
-lists' __getitem__, or a Feistel pass's two functions. Before a record's
-first slot, a store holding 256 or more (_KEY_CACHE_ENTRIES) drops the
-other records' tables, and none is stored past 1,024 (_KEY_CACHE_MOST).
-The store dies with the key, every output is the same as when built
-afresh, and no module cache holds anything per split or round count.
+An IntFpeKey builds each permutation once, in the slot table of its
+record. Entry i of a table maps a size to slot i's permutation, whose
+`apply` is its forward and inverse: a shuffle's two lists' __getitem__, or
+a Feistel pass's two functions. A kept slot is read with no lock. Before a
+record's first slot, a store holding 256 or more (_KEY_CACHE_ENTRIES)
+drops the other records' tables, and none is stored past 1,024
+(_KEY_CACHE_MOST); the store's count changes only under one module lock,
+so it is exact and the cap holds under threads. The store dies with the
+key, every output is the same as when built afresh, and no module cache
+holds anything per split or round count.
 
 A Feistel pass whose round function has at most TABLE_LIMIT distinct outputs
 tabulates it, one row per round, on the apply whose count matches the table's
@@ -46,6 +49,7 @@ import hashlib
 import os
 import struct
 import tempfile
+import threading
 import weakref
 from array import array
 from dataclasses import dataclass, field
@@ -89,7 +93,8 @@ def check_bound(max_size) -> None:
 
 class _Store(dict):
     """A key's records, each mapped to its slot table: entry i maps a slot size
-    to slot i's permutation. `held` counts the permutations."""
+    to slot i's permutation. `held` counts the permutations; both change only
+    under _LOCK."""
 
     held = 0
 
@@ -289,35 +294,9 @@ class _FeistelPass:
 # records at 2^16 use 52 permutations); none is stored past _KEY_CACHE_MOST.
 _KEY_CACHE_ENTRIES = 256
 _KEY_CACHE_MOST = 1024
-
-
-def _keyed(key, build, tweak: bytes, n: int, record: tuple, i: int):
-    """build(key, tweak, n), built once per key and kept as record's table[i][n]
-    while the store counts fewer than _KEY_CACHE_MOST. Threads need no lock: a
-    table grows only by appends. A count of `held` lost to a race lets the
-    store hold that many past the cap, and trim that late, until a trim
-    recounts it."""
-    store = key._permutations
-    try:
-        return store[record][i][n]
-    except LookupError:
-        p = build(key, tweak, n)
-    if store.held < _KEY_CACHE_MOST:
-        table = store.setdefault(record, [])
-        table.extend({} for _ in range(len(table), i + 1))
-        table[i][n] = p
-        store.held += 1
-    return p
-
-
-def _trim(store: _Store, record: tuple) -> None:
-    """Before a record's first slot, a store of _KEY_CACHE_ENTRIES or more keeps
-    and counts only the record's table; no lock, as the records are snapshotted."""
-    if store.held >= _KEY_CACHE_ENTRIES:
-        for r in tuple(store):
-            if r != record:
-                store.pop(r, None)
-        store.held = sum(map(len, store.get(record, ())))
+# Guards every change to a key's store and its count. It is the module's:
+# a store holding a lock would stop its key from pickling or deep-copying.
+_LOCK = threading.Lock()
 
 
 def _store(key) -> _Store:
@@ -367,33 +346,71 @@ class WalkRecorder:
         self.events.append((domain, steps))
 
 
-def _cycle_walk(key, tweak: bytes, m_size: int, x: int, walk_budget: int, recorder,
-                decrypting: bool, record: tuple, i: int) -> int:
-    """Walk the key's permutation of [0, m_size), kept as slot i of record's
-    table, or its inverse, from x in [0, m_size) until it lands inside (a
-    shuffle always does, in one step)."""
-    y, steps = x, 0
-    if m_size > 1:
-        build = _Shuffle if m_size <= SHUFFLE_LIMIT else _FeistelPass
-        f = _keyed(key, build, tweak, m_size, record, i).apply[decrypting]
+def _keyed(key, record: tuple, decrypting: bool, walk_budget: int, recorder):
+    """perm(x, n) for one record: the key's permutation of [0, n) for the
+    record's next slot i, or its inverse, walked from x until it lands
+    inside (a shuffle always does, in one step). A record is (fingerprint,
+    tweak), whose slot i is keyed by its slot_tweak, or (None, tweak), a
+    public call's one slot keyed by the tweak alone.
+
+    Before the first slot, a store holding _KEY_CACHE_ENTRIES or more keeps
+    and counts only the record's table. The table is then looked up once:
+    a kept slot is table[i][n], with no lock. A miss builds the permutation
+    (a shuffle up to SHUFFLE_LIMIT, else a Feistel pass) outside the lock,
+    and keeps it while the store holds fewer than _KEY_CACHE_MOST. A store
+    changes, and counts what it holds in `held`, only under _LOCK, so the
+    count is exact."""
+    store, d, (fingerprint, tweak), i = _store(key), int(decrypting), record, -1
+    if store.held >= _KEY_CACHE_ENTRIES:
+        with _LOCK:
+            for r in tuple(store):
+                if r != record:
+                    del store[r]
+            store.held = sum(map(len, store.get(record, ())))
+    table = store.get(record, ())
+
+    def perm(x, n):
+        nonlocal i
+        i += 1
+        if not 0 <= x < n:
+            raise InputOutOfDomain(f"slot {i}: {outside(x, n)}")
+        try:
+            f = table[i][n].apply[d]
+        except LookupError:  # not kept yet, or a slot of one value
+            if n == 1:
+                if recorder is not None:
+                    recorder.record(1, 0)
+                return 0
+            t = tweak if fingerprint is None else slot_tweak(fingerprint, i, tweak)
+            p = (_Shuffle if n <= SHUFFLE_LIMIT else _FeistelPass)(key, t, n)
+            with _LOCK:
+                if store.held < _KEY_CACHE_MOST:
+                    kept = store.setdefault(record, [])
+                    kept.extend({} for _ in range(len(kept), i + 1))
+                    if n not in kept[i]:
+                        kept[i][n] = p
+                        store.held += 1
+            f = p.apply[d]
         y, steps = f(x), 1
-        while y >= m_size:
+        while y >= n:
             if steps == walk_budget:
                 raise WalkBudgetExceeded(
-                    f"no landing in [0, {m_size}) within {walk_budget} applications")
+                    f"no landing in [0, {n}) within {walk_budget} applications")
             y, steps = f(y), steps + 1
-    if recorder is not None:
-        recorder.record(m_size, steps)
-    return y
+        if recorder is not None:
+            recorder.record(n, steps)
+        return y
+
+    return perm
 
 
 def _public_walk(key, tweak: bytes, m_size: int, x: int, walk_budget: int, recorder,
                  decrypting: bool) -> int:
     """The one public entry, behind cycle_walk_* and Fe1Backend: a wrong
     argument is a BadParameter naming its type (an InputOutOfDomain for x
-    outside [0, m_size)), never its value. The call is a one-slot record of
-    its own, (build, tweak)."""
-    store = _store(key)
+    outside [0, m_size)), never its value. The call is the one-slot record
+    (None, tweak)."""
+    _store(key)
     if not isinstance(tweak, bytes):
         raise BadParameter(f"tweak must be bytes, not {type(tweak).__name__}")
     for name, value in (("domain size", m_size), ("x", x)):
@@ -404,9 +421,7 @@ def _public_walk(key, tweak: bytes, m_size: int, x: int, walk_budget: int, recor
         raise BadParameter(f"empty domain {m_size}")
     if not 0 <= x < m_size:
         raise InputOutOfDomain(outside(x, m_size))
-    record = _Shuffle if m_size <= SHUFFLE_LIMIT else _FeistelPass, tweak
-    _trim(store, record)
-    return _cycle_walk(key, tweak, m_size, x, walk_budget, recorder, decrypting, record, 0)
+    return _keyed(key, (None, tweak), decrypting, walk_budget, recorder)(x, m_size)
 
 
 def cycle_walk_encrypt(key, tweak: bytes, m_size: int, x: int, walk_budget: int = WALK_BUDGET,
@@ -426,28 +441,10 @@ def slot_tweak(fingerprint: bytes, index: int, tweak: bytes) -> bytes:
 
 def slot_permutation(key, fingerprint: bytes, tweak: bytes, decrypting: bool,
                      walk_budget: int, recorder=None):
-    """perm(x, n) for one record: what cycle_walk_encrypt (or decrypt) gives
-    its next slot, of rank x and size n, under its slot_tweak. The record's
-    slot table is found once, in a store trimmed for it: slot i of size n is
-    table[i][n]. A first use, a walk past one step, a slot of one value or a
-    recorder takes the cycle walk."""
-    store, d, record, i = _store(key), int(decrypting), (fingerprint, tweak), -1
-    _trim(store, record)
-    table = store.get(record, ()) if recorder is None else ()
-
-    def perm(x, n):
-        nonlocal i
-        i += 1
-        if not 0 <= x < n:
-            raise InputOutOfDomain(f"slot {i}: {outside(x, n)}")
-        try:
-            y = table[i][n].apply[d](x)
-        except LookupError:  # not kept yet
-            y = n
-        return y if y < n else _cycle_walk(key, slot_tweak(fingerprint, i, tweak), n, x,
-                                           walk_budget, recorder, decrypting, record, i)
-
-    return perm
+    """perm(x, n) for one record (fingerprint, tweak): what cycle_walk_encrypt
+    (or decrypt) gives its next slot, of rank x and size n, under its
+    slot_tweak, from the key's store (_keyed)."""
+    return _keyed(key, (fingerprint, tweak), decrypting, walk_budget, recorder)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Integer range permutations: factoring, Feistel passes, shuffles, cycle walking."""
 
+import copy
 import gc
 import hashlib
+import pickle
 import random
 import sys
 import threading
@@ -94,10 +96,16 @@ def test_balanced_factor_small_path_properties(n):
 # the Feistel pass
 
 
-def _pass(key, tweak, n):
-    """The key's Feistel pass over [0, n'), n' >= n, kept as a public call of
-    size n keeps it."""
-    return intfpe._keyed(key, intfpe._FeistelPass, tweak, n, (intfpe._FeistelPass, tweak), 0)
+def _pass(key, tweak, n, recorder=None):
+    """The key's Feistel pass over [0, n'), n' >= n, from the table of the
+    public call's record (None, tweak). If the key does not keep it yet, a
+    public cycle walk of 0 builds it, its applies noted by `recorder`."""
+    table = key._permutations.get((None, tweak))
+    if not table or n not in table[0]:
+        cycle_walk_encrypt(key, tweak, n, 0, recorder=recorder)
+    p = key._permutations[None, tweak][0][n]
+    assert isinstance(p, intfpe._FeistelPass)
+    return p
 
 
 def _held(key) -> list:
@@ -113,13 +121,17 @@ def _pass_inverse(key, tweak, n, x):
     return _pass(key, tweak, n).apply[1](x)
 
 
-def test_feistel_is_a_bijection_on_the_working_range():
+def test_feistel_is_a_bijection_on_the_working_range(monkeypatch):
+    # sizes this small are shuffled unless the limit is lowered, under a key
+    # of its own, so that no other test meets these passes in place of shuffles
+    monkeypatch.setattr(intfpe, "SHUFFLE_LIMIT", 1)
+    key = IntFpeKey(KEY.secret)
     for n in (6, 7, 20, 97):
         _, _, n2 = balanced_factor(n)
-        images = {_pass_forward(KEY, b"t", n, x) for x in range(n2)}
+        images = {_pass_forward(key, b"t", n, x) for x in range(n2)}
         assert images == set(range(n2)), n
         for x in range(n2):
-            assert _pass_inverse(KEY, b"t", n, _pass_forward(KEY, b"t", n, x)) == x
+            assert _pass_inverse(key, b"t", n, _pass_forward(key, b"t", n, x)) == x
 
 
 def test_feistel_depends_on_tweak_and_key():
@@ -183,9 +195,10 @@ def test_feistel_round_makes_one_xof_call(monkeypatch):
     real = intfpe._base_state
     monkeypatch.setattr(intfpe, "_base_state", lambda *args: Counting(real(*args)))
     for n in (SHUFFLE_LIMIT + 1, 17_576, 2**40 + 3):
+        p = _pass(KEY, b"count", n)
         for x in (0, 1, n // 3):
             calls.clear()
-            _pass_forward(KEY, b"count", n, x)
+            p.apply[0](x)
             assert len(calls) == KEY.rounds, n
     calls.clear()
     cycle_walk_encrypt(KEY, b"count", SHUFFLE_LIMIT, 5)
@@ -484,10 +497,11 @@ def test_an_8_round_key_builds_each_slot_permutation_once(monkeypatch):
 
 
 def test_each_path_stores_a_slot_permutation_once(monkeypatch):
-    # encrypt keeps a slot's permutation under (fingerprint, tweak, index,
-    # size); a per-slot Fe1Backend call under that slot's slot_tweak, as the
-    # benchmark's traced rebuild makes, keeps its own under (build, slot
-    # tweak, size): built on the first per-slot pass, found on the next
+    # encrypt keeps a slot's permutation in the table of its record
+    # (fingerprint, tweak), at its index and size; a per-slot Fe1Backend call
+    # under that slot's slot_tweak, as the benchmark's traced rebuild makes,
+    # keeps its own in the table of its record (None, slot tweak): built on
+    # the first per-slot pass, found on the next
     rng = random.Random(2)
     records = [unrank(ADDRESS, rng.randrange(ADDRESS.size)) for _ in range(210)]
     cfg = CipherConfig(max_size=2**16)
@@ -666,6 +680,78 @@ def test_threads_sharing_a_key_give_the_serial_ciphertexts():
     assert [[r[i] for i in range(16)] for r in results] == [serial] * 4
 
 
+def test_threads_keep_the_stores_count_exact(monkeypatch):
+    # six threads each store 30 permutations in a store of 8 to 16, switching
+    # every microsecond, so they store, trim and count at once: after every
+    # round the count is the permutations the tables hold, within the cap
+    monkeypatch.setattr(intfpe, "_KEY_CACHE_ENTRIES", 8)
+    monkeypatch.setattr(intfpe, "_KEY_CACHE_MOST", 16)
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(150):
+            key, start = IntFpeKey(bytes(range(32))), threading.Barrier(6, timeout=60)
+
+            def work(k):
+                start.wait()
+                for t in range(30):
+                    cycle_walk_encrypt(key, b"%d.%d" % (k, t), 50, t)
+
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert key._permutations.held == len(_held(key)) <= 16
+    finally:
+        sys.setswitchinterval(old)
+
+
+class _CountingLock:
+    """Stands in for intfpe._LOCK, counting the times it is taken."""
+
+    def __init__(self, lock):
+        self.lock, self.taken = lock, 0
+
+    def __enter__(self):
+        self.taken += 1
+        return self.lock.__enter__()
+
+    def __exit__(self, *exc):
+        return self.lock.__exit__(*exc)
+
+
+def test_a_warm_record_takes_no_lock(monkeypatch):
+    lock = _CountingLock(intfpe._LOCK)
+    monkeypatch.setattr(intfpe, "_LOCK", lock)
+    cfg, key = CipherConfig(max_size=2**16), IntFpeKey(bytes(range(32)))
+    record = "Elm Street,Dover,42,12345,France"
+    image = encrypt(cfg, key, ADDRESS, record)
+    # cold: once per permutation kept, in a store too small to trim
+    assert lock.taken == key._permutations.held > 10
+    lock.taken = 0
+    for _ in range(3):
+        assert encrypt(cfg, key, ADDRESS, record) == image
+    assert lock.taken == 0
+    # a cold record meeting a full store takes it once more, for the trim
+    t = 0
+    while key._permutations.held < intfpe._KEY_CACHE_ENTRIES:
+        cycle_walk_encrypt(key, b"fill%d" % t, 2, 0)
+        t += 1
+    lock.taken = 0
+    encrypt(cfg, key, ADDRESS, record, b"cold")
+    assert lock.taken == key._permutations.held + 1 == len(_held(key)) + 1 > 11
+
+
+def test_a_fresh_key_pickles_and_deep_copies():
+    # the store holds no lock of its own, so a key copies as it did
+    key = IntFpeKey(bytes(range(32)), rounds=8)
+    for copied in (pickle.loads(pickle.dumps(key)), copy.deepcopy(key)):
+        assert copied == key and copied.rounds == 8 and not copied._permutations
+        assert cycle_walk_encrypt(copied, b"c", 1000, 7) == cycle_walk_encrypt(key, b"c", 1000, 7)
+
+
 # ---------------------------------------------------------------------------
 # tabulated round functions
 
@@ -703,9 +789,12 @@ def _largest_tabulated(rounds):
 
 def _applies_to_build(key, tweak, n, xs):
     """Encrypt and decrypt, alternately, the values xs under the key's pass
-    until it has built its table; the number of applies that took."""
-    p = _pass(key, tweak, n)
-    for count, x in enumerate(xs, 1):
+    until it has built its table; the number of applies that took, the
+    walk that built the pass's among them."""
+    built = WalkRecorder()
+    p = _pass(key, tweak, n, built)
+    assert p.table is None
+    for count, x in enumerate(xs, sum(steps for _, steps in built.events) + 1):
         p.apply[1 - count % 2](x)
         if p.table is not None:
             return count
